@@ -8,7 +8,6 @@ arithmetic, Groebner bases, Darboux polynomial search, and Ore-algebra
 computations.
 """
 
-from ._kernel import BACKEND
 from .rational import Q
 from .poly import (
     BiPoly,
@@ -84,7 +83,6 @@ from .parse import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND",
     "Q",
     "BiPoly",
     "UniPoly",

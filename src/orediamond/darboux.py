@@ -220,40 +220,22 @@ def _pb_mul(a, b):
 def _affine_solve(rows, rhs, pool):
     """Solve rows*u + rhs = 0 with rational rows and MPoly right sides.
 
+    The right sides ride along as the last column of the row reduction.
     Free unknowns become fresh parameters; unsatisfiable rows become
     constraint polynomials in the parameters.
     """
     ncols = len(rows[0]) if rows else 0
-    m = [list(r) for r in rows]
-    b = list(rhs)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        b[r], b[pr] = b[pr], b[r]
-        inv = QONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        b[r] = b[r] * inv
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-                b[i] = b[i] - b[r] * f
-        pivots.append(c)
-        r += 1
-    constraints = [b[i] for i in range(r, len(m)) if not b[i].is_zero]
+    m, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    constraints = [row[ncols] for row in m[len(pivots):] if not row[ncols].is_zero]
     free = [c for c in range(ncols) if c not in pivots]
     u = [None] * ncols
     for f in free:
         u[f] = pool.var(pool.fresh())
-    for idx, c in enumerate(pivots):
-        expr = -b[idx]
+    for row, c in zip(m, pivots):
+        expr = -row[ncols]
         for f in free:
-            if m[idx][f]:
-                expr = expr - m[idx][f] * u[f]
+            if row[f]:
+                expr = expr - row[f] * u[f]
         u[c] = expr
     return u, constraints
 
@@ -800,8 +782,6 @@ def pencil_members_through(pencil, gens):
             return PencilMembers("all")
         return PencilMembers("finite", [], residual_nonrational=True)
     g = reduce(uni_gcd, tpolys)
-    if g.is_zero or (not g.is_constant and not tpolys):
-        return PencilMembers("all")
     members = []
     residual = False
     if g.is_constant:

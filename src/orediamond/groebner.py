@@ -6,8 +6,7 @@ further strategy is needed.
 """
 
 from .rational import QONE
-from . import _kernel as K
-from .poly import BiPoly, DomainError, _grlex_key
+from .poly import BiPoly, DomainError, _grlex_key, kmul_term, ksub
 
 
 def _lcm_exp(ea, eb):
@@ -31,7 +30,7 @@ def normal_form(p, basis):
         for gexp, glc, gterms in lead:
             if _divisible(rexp, gexp):
                 shift = (rexp[0] - gexp[0], rexp[1] - gexp[1])
-                rem = K.ksub(rem, K.kmul_term(gterms, shift, c / glc))
+                rem = ksub(rem, kmul_term(gterms, shift, c / glc))
                 break
         else:
             out[rexp] = c
@@ -42,9 +41,9 @@ def normal_form(p, basis):
 def s_polynomial(f, g):
     fe, ge = f.leading_exp(), g.leading_exp()
     l = _lcm_exp(fe, ge)
-    tf = K.kmul_term(f.terms, (l[0] - fe[0], l[1] - fe[1]), QONE / f.lc())
-    tg = K.kmul_term(g.terms, (l[0] - ge[0], l[1] - ge[1]), QONE / g.lc())
-    return BiPoly._raw(K.ksub(tf, tg))
+    tf = kmul_term(f.terms, (l[0] - fe[0], l[1] - fe[1]), QONE / f.lc())
+    tg = kmul_term(g.terms, (l[0] - ge[0], l[1] - ge[1]), QONE / g.lc())
+    return BiPoly._raw(ksub(tf, tg))
 
 
 def buchberger(gens):

@@ -4,7 +4,13 @@ from .rational import QONE, QZERO, q
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form in the first ncols columns; returns
+    (rows, pivot column list).
+
+    Only those columns are tested for pivots, so further columns may hold
+    anything that supports * and - with rationals (an augmented right-hand
+    side, for instance).
+    """
     m = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -27,7 +33,22 @@ def rref(rows, ncols):
         r += 1
         if r == len(m):
             break
-    return m[:r] + m[r:], pivots
+    return m, pivots
+
+
+def _kernel_basis(m, pivots, ncols):
+    """Kernel basis read off a reduced row echelon form, one vector per
+    free column."""
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [QZERO] * ncols
+        vec[f] = QONE
+        for i, p in enumerate(pivots):
+            vec[p] = -m[i][f]
+        kernel.append(vec)
+    return kernel
 
 
 def solve(a_rows, rhs):
@@ -41,24 +62,10 @@ def solve(a_rows, rhs):
     ncols = len(a_rows[0])
     aug = [list(r) + [q(v)] for r, v in zip(a_rows, rhs)]
     m, pivots = rref(aug, ncols)
-    # consistency: no pivot row of the form 0 ... 0 | nonzero
-    nrows = len([r for r in m if any(r)])
-    consistent = True
-    for row in m:
-        if any(row[:ncols]):
-            continue
-        if row[ncols]:
-            consistent = False
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for f in free:
-        vec = [QZERO] * ncols
-        vec[f] = QONE
-        for i, p in enumerate(pivots):
-            vec[p] = -m[i][f]
-        kernel.append(vec)
-    if not consistent:
+    kernel = _kernel_basis(m, pivots, ncols)
+    # rows below the pivots are zero in A; a nonzero right side there
+    # makes the system inconsistent
+    if any(row[ncols] for row in m[len(pivots):]):
         return None, kernel
     particular = [QZERO] * ncols
     for i, p in enumerate(pivots):
@@ -68,18 +75,5 @@ def solve(a_rows, rhs):
 
 def nullspace(a_rows, ncols):
     """Kernel basis of A over Q."""
-    if not a_rows:
-        return [
-            [QONE if i == j else QZERO for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    m, pivots = rref([list(r) for r in a_rows], ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for f in free:
-        vec = [QZERO] * ncols
-        vec[f] = QONE
-        for i, p in enumerate(pivots):
-            vec[p] = -m[i][f]
-        kernel.append(vec)
-    return kernel
+    m, pivots = rref(a_rows, ncols)
+    return _kernel_basis(m, pivots, ncols)

@@ -6,8 +6,18 @@ elimination.  Shares the term-dict kernels with BiPoly.
 """
 
 from .rational import QONE, QZERO, q
-from . import _kernel as K
-from .poly import DomainError, UniPoly, NEG_INF
+from .poly import (
+    DomainError,
+    NEG_INF,
+    UniPoly,
+    _sylvester_resultant,
+    kadd,
+    kmul,
+    kmul_term,
+    kneg,
+    kscale,
+    ksub,
+)
 
 
 class MPoly:
@@ -109,7 +119,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         self._check(other)
-        return MPoly._raw(self.nvars, K.kadd(self.terms, other.terms))
+        return MPoly._raw(self.nvars, kadd(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -117,19 +127,19 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         self._check(other)
-        return MPoly._raw(self.nvars, K.ksub(self.terms, other.terms))
+        return MPoly._raw(self.nvars, ksub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return MPoly.const(self.nvars, other) - self
 
     def __neg__(self):
-        return MPoly._raw(self.nvars, K.kneg(self.terms))
+        return MPoly._raw(self.nvars, kneg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check(other)
-            return MPoly._raw(self.nvars, K.kmul(self.terms, other.terms))
-        return MPoly._raw(self.nvars, K.kscale(self.terms, q(other)))
+            return MPoly._raw(self.nvars, kmul(self.terms, other.terms))
+        return MPoly._raw(self.nvars, kscale(self.terms, q(other)))
 
     __rmul__ = __mul__
 
@@ -253,7 +263,7 @@ def mpoly_exact_divide(p, d):
             return None
         c = rem[rexp] / dlc
         quot[e] = c
-        rem = K.ksub(rem, K.kmul_term(d.terms, e, c))
+        rem = ksub(rem, kmul_term(d.terms, e, c))
     return MPoly._raw(p.nvars, quot)
 
 
@@ -262,52 +272,13 @@ def mpoly_resultant(p, q_, i):
     if p.is_zero or q_.is_zero:
         raise DomainError("resultant of the zero polynomial")
     p._check(q_)
-    cp, cq = p.coeffs_in(i), q_.coeffs_in(i)
-    dp, dq = len(cp) - 1, len(cq) - 1
-    if dp <= 0 and dq <= 0:
-        raise DomainError("both inputs constant in the eliminated variable")
-    if dp == 0:
-        return cp[0] ** dq
-    if dq == 0:
-        return cq[0] ** dp
-    n = dp + dq
-    zero = MPoly.zero(p.nvars)
-    rows = []
-    for k in range(dq):
-        row = [zero] * n
-        for j, c in enumerate(cp):
-            row[k + dp - j] = c
-        rows.append(row)
-    for k in range(dp):
-        row = [zero] * n
-        for j, c in enumerate(cq):
-            row[k + dq - j] = c
-        rows.append(row)
-    return _mp_bareiss(rows, MPoly.one(p.nvars))
+    return _sylvester_resultant(
+        p.coeffs_in(i), q_.coeffs_in(i), MPoly.one(p.nvars), _mp_exact_div
+    )
 
 
-def _mp_bareiss(rows, one):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero(one.nvars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quo = mpoly_exact_divide(num, prev)
-                if quo is None:
-                    raise DomainError("inexact division in determinant")
-                m[i][j] = quo
-            m[i][k] = MPoly.zero(one.nvars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+def _mp_exact_div(a, b):
+    quo = mpoly_exact_divide(a, b)
+    if quo is None:
+        raise DomainError("inexact division in determinant")
+    return quo

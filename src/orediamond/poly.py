@@ -8,7 +8,6 @@ a pure function.
 """
 
 from .rational import Q, QONE, QZERO, q, qstr
-from . import _kernel as K
 
 NEG_INF = float("-inf")
 
@@ -19,6 +18,121 @@ class DomainError(ValueError):
 
 def _grlex_key(exp):
     return (exp[0] + exp[1], exp[0])
+
+
+# ----------------------------------------------------------------------
+# term-dict kernels
+# ----------------------------------------------------------------------
+# A sparse polynomial is a dict mapping exponent tuples to nonzero
+# rational coefficients.  These are the inner loops shared by BiPoly,
+# MPoly and the Groebner engine; none of them stores a zero coefficient.
+
+
+def kadd(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def ksub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c
+        else:
+            s = s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def kneg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def kscale(a, c):
+    if not c:
+        return {}
+    return {e: co * c for e, co in a.items()}
+
+
+def kmul_term(a, exp, c):
+    """Multiply by the single term c * X^exp."""
+    if not c:
+        return {}
+    out = {}
+    for e, co in a.items():
+        out[tuple(x + y for x, y in zip(e, exp))] = co * c
+    return out
+
+
+def kmul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e)
+            if s is None:
+                s = ca * cb
+            else:
+                s = s + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+# ----------------------------------------------------------------------
+# rendering
+# ----------------------------------------------------------------------
+
+
+def _render_terms(terms):
+    """Canonical text of (monomial, coefficient) pairs given in display
+    order; the monomial is "" for the constant term."""
+    parts = []
+    for body, c in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        if not body:
+            piece = qstr(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = f"{qstr(mag)}*{body}"
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + piece)
+        elif c > 0:
+            parts.append(piece)
+        elif body and mag == 1:
+            # leading negative term; keep within the input grammar (no
+            # unary minus on a bare monomial)
+            parts.append(f"-1*{body}")
+        else:
+            parts.append("-" + piece)
+    return " ".join(parts) or "0"
+
+
+def _power(var, n):
+    if n == 0:
+        return ""
+    return var if n == 1 else f"{var}^{n}"
 
 
 class BiPoly:
@@ -115,25 +229,25 @@ class BiPoly:
     def __add__(self, other):
         if not isinstance(other, BiPoly):
             other = BiPoly.const(other)
-        return BiPoly._raw(K.kadd(self.terms, other.terms))
+        return BiPoly._raw(kadd(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, BiPoly):
             other = BiPoly.const(other)
-        return BiPoly._raw(K.ksub(self.terms, other.terms))
+        return BiPoly._raw(ksub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return BiPoly.const(other) - self
 
     def __neg__(self):
-        return BiPoly._raw(K.kneg(self.terms))
+        return BiPoly._raw(kneg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
-            return BiPoly._raw(K.kmul(self.terms, other.terms))
-        return BiPoly._raw(K.kscale(self.terms, q(other)))
+            return BiPoly._raw(kmul(self.terms, other.terms))
+        return BiPoly._raw(kscale(self.terms, q(other)))
 
     __rmul__ = __mul__
 
@@ -240,42 +354,16 @@ class BiPoly:
 
     def render(self):
         """Canonical text form: descending graded-lex terms."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in self.sorted_terms():
-            mono = []
-            if i:
-                mono.append("x" if i == 1 else f"x^{i}")
-            if j:
-                mono.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(mono)
-            mag = abs(c)
-            if not mono:
-                piece = qstr(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{qstr(mag)}*{body}"
-            if not parts:
-                parts.append(piece if c > 0 else _neg_first(piece, mag, body))
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(parts)
+        return _render_terms(
+            ("*".join(filter(None, (_power("x", i), _power("y", j)))), c)
+            for (i, j), c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"BiPoly({self.render()})"
 
     def __str__(self):
         return self.render()
-
-
-def _neg_first(piece, mag, body):
-    # leading negative term; keep within the input grammar (no unary minus
-    # on a bare monomial)
-    if body and mag == 1:
-        return f"-1*{body}"
-    return "-" + piece
 
 
 def bipoly(spec):
@@ -311,7 +399,7 @@ def exact_divide(p, q_, allow_constant=True):
             return None
         c = rem[rexp] / qlc
         quot[(i, j)] = c
-        rem = K.ksub(rem, K.kmul_term(q_.terms, (i, j), c))
+        rem = ksub(rem, kmul_term(q_.terms, (i, j), c))
     return BiPoly._raw(quot)
 
 
@@ -398,34 +486,9 @@ def resultant(p, q_, eliminate):
         flipped = BiPoly._raw({(j, i): c for (i, j), c in poly.terms.items()})
         return flipped.x_coefficients()
 
-    cp, cq = coeffs_in(p), coeffs_in(q_)
-    dp, dq = len(cp) - 1, len(cq) - 1
-    if dp <= 0 and dq <= 0:
-        raise DomainError("both inputs constant in the eliminated variable")
-    if dp == 0:
-        return _upow(cp[0], dq)
-    if dq == 0:
-        return _upow(cq[0], dp)
-    n = dp + dq
-    rows = []
-    for k in range(dq):
-        row = [UniPoly.zero()] * n
-        for i, c in enumerate(cp):
-            row[k + dp - i] = c
-        rows.append(row)
-    for k in range(dp):
-        row = [UniPoly.zero()] * n
-        for i, c in enumerate(cq):
-            row[k + dq - i] = c
-        rows.append(row)
-    return _bareiss_det(rows, UniPoly.one(), _uni_exact_div)
-
-
-def _upow(u, n):
-    out = UniPoly.one()
-    for _ in range(n):
-        out = out * u
-    return out
+    return _sylvester_resultant(
+        coeffs_in(p), coeffs_in(q_), UniPoly.one(), _uni_exact_div
+    )
 
 
 def _uni_exact_div(a, b):
@@ -435,9 +498,34 @@ def _uni_exact_div(a, b):
     return quo
 
 
+def _sylvester_resultant(cp, cq, one, exact_div):
+    """Resultant of two polynomials given by their coefficient lists
+    (ascending in the eliminated variable, entries in an integral domain
+    whose unit is one and where exact_div(a, b) returns a/b)."""
+    dp, dq = len(cp) - 1, len(cq) - 1
+    if dp <= 0 and dq <= 0:
+        raise DomainError("both inputs constant in the eliminated variable")
+    if dp == 0:
+        return cp[0] ** dq
+    if dq == 0:
+        return cq[0] ** dp
+    n = dp + dq
+    zero = one - one
+    rows = []
+    for cs, shifts in ((cp, dq), (cq, dp)):
+        d = len(cs) - 1
+        for k in range(shifts):
+            row = [zero] * n
+            for i, c in enumerate(cs):
+                row[k + d - i] = c
+            rows.append(row)
+    return _bareiss_det(rows, one, exact_div)
+
+
 def _bareiss_det(rows, one, exact_div):
-    """Fraction-free determinant; entries form an integral domain with
-    exact division."""
+    """Fraction-free (Bareiss) determinant; entries form an integral
+    domain with exact division.  Entries below the pivot of a finished
+    column are never read again, so they are left as they are."""
     n = len(rows)
     if n == 0:
         return one
@@ -452,13 +540,11 @@ def _bareiss_det(rows, one, exact_div):
                     sign = -sign
                     break
             else:
-                zero = rows[0][0] - rows[0][0]
-                return zero
+                return one - one
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 m[i][j] = exact_div(num, prev)
-            m[i][k] = m[k][k] - m[k][k]
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
@@ -654,31 +740,10 @@ class UniPoly:
         return UniPoly(out)
 
     def render(self, var="x"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                body = ""
-            elif i == 1:
-                body = var
-            else:
-                body = f"{var}^{i}"
-            mag = abs(c)
-            if not body:
-                piece = qstr(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{qstr(mag)}*{body}"
-            if not parts:
-                parts.append(piece if c > 0 else _neg_first(piece, mag, body))
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(parts)
+        return _render_terms(
+            (_power(var, i), self.coeffs[i])
+            for i in range(len(self.coeffs) - 1, -1, -1)
+        )
 
     def __repr__(self):
         return f"UniPoly({self.render()})"
@@ -900,32 +965,10 @@ class LaurentUniPoly:
         return out
 
     def render(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            n = self.offset + i
-            if n == 0:
-                body = ""
-            elif n == 1:
-                body = "x"
-            else:
-                body = f"x^{n}"
-            mag = abs(c)
-            if not body:
-                piece = qstr(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{qstr(mag)}*{body}"
-            if not parts:
-                parts.append(piece if c > 0 else _neg_first(piece, mag, body))
-            else:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(parts)
+        return _render_terms(
+            (_power("x", self.offset + i), self.coeffs[i])
+            for i in range(len(self.coeffs) - 1, -1, -1)
+        )
 
     def __repr__(self):
         return f"LaurentUniPoly({self.render()})"

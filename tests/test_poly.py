@@ -8,6 +8,7 @@ import pytest
 from orediamond import (
     BiPoly,
     DomainError,
+    LaurentUniPoly,
     Q,
     UniPoly,
     exact_divide,
@@ -19,6 +20,8 @@ from orediamond import (
     uni_gcd,
     uni_resultant,
 )
+from orediamond import linalg
+from orediamond.multipoly import MPoly, mpoly_resultant
 from util import bi, lau, random_bipoly, random_unipoly, uni
 
 
@@ -198,3 +201,159 @@ class TestUnivariateTools:
             rebuilt = rebuilt * factor**mult
         assert rebuilt.monic() == p.monic()
         assert any(m == 2 for _, m in parts)
+
+
+def test_kernels_do_not_store_zeros():
+    rng = random.Random(108)
+    p = random_bipoly(rng, nonzero=True)
+    assert (p - p).terms == {}
+    assert (1, 1) not in ((bi("x") + bi("y")) * (bi("x") - bi("y"))).terms
+    x, y, z = (MPoly.var(3, i) for i in range(3))
+    assert ((x + y * z) * (x - y * z)).terms == {
+        (2, 0, 0): Q(1),
+        (0, 2, 2): Q(-1),
+    }
+
+
+@pytest.mark.parametrize(
+    "rendered, text",
+    [
+        (BiPoly({(1, 0): -1, (0, 0): "3/2"}).render(), "-1*x + 3/2"),
+        (UniPoly([0, -1, "2/3"]).render("t"), "2/3*t^2 - t"),
+        (LaurentUniPoly(-2, [-1, 0, 5]).render(), "5 - x^-2"),
+        (BiPoly.zero().render(), "0"),
+        (BiPoly.const(-2).render(), "-2"),
+        (UniPoly.const(-2).render(), "-2"),
+        (LaurentUniPoly.const(-2).render(), "-2"),
+        (BiPoly({(2, 1): -3, (0, 3): 1}).render(), "-3*x^2*y + y^3"),
+    ],
+)
+def test_render_pinned(rendered, text):
+    assert rendered == text
+
+
+# -- differential checks against sympy ---------------------------------
+
+
+@pytest.fixture
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sp, terms, syms):
+    return sp.Add(
+        *(
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(s**e for s, e in zip(syms, exp)))
+            for exp, c in terms.items()
+        )
+    )
+
+
+def _uni_to_sympy(sp, u, sym):
+    return _to_sympy(sp, {(i,): c for i, c in enumerate(u.coeffs)}, (sym,))
+
+
+def _sympy_resultant(sp, f, g, var):
+    # sympy.resultant itself gets the sign wrong for some degree pairs
+    # (sympy 1.14: degree 1 against degree 3 in var), so the oracle is the
+    # determinant of a Sylvester matrix built from sympy's coefficients.
+    a, b = sp.Poly(f, var).all_coeffs(), sp.Poly(g, var).all_coeffs()
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * k + a + [0] * (n - 1 - k) for k in range(n)]
+    rows += [[0] * k + b + [0] * (m - 1 - k) for k in range(m)]
+    return sp.Matrix(rows).det(method="domain-ge")
+
+
+def _random_mpoly(rng, nvars, maxdeg=2, nterms=4):
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randrange(maxdeg + 1) for _ in range(nvars))
+        terms[exp] = Q(rng.randrange(-9, 10), rng.randrange(1, 4))
+    return MPoly(nvars, terms)
+
+
+def _random_entry(rng):
+    return Q(rng.randrange(-4, 5), rng.randrange(1, 3)) if rng.random() < 0.6 else Q(0)
+
+
+def _from_sympy(vec):
+    return [Q(int(v.p), int(v.q)) for v in vec]
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("eliminate", ["x", "y"])
+    def test_resultant(self, sp, eliminate):
+        x, y = sp.symbols("x y")
+        elim, other = (x, y) if eliminate == "x" else (y, x)
+        lift = bi(eliminate)
+        # a vanishing pivot forces one row swap in the fraction-free
+        # determinant, so the sign bookkeeping is exercised
+        swap = {"y": ("y^3 + 1", "y^2 + x*y"), "x": ("x^3 + 1", "x^2 + x*y")}
+        pairs = [tuple(map(bi, swap[eliminate]))]
+        rng = random.Random(109)
+        for _ in range(25):
+            p = random_bipoly(rng, maxdeg=3, nonzero=True) + lift
+            pairs.append((p, random_bipoly(rng, maxdeg=3, nonzero=True) * lift - 1))
+        for p, q_ in pairs:
+            ours = resultant(p, q_, eliminate)
+            theirs = _sympy_resultant(
+                sp, _to_sympy(sp, p.terms, (x, y)), _to_sympy(sp, q_.terms, (x, y)), elim
+            )
+            assert sp.expand(_uni_to_sympy(sp, ours, other) - theirs) == 0
+
+    def test_mpoly_resultant_three_variables(self, sp):
+        syms = sp.symbols("a b c")
+        a, b, c = (MPoly.var(3, i) for i in range(3))
+        cases = [(a**3 + 1, a**2 + b * c * a, 0)]  # one row swap, as above
+        rng = random.Random(110)
+        for trial in range(20):
+            i = trial % 3
+            lift = MPoly.var(3, i)
+            p = _random_mpoly(rng, 3) * lift + 1
+            cases.append((p, _random_mpoly(rng, 3) + lift, i))
+        for p, q_, i in cases:
+            ours = mpoly_resultant(p, q_, i)
+            theirs = _sympy_resultant(
+                sp, _to_sympy(sp, p.terms, syms), _to_sympy(sp, q_.terms, syms), syms[i]
+            )
+            assert sp.expand(_to_sympy(sp, ours.terms, syms) - theirs) == 0
+
+    def test_mpoly_resultant_shared_factor_is_zero(self, sp):
+        syms = sp.symbols("a b c")
+        a, b, c = (MPoly.var(3, i) for i in range(3))
+        common = a * b + c - 2
+        p = (a + c * c) * common
+        q_ = (b * a - 1) * common
+        assert mpoly_resultant(p, q_, 0).is_zero
+        theirs = _sympy_resultant(
+            sp, _to_sympy(sp, p.terms, syms), _to_sympy(sp, q_.terms, syms), syms[0]
+        )
+        assert sp.expand(theirs) == 0
+
+    def test_solve_and_nullspace(self, sp):
+        rng = random.Random(111)
+        inconsistent = 0
+        for trial in range(60):
+            nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+            a = [[_random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            rhs = [Q(rng.randrange(-5, 6)) for _ in range(nrows)]
+            if trial % 3 == 0 and nrows >= 2:
+                # a repeated row with a different right side: inconsistent
+                a[-1] = list(a[0])
+                rhs[-1] = rhs[0] + 1
+            sa = sp.Matrix(nrows, ncols, lambda r, c: sp.Rational(str(a[r][c])))
+            sb = sp.Matrix(nrows, 1, lambda r, _: sp.Rational(str(rhs[r])))
+            kernel = [_from_sympy(v) for v in sa.nullspace()]
+            assert linalg.nullspace(a, ncols) == kernel
+            particular, basis = linalg.solve(a, rhs)
+            assert basis == kernel
+            try:
+                sol, params = sa.gauss_jordan_solve(sb)
+            except ValueError:
+                inconsistent += 1
+                assert particular is None
+                continue
+            expected = sol.subs({t: 0 for t in params})
+            assert particular == _from_sympy(expected)
+        assert inconsistent >= 10
