@@ -83,7 +83,7 @@ def _ore_context(args):
 
 def _cmd_decide(args):
     deriv = parse_derivation(args.deriv, args.ring)
-    verdict = decide(args.ring, deriv, args.bound, args.kmax)
+    verdict = decide(args.ring, deriv, args.bound)
     doc_result = {
         "status": verdict.status,
         "certified": verdict.certified,
@@ -217,7 +217,6 @@ def build_parser():
         p.add_argument("--ring", choices=rings, default=ring_default)
         p.add_argument("--deriv", required=True, help="dx=<poly> or dx=<poly>; dy=<poly>")
         p.add_argument("--bound", type=int, default=6, help="Darboux degree bound")
-        p.add_argument("--kmax", type=int, default=50, help="nilpotency iteration bound")
         p.add_argument("--json", action="store_true")
 
     common(sub.add_parser("decide"))
@@ -237,7 +236,7 @@ def build_parser():
 
 
 def run_command(args):
-    """Dispatch a parsed command; returns (document, exit_code)."""
+    """Dispatch a parsed command; returns (document, lines, exit_code)."""
     result, trace, lines, code, inputs = _HANDLERS[args.verb](args)
     doc = {
         "schema_version": SCHEMA_VERSION,

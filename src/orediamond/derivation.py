@@ -1,7 +1,7 @@
 """Derivations of Q[x], Q[x, x^-1] and Q[x, y].
 
 A derivation is determined by its values on the generators; apply()
-extends by the Leibniz rule.  Also here: the bounded local-nilpotency
+extends by the Leibniz rule.  Also here: the exact local-nilpotency
 test and the analysis of Shamsuddin-type derivations d/dx + (a(x)y +
 b(x)) d/dy.
 """
@@ -80,46 +80,75 @@ class UniDerivation:
         return f"UniDerivation({kind}, dx={self.dx.render()})"
 
 
+# An iterate with more terms than this ends the nilpotency test with
+# "unknown"; it bounds the cost of a single call.
+TERM_LIMIT = 2000
+
+
 class NilpotencyVerdict:
-    """Outcome of the bounded local-nilpotency test."""
+    """Outcome of the local-nilpotency test.
 
-    __slots__ = ("status", "order", "witness", "eigenvalue")
+    status "nilpotent" carries the order: the least k with delta^k(x) =
+    delta^k(y) = 0.  status "not_nilpotent" carries the rule that decided
+    it as reason, "divergence" or "order_bound".  status "unknown" has
+    reason "term_limit": an iterate outgrew TERM_LIMIT terms first.
+    """
 
-    def __init__(self, status, order=None, witness=None, eigenvalue=None):
+    __slots__ = ("status", "order", "reason")
+
+    def __init__(self, status, order=None, reason=None):
         self.status = status  # "nilpotent" | "not_nilpotent" | "unknown"
         self.order = order
-        self.witness = witness
-        self.eigenvalue = eigenvalue
+        self.reason = reason
 
     def __repr__(self):
-        return f"NilpotencyVerdict({self.status}, order={self.order})"
+        return f"NilpotencyVerdict({self.status}, order={self.order}, reason={self.reason})"
 
 
-def locally_nilpotent_bounded(deriv, kmax=50, term_limit=2000):
-    """Decide local nilpotency of a Q[x, y] derivation by iterating on the
-    generators.
+def locally_nilpotent_bounded(deriv):
+    """Decide local nilpotency of a Q[x, y] derivation exactly.
 
     Nilpotency on x and y implies nilpotency everywhere (the Leibniz
-    rule bounds the order on products and sums).  An iterate that is a
-    nonzero eigenvector with nonzero eigenvalue disproves nilpotency.
-    Beyond kmax iterations or term_limit terms the answer is unknown.
+    rule bounds the order on products and sums).  Two classical facts
+    settle it, with d = max(deg delta(x), deg delta(y)):
+
+    Divergence.  A locally nilpotent delta has d(delta x)/dx +
+    d(delta y)/dy = 0.  exp(t*delta) is an automorphism of Q[x, y] for
+    every t, so its Jacobian determinant is a polynomial in t that never
+    vanishes, hence constant; its derivative at t = 0 is div delta.
+
+    Order bound.  A locally nilpotent delta kills x and y within d + 2
+    applications.  By Rentschler (1968), delta = h(f)*(f_y d/dx - f_x
+    d/dy) with (f, g) an automorphism of the plane, so delta(f) = 0 and
+    delta(g) = c*h(f) with c = -J(f, g) a nonzero constant; on Q[f, g]
+    delta is c*h(f) d/dg.  While deg g > deg f, the top forms of f and g
+    are powers of one common form (Abhyankar-Moh), so subtracting a
+    multiple of a power of f from g lowers deg g; take deg g <= deg f.
+    Write x = P(f, g).  Then delta^k(x) = (c*h(f))^k * (d^k P/dg^k)(f, g),
+    so the order on x is deg_g P + 1.  A plane automorphism and its
+    inverse have the same degree, so deg P <= deg f; and one partial of
+    f has degree deg f - 1 (Euler's identity on its top form), so
+    d >= deg f - 1.  Hence the order on x, and likewise on y, is at most
+    deg f + 1 <= d + 2.
+
+    An iterate with more than TERM_LIMIT terms makes the answer unknown.
     """
     if deriv.is_zero:
         return NilpotencyVerdict("nilpotent", order=1)
+    if not (deriv.dx.deriv_x() + deriv.dy.deriv_y()).is_zero:
+        return NilpotencyVerdict("not_nilpotent", reason="divergence")
+    bound = max(deriv.dx.total_degree(), deriv.dy.total_degree()) + 2
     worst = 0
     for gen in (BiPoly.var_x(), BiPoly.var_y()):
         p = gen
         k = 0
         while not p.is_zero:
-            lam = exact_divide(deriv.apply(p), p)
-            if lam is not None and lam.is_constant and lam.constant_value():
-                return NilpotencyVerdict(
-                    "not_nilpotent", witness=p, eigenvalue=lam.constant_value()
-                )
+            if k == bound:
+                return NilpotencyVerdict("not_nilpotent", reason="order_bound")
             p = deriv.apply(p)
             k += 1
-            if k > kmax or len(p.terms) > term_limit:
-                return NilpotencyVerdict("unknown", order=kmax)
+            if len(p.terms) > TERM_LIMIT:
+                return NilpotencyVerdict("unknown", reason="term_limit")
         worst = max(worst, k)
     return NilpotencyVerdict("nilpotent", order=worst)
 

@@ -444,10 +444,10 @@ def _decide_laurent(deriv, bound):
     return Verdict(UNKNOWN, False, bound, [LaurentRule(dx, None)])
 
 
-def _decide_poly_bi(deriv, darboux_bound, nilpotency_bound):
+def _decide_poly_bi(deriv, darboux_bound):
     if deriv.is_zero:
         return Verdict(DIAMOND, True, darboux_bound, [CommutativeCase()])
-    nil = locally_nilpotent_bounded(deriv, nilpotency_bound)
+    nil = locally_nilpotent_bounded(deriv)
     if nil.status == "nilpotent":
         return Verdict(DIAMOND, True, darboux_bound, [LocallyNilpotentCert(nil)])
     shape = _shamsuddin_shape(deriv)
@@ -492,14 +492,14 @@ def _decide_poly_bi(deriv, darboux_bound, nilpotency_bound):
     return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
 
 
-def decide(spec, deriv, darboux_bound=6, nilpotency_bound=50):
+def decide(spec, deriv, darboux_bound=6):
     """Decide the property for R[theta; delta] over the given ring."""
-    if darboux_bound < 1 or nilpotency_bound < 1:
-        raise DomainError("bounds must be at least 1")
+    if darboux_bound < 1:
+        raise DomainError("bound must be at least 1")
     if spec == POLY_BI:
         if not isinstance(deriv, Derivation):
             raise DomainError("bivariate ring needs a Derivation with dx and dy")
-        return _decide_poly_bi(deriv, darboux_bound, nilpotency_bound)
+        return _decide_poly_bi(deriv, darboux_bound)
     if not isinstance(deriv, UniDerivation):
         raise DomainError("univariate rings need a univariate derivation")
     if spec == POLY_UNI:

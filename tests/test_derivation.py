@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orediamond import (
     BiPoly,
@@ -12,6 +13,7 @@ from orediamond import (
     DomainError,
     Q,
     UniPoly,
+    derivation,
     locally_nilpotent_bounded,
     shamsuddin_analyze,
 )
@@ -62,31 +64,108 @@ class TestCofactor:
             d.cofactor(BiPoly.zero())
 
 
+def _coordinate(maps):
+    """First component of a composition of triangular automorphisms.
+
+    Each map is (a, low, top) with a, top != 0: (x, y) -> (y, a*x + p(y)),
+    where p has the coefficients low + [top], lowest first.
+    """
+    f, g = bi("x"), bi("y")
+    for a, low, top in maps:
+        pg = BiPoly.zero()
+        for c in reversed(low + [top]):
+            pg = pg * g + BiPoly.const(Q(c))
+        f, g = g, Q(a) * f + pg
+    return f
+
+
+def _hamiltonian(f, h):
+    """h(f) * (f_y d/dx - f_x d/dy), a locally nilpotent derivation
+    whenever f is a coordinate."""
+    hf = BiPoly.zero()
+    for c in reversed(h):
+        hf = hf * f + BiPoly.const(Q(c))
+    return Derivation(hf * f.deriv_y(), -(hf * f.deriv_x()))
+
+
+_small = st.integers(min_value=-3, max_value=3)
+_nonzero = _small.filter(bool)
+_triangular_maps = st.lists(
+    st.tuples(_nonzero, st.lists(_small, min_size=1, max_size=2), _nonzero), min_size=1, max_size=3
+)
+
+
+@st.composite
+def _bipolys(draw, maxdeg=4):
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=maxdeg))
+        j = draw(st.integers(min_value=0, max_value=maxdeg - i))
+        terms[(i, j)] = Q(draw(_nonzero))
+    return BiPoly(terms)
+
+
 class TestNilpotency:
     def test_triangular(self):
-        v = locally_nilpotent_bounded(Derivation(bi("1"), bi("x")), kmax=10)
+        v = locally_nilpotent_bounded(Derivation(bi("1"), bi("x")))
         assert v.status == "nilpotent"
         assert v.order == 3
 
     def test_eigenvector(self):
-        v = locally_nilpotent_bounded(Derivation(bi("x"), BiPoly.zero()), kmax=10)
-        assert v.status == "not_nilpotent"
-        assert v.witness == bi("x")
-        assert v.eigenvalue == Q(1)
+        # x is an eigenvector of (x, 0): caught by the divergence
+        v = locally_nilpotent_bounded(Derivation(bi("x"), BiPoly.zero()))
+        assert (v.status, v.reason) == ("not_nilpotent", "divergence")
+        # x and y are eigenvectors of (x, -y), whose divergence is 0
+        v = locally_nilpotent_bounded(Derivation(bi("x"), bi("-1*y")))
+        assert (v.status, v.reason) == ("not_nilpotent", "order_bound")
 
-    def test_unknown_growth(self):
-        v = locally_nilpotent_bounded(Derivation(bi("1"), bi("y^2")), kmax=10)
-        assert v.status == "unknown"
-        assert v.order == 10
+    def test_unknown_growth(self, monkeypatch):
+        # y -> y^2 -> 2*y^3 -> ... never vanishes; the divergence 2*y says so
+        v = locally_nilpotent_bounded(Derivation(bi("1"), bi("y^2")))
+        assert (v.status, v.reason) == ("not_nilpotent", "divergence")
+        # an iterate above the term cap stops the test undecided
+        monkeypatch.setattr(derivation, "TERM_LIMIT", 1)
+        v = locally_nilpotent_bounded(Derivation(bi("y^2"), bi("x^2")))
+        assert (v.status, v.reason) == ("unknown", "term_limit")
 
     def test_nilpotent_implies_powers_vanish(self):
         d = Derivation(bi("y"), BiPoly.zero())
-        v = locally_nilpotent_bounded(d, kmax=10)
+        v = locally_nilpotent_bounded(d)
         assert v.status == "nilpotent"
         p = bi("x")
         for _ in range(v.order):
             p = d.apply(p)
         assert p.is_zero
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(_triangular_maps, st.lists(_small, min_size=1, max_size=2).filter(any))
+    def test_rentschler_form_detected(self, maps, h):
+        f = _coordinate(maps)
+        d = _hamiltonian(f, h)
+        v = locally_nilpotent_bounded(d)
+        assert v.status == "nilpotent"
+        assert v.order <= max(d.dx.total_degree(), d.dy.total_degree()) + 2
+        for gen in (bi("x"), bi("y")):
+            p = gen
+            for _ in range(v.order):
+                p = d.apply(p)
+            assert p.is_zero
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_bipolys(), _bipolys())
+    def test_nonzero_divergence_rejected(self, dx, dy):
+        assume(not (dx.deriv_x() + dy.deriv_y()).is_zero)
+        v = locally_nilpotent_bounded(Derivation(dx, dy))
+        assert (v.status, v.reason) == ("not_nilpotent", "divergence")
+
+    def test_divergence_free_not_nilpotent(self):
+        rng = random.Random(304)
+        h = random_bipoly(rng, maxdeg=7, nterms=8)
+        hamiltonian = Derivation(h.deriv_y(), -h.deriv_x())
+        assert max(hamiltonian.dx.total_degree(), hamiltonian.dy.total_degree()) == 6
+        for d in (Derivation(bi("y^2"), bi("x^2")), hamiltonian):
+            v = locally_nilpotent_bounded(d)
+            assert (v.status, v.reason) == ("not_nilpotent", "order_bound")
 
 
 class TestShamsuddin:

@@ -57,6 +57,12 @@ class TestDecideBivariate:
         assert v.trace[0].kind == "locally_nilpotent"
         assert v.trace[0].verdict.order == 3
 
+    def test_nilpotent_beyond_fifty_steps(self):
+        # y -> x^60 -> 60*x^59 -> ... -> 60! -> 0 takes 62 steps
+        v = decide("poly2", Derivation(bi("1"), bi("x^60")), 1)
+        assert (v.status, v.certified) == (DIAMOND, True)
+        assert v.trace[0].to_json() == {"kind": "locally_nilpotent", "order": 62}
+
     def test_euler_violation(self):
         v = decide("poly2", Derivation(bi("x"), bi("y")))
         assert (v.status, v.certified) == (NOT_DIAMOND, True)
