@@ -2,8 +2,10 @@
 
 Elements are stored in left-normal form sum a_i theta^i with a_i in R
 (R is Q[x] or Q[x,y]; univariate coefficients are BiPoly values without
-y).  Multiplication uses the closed binomial identity
-theta^n a = sum C(n,i) delta^{n-i}(a) theta^i.
+y).  Multiplication builds the rows theta^i g one from the next by
+theta (c theta^t) = delta(c) theta^t + c theta^(t+1) and adds a_i times
+row i, so each coefficient a_i of f meets each coefficient of its row
+once.
 """
 
 from math import comb
@@ -161,25 +163,20 @@ def a_theta_pow_right(ctx, a, n):
 
 
 def mul(ctx, f, g):
-    """Product in S, left-normal form."""
+    """Product in S, left-normal form: f*g = sum a_i (theta^i g)."""
     if f.is_zero or g.is_zero:
         return OrePoly.zero()
-    nf, ng = f.degree(), g.degree()
-    out = [BiPoly.zero()] * (nf + ng + 1)
-    # delta-power table for each coefficient of g
-    for j, b in enumerate(g.coeffs):
-        if b.is_zero:
+    zero = BiPoly.zero()
+    out = [zero] * (f.degree() + g.degree() + 1)
+    row = list(g.coeffs)  # theta^i g
+    for i, a in enumerate(f.coeffs):
+        if i:
+            row = [ctx.delta(c) + b for c, b in zip(row + [zero], [zero] + row)]
+        if a.is_zero:
             continue
-        powers = [b]
-        for _ in range(nf):
-            powers.append(ctx.delta(powers[-1]))
-        for i, a in enumerate(f.coeffs):
-            if a.is_zero:
-                continue
-            for k in range(i + 1):
-                term = powers[i - k]
-                if not term.is_zero:
-                    out[k + j] = out[k + j] + comb(i, k) * (a * term)
+        for t, c in enumerate(row):
+            if not c.is_zero:
+                out[t] = out[t] + a * c
     return OrePoly(out)
 
 
@@ -205,11 +202,7 @@ class WitnessCert:
     __slots__ = ("f", "x_elt", "h", "r")
 
     def __init__(self, ctx, f, x_elt, h, r):
-        n = f.degree()
-        lhs = f.scale_left(x_elt ** (n + 1))
-        theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(x_elt))
-        rhs = mul(ctx, h, theta_x) + OrePoly.from_ring(r * x_elt)
-        if lhs != rhs:
+        if not _witness_identity_holds(ctx, f, x_elt, h, r):
             raise DomainError("witness identity failed verification")
         if r.is_zero:
             raise DomainError("witness requires a nonzero remainder")
@@ -219,14 +212,20 @@ class WitnessCert:
         self.r = r
 
     def verify(self, ctx):
-        n = self.f.degree()
-        lhs = self.f.scale_left(self.x_elt ** (n + 1))
-        theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(self.x_elt))
-        rhs = mul(ctx, self.h, theta_x) + OrePoly.from_ring(self.r * self.x_elt)
-        return lhs == rhs and not self.r.is_zero
+        return (
+            _witness_identity_holds(ctx, self.f, self.x_elt, self.h, self.r)
+            and not self.r.is_zero
+        )
 
     def __repr__(self):
         return f"WitnessCert(h={self.h.render()}, r={self.r.render()})"
+
+
+def _witness_identity_holds(ctx, f, x_elt, h, r):
+    """x^(n+1) f == h*theta*x + r*x with n = deg f."""
+    lhs = f.scale_left(x_elt ** (f.degree() + 1))
+    theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(x_elt))
+    return lhs == mul(ctx, h, theta_x) + OrePoly.from_ring(r * x_elt)
 
 
 def _check_witness_preconditions(ctx, f, x_elt):
@@ -260,27 +259,36 @@ def _check_witness_preconditions(ctx, f, x_elt):
 
 
 def _witness_recursion(ctx, f, x_elt):
-    """(h, r) with x^(deg f + 1) f = h*theta*x + r*x, by the peeling
-    recursion on the leading coefficient."""
+    """(h, r) with x^(n+1) f = h*theta*x + r*x, n = deg f, by peeling the
+    leading coefficient.
+
+    A step on g = sum_{i<=m} a_i theta^i takes h_{m-1} = x^m a_m and
+    replaces g by g' = sum_{i<m} (x a_i - C(m,i) a_m delta^{m-i}(x)) theta^i,
+    since x^m a_m theta^(m-1) * theta x = x^m a_m sum_i C(m,i)
+    delta^{m-i}(x) theta^i and so x^(m+1) g - (x^m a_m theta^(m-1)) theta x
+    = x^m g'.  The theta-degree drops by exactly one at every step under
+    the hypotheses checked by _check_witness_preconditions: the new top
+    coefficient x a_{m-1} - m a_m delta(x) is -m a_m delta(x) modulo x;
+    x does not divide a_m (for f this is checked, and the same argument
+    carries it to every later top); and either delta(x) is a nonzero
+    constant, or x is prime and does not divide delta(x).  So x does not
+    divide the new top either, and after n steps x^(n+1) f =
+    (sum_m h_{m-1} theta^(m-1)) theta x + r x with r = g' of degree 0.
+    """
     n = f.degree()
-    if n == 0:
-        return OrePoly.zero(), f.coeffs[0]
-    a = f.coeffs
-    top = a[n]
-    dpow = [x_elt]
+    xpow, dpow = [BiPoly.one()], [x_elt]  # x^k and delta^k(x)
     for _ in range(n):
+        xpow.append(xpow[-1] * x_elt)
         dpow.append(ctx.delta(dpow[-1]))
-    f1 = [BiPoly.zero()] * n
-    for i in range(n):
-        f1[i] = x_elt * a[i] - comb(n, i) * (top * dpow[n - i])
-    f1 = OrePoly(f1)
-    if f1.is_zero:
-        raise DomainError("witness degenerated to a zero remainder")
-    m = f1.degree()
-    h1, r1 = _witness_recursion(ctx, f1, x_elt)
-    scale = x_elt ** (n - 1 - m)
-    h_top = OrePoly.theta(n - 1, x_elt**n * top)
-    return h_top + h1.scale_left(scale), scale * r1
+    a = list(f.coeffs)
+    h = [BiPoly.zero()] * n
+    for m in range(n, 0, -1):
+        top = a[m]
+        h[m - 1] = xpow[m] * top
+        a = [x_elt * a[i] - comb(m, i) * (top * dpow[m - i]) for i in range(m)]
+        if a[-1].is_zero:
+            raise DomainError("witness peeling did not lower the theta-degree by one")
+    return OrePoly(h), a[0]
 
 
 def essential_witness(ctx, f, x_elt):

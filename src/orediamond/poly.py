@@ -7,6 +7,9 @@ lexicographic with x > y.  All values are immutable; every operation is
 a pure function.
 """
 
+from math import lcm
+from operator import add
+
 from .rational import Q, QONE, QZERO, q, qstr
 
 NEG_INF = float("-inf")
@@ -72,29 +75,36 @@ def kmul_term(a, exp, c):
     """Multiply by the single term c * X^exp."""
     if not c:
         return {}
-    out = {}
-    for e, co in a.items():
-        out[tuple(x + y for x, y in zip(e, exp))] = co * c
-    return out
+    return {tuple(map(add, e, exp)): co * c for e, co in a.items()}
+
+
+def _as_integers(a):
+    """(d, [(exp, n)]) with every coefficient of a equal to n / d."""
+    d = lcm(*(c.denominator for c in a.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in a.items()]
 
 
 def kmul(a, b):
+    """Product of two term dicts.  Both operands are brought to integer
+    numerators over their common denominators, so the double loop adds
+    plain int products and each output coefficient is built once."""
     if len(a) > len(b):
         a, b = b, a
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e)
-            if s is None:
-                s = ca * cb
-            else:
-                s = s + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return kmul_term(b, e, c)
+    da, ia = _as_integers(a)
+    db, ib = _as_integers(b)
+    acc = {}
+    get = acc.get
+    for ea, ca in ia:
+        for eb, cb in ib:
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+    d = da * db
+    if d == 1:
+        return {e: Q(v) for e, v in acc.items() if v}
+    return {e: Q(v, d) for e, v in acc.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +269,9 @@ class BiPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -672,8 +683,9 @@ class UniPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -804,8 +816,6 @@ def rational_roots(p):
         coeffs = coeffs[low:]
     if len(coeffs) <= 1:
         return roots
-    from math import lcm
-
     denom = lcm(*(int(c.denominator) for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     p_int = UniPoly(ints)

@@ -1,13 +1,16 @@
 """Exact rational coefficients.
 
-Uses gmpy2.mpq when available (noticeably faster on gcd-heavy work),
-otherwise fractions.Fraction.  Both are always reduced with positive
-denominator, which is the representation contract relied on everywhere.
+Uses gmpy2.mpq when gmpy2 is installed, otherwise fractions.Fraction.
+gmpy2 is not a dependency, so a plain install runs on Fraction.  Both
+are always reduced with positive denominator, which is the
+representation contract relied on everywhere.
+poly.kmul uses only .numerator, .denominator and Q(n, d), which mpq has
+too; that path is not covered by the tests when gmpy2 is absent.
 """
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is optional
     from fractions import Fraction as Q
 
 QZERO = Q(0)

@@ -11,9 +11,11 @@ from orediamond import (
     DomainError,
     OreContext,
     OrePoly,
+    Q,
     a_theta_pow_right,
     act,
     essential_witness,
+    exact_divide,
     mul,
     phi,
     theta_pow_left,
@@ -245,3 +247,101 @@ class TestEssentialWitness:
         # delta(x^2) = 2x is neither a unit nor is x^2 irreducible
         with pytest.raises(DomainError):
             essential_witness(ctx, OrePoly.theta(), bi("x^2"))
+
+
+# -- products and witnesses at the benchmark's operator shape -----------
+
+
+def ctx_lotka_volterra():
+    return OreContext("poly2", Derivation(bi("x - x*y"), bi("x*y - y")))
+
+
+def ctx_hamiltonian():
+    return OreContext("poly2", Derivation(bi("y^2"), bi("x^2")))
+
+
+def _nonzero_int(rng):
+    return rng.choice([c for c in range(-5, 6) if c])
+
+
+def _shaped_coefficient(rng, degree, nterms=6, rational=False):
+    """nterms terms, two of them of total degree `degree`."""
+    top = [(i, degree - i) for i in range(degree + 1)]
+    lower = [(i, s - i) for s in range(degree) for i in range(s + 1)]
+    terms = {}
+    for e in rng.sample(top, 2) + rng.sample(lower, nterms - 2):
+        den = rng.choice([1, 2, 3, 7]) if rational else 1
+        terms[e] = Q(_nonzero_int(rng), den)
+    return BiPoly(terms)
+
+
+def shaped_operator(rng, theta_degree=8, rational=False):
+    """theta-coefficients of total degree 3 and 4 in turn."""
+    return OrePoly(
+        [_shaped_coefficient(rng, 3 + k % 2, rational=rational) for k in range(theta_degree + 1)]
+    )
+
+
+def _witness_form(rng, ctx, lead):
+    """a*x + b*y + c meeting the hypotheses of essential_witness."""
+    while True:
+        form = BiPoly({(1, 0): _nonzero_int(rng), (0, 1): _nonzero_int(rng), (0, 0): _nonzero_int(rng)})
+        image = ctx.delta(form)
+        if exact_divide(lead, form) is not None:
+            continue
+        if (image.is_constant and not image.is_zero) or exact_divide(image, form) is None:
+            return form
+
+
+class TestBenchShape:
+    @pytest.mark.parametrize("ctx", [ctx_lotka_volterra(), ctx_hamiltonian()], ids=["lv", "ham"])
+    def test_mul_against_oracle(self, ctx):
+        rng = random.Random(509)
+        f, g = shaped_operator(rng), shaped_operator(rng)
+        prod = mul(ctx, f, g)
+        assert prod.degree() == 16
+        assert prod == naive_mul(ctx, f, g)
+
+    def test_mul_rational_coefficients(self):
+        rng = random.Random(510)
+        ctx = ctx_lotka_volterra()
+        f = shaped_operator(rng, theta_degree=4, rational=True)
+        g = shaped_operator(rng, theta_degree=3, rational=True)
+        assert any(c.denominator > 1 for a in f.coeffs for c in a.terms.values())
+        assert mul(ctx, f, g) == naive_mul(ctx, f, g)
+
+    @pytest.mark.parametrize("ctx", [ctx_lotka_volterra(), ctx_hamiltonian()], ids=["lv", "ham"])
+    def test_witnesses(self, ctx):
+        rng = random.Random(511)
+        for n in (6, 7, 8):
+            f = shaped_operator(rng, theta_degree=n)
+            x_elt = _witness_form(rng, ctx, f.coeffs[-1])
+            cert = essential_witness(ctx, f, x_elt)
+            assert cert.verify(ctx)
+            assert cert.h.degree() == n - 1
+            assert not cert.r.is_zero
+
+
+def test_pinned_renders():
+    # strings taken from the commit before the row-recurrence product
+    f = OrePoly([bi("1/2*x - y"), bi("3"), bi("x*y + 2")])
+    g = OrePoly([bi("y"), bi("-2/3*x^2 + 1")])
+    assert mul(ctx_lotka_volterra(), f, g).render() == (
+        "(-2/3*x^3*y - 4/3*x^2 + x*y + 2)t^3"
+        " + (8/3*x^3*y^2 - 8/3*x^3*y + 16/3*x^2*y + x*y^2 - 22/3*x^2 + 2*y + 3)t^2"
+        " + (4/3*x^4*y^2 - 8/3*x^3*y^3 + 4*x^3*y^2 - 10/3*x^2*y^2 - 1/3*x^3"
+        " + 38/3*x^2*y - 2*x*y^2 - 28/3*x^2 + 4*x*y + 1/2*x - 2*y)t"
+        " + (x^3*y^2 - x^2*y^3 - x^2*y^2 + 2*x^2*y - x*y^2 + 3/2*x*y - y^2 - y)"
+    )
+    cert = essential_witness(
+        ctx_hamiltonian(), OrePoly([bi("x"), bi("y^2 - 1"), bi("2*x + 1")]), bi("x + y + 1")
+    )
+    assert cert.h.render() == (
+        "(2*x^3 + 4*x^2*y + 2*x*y^2 + 5*x^2 + 6*x*y + y^2 + 4*x + 2*y + 1)t"
+        " + (-4*x^4 - 4*x^3*y - 3*x^2*y^2 - 2*x*y^3 + y^4 - 6*x^3 - 2*x^2*y"
+        " - 4*x*y^2 - 3*x^2 - 2*x*y - 2*y^2 - 2*x - 2*y - 1)"
+    )
+    assert cert.r.render() == (
+        "4*x^5 - 4*x^4*y - x^3*y^2 - 5*x^2*y^3 + 3*x*y^4 - y^5 + 2*x^4 - 6*x^3*y"
+        " - 5*x^2*y^2 - 2*x*y^3 + y^4 + 2*x^3 + x^2*y + y^3 + 3*x^2 + 2*x*y + y^2 + x"
+    )

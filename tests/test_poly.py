@@ -2,6 +2,7 @@
 algebraic-law checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -357,3 +358,74 @@ class TestAgainstSympy:
             expected = sol.subs({t: 0 for t in params})
             assert particular == _from_sympy(expected)
         assert inconsistent >= 10
+
+
+# -- products with rational coefficients --------------------------------
+
+
+def _naive_product(a, b):
+    """Schoolbook product of two term dicts in Fraction arithmetic."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+def _rational_terms(rng, nvars, nterms, maxdeg=3):
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randrange(maxdeg + 1) for _ in range(nvars))
+        num = rng.choice([n for n in range(-12, 13) if n])
+        terms[exp] = Q(num, rng.choice([1, 2, 3, 4, 6, 9, 35]))
+    return terms
+
+
+def _assert_product(p, q_):
+    prod = p * q_
+    assert prod.terms == _naive_product(p.terms, q_.terms)
+    assert all(c for c in prod.terms.values())
+
+
+class TestRationalProducts:
+    def test_bipoly_random(self):
+        rng = random.Random(110)
+        for _ in range(60):
+            p = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 7)))
+            q_ = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 7)))
+            _assert_product(p, q_)
+
+    def test_mpoly_random(self):
+        rng = random.Random(111)
+        for nvars, rounds in ((3, 40), (48, 10)):
+            for _ in range(rounds):
+                p = MPoly(nvars, _rational_terms(rng, nvars, rng.randrange(1, 7), maxdeg=2))
+                q_ = MPoly(nvars, _rational_terms(rng, nvars, rng.randrange(1, 7), maxdeg=2))
+                _assert_product(p, q_)
+
+    def test_cancellation(self):
+        p = BiPoly({(1, 0): Q(1, 2), (0, 1): Q(2, 3)})
+        q_ = BiPoly({(1, 0): Q(1, 2), (0, 1): Q(-2, 3)})
+        assert (p * q_).terms == {(2, 0): Q(1, 4), (0, 2): Q(-4, 9)}
+        _assert_product(p, q_)
+        # denominators that cancel leave integer coefficients
+        r = BiPoly({(1, 0): Q(3, 2), (0, 0): Q(-1, 3)}) * BiPoly({(0, 1): Q(2, 3), (0, 0): Q(6)})
+        assert r.terms == {(1, 1): Q(1), (1, 0): Q(9), (0, 1): Q(-2, 9), (0, 0): Q(-2)}
+        # the terms of degree one cancel
+        s = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(1)})
+        t = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(-1)})
+        u = MPoly(3, {(2, 0, 0): Q(1, 9), (1, 1, 0): Q(-2, 15), (0, 2, 0): Q(1, 25)})
+        assert (s * t).terms == (u - MPoly.one(3)).terms
+
+    def test_empty_and_single_term(self):
+        rng = random.Random(112)
+        p = BiPoly(_rational_terms(rng, 2, 5))
+        assert (p * BiPoly.zero()).terms == {}
+        assert (BiPoly.zero() * p).terms == {}
+        mono = BiPoly({(2, 1): Q(-7, 6)})
+        _assert_product(mono, p)
+        _assert_product(p, mono)
+        m = MPoly(48, _rational_terms(rng, 48, 4, maxdeg=2))
+        assert (m * MPoly(48, {})).terms == {}
+        _assert_product(MPoly(48, {tuple(range(48)): Q(5, 4)}), m)
