@@ -24,7 +24,7 @@ from .diamond import (
     decide,
     delta_simple_dim1_check,
 )
-from .ore import OreContext, essential_witness, mul
+from .ore import OreContext, essential_witness, mul, render_coefficients
 from .parse import (
     LAURENT_UNI,
     POLY_BI,
@@ -58,10 +58,8 @@ def _report_json(report):
 
 
 def _ore_json(f):
-    return {
-        "rendered": f.render(),
-        "coefficients": [c.render() for c in f.coeffs],
-    }
+    coefficients = [c.render() for c in f.coeffs]
+    return {"rendered": render_coefficients(coefficients), "coefficients": coefficients}
 
 
 def _ore_context(args):
@@ -145,9 +143,9 @@ def _cmd_ore_mul(args):
     ctx = _ore_context(args)
     f = parse_ore(args.f, args.ring)
     g = parse_ore(args.g, args.ring)
-    product = mul(ctx, f, g)
-    result = {"product": _ore_json(product)}
-    lines = [f"product: {product.render()}"]
+    product = _ore_json(mul(ctx, f, g))
+    result = {"product": product}
+    lines = [f"product: {product['rendered']}"]
     inputs = {
         "ring": args.ring,
         "deriv": args.deriv,
@@ -167,12 +165,9 @@ def _cmd_witness(args):
     else:
         x_elt = parse_polynomial(args.x, POLY_BI)
     cert = essential_witness(ctx, f, x_elt)
-    result = {
-        "h": _ore_json(cert.h),
-        "r": cert.r.render(),
-        "identity": "x^(n+1)*f = h*t*x + r*x",
-    }
-    lines = [f"h = {cert.h.render()}", f"r = {cert.r.render()}"]
+    h, r = _ore_json(cert.h), cert.r.render()
+    result = {"h": h, "r": r, "identity": "x^(n+1)*f = h*t*x + r*x"}
+    lines = [f"h = {h['rendered']}", f"r = {r}"]
     inputs = {"ring": args.ring, "deriv": args.deriv, "f": f.render(), "x": x_elt.render()}
     return result, [], lines, 0, inputs
 

@@ -8,7 +8,13 @@ to x*D(h)), so candidate leading forms are built from the homogeneous
 atoms of M.  Fixing a leading form makes the cofactor's top part exact
 and the remaining coefficient system triangular by homogeneous level:
 each level is linear over Q in the new unknowns, with earlier
-parametric solutions carried symbolically.  When M vanishes
+parametric solutions carried symbolically.  The level matrices are
+rational and do not depend on the parameters, so they are all reduced
+first; the number P of their free columns fixes the variables
+(x, y, p_0, ..., p_{P-1}) of the MPoly the cascade computes in, and the
+free unknowns become parameters in level-then-column order.  Rows left
+unsatisfied become polynomial constraints on the parameters, solved over
+Q at the end.  When M vanishes
 identically the top part is a multiple of the Euler operator, the top
 cofactor is forced, and for d = 1 the whole system is linear.
 """
@@ -19,7 +25,6 @@ from .rational import QONE, QZERO, q
 from .poly import (
     BiPoly,
     DomainError,
-    NEG_INF,
     UniPoly,
     _grlex_key,
     exact_divide,
@@ -34,8 +39,6 @@ from . import linalg
 from .groebner import has_common_zero_with, is_unit_ideal
 
 INFINITY = float("inf")
-
-_NPARAMS = 48
 
 
 class DarbouxCert:
@@ -137,118 +140,6 @@ def _monomials(deg):
     return [(i, deg - i) for i in range(deg, -1, -1)]
 
 
-class _ParamPool:
-    def __init__(self, nvars=_NPARAMS):
-        self.nvars = nvars
-        self.used = 0
-
-    def fresh(self):
-        if self.used >= self.nvars:
-            raise DomainError("parameter pool exhausted")
-        self.used += 1
-        return self.used - 1
-
-    def const(self, c):
-        return MPoly.const(self.nvars, c)
-
-    def var(self, i):
-        return MPoly.var(self.nvars, i)
-
-
-# -- parametric bivariate helpers (dict (i,j) -> MPoly) ----------------
-
-
-def _pb_from(p, pool):
-    return {e: pool.const(c) for e, c in p.terms.items()}
-
-
-def _pb_add(a, b):
-    out = dict(a)
-    for e, m in b.items():
-        s = out.get(e)
-        s = m if s is None else s + m
-        if s.is_zero:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _pb_neg(a):
-    return {e: -m for e, m in a.items()}
-
-
-def _pb_deriv(a, axis):
-    out = {}
-    for (i, j), m in a.items():
-        if axis == 0 and i:
-            out[(i - 1, j)] = m * i
-        elif axis == 1 and j:
-            out[(i, j - 1)] = m * j
-    return out
-
-
-def _pb_mul_concrete(a, p):
-    out = {}
-    for (i, j), m in a.items():
-        for (k, l), c in p.terms.items():
-            e = (i + k, j + l)
-            s = out.get(e)
-            s = m * c if s is None else s + m * c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _pb_mul(a, b):
-    out = {}
-    for (i, j), m in a.items():
-        for (k, l), mm in b.items():
-            e = (i + k, j + l)
-            prod = m * mm
-            s = out.get(e)
-            s = prod if s is None else s + prod
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _affine_solve(rows, rhs, pool):
-    """Solve rows*u + rhs = 0 with rational rows and MPoly right sides.
-
-    The right sides ride along as the last column of the row reduction.
-    Free unknowns become fresh parameters; unsatisfiable rows become
-    constraint polynomials in the parameters.
-    """
-    ncols = len(rows[0]) if rows else 0
-    m, pivots = linalg.rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
-    constraints = [row[ncols] for row in m[len(pivots):] if not row[ncols].is_zero]
-    free = [c for c in range(ncols) if c not in pivots]
-    u = [None] * ncols
-    for f in free:
-        u[f] = pool.var(pool.fresh())
-    for row, c in zip(m, pivots):
-        expr = -row[ncols]
-        for f in free:
-            if row[f]:
-                expr = expr - row[f] * u[f]
-        u[c] = expr
-    return u, constraints
-
-
-def _vars_of(mp):
-    out = set()
-    for e in mp.terms:
-        for k, ex in enumerate(e):
-            if ex:
-                out.add(k)
-    return sorted(out)
-
-
 def _splits_rationally(g):
     residual = g
     for root in rational_roots(g):
@@ -277,14 +168,14 @@ def _solve_constraints(cons, depth=0):
     if depth > 6:
         return [], False
     for c in cons:
-        vs = _vars_of(c)
+        vs = c.variables()
         if len(vs) == 1:
             v = vs[0]
             g = c.as_unipoly(v)
             complete = _splits_rationally(g)
             out = []
             for root in rational_roots(g):
-                rest = [cc.substitute(v, root) for cc in cons]
+                rest = [cc.substitute({v: root}) for cc in cons]
                 sols, comp = _solve_constraints(rest, depth + 1)
                 complete = complete and comp
                 for s in sols:
@@ -292,7 +183,7 @@ def _solve_constraints(cons, depth=0):
                     s[v] = root
                     out.append(s)
             return out, complete
-    allvars = sorted({v for c in cons for v in _vars_of(c)})
+    allvars = sorted({v for c in cons for v in c.variables()})
     v = allvars[-1]
     withv = [c for c in cons if c.degree_in(v) > 0]
     if len(withv) >= 2:
@@ -346,112 +237,118 @@ def _top_candidates(atoms, n):
     return [p for p in out if p.total_degree() == n]
 
 
+def _xy_coeffs(g):
+    """{(i, j): coefficient of x^i*y^j} of g, as parameter polynomials."""
+    return {
+        (i, j): cij
+        for i, ci in enumerate(g.coeffs_in(0))
+        for j, cij in enumerate(ci.coeffs_in(1))
+        if cij
+    }
+
+
+def _from_xy_coeffs(pairs, nv):
+    """The sum of coeff*x^i*y^j over ((i, j), coeff) pairs, with coeff a
+    parameter polynomial."""
+    return MPoly._raw(
+        nv, {(i, j) + e[2:]: c for (i, j), coeff in pairs for e, c in coeff.terms.items()}
+    )
+
+
+def _cascade_levels(a_pol, b_pol, d, n, p_top, c_top):
+    """The rational left-hand sides of the cascade, one per level s.
+
+    Level s solves for the homogeneous parts of degree n - s of p and
+    d - 1 - s of the cofactor (its unknowns: the coefficients on mons_p
+    and mons_c) from the equation's part of degree n + d - 1 - s, on
+    eq_mons.  Each level is (mons_p, mons_c, eq_mons, rows, nfree), rows
+    being the level's matrix and nfree the number of its free columns.
+    """
+    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+    levels = []
+    for s in range(1, n + d):
+        mons_p = _monomials(n - s) if s <= n else []
+        mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
+        monos_p = [BiPoly.monomial(i, j) for (i, j) in mons_p]
+        cols = [ad * m.deriv_x() + bd * m.deriv_y() - c_top * m for m in monos_p]
+        cols += [-(BiPoly.monomial(i, j) * p_top) for (i, j) in mons_c]
+        eq_mons = _monomials(n + d - 1 - s)
+        rows = [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
+        nfree = len(cols) - len(linalg.rref(rows, len(cols))[1])
+        levels.append((mons_p, mons_c, eq_mons, rows, nfree))
+    return levels
+
+
 def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     """Solve delta(p) = c*p level by level below a fixed leading form.
+
+    p and c are MPoly in (x, y, p_0, ..., p_{P-1}), x and y being
+    variables 0 and 1; P is the number of free columns of the level
+    matrices, and p_k is the k-th of them in level-then-column order.
 
     Returns (solutions, families, complete) where solutions are concrete
     (p, c) pairs and families are (base, directions, c) affine families.
     """
-    pool = _ParamPool()
-    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-    parts_p = {n: _pb_from(p_top, pool)}
-    parts_c = {d - 1: _pb_from(c_top, pool)}
+    levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
+    nv = 2 + sum(level[-1] for level in levels)
+    params = iter(range(2, nv))
+    a_parts = [MPoly.from_bipoly(a_pol.homogeneous_part(e), nv) for e in range(d + 1)]
+    b_parts = [MPoly.from_bipoly(b_pol.homogeneous_part(e), nv) for e in range(d + 1)]
+    parts_p = {n: MPoly.from_bipoly(p_top, nv)}
+    parts_c = {d - 1: MPoly.from_bipoly(c_top, nv)}
+    grads = {n: (parts_p[n].deriv(0), parts_p[n].deriv(1))}
+    zero = MPoly.zero(nv)
     constraints = []
-    complete = True
-    for s in range(1, n + d):
-        deg_eq = n + d - 1 - s
-        if deg_eq < 0:
-            break
-        mons_p = _monomials(n - s) if s <= n else []
-        mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
-        cols = []
-        for (i, j) in mons_p:
-            mono = BiPoly.monomial(i, j)
-            cols.append(ad * mono.deriv_x() + bd * mono.deriv_y() - c_top * mono)
-        for (i, j) in mons_c:
-            cols.append(-(BiPoly.monomial(i, j) * p_top))
-        g_terms = {}
-        for i in range(0, min(s, n) + 1):
-            if i == s:
-                continue
-            part = parts_p.get(n - i)
-            if not part:
-                continue
+    for s, (mons_p, mons_c, eq_mons, rows, _) in enumerate(levels, 1):
+        g = zero
+        for i in range(max(0, s - d), min(s - 1, n) + 1):
             e = d - (s - i)
-            if e < 0:
-                continue
-            ae = a_pol.homogeneous_part(e)
-            be = b_pol.homogeneous_part(e)
-            if not ae.is_zero:
-                g_terms = _pb_add(g_terms, _pb_mul_concrete(_pb_deriv(part, 0), ae))
-            if not be.is_zero:
-                g_terms = _pb_add(g_terms, _pb_mul_concrete(_pb_deriv(part, 1), be))
-        for j in range(0, min(s, d - 1) + 1):
-            i = s - j
-            if i > n:
-                continue
-            if i == s and j == 0:
-                continue
-            if i == 0 and j == s:
-                continue
-            cpart = parts_c.get(d - 1 - j)
-            ppart = parts_p.get(n - i)
+            for grad, coeff in zip(grads.get(n - i, ()), (a_parts[e], b_parts[e])):
+                if grad and coeff:
+                    g = g + grad * coeff
+        for j in range(1, min(s - 1, d - 1) + 1):
+            cpart, ppart = parts_c.get(d - 1 - j), parts_p.get(n - s + j)
             if cpart and ppart:
-                g_terms = _pb_add(g_terms, _pb_neg(_pb_mul(cpart, ppart)))
-        eq_mons = _monomials(deg_eq)
-        rows = [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
-        zero = pool.const(0)
-        rhs = [g_terms.get(e, zero) for e in eq_mons]
-        u, cons = _affine_solve(rows, rhs, pool)
-        constraints.extend(cons)
+                g = g - cpart * ppart
+        g = _xy_coeffs(g)
+        # rows*u + rhs = 0, the right sides riding along as the last column
+        ncols = len(mons_p) + len(mons_c)
+        m, pivots = linalg.rref([row + [g.get(e, zero)] for row, e in zip(rows, eq_mons)], ncols)
+        constraints.extend(row[ncols] for row in m[len(pivots):] if row[ncols])
+        free = [c for c in range(ncols) if c not in pivots]
+        u = [None] * ncols
+        for f in free:
+            u[f] = MPoly.var(nv, next(params))
+        for row, c in zip(m, pivots):
+            u[c] = -row[ncols]
+            for f in free:
+                if row[f]:
+                    u[c] = u[c] - row[f] * u[f]
         if mons_p:
-            parts_p[n - s] = {
-                e: m for e, m in zip(mons_p, u[: len(mons_p)]) if not m.is_zero
-            }
+            part = parts_p[n - s] = _from_xy_coeffs(zip(mons_p, u), nv)
+            grads[n - s] = (part.deriv(0), part.deriv(1))
         if mons_c:
-            parts_c[d - 1 - s] = {
-                e: m for e, m in zip(mons_c, u[len(mons_p):]) if not m.is_zero
-            }
-    sols, comp = _solve_constraints(constraints)
-    complete = complete and comp
-    p_map = {}
-    for part in parts_p.values():
-        p_map = _pb_add(p_map, part)
-    c_map = {}
-    for part in parts_c.values():
-        c_map = _pb_add(c_map, part)
+            parts_c[d - 1 - s] = _from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
+    sols, complete = _solve_constraints(constraints)
+    p_all = sum(parts_p.values(), zero)
+    c_all = sum(parts_c.values(), zero)
     solutions, families = [], []
-    for sub in sols:
-        pm = {e: _substitute_all(m, sub) for e, m in p_map.items()}
-        cm = {e: _substitute_all(m, sub) for e, m in c_map.items()}
-        pm = {e: m for e, m in pm.items() if not m.is_zero}
-        cm = {e: m for e, m in cm.items() if not m.is_zero}
-        if any(not m.is_constant for m in cm.values()):
+    for values in sols:
+        pm, cm = p_all.substitute(values), c_all.substitute(values)
+        if any(v > 1 for v in cm.variables()):
             complete = False
             continue
-        c_val = BiPoly({e: m.constant_value() for e, m in cm.items()})
-        params = sorted({v for m in pm.values() for v in _vars_of(m)})
-        if not params:
-            p_val = BiPoly({e: m.constant_value() for e, m in pm.items()})
-            solutions.append((p_val, c_val))
+        c_val = cm.to_bipoly()
+        free = [v for v in pm.variables() if v > 1]
+        if not free:
+            solutions.append((pm.to_bipoly(), c_val))
             continue
-        if any(m.total_degree() > 1 for m in pm.values()):
+        if any(sum(e[2:]) > 1 for e in pm.terms):
             complete = False
             continue
-        base = BiPoly(
-            {e: m.terms.get((0,) * m.nvars, QZERO) for e, m in pm.items()}
-        )
-        dirs = []
-        for v in params:
-            dirs.append(BiPoly({e: m.deriv(v).constant_value() for e, m in pm.items()}))
-        families.append((base, [dd for dd in dirs if not dd.is_zero], c_val))
+        base = pm.substitute(dict.fromkeys(free, 0)).to_bipoly()
+        families.append((base, [pm.deriv(v).to_bipoly() for v in free], c_val))
     return solutions, families, complete
-
-
-def _substitute_all(mp, sub):
-    for v, val in sub.items():
-        mp = mp.substitute(v, val)
-    return mp
 
 
 def _kernel_families(deriv, c0, n):
@@ -557,11 +454,6 @@ def _member_quotient(base, direction, p):
     return None
 
 
-def _pencil_divisor_check(base, direction, p):
-    """True when some member of the pencil divides p."""
-    return _member_quotient(base, direction, p) is not None
-
-
 def _factors_into_members(base, direction, p):
     """True when p is, up to a constant, a product of pencil members."""
     while not p.is_constant:
@@ -620,11 +512,7 @@ def darboux_search(deriv, bound):
                     c_top = exact_divide(dp, p_top)
                     if c_top is None:
                         continue
-                    try:
-                        sols, fams, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
-                    except DomainError:
-                        complete = False
-                        continue
+                    sols, fams, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
                     complete = complete and comp
                     raw.extend(sols)
                     families.extend(fams)
@@ -693,7 +581,7 @@ def _assemble_report(deriv, raw, families, bound, complete):
             continue
         if any(
             max(b.total_degree(), u.total_degree()) <= p.total_degree()
-            and _pencil_divisor_check(b, u, p)
+            and _member_quotient(b, u, p) is not None
             and not _in_span(p, b, u)
             for (b, u, _c) in pencils
         ):

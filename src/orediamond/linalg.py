@@ -24,11 +24,11 @@ def rref(rows, ncols):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = QONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        m[r] = [v * inv if v else v for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -1,8 +1,11 @@
 """Sparse polynomials in an arbitrary number of variables.
 
-Used internally wherever more than the two ring variables are in play:
-auxiliary parameters in the Darboux search and the pencil parameter t in
-elimination.  Shares the term-dict kernels with BiPoly.
+Used internally wherever more than the two ring variables are in play.
+The Darboux cascade works in (x, y, p_0, ..., p_{P-1}): x and y are
+variables 0 and 1 and the parameters follow, P being the number of free
+unknowns of its rational level matrices (see darboux._cascade).
+Pencil elimination works in (x, y, t).  Shares the term-dict kernels,
+exact division included, with BiPoly.
 """
 
 from .rational import QONE, QZERO, q
@@ -12,8 +15,8 @@ from .poly import (
     UniPoly,
     _sylvester_resultant,
     kadd,
+    kdivide,
     kmul,
-    kmul_term,
     kneg,
     kscale,
     ksub,
@@ -178,19 +181,20 @@ class MPoly:
                 out[tuple(e)] = c * exp[i]
         return MPoly._raw(self.nvars, out)
 
-    def substitute(self, i, value):
-        """Replace variable i by a rational value."""
-        value = q(value)
-        out = MPoly.zero(self.nvars)
-        powers = {0: QONE}
+    def substitute(self, values):
+        """Replace each variable i in values, a {i: rational} map, by its
+        value, in one pass over the terms."""
+        values = [(i, q(v)) for i, v in values.items()]
+        out = {}
         for exp, c in self.terms.items():
-            k = exp[i]
-            if k not in powers:
-                powers[k] = value**k
             e = list(exp)
-            e[i] = 0
-            out = out + MPoly.monomial(self.nvars, e, c * powers[k])
-        return out
+            for i, v in values:
+                if e[i]:
+                    c = c * v ** e[i]
+                    e[i] = 0
+            e = tuple(e)
+            out[e] = out.get(e, QZERO) + c
+        return MPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
 
     def substitute_poly(self, i, value):
         """Replace variable i by another MPoly (same arity)."""
@@ -202,6 +206,10 @@ class MPoly:
             e[i] = 0
             out = out + MPoly.monomial(self.nvars, e, c) * value**k
         return out
+
+    def variables(self):
+        """Ascending indices of the variables that occur."""
+        return [k for k, column in enumerate(zip(*self.terms)) if any(column)]
 
     def coeffs_in(self, i):
         """Coefficients of powers of variable i, ascending, as MPoly with
@@ -246,26 +254,9 @@ def mpoly_exact_divide(p, d):
     """Return h with p = d*h when d divides p exactly, else None."""
     if d.is_zero:
         raise DomainError("division by the zero polynomial")
-    if p.is_zero:
-        return MPoly.zero(p.nvars)
     p._check(d)
-
-    def key(e):
-        return (sum(e), e)
-
-    dexp = max(d.terms, key=key)
-    dlc = d.terms[dexp]
-    rem = p.terms
-    quot = {}
-    while rem:
-        rexp = max(rem, key=key)
-        e = tuple(a - b for a, b in zip(rexp, dexp))
-        if any(x < 0 for x in e):
-            return None
-        c = rem[rexp] / dlc
-        quot[e] = c
-        rem = ksub(rem, kmul_term(d.terms, e, c))
-    return MPoly._raw(p.nvars, quot)
+    quot = kdivide(p.terms, d.terms)
+    return None if quot is None else MPoly._raw(p.nvars, quot)
 
 
 def mpoly_resultant(p, q_, i):

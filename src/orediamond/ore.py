@@ -11,7 +11,7 @@ once.
 from math import comb
 
 from .rational import QZERO
-from .poly import BiPoly, DomainError, NEG_INF, exact_divide
+from .poly import BiPoly, DomainError, NEG_INF, _power, exact_divide
 from .derivation import Derivation
 from .unifactor import is_irreducible
 
@@ -41,11 +41,6 @@ class OreContext:
 
     def delta(self, a):
         return self.deriv.apply(a)
-
-    def delta_power(self, a, k):
-        for _ in range(k):
-            a = self.deriv.apply(a)
-        return a
 
 
 class OrePoly:
@@ -113,23 +108,21 @@ class OrePoly:
         return bool(self.coeffs)
 
     def render(self):
-        if not self.coeffs:
-            return "(0)"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
-            if i == 0:
-                parts.append(f"({c.render()})")
-            elif i == 1:
-                parts.append(f"({c.render()})t")
-            else:
-                parts.append(f"({c.render()})t^{i}")
-        return " + ".join(parts)
+        return render_coefficients([c.render() for c in self.coeffs])
 
     def __repr__(self):
         return f"OrePoly({self.render()})"
+
+
+def render_coefficients(rendered):
+    """Text of an Ore polynomial from the renders of its theta-coefficients,
+    lowest power first."""
+    parts = [
+        f"({text}){_power('t', i)}"
+        for i, text in reversed(list(enumerate(rendered)))
+        if text != "0"
+    ]
+    return " + ".join(parts) or "(0)"
 
 
 def theta_pow_left(ctx, n, a):

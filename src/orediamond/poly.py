@@ -8,7 +8,7 @@ a pure function.
 """
 
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .rational import Q, QONE, QZERO, q, qstr
 
@@ -105,6 +105,29 @@ def kmul(a, b):
     if d == 1:
         return {e: Q(v) for e, v in acc.items() if v}
     return {e: Q(v, d) for e, v in acc.items() if v}
+
+
+def _degree_lex(exp):
+    return (sum(exp), exp)
+
+
+def kdivide(a, b):
+    """Quotient term dict of a by b (nonempty) when b divides a exactly,
+    else None.  Leading terms are taken by total degree, then
+    lexicographically, which on (i, j) is the graded-lex order."""
+    bexp = max(b, key=_degree_lex)
+    blc = b[bexp]
+    rem = a
+    quot = {}
+    while rem:
+        rexp = max(rem, key=_degree_lex)
+        e = tuple(map(sub, rexp, bexp))
+        if min(e) < 0:
+            return None
+        c = rem[rexp] / blc
+        quot[e] = c
+        rem = ksub(rem, kmul_term(b, e, c))
+    return quot
 
 
 # ----------------------------------------------------------------------
@@ -391,27 +414,14 @@ def bipoly(spec):
 # ----------------------------------------------------------------------
 
 
-def exact_divide(p, q_, allow_constant=True):
+def exact_divide(p, q_):
     """Return h with p = q_*h if q_ divides p exactly in Q[x,y], else None."""
     if not isinstance(q_, BiPoly):
         q_ = BiPoly.const(q_)
     if q_.is_zero:
         raise DomainError("division by the zero polynomial")
-    if p.is_zero:
-        return BiPoly.zero()
-    qexp = q_.leading_exp()
-    qlc = q_.lc()
-    rem = p.terms
-    quot = {}
-    while rem:
-        rexp = max(rem, key=_grlex_key)
-        i, j = rexp[0] - qexp[0], rexp[1] - qexp[1]
-        if i < 0 or j < 0:
-            return None
-        c = rem[rexp] / qlc
-        quot[(i, j)] = c
-        rem = ksub(rem, kmul_term(q_.terms, (i, j), c))
-    return BiPoly._raw(quot)
+    quot = kdivide(p.terms, q_.terms)
+    return None if quot is None else BiPoly._raw(quot)
 
 
 def divides(q_, p):

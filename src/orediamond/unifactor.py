@@ -59,8 +59,8 @@ def _quadratic_factor(f):
         return None, True
     a_poly = res.as_unipoly(0)
     for a0 in rational_roots(a_poly):
-        u1 = r1.substitute(0, a0).as_unipoly(1)
-        u0 = r0.substitute(0, a0).as_unipoly(1)
+        u1 = r1.substitute({0: a0}).as_unipoly(1)
+        u0 = r0.substitute({0: a0}).as_unipoly(1)
         if u1.is_zero and u0.is_zero:
             continue
         if u1.is_zero or u0.is_zero:

@@ -15,7 +15,7 @@ from orediamond import (
     first_integral_search,
     pencil_members_through,
 )
-from orediamond.darboux import INFINITY
+from orediamond.darboux import INFINITY, _cascade
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
 
@@ -50,6 +50,64 @@ class TestSearchExamples:
             assert d.apply(pencil.q) == pencil.cofactor * pencil.q
             # first-integral identity q*delta(p) - p*delta(q) = 0
             assert (pencil.q * d.apply(pencil.p) - pencil.p * d.apply(pencil.q)).is_zero
+
+
+# Reports at bound 6 on named planar systems, taken from the release
+# before the cascade moved to one polynomial type: (dx, dy) ->
+# (certs as (p, cofactor), pencils as (p, q, cofactor), complete).
+PINNED_REPORTS = {
+    "lotka-volterra": (
+        ("x - x*y", "x*y - y"),
+        ([("y", "x - 1"), ("x", "-1*y + 1")], [], True),
+    ),
+    "hamiltonian": (
+        ("y^2", "x^2"),
+        ([("x - y", "-1*x - y"), ("x^2 + x*y + y^2", "x + y")], [("x^3 - y^3", "1", "0")], True),
+    ),
+    "x2-y2": (("x^2 - y^2", "2*x*y"), ([], [("y", "x^2 + y^2", "2*x")], True)),
+    "xy2-plus-x": (
+        ("x*y^2 + x", "y^3 - x^2*y"),
+        ([("y", "-1*x^2 + y^2"), ("x", "y^2 + 1")], [], True),
+    ),
+    "euler-top-d2": (
+        ("x^2 + y", "x*y - x"),
+        ([("y - 1", "x")], [("x^2 + 2*y - 1", "y^2 - 2*y + 1", "2*x")], False),
+    ),
+    "final-example": (
+        ("x*y^2 + y^2 - y", "-1*x*y^4 - y^4 + y^3"),
+        ([], [("y", "x*y - 1", "-1*x*y^3 - y^3 + y^2")], False),
+    ),
+    "one-xy2": (("1", "x*y^2"), ([], [("y", "x^2*y + 2", "x*y")], True)),
+    "shamsuddin": (("1", "x*y + 1"), ([], [], True)),
+    "nilpotent": (("1", "x"), ([], [("x^2 - 2*y", "1", "0")], True)),
+    "euler": (("x", "y"), ([], [("x", "y", "1")], True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report(name):
+    (dx, dy), expected = PINNED_REPORTS[name]
+    report = darboux_search(Derivation(bi(dx), bi(dy)), 6)
+    got = (
+        [(c.p.render(), c.cofactor.render()) for c in report.certs],
+        [(p.p.render(), p.q.render(), p.cofactor.render()) for p in report.pencils],
+        report.complete_up_to_bound,
+    )
+    assert got == expected
+
+
+def test_cascade_parameters_follow_the_input():
+    # below the leading form y^50 of delta = y*d/dx every lower power of
+    # y is free: one affine family with 50 parameters
+    n = 50
+    p_top = bi(f"y^{n}")
+    sols, families, complete = _cascade(bi("y"), BiPoly.zero(), 1, n, p_top, BiPoly.zero())
+    assert sols == [] and complete
+    ((base, directions, cofactor),) = families
+    assert base == p_top and cofactor.is_zero
+    assert sorted(d.monic().render() for d in directions) == sorted(
+        bi(f"y^{k}").render() for k in range(n)
+    )
 
 
 class TestFirstIntegral:

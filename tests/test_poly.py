@@ -22,7 +22,7 @@ from orediamond import (
     uni_resultant,
 )
 from orediamond import linalg
-from orediamond.multipoly import MPoly, mpoly_resultant
+from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from util import bi, lau, random_bipoly, random_unipoly, uni
 
 
@@ -46,6 +46,15 @@ class TestExactDivide:
             p = random_bipoly(rng)
             q_ = random_bipoly(rng, nonzero=True)
             assert exact_divide(p * q_, q_) == p
+
+
+def test_mpoly_exact_divide():
+    rng = random.Random(113)
+    for _ in range(60):
+        p = _random_mpoly(rng, 4)
+        d = _random_mpoly(rng, 4) + 1
+        assert mpoly_exact_divide(p * d, d) == p
+        assert mpoly_exact_divide(p * d + MPoly.var(4, 3) ** 7, d) is None
 
 
 class TestGcd:
@@ -331,6 +340,21 @@ class TestAgainstSympy:
             sp, _to_sympy(sp, p.terms, syms), _to_sympy(sp, q_.terms, syms), syms[0]
         )
         assert sp.expand(theirs) == 0
+
+    def test_mpoly_substitute(self, sp):
+        rng = random.Random(112)
+        for trial in range(60):
+            nvars = 3 + trial % 4
+            syms = sp.symbols(f"v0:{nvars}")
+            p = _random_mpoly(rng, nvars, maxdeg=3, nterms=6)
+            chosen = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
+            values = {i: _random_entry(rng) for i in chosen}
+            ours = p.substitute(values)
+            theirs = _to_sympy(sp, p.terms, syms).subs(
+                {syms[i]: sp.Rational(str(v)) for i, v in values.items()}
+            )
+            assert sp.expand(_to_sympy(sp, ours.terms, syms) - theirs) == 0
+            assert all(ours.degree_in(i) <= 0 for i in chosen)
 
     def test_solve_and_nullspace(self, sp):
         rng = random.Random(111)

@@ -107,7 +107,7 @@ def _rational_points_2var(cons):
     points = []
     infinite = False
     for s0 in sorted(set(_roots_of(s_polys))):
-        rem = [c.substitute(0, s0) for c in cons]
+        rem = [c.substitute({0: s0}) for c in cons]
         rem = [c for c in rem if not c.is_zero]
         if not rem:
             infinite = True
