@@ -17,11 +17,14 @@ unsatisfied become polynomial constraints on the parameters, solved over
 Q at the end.  When M vanishes
 identically the top part is a multiple of the Euler operator, the top
 cofactor is forced, and for d = 1 the whole system is linear.
+
+The report leaves out pencils and certificates that are composites
+F(b, u) of a smaller reported pencil b/u (_composite_of).
 """
 
 from functools import reduce
 
-from .rational import QONE, QZERO, q
+from .rational import q
 from .poly import (
     BiPoly,
     DomainError,
@@ -401,72 +404,39 @@ def _order_pair(p, q_):
     return tuple(sorted((p, q_), key=key))
 
 
-def _in_span(p, base, direction):
-    mons = sorted(set(p.terms) | set(base.terms) | set(direction.terms), key=_grlex_key)
-    rows = [
-        [base.coeff(i, j), direction.coeff(i, j)] for (i, j) in mons
-    ]
-    rhs = [p.coeff(i, j) for (i, j) in mons]
-    sol, _ = linalg.solve(rows, rhs)
+def _in_span(p, *gens):
+    """True when p is a rational linear combination of gens."""
+    mons = sorted(set(p.terms).union(*(g.terms for g in gens)), key=_grlex_key)
+    rows = [[g.coeff(i, j) for g in gens] for (i, j) in mons]
+    sol, _ = linalg.solve(rows, [p.coeff(i, j) for (i, j) in mons])
     return sol is not None
 
 
-def _member_quotient(base, direction, p):
-    """p divided by some pencil member base + t*direction (or direction
-    itself, the member at t = infinity) that divides it, else None."""
-    if not direction.is_constant:
-        quot = exact_divide(p, direction)
-        if quot is not None:
-            return quot
-    candidates = {QZERO, QONE}
-    m3 = MPoly.from_bipoly(base, 3) + MPoly.var(3, 2) * MPoly.from_bipoly(direction, 3)
-    p3 = MPoly.from_bipoly(p, 3)
-    for axis in (0, 1):
-        if m3.degree_in(axis) and p3.degree_in(axis):
-            try:
-                res = mpoly_resultant(p3, m3, axis)
-            except DomainError:
-                continue
-            if res.is_zero:
-                continue
-            other = 1 - axis
-            conds = []
-            for coeff in res.coeffs_in(other):
-                if coeff.is_zero:
-                    continue
-                try:
-                    conds.append(coeff.as_unipoly(2))
-                except DomainError:
-                    conds = []
-                    break
-            if conds:
-                g = reduce(uni_gcd, conds)
-                if not g.is_constant:
-                    candidates.update(rational_roots(g))
-            break
-    for t in candidates:
-        member = base + t * direction
-        if member.is_constant:
-            continue
-        quot = exact_divide(p, member)
-        if quot is not None:
-            return quot
-    return None
+def _composite_of(b, u, polys):
+    """True when every poly is F(b, u) for binary forms F of one degree k.
 
-
-def _factors_into_members(base, direction, p):
-    """True when p is, up to a constant, a product of pencil members."""
-    while not p.is_constant:
-        quot = _member_quotient(base, direction, p)
-        if quot is None:
-            return False
-        p = quot
-    return True
+    With gcd(b, u) = 1 and p/q in lowest terms, p/q = R(b/u) exactly when
+    this holds for (p, q): over C, F(b, u) is a product of k members
+    alpha*b + beta*u, and distinct members are coprime.  At most one
+    member is constant, up to scale, and coprime F, G cannot both have it
+    as a factor, so deg F(b, u) >= k or deg G(b, u) >= k (for one poly,
+    divide F by those factors): k <= max deg poly.  The test is linear
+    over Q, so a complex R gives a rational one too.
+    """
+    top = int(max(p.total_degree() for p in polys))
+    gens = [BiPoly.one()]  # b^i * u^(k-i) for i = 0..k
+    for k in range(1, top + 1):
+        gens = [g * u for g in gens] + [gens[-1] * b]
+        if all(_in_span(p, *gens) for p in polys):
+            return True
+    return False
 
 
 def darboux_search(deriv, bound):
     """All monic Q-irreducible Darboux polynomials of total degree at
-    most bound, with pencils for the cofactor-sharing families."""
+    most bound, with pencils for the cofactor-sharing families, leaving
+    out composites F(b, u) of a smaller pencil b/u other than its members.
+    """
     if deriv.is_zero:
         raise DomainError("every polynomial is Darboux for the zero derivation")
     if bound < 1:
@@ -558,16 +528,14 @@ def _assemble_report(deriv, raw, families, bound, complete):
             _grlex_key(t[0].leading_exp()) if not t[0].is_zero else (0, 0),
         )
     )
-    # a pencil whose defining members are products of members of a
-    # smaller pencil carries no new information (powers of a first
-    # integral): drop it
+    # a pencil that is a function of a smaller pencil carries no new
+    # information: drop it
     primitive_pencils = []
     for (p, q_, c) in pencils:
         deg = int(max(p.total_degree(), q_.total_degree()))
         redundant = any(
             int(max(b.total_degree(), u.total_degree())) < deg
-            and _factors_into_members(b, u, p)
-            and _factors_into_members(b, u, q_)
+            and _composite_of(b, u, (p, q_))
             for (b, u, _c) in primitive_pencils
         )
         if not redundant:
@@ -581,7 +549,7 @@ def _assemble_report(deriv, raw, families, bound, complete):
             continue
         if any(
             max(b.total_degree(), u.total_degree()) <= p.total_degree()
-            and _member_quotient(b, u, p) is not None
+            and _composite_of(b, u, (p,))
             and not _in_span(p, b, u)
             for (b, u, _c) in pencils
         ):

@@ -20,6 +20,9 @@ POLY_UNI = "poly1"
 LAURENT_UNI = "laurent1"
 POLY_BI = "poly2"
 
+# Largest |exponent| of a variable in a term: x^n in poly1 is n dense coefficients.
+MAX_EXPONENT = 1000
+
 
 class ParseError(ValueError):
     """Syntax or validation error with a character position."""
@@ -144,7 +147,9 @@ class _Parser:
             exp = int(self.expect("digits")[1])
             if neg:
                 exp = -exp
-        exps[vtok[1]] = exps.get(vtok[1], 0) + exp
+        total = exps[vtok[1]] = exps.get(vtok[1], 0) + exp
+        if abs(total) > MAX_EXPONENT:
+            raise ParseError(f"exponent of {vtok[1]!r} exceeds {MAX_EXPONENT}", vtok[2])
 
 
 def _raw_terms(text):

@@ -424,10 +424,6 @@ def exact_divide(p, q_):
     return None if quot is None else BiPoly._raw(quot)
 
 
-def divides(q_, p):
-    return exact_divide(p, q_) is not None
-
-
 def _lift_y(u):
     return BiPoly.from_uni(u, var="y")
 
@@ -751,15 +747,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             total = total * v + c
         return total
-
-    def compose_scale(self, a):
-        """p(a*x)."""
-        a = q(a)
-        out, pw = [], QONE
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= a
-        return UniPoly(out)
 
     def render(self, var="x"):
         return _render_terms(

@@ -12,10 +12,11 @@ from orediamond import (
     DomainError,
     Q,
     darboux_search,
+    decide,
     first_integral_search,
     pencil_members_through,
 )
-from orediamond.darboux import INFINITY, _cascade
+from orediamond.darboux import INFINITY, _cascade, _composite_of, _in_span
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
 
@@ -108,6 +109,62 @@ def test_cascade_parameters_follow_the_input():
     assert sorted(d.monic().render() for d in directions) == sorted(
         bi(f"y^{k}").render() for k in range(n)
     )
+
+
+class TestCompositePencils:
+    """Pencils and certs that are functions of a smaller pencil b/u are
+    left out of the report."""
+
+    def test_linear_center(self):
+        # H = x^2 - 5/3*y^2 - 2*y is a first integral; H^3 + 36/5*H^2 +
+        # 432/25*H is a composite whose factor 25t^2 + 180t + 432 has no
+        # rational root
+        for bound in (6, 8):
+            report = darboux_search(Derivation(bi("5*y + 3"), bi("3*x")), bound)
+            assert report.certs == [] and report.complete_up_to_bound
+            assert [(p.p, p.q, p.cofactor) for p in report.pencils] == [
+                (bi("x^2 - 5/3*y^2 - 2*y"), bi("1"), bi("0"))
+            ]
+
+    def test_rational_pencil_composite(self):
+        report = darboux_search(Derivation(bi("5*x^2"), bi("-2*x^2 - 8")), 6)
+        assert report.certs == []
+        assert [(p.p, p.q, p.cofactor) for p in report.pencils] == [
+            (bi("x"), bi("x^2 + 5/2*x*y - 4"), bi("5*x"))
+        ]
+
+    def test_linear_center_audit(self):
+        verdict = decide("poly2", Derivation(bi("5*y + 3"), bi("3*x")), 6)
+        assert verdict.trace[0].kind == "singular_locus_audit"
+        assert [(i.parameter, i.poly) for i in verdict.trace[0].report.incidences] == [
+            (Q(-3, 5), bi("x^2 - 5/3*y^2 - 2*y - 3/5"))
+        ]
+
+    def test_constant_member(self):
+        b, u = bi("x^2 - 2*y"), bi("1")
+        assert _composite_of(b, u, (b**3 - 2 * b + 5,))
+        assert _composite_of(b, u, (b**3 + 1, b))
+        assert not _composite_of(b, u, (b**3 + bi("x"),))
+
+    def test_proportional_top_forms(self):
+        # b - u = y - 1 has lower degree than b and u
+        b, u = bi("x^2 + y"), bi("x^2 + 1")
+        assert _composite_of(b, u, ((b - u) ** 3,))
+        assert _composite_of(b, u, ((b - u) ** 3 + b * u**2, u**3))
+        assert not _composite_of(b, u, ((b - u) ** 3, u**2))
+
+    def test_irrational_members(self):
+        # u^2 + 8b^2 is Q-irreducible: no member at a rational t divides it
+        b, u = bi("x"), bi("y + 1")
+        p = u**2 + 8 * b**2
+        assert _composite_of(b, u, (p,)) and not _in_span(p, b, u)
+        assert _composite_of(b, u, (p, b * u))
+
+    def test_factor_outside_the_pencil(self):
+        b, u = bi("x"), bi("y")
+        g = bi("x + y^2")
+        assert not _composite_of(b, u, (b * g,))
+        assert not _composite_of(b, u, (b * g, u**3))
 
 
 class TestFirstIntegral:

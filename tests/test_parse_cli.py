@@ -50,6 +50,20 @@ class TestParsePolynomial:
         with pytest.raises(ParseError):
             parse_polynomial("1/0", "poly1")
 
+    def test_exponent_cap(self):
+        # poly1 is dense: x^99999999 would allocate 10^8 coefficients
+        for text, ring in (
+            ("x^99999999", "poly1"),
+            ("x^600*x^401", "poly2"),
+            ("y^1001 + 1", "poly2"),
+            ("x^-1001", "laurent1"),
+        ):
+            with pytest.raises(ParseError):
+                parse_polynomial(text, ring)
+        with pytest.raises(ParseError):
+            parse_ore("t^1001", "poly2")
+        assert parse_polynomial("x^600*x^400", "poly2") == BiPoly.monomial(1000, 0)
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError):
             parse_polynomial("x +", "poly2")

@@ -356,6 +356,23 @@ class TestAgainstSympy:
             assert sp.expand(_to_sympy(sp, ours.terms, syms) - theirs) == 0
             assert all(ours.degree_in(i) <= 0 for i in chosen)
 
+    def test_rational_roots(self, sp):
+        """Seeded products of rational linear factors (repeats and the
+        root 0 included) and random cofactors.  The integers stay small,
+        so this does not reach the slow divisor enumeration that large
+        leading or constant coefficients trigger."""
+        x = sp.Symbol("x")
+        rng = random.Random(113)
+        for _ in range(100):
+            p = random_unipoly(rng, maxdeg=rng.randrange(4), maxcoef=5, nonzero=True)
+            for _ in range(rng.randrange(4)):
+                root = Q(rng.randrange(-6, 7), rng.randrange(1, 5))
+                p = p * UniPoly([-root, Q(rng.randrange(1, 4))])
+            if p.is_constant:
+                continue
+            theirs = sp.roots(_uni_to_sympy(sp, p, x), x, filter="Q")
+            assert rational_roots(p) == sorted(Q(int(r.p), int(r.q)) for r in theirs)
+
     def test_solve_and_nullspace(self, sp):
         rng = random.Random(111)
         inconsistent = 0
