@@ -143,9 +143,10 @@ def _monomials(deg):
     return [(i, deg - i) for i in range(deg, -1, -1)]
 
 
-def _splits_rationally(g):
+def _splits_rationally(g, roots):
+    """True when g splits into linear factors over Q; roots are its rational roots."""
     residual = g
-    for root in rational_roots(g):
+    for root in roots:
         lin = UniPoly([-root, 1])
         while True:
             quo, rem = residual.divmod(lin)
@@ -175,9 +176,10 @@ def _solve_constraints(cons, depth=0):
         if len(vs) == 1:
             v = vs[0]
             g = c.as_unipoly(v)
-            complete = _splits_rationally(g)
+            roots = rational_roots(g)
+            complete = _splits_rationally(g, roots)
             out = []
-            for root in rational_roots(g):
+            for root in roots:
                 rest = [cc.substitute({v: root}) for cc in cons]
                 sols, comp = _solve_constraints(rest, depth + 1)
                 complete = complete and comp
@@ -240,45 +242,40 @@ def _top_candidates(atoms, n):
     return [p for p in out if p.total_degree() == n]
 
 
-def _xy_coeffs(g):
-    """{(i, j): coefficient of x^i*y^j} of g, as parameter polynomials."""
-    return {
-        (i, j): cij
-        for i, ci in enumerate(g.coeffs_in(0))
-        for j, cij in enumerate(ci.coeffs_in(1))
-        if cij
-    }
-
-
-def _from_xy_coeffs(pairs, nv):
-    """The sum of coeff*x^i*y^j over ((i, j), coeff) pairs, with coeff a
-    parameter polynomial."""
-    return MPoly._raw(
-        nv, {(i, j) + e[2:]: c for (i, j), coeff in pairs for e, c in coeff.terms.items()}
-    )
+def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
+    """One cascade level's rational matrix, read off by coefficient lookup:
+    in row x^a*y^b, column x^i*y^j of p holds the coefficient of x^a*y^b in
+    (ad*d/dx + bd*d/dy - c_top)(x^i*y^j), column x^i*y^j of the cofactor
+    that in -x^i*y^j*p_top."""
+    A, B, C, P = ad.terms, bd.terms, c_top.terms, p_top.terms
+    return [
+        [i * A.get((a - i + 1, b - j), 0) + j * B.get((a - i, b - j + 1), 0) - C.get((a - i, b - j), 0)
+         for (i, j) in mons_p]
+        + [-P.get((a - i, b - j), 0) for (i, j) in mons_c]
+        for (a, b) in eq_mons
+    ]
 
 
 def _cascade_levels(a_pol, b_pol, d, n, p_top, c_top):
-    """The rational left-hand sides of the cascade, one per level s.
+    """The rational left-hand sides of the cascade, one per level s,
+    each reduced once.
 
     Level s solves for the homogeneous parts of degree n - s of p and
     d - 1 - s of the cofactor (its unknowns: the coefficients on mons_p
     and mons_c) from the equation's part of degree n + d - 1 - s, on
-    eq_mons.  Each level is (mons_p, mons_c, eq_mons, rows, nfree), rows
-    being the level's matrix and nfree the number of its free columns.
+    eq_mons.  Each level is (mons_p, mons_c, eq_mons, m, pivots, ops),
+    m, pivots and ops being what linalg.rref returns for the level's
+    matrix; the free columns are those outside pivots.
     """
     ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
     levels = []
     for s in range(1, n + d):
         mons_p = _monomials(n - s) if s <= n else []
         mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
-        monos_p = [BiPoly.monomial(i, j) for (i, j) in mons_p]
-        cols = [ad * m.deriv_x() + bd * m.deriv_y() - c_top * m for m in monos_p]
-        cols += [-(BiPoly.monomial(i, j) * p_top) for (i, j) in mons_c]
         eq_mons = _monomials(n + d - 1 - s)
-        rows = [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
-        nfree = len(cols) - len(linalg.rref(rows, len(cols))[1])
-        levels.append((mons_p, mons_c, eq_mons, rows, nfree))
+        rows = _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
+        m, pivots, ops = linalg.rref(rows, len(mons_p) + len(mons_c))
+        levels.append((mons_p, mons_c, eq_mons, m, pivots, ops))
     return levels
 
 
@@ -293,7 +290,7 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     (p, c) pairs and families are (base, directions, c) affine families.
     """
     levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
-    nv = 2 + sum(level[-1] for level in levels)
+    nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
     params = iter(range(2, nv))
     a_parts = [MPoly.from_bipoly(a_pol.homogeneous_part(e), nv) for e in range(d + 1)]
     b_parts = [MPoly.from_bipoly(b_pol.homogeneous_part(e), nv) for e in range(d + 1)]
@@ -302,7 +299,7 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     grads = {n: (parts_p[n].deriv(0), parts_p[n].deriv(1))}
     zero = MPoly.zero(nv)
     constraints = []
-    for s, (mons_p, mons_c, eq_mons, rows, _) in enumerate(levels, 1):
+    for s, (mons_p, mons_c, eq_mons, m, pivots, ops) in enumerate(levels, 1):
         g = zero
         for i in range(max(0, s - d), min(s - 1, n) + 1):
             e = d - (s - i)
@@ -313,25 +310,25 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
             cpart, ppart = parts_c.get(d - 1 - j), parts_p.get(n - s + j)
             if cpart and ppart:
                 g = g - cpart * ppart
-        g = _xy_coeffs(g)
-        # rows*u + rhs = 0, the right sides riding along as the last column
+        g = g.xy_coeffs()
+        # m*u + rhs = 0, rhs being the right sides after the row operations
+        rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
+        constraints.extend(v for v in rhs[len(pivots):] if v)
         ncols = len(mons_p) + len(mons_c)
-        m, pivots = linalg.rref([row + [g.get(e, zero)] for row, e in zip(rows, eq_mons)], ncols)
-        constraints.extend(row[ncols] for row in m[len(pivots):] if row[ncols])
         free = [c for c in range(ncols) if c not in pivots]
         u = [None] * ncols
         for f in free:
             u[f] = MPoly.var(nv, next(params))
-        for row, c in zip(m, pivots):
-            u[c] = -row[ncols]
+        for row, c, v in zip(m, pivots, rhs):
+            u[c] = -v
             for f in free:
                 if row[f]:
                     u[c] = u[c] - row[f] * u[f]
         if mons_p:
-            part = parts_p[n - s] = _from_xy_coeffs(zip(mons_p, u), nv)
+            part = parts_p[n - s] = MPoly.from_xy_coeffs(zip(mons_p, u), nv)
             grads[n - s] = (part.deriv(0), part.deriv(1))
         if mons_c:
-            parts_c[d - 1 - s] = _from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
+            parts_c[d - 1 - s] = MPoly.from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
     sols, complete = _solve_constraints(constraints)
     p_all = sum(parts_p.values(), zero)
     c_all = sum(parts_c.values(), zero)
@@ -346,11 +343,13 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
         if not free:
             solutions.append((pm.to_bipoly(), c_val))
             continue
-        if any(sum(e[2:]) > 1 for e in pm.terms):
+        directions = [pm.deriv(v) for v in free]
+        # pm is affine in the parameters when no direction involves one
+        if any(v > 1 for dv in directions for v in dv.variables()):
             complete = False
             continue
         base = pm.substitute(dict.fromkeys(free, 0)).to_bipoly()
-        families.append((base, [pm.deriv(v).to_bipoly() for v in free], c_val))
+        families.append((base, [dv.to_bipoly() for dv in directions], c_val))
     return solutions, families, complete
 
 
@@ -369,7 +368,7 @@ def _kernel_families(deriv, c0, n):
     kernel = linalg.nullspace(rows, len(mons))
     if not kernel:
         return []
-    echelon, _ = linalg.rref(kernel, len(mons))
+    echelon, _, _ = linalg.rref(kernel, len(mons))
     basis = []
     for vec in echelon:
         p = BiPoly({mons[k]: v for k, v in enumerate(vec) if v})
@@ -385,7 +384,7 @@ def _span_key(p, q_):
         [p.coeff(i, j) for (i, j) in mons],
         [q_.coeff(i, j) for (i, j) in mons],
     ]
-    ech, _ = linalg.rref(rows, len(mons))
+    ech, _, _ = linalg.rref(rows, len(mons))
     return tuple(
         tuple((mons[k], v) for k, v in enumerate(row) if v) for row in ech if any(row)
     )
@@ -644,7 +643,7 @@ def pencil_members_through(pencil, gens):
         candidates = []
     else:
         candidates = rational_roots(g)
-        residual = not _splits_rationally(g)
+        residual = not _splits_rationally(g, candidates)
     for t in sorted(candidates):
         member = pencil.member(t)
         if not member.is_zero and has_common_zero_with(gens, member):

@@ -4,29 +4,43 @@ Used internally wherever more than the two ring variables are in play.
 The Darboux cascade works in (x, y, p_0, ..., p_{P-1}): x and y are
 variables 0 and 1 and the parameters follow, P being the number of free
 unknowns of its rational level matrices (see darboux._cascade).
-Pencil elimination works in (x, y, t).  Shares the term-dict kernels,
-exact division included, with BiPoly.
+Pencil elimination works in (x, y, t).
+
+Representation: an MPoly is terms / den, where terms maps exponent
+tuples to nonzero ints and den is a positive int.  The invariant is
+gcd(den, every numerator) = 1, with den = 1 for the zero polynomial, so
+the form is canonical and == and hash compare (nvars, den, terms).
+Arithmetic is on ints (von zur Gathen & Gerhard, Modern Computer
+Algebra, 6.2); products and exact division use the int kernels of
+poly.py that BiPoly shares.  rational_terms() is the rational view.
 """
 
-from .rational import QONE, QZERO, q
+from math import gcd, lcm
+
+from .rational import Q, q
 from .poly import (
+    BiPoly,
     DomainError,
     NEG_INF,
     UniPoly,
+    _as_integers,
     _sylvester_resultant,
     kadd,
     kdivide,
-    kmul,
+    kmul_int,
     kneg,
-    kscale,
     ksub,
 )
+
+
+def _scaled(terms, f):
+    return terms if f == 1 else {e: c * f for e, c in terms.items()}
 
 
 class MPoly:
     """Sparse polynomial over Q in nvars variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "terms")
 
     def __init__(self, nvars, terms=None):
         cleaned = {}
@@ -35,60 +49,92 @@ class MPoly:
                 coeff = q(coeff)
                 if coeff:
                     cleaned[tuple(int(e) for e in exp)] = coeff
+        den, ints = _as_integers(cleaned)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", ints)
 
     @classmethod
-    def _raw(cls, nvars, terms):
+    def _raw(cls, nvars, den, terms):
         p = cls.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "den", den)
         object.__setattr__(p, "terms", terms)
         return p
 
     @classmethod
+    def _lowest(cls, nvars, den, terms):
+        """terms / den (int terms without zeros, den > 0) in lowest terms."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        return cls._raw(nvars, den, terms)
+
+    @classmethod
     def zero(cls, nvars):
-        return cls._raw(nvars, {})
+        return cls._raw(nvars, 1, {})
 
     @classmethod
     def const(cls, nvars, c):
-        c = q(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
+        return cls.monomial(nvars, (0,) * nvars, c)
 
     @classmethod
     def one(cls, nvars):
-        return cls.const(nvars, 1)
+        return cls._raw(nvars, 1, {(0,) * nvars: 1})
 
     @classmethod
     def var(cls, nvars, i):
         exp = [0] * nvars
         exp[i] = 1
-        return cls._raw(nvars, {tuple(exp): QONE})
+        return cls._raw(nvars, 1, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, nvars, exp, c=1):
         c = q(c)
-        return cls._raw(nvars, {tuple(exp): c} if c else {})
+        if not c:
+            return cls.zero(nvars)
+        return cls._raw(nvars, int(c.denominator), {tuple(exp): int(c.numerator)})
 
     @classmethod
-    def from_bipoly(cls, p, nvars, ix=0, iy=1):
-        out = {}
-        for (i, j), c in p.terms.items():
-            exp = [0] * nvars
-            exp[ix] = i
-            exp[iy] = j
-            out[tuple(exp)] = c
-        return cls._raw(nvars, out)
+    def from_bipoly(cls, p, nvars):
+        """p in variables 0 and 1 of nvars."""
+        den, ints = _as_integers(p.terms)
+        pad = (0,) * (nvars - 2)
+        return cls._raw(nvars, den, {e + pad: c for e, c in ints.items()})
 
-    def to_bipoly(self, ix=0, iy=1):
-        from .poly import BiPoly
+    def to_bipoly(self):
+        if any(any(e[2:]) for e in self.terms):
+            raise DomainError("extra variables present")
+        den = self.den
+        return BiPoly._raw({e[:2]: Q(c, den) for e, c in self.terms.items()})
 
-        out = {}
-        for exp, c in self.terms.items():
-            for k, e in enumerate(exp):
-                if e and k not in (ix, iy):
-                    raise DomainError("extra variables present")
-            out[(exp[ix], exp[iy])] = c
-        return BiPoly(out)
+    @classmethod
+    def from_xy_coeffs(cls, pairs, nvars):
+        """The sum of coeff*x^i*y^j over ((i, j), coeff) pairs, each coeff
+        free of x and y."""
+        pairs = list(pairs)
+        den = lcm(*(c.den for _, c in pairs))
+        terms = {}
+        for ij, c in pairs:
+            for e, n in _scaled(c.terms, den // c.den).items():
+                terms[ij + e[2:]] = n
+        # in lowest terms, as _as_integers says
+        return cls._raw(nvars, den, terms)
+
+    def xy_coeffs(self):
+        """{(i, j): coefficient of x^i*y^j} over the nonzero ones, each an
+        MPoly free of x and y."""
+        buckets = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(e[:2], {})[(0, 0) + e[2:]] = c
+        return {ij: MPoly._lowest(self.nvars, self.den, b) for ij, b in buckets.items()}
+
+    def rational_terms(self):
+        """{exponent tuple: rational coefficient}."""
+        den = self.den
+        return {e: Q(c, den) for e, c in self.terms.items()}
 
     @property
     def is_zero(self):
@@ -102,7 +148,7 @@ class MPoly:
     def constant_value(self):
         if not self.is_constant:
             raise DomainError("not a constant polynomial")
-        return self.terms.get((0,) * self.nvars, QZERO)
+        return Q(self.terms.get((0,) * self.nvars, 0), self.den)
 
     def total_degree(self):
         if not self.terms:
@@ -118,31 +164,42 @@ class MPoly:
         if self.nvars != other.nvars:
             raise DomainError("variable count mismatch")
 
-    def __add__(self, other):
+    def _common(self, other):
+        """(den, terms of self, terms of other) over a common den."""
         if not isinstance(other, MPoly):
             other = MPoly.const(self.nvars, other)
         self._check(other)
-        return MPoly._raw(self.nvars, kadd(self.terms, other.terms))
+        den = lcm(self.den, other.den)
+        return den, _scaled(self.terms, den // self.den), _scaled(other.terms, den // other.den)
+
+    def __add__(self, other):
+        den, ta, tb = self._common(other)
+        return MPoly._lowest(self.nvars, den, kadd(ta, tb))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            other = MPoly.const(self.nvars, other)
-        self._check(other)
-        return MPoly._raw(self.nvars, ksub(self.terms, other.terms))
+        den, ta, tb = self._common(other)
+        return MPoly._lowest(self.nvars, den, ksub(ta, tb))
 
     def __rsub__(self, other):
         return MPoly.const(self.nvars, other) - self
 
     def __neg__(self):
-        return MPoly._raw(self.nvars, kneg(self.terms))
+        return MPoly._raw(self.nvars, self.den, kneg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check(other)
-            return MPoly._raw(self.nvars, kmul(self.terms, other.terms))
-        return MPoly._raw(self.nvars, kscale(self.terms, q(other)))
+            return MPoly._lowest(
+                self.nvars, self.den * other.den, kmul_int(self.terms, other.terms)
+            )
+        c = q(other)
+        if not c:
+            return MPoly.zero(self.nvars)
+        return MPoly._lowest(
+            self.nvars, self.den * int(c.denominator), _scaled(self.terms, int(c.numerator))
+        )
 
     __rmul__ = __mul__
 
@@ -161,13 +218,13 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, type(QONE))):
+            return (self.nvars, self.den, self.terms) == (other.nvars, other.den, other.terms)
+        if isinstance(other, (int, Q)):
             return self == MPoly.const(self.nvars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -175,37 +232,48 @@ class MPoly:
     def deriv(self, i):
         out = {}
         for exp, c in self.terms.items():
-            if exp[i]:
+            k = exp[i]
+            if k:
                 e = list(exp)
-                e[i] -= 1
-                out[tuple(e)] = c * exp[i]
-        return MPoly._raw(self.nvars, out)
+                e[i] = k - 1
+                out[tuple(e)] = c * k
+        return MPoly._lowest(self.nvars, self.den, out)
 
     def substitute(self, values):
         """Replace each variable i in values, a {i: rational} map, by its
-        value, in one pass over the terms."""
-        values = [(i, q(v)) for i, v in values.items()]
-        out = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            for i, v in values:
-                if e[i]:
-                    c = c * v ** e[i]
-                    e[i] = 0
-            e = tuple(e)
-            out[e] = out.get(e, QZERO) + c
-        return MPoly._raw(self.nvars, {e: c for e, c in out.items() if c})
+        value, in one pass over the terms.
 
-    def substitute_poly(self, i, value):
-        """Replace variable i by another MPoly (same arity)."""
-        self._check(value)
-        out = MPoly.zero(self.nvars)
-        for exp, c in self.terms.items():
+        A zero value drops the terms its variable occurs in.  A value a/b
+        with b > 0 multiplies a term of degree k in it by a^k*b^(top-k),
+        top being the variable's degree, and den by b^top."""
+        values = [(i, q(v)) for i, v in values.items()]
+        zeros = [i for i, v in values if not v]
+        terms = self.terms
+        if zeros:
+            terms = {e: c for e, c in terms.items() if not any(e[i] for i in zeros)}
+        den = self.den
+        tables = []
+        for i, v in values:
+            if not v:
+                continue
+            a, b = int(v.numerator), int(v.denominator)
+            top = max((e[i] for e in terms), default=0)
+            table = [b**top]
+            for _ in range(top):
+                table.append(table[-1] // b * a)
+            tables.append((i, table))
+            den *= table[0]
+        if not tables:
+            return MPoly._lowest(self.nvars, den, terms)
+        out = {}
+        for exp, c in terms.items():
             e = list(exp)
-            k = e[i]
-            e[i] = 0
-            out = out + MPoly.monomial(self.nvars, e, c) * value**k
-        return out
+            for i, table in tables:
+                c *= table[e[i]]
+                e[i] = 0
+            e = tuple(e)
+            out[e] = out.get(e, 0) + c
+        return MPoly._lowest(self.nvars, den, {e: c for e, c in out.items() if c})
 
     def variables(self):
         """Ascending indices of the variables that occur."""
@@ -223,7 +291,7 @@ class MPoly:
             k = e[i]
             e[i] = 0
             buckets[k][tuple(e)] = c
-        return [MPoly._raw(self.nvars, b) for b in buckets]
+        return [MPoly._lowest(self.nvars, self.den, b) for b in buckets]
 
     def as_unipoly(self, i):
         """Dense univariate view in variable i; other variables must be
@@ -236,18 +304,12 @@ class MPoly:
         return UniPoly(cs)
 
     def __repr__(self):
-        if not self.terms:
-            return "MPoly(0)"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[exp]
-            mono = "*".join(
-                f"v{k}" if e == 1 else f"v{k}^{e}"
-                for k, e in enumerate(exp)
-                if e
-            )
-            parts.append(f"{c}*{mono}" if mono else str(c))
-        return "MPoly(" + " + ".join(parts) + ")"
+        terms = sorted(self.rational_terms().items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        parts = [
+            str(c) + "".join(f"*v{k}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(exp) if e)
+            for exp, c in terms
+        ]
+        return "MPoly(" + (" + ".join(parts) or "0") + ")"
 
 
 def mpoly_exact_divide(p, d):
@@ -255,8 +317,11 @@ def mpoly_exact_divide(p, d):
     if d.is_zero:
         raise DomainError("division by the zero polynomial")
     p._check(d)
-    quot = kdivide(p.terms, d.terms)
-    return None if quot is None else MPoly._raw(p.nvars, quot)
+    out = kdivide(p.terms, d.terms)
+    if out is None:
+        return None
+    h, c = out
+    return MPoly._lowest(p.nvars, c * p.den, _scaled(h, d.den))
 
 
 def mpoly_resultant(p, q_, i):

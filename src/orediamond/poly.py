@@ -7,7 +7,7 @@ lexicographic with x > y.  All values are immutable; every operation is
 a pure function.
 """
 
-from math import lcm
+from math import gcd as gcd_int, lcm
 from operator import add, sub
 
 from .rational import Q, QONE, QZERO, q, qstr
@@ -27,8 +27,10 @@ def _grlex_key(exp):
 # term-dict kernels
 # ----------------------------------------------------------------------
 # A sparse polynomial is a dict mapping exponent tuples to nonzero
-# rational coefficients.  These are the inner loops shared by BiPoly,
-# MPoly and the Groebner engine; none of them stores a zero coefficient.
+# coefficients: rationals for BiPoly and the Groebner engine, ints over a
+# common denominator for MPoly.  The product (kmul_int) and exact
+# division (kdivide) kernels work on ints and serve both; none of the
+# kernels stores a zero coefficient.
 
 
 def kadd(a, b):
@@ -79,9 +81,27 @@ def kmul_term(a, exp, c):
 
 
 def _as_integers(a):
-    """(d, [(exp, n)]) with every coefficient of a equal to n / d."""
+    """(d, {exp: n}) with every coefficient of a equal to n / d, d the
+    lcm of the denominators, so gcd(d, every n) = 1."""
     d = lcm(*(c.denominator for c in a.values()))
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in a.items()]
+    return d, {e: c.numerator * (d // c.denominator) for e, c in a.items()}
+
+
+def kmul_int(a, b):
+    """Product of two term dicts with int coefficients: the one product
+    kernel, shared by BiPoly (through kmul) and MPoly."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {tuple(map(add, e, ea)): c * ca for e, c in b.items()}
+    acc = {}
+    get = acc.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+    return {e: v for e, v in acc.items() if v}
 
 
 def kmul(a, b):
@@ -95,16 +115,10 @@ def kmul(a, b):
         return kmul_term(b, e, c)
     da, ia = _as_integers(a)
     db, ib = _as_integers(b)
-    acc = {}
-    get = acc.get
-    for ea, ca in ia:
-        for eb, cb in ib:
-            e = tuple(map(add, ea, eb))
-            acc[e] = get(e, 0) + ca * cb
     d = da * db
     if d == 1:
-        return {e: Q(v) for e, v in acc.items() if v}
-    return {e: Q(v, d) for e, v in acc.items() if v}
+        return {e: Q(v) for e, v in kmul_int(ia, ib).items()}
+    return {e: Q(v, d) for e, v in kmul_int(ia, ib).items()}
 
 
 def _degree_lex(exp):
@@ -112,22 +126,35 @@ def _degree_lex(exp):
 
 
 def kdivide(a, b):
-    """Quotient term dict of a by b (nonempty) when b divides a exactly,
-    else None.  Leading terms are taken by total degree, then
-    lexicographically, which on (i, j) is the graded-lex order."""
+    """(h, c) with a = b*h/c, c the content of b, when b divides a in
+    Q[X]; else None.  a, b (nonempty) and h are int term dicts.  By Gauss's
+    lemma a quotient by the primitive part b/c is integral, so each step
+    divides by its leading coefficient exactly or b does not divide a.
+    Leading terms are taken by total degree, then lexicographically."""
+    c = gcd_int(*b.values())
+    if c != 1:
+        b = {e: v // c for e, v in b.items()}
     bexp = max(b, key=_degree_lex)
     blc = b[bexp]
-    rem = a
+    rem = dict(a)
     quot = {}
     while rem:
         rexp = max(rem, key=_degree_lex)
         e = tuple(map(sub, rexp, bexp))
         if min(e) < 0:
             return None
-        c = rem[rexp] / blc
-        quot[e] = c
-        rem = ksub(rem, kmul_term(b, e, c))
-    return quot
+        k, r = divmod(rem[rexp], blc)
+        if r:
+            return None
+        quot[e] = k
+        for eb, cb in b.items():
+            t = tuple(map(add, eb, e))
+            v = rem.get(t, 0) - k * cb
+            if v:
+                rem[t] = v
+            else:
+                del rem[t]
+    return quot, c
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +447,14 @@ def exact_divide(p, q_):
         q_ = BiPoly.const(q_)
     if q_.is_zero:
         raise DomainError("division by the zero polynomial")
-    quot = kdivide(p.terms, q_.terms)
-    return None if quot is None else BiPoly._raw(quot)
+    da, a = _as_integers(p.terms)
+    db, b = _as_integers(q_.terms)
+    out = kdivide(a, b)
+    if out is None:
+        return None
+    h, c = out
+    d = c * da
+    return BiPoly._raw({e: Q(v * db, d) for e, v in h.items()})
 
 
 def _lift_y(u):

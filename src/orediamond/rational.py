@@ -4,8 +4,11 @@ Uses gmpy2.mpq when gmpy2 is installed, otherwise fractions.Fraction.
 gmpy2 is not a dependency, so a plain install runs on Fraction.  Both
 are always reduced with positive denominator, which is the
 representation contract relied on everywhere.
-poly.kmul uses only .numerator, .denominator and Q(n, d), which mpq has
-too; that path is not covered by the tests when gmpy2 is absent.
+The int kernels read .numerator and .denominator and build results with
+Q(n, d): poly._as_integers (behind kmul, exact_divide and the MPoly
+constructor and from_bipoly), and MPoly's monomial, scaling and
+substitute.  mpq has the same attributes, but that path is not covered
+by the tests when gmpy2 is absent.
 """
 
 try:

@@ -13,10 +13,21 @@ from orediamond import (
     Q,
     darboux_search,
     decide,
+    exact_divide,
     first_integral_search,
+    linalg,
     pencil_members_through,
 )
-from orediamond.darboux import INFINITY, _cascade, _composite_of, _in_span
+from orediamond.darboux import (
+    INFINITY,
+    _cascade,
+    _cascade_levels,
+    _composite_of,
+    _in_span,
+    _level_matrix,
+    _top_atoms,
+    _top_candidates,
+)
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
 
@@ -109,6 +120,46 @@ def test_cascade_parameters_follow_the_input():
     assert sorted(d.monic().render() for d in directions) == sorted(
         bi(f"y^{k}").render() for k in range(n)
     )
+
+
+def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
+    """Reference for _level_matrix: the level's columns built as BiPoly
+    products, then read off coefficient by coefficient."""
+    monos_p = [BiPoly.monomial(i, j) for (i, j) in mons_p]
+    cols = [ad * m.deriv_x() + bd * m.deriv_y() - c_top * m for m in monos_p]
+    cols += [-(BiPoly.monomial(i, j) * p_top) for (i, j) in mons_c]
+    return [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
+
+
+def test_level_matrices_match_products():
+    """On the named systems at bound 8, every cascade level matrix read
+    off by coefficient lookup equals the one built from products, and
+    _cascade_levels reduces it as rref does."""
+    levels_seen = 0
+    for (dx, dy), _ in PINNED_REPORTS.values():
+        a_pol, b_pol = bi(dx), bi(dy)
+        d = int(max(a_pol.total_degree(), b_pol.total_degree()))
+        ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+        big_m = bi("x") * bd - bi("y") * ad
+        if big_m.is_zero:
+            if d == 1:
+                continue  # solved by kernel families, without a cascade
+            atoms = [bi("x"), bi("y")]
+        else:
+            atoms, _ = _top_atoms(big_m, d)
+        for n in range(1, 9):
+            for p_top in _top_candidates(atoms, n):
+                c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
+                if c_top is None:
+                    continue
+                levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
+                for mons_p, mons_c, eq_mons, m, pivots, _ in levels:
+                    args = (ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
+                    rows = _product_level_matrix(*args)
+                    assert _level_matrix(*args) == rows
+                    assert linalg.rref(rows, len(mons_p) + len(mons_c))[:2] == (m, pivots)
+                    levels_seen += 1
+    assert levels_seen > 100
 
 
 class TestCompositePencils:

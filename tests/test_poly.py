@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: pinned examples plus randomized
 algebraic-law checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -325,9 +326,12 @@ class TestAgainstSympy:
         for p, q_, i in cases:
             ours = mpoly_resultant(p, q_, i)
             theirs = _sympy_resultant(
-                sp, _to_sympy(sp, p.terms, syms), _to_sympy(sp, q_.terms, syms), syms[i]
+                sp,
+                _to_sympy(sp, p.rational_terms(), syms),
+                _to_sympy(sp, q_.rational_terms(), syms),
+                syms[i],
             )
-            assert sp.expand(_to_sympy(sp, ours.terms, syms) - theirs) == 0
+            assert sp.expand(_to_sympy(sp, ours.rational_terms(), syms) - theirs) == 0
 
     def test_mpoly_resultant_shared_factor_is_zero(self, sp):
         syms = sp.symbols("a b c")
@@ -337,7 +341,10 @@ class TestAgainstSympy:
         q_ = (b * a - 1) * common
         assert mpoly_resultant(p, q_, 0).is_zero
         theirs = _sympy_resultant(
-            sp, _to_sympy(sp, p.terms, syms), _to_sympy(sp, q_.terms, syms), syms[0]
+            sp,
+            _to_sympy(sp, p.rational_terms(), syms),
+            _to_sympy(sp, q_.rational_terms(), syms),
+            syms[0],
         )
         assert sp.expand(theirs) == 0
 
@@ -350,10 +357,10 @@ class TestAgainstSympy:
             chosen = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
             values = {i: _random_entry(rng) for i in chosen}
             ours = p.substitute(values)
-            theirs = _to_sympy(sp, p.terms, syms).subs(
+            theirs = _to_sympy(sp, p.rational_terms(), syms).subs(
                 {syms[i]: sp.Rational(str(v)) for i, v in values.items()}
             )
-            assert sp.expand(_to_sympy(sp, ours.terms, syms) - theirs) == 0
+            assert sp.expand(_to_sympy(sp, ours.rational_terms(), syms) - theirs) == 0
             assert all(ours.degree_in(i) <= 0 for i in chosen)
 
     def test_rational_roots(self, sp):
@@ -423,10 +430,15 @@ def _rational_terms(rng, nvars, nterms, maxdeg=3):
     return terms
 
 
+def _rational(p):
+    """The {exponent: rational} terms of a BiPoly or MPoly."""
+    return p.rational_terms() if isinstance(p, MPoly) else p.terms
+
+
 def _assert_product(p, q_):
-    prod = p * q_
-    assert prod.terms == _naive_product(p.terms, q_.terms)
-    assert all(c for c in prod.terms.values())
+    prod = _rational(p * q_)
+    assert prod == _naive_product(_rational(p), _rational(q_))
+    assert all(c for c in prod.values())
 
 
 class TestRationalProducts:
@@ -457,7 +469,7 @@ class TestRationalProducts:
         s = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(1)})
         t = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(-1)})
         u = MPoly(3, {(2, 0, 0): Q(1, 9), (1, 1, 0): Q(-2, 15), (0, 2, 0): Q(1, 25)})
-        assert (s * t).terms == (u - MPoly.one(3)).terms
+        assert (s * t).rational_terms() == (u - MPoly.one(3)).rational_terms()
 
     def test_empty_and_single_term(self):
         rng = random.Random(112)
@@ -470,3 +482,180 @@ class TestRationalProducts:
         m = MPoly(48, _rational_terms(rng, 48, 4, maxdeg=2))
         assert (m * MPoly(48, {})).terms == {}
         _assert_product(MPoly(48, {tuple(range(48)): Q(5, 4)}), m)
+
+
+# -- integer-numerator MPoly against a Fraction reference --------------
+
+
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_deriv(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return out
+
+
+def _ref_coeffs_in(a, i):
+    out = [{} for _ in range(max((e[i] for e in a), default=-1) + 1)]
+    for e, c in a.items():
+        out[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
+    return out
+
+
+def _ref_substitute(a, values):
+    out = {}
+    for e, c in a.items():
+        e = list(e)
+        for i, v in values.items():
+            c *= Fraction(v) ** e[i]
+            e[i] = 0
+        e = tuple(e)
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_canonical(p):
+    """den > 0, no zero numerator, gcd(den, numerators) = 1, zero over 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.terms.values())
+    assert math.gcd(p.den, *p.terms.values()) == 1
+    if p.is_zero:
+        assert p.den == 1
+
+
+def _mpoly_cases(rng):
+    """Seeded (nvars, p, q) triples in 2, 3 and 48 variables."""
+    for nvars, rounds, maxdeg in ((2, 30, 3), (3, 30, 3), (48, 8, 2)):
+        for _ in range(rounds):
+            p = _rational_terms(rng, nvars, rng.randrange(1, 7), maxdeg=maxdeg)
+            q_ = _rational_terms(rng, nvars, rng.randrange(1, 7), maxdeg=maxdeg)
+            yield nvars, p, q_
+
+
+class TestIntegerMPoly:
+    def test_arithmetic(self):
+        rng = random.Random(120)
+        for nvars, a, b in _mpoly_cases(rng):
+            p, q_ = MPoly(nvars, a), MPoly(nvars, b)
+            assert p.rational_terms() == a
+            c = Fraction(rng.choice([-7, -1, 2, 5]), rng.choice([1, 3, 10]))
+            results = {
+                "add": (p + q_, _ref_sum(a, b)),
+                "sub": (p - q_, _ref_sum(a, b, -1)),
+                "mul": (p * q_, _naive_product(a, b)),
+                "scale": (p * c, {e: v * c for e, v in a.items()}),
+                "rscale": (c * q_, {e: v * c for e, v in b.items()}),
+                "neg": (-p, {e: -v for e, v in a.items()}),
+                "zero": (p * 0, {}),
+                "cancel": (p - p, {}),
+            }
+            for i in range(min(nvars, 4)):
+                results[f"deriv{i}"] = (p.deriv(i), _ref_deriv(a, i))
+            for name, (ours, ref) in results.items():
+                _assert_canonical(ours)
+                assert ours.rational_terms() == ref, name
+            for i in range(min(nvars, 3)):
+                coeffs = p.coeffs_in(i)
+                for ours in coeffs:
+                    _assert_canonical(ours)
+                assert [m.rational_terms() for m in coeffs] == _ref_coeffs_in(a, i)
+
+    def test_substitute(self):
+        rng = random.Random(121)
+        choices = [0, -3, Fraction(-2, 3), Fraction(5, 4), 2]
+        for nvars, a, _ in _mpoly_cases(rng):
+            p = MPoly(nvars, a)
+            chosen = rng.sample(range(nvars), min(nvars, rng.randrange(1, 4)))
+            values = {i: rng.choice(choices) for i in chosen}
+            ours = p.substitute(values)
+            _assert_canonical(ours)
+            assert ours.rational_terms() == _ref_substitute(a, values)
+        # zero, negative and fractional values at once
+        x, y, z = (MPoly.var(3, i) for i in range(3))
+        p = x**2 * y * Q(3, 2) + x * z**3 - y**2 + 7
+        ours = p.substitute({0: Q(-1, 2), 1: 0, 2: Q(2, 3)})
+        assert ours == MPoly.const(3, Q(-1, 2) * Q(8, 27) + 7)
+
+    def test_exact_divide(self):
+        rng = random.Random(122)
+        for nvars, a, b in _mpoly_cases(rng):
+            h, d = MPoly(nvars, a), MPoly(nvars, b)
+            # a non-primitive divisor, a non-integral quotient
+            d = d * Q(rng.choice([6, 10, 4]), rng.choice([1, 7]))
+            quo = mpoly_exact_divide(d * h, d)
+            _assert_canonical(quo)
+            assert quo == h
+            # a nonzero remainder of lower degree than d: not a multiple
+            if not d.is_constant:
+                assert mpoly_exact_divide(d * h + Q(1, 3), d) is None
+        for _ in range(60):
+            h = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6)))
+            d = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6))) * rng.choice([6, Q(15, 7)])
+            assert exact_divide(d * h, d) == h
+            if not d.is_constant:
+                assert exact_divide(d * h + Q(1, 2), d) is None
+        # leading coefficients that do not divide: a non-multiple stops
+        # at the first inexact step
+        x, y = bi("x"), bi("y")
+        assert exact_divide(2 * x * x + 3 * y, 2 * x + 1) is None
+        assert exact_divide(4 * x * x - 1, 6 * x + 3) == x * Q(2, 3) - Q(1, 3)
+
+    def test_canonical_form(self):
+        rng = random.Random(123)
+        for nvars, a, b in _mpoly_cases(rng):
+            p, q_ = MPoly(nvars, a), MPoly(nvars, b)
+            paths = [
+                (p + q_) - q_,
+                (p * Q(6, 5)) * Q(5, 6),
+                sum((MPoly.monomial(nvars, e, c) for e, c in a.items()), MPoly.zero(nvars)),
+                MPoly(nvars, p.rational_terms()),
+                p.substitute({}),
+                -(-p),
+            ]
+            for other in paths:
+                _assert_canonical(other)
+                assert other == p and hash(other) == hash(p)
+        zero = MPoly(3, {(1, 0, 0): Q(1, 2)}) * 2 - MPoly.var(3, 0)
+        _assert_canonical(zero)
+        assert zero == MPoly.zero(3) and hash(zero) == hash(MPoly.zero(3))
+        half = MPoly(2, {(1, 0): Q(1, 2), (0, 1): Q(3, 2)})
+        assert (half.den, half.terms) == (2, {(1, 0): 1, (0, 1): 3})
+        assert half * 2 == MPoly(2, {(1, 0): 1, (0, 1): 3})
+        assert MPoly.const(2, Q(-3, 4)) == Q(-3, 4)
+
+
+def test_replay_matches_augmented_rref():
+    """Replaying rref's row operations on a column gives the column that
+    rref computes for it as an extra column, on rank-deficient systems
+    with row swaps and zero rows, for rational and MPoly columns."""
+    rng = random.Random(124)
+    swaps = 0
+    for trial in range(80):
+        nrows, ncols = rng.randrange(2, 7), rng.randrange(1, 6)
+        rows = [[_random_entry(rng) for _ in range(ncols)] for _ in range(nrows - 2)]
+        # a combination of earlier rows and a zero row, in random places
+        combo = [Q(0)] * ncols
+        for row in rows:
+            f = _random_entry(rng)
+            combo = [a + f * b for a, b in zip(combo, row)]
+        rows.insert(rng.randrange(len(rows) + 1), combo)
+        rows.insert(rng.randrange(len(rows) + 1), [Q(0)] * ncols)
+        if trial % 2:
+            column = [_random_entry(rng) for _ in range(nrows)]
+        else:
+            column = [MPoly(3, _rational_terms(rng, 3, rng.randrange(0, 3))) for _ in range(nrows)]
+        m, pivots, ops = linalg.rref(rows, ncols)
+        swaps += sum(r != pr for r, pr, _, _ in ops)
+        assert len(pivots) < nrows
+        aug, aug_pivots, _ = linalg.rref([row + [v] for row, v in zip(rows, column)], ncols)
+        assert aug_pivots == pivots
+        assert [row[:ncols] for row in aug] == m
+        assert linalg.replay(ops, column) == [row[ncols] for row in aug]
+    assert swaps >= 20

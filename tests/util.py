@@ -77,6 +77,14 @@ def macaulay_member(p, gens, bound=8):
     return sol is not None
 
 
+def substitute_poly(p, i, value):
+    """p with variable i replaced by value, an MPoly of the same arity."""
+    out = MPoly.zero(p.nvars)
+    for k, c in enumerate(p.coeffs_in(i)):
+        out = out + c * value**k
+    return out
+
+
 def _roots_of(polys):
     g = reduce(uni_gcd, polys)
     if g.is_constant:
@@ -135,7 +143,7 @@ def degree1_darboux_oracle(deriv):
 
     # family p = y + t: need (y + t) | delta(y)
     dy4 = MPoly.from_bipoly(deriv.dy, 4)  # vars x, y, s, t
-    sub = dy4.substitute_poly(1, -MPoly.var(4, 3))
+    sub = substitute_poly(dy4, 1, -MPoly.var(4, 3))
     cons_t = [c for c in sub.coeffs_in(0) if not c.is_zero]
     if not cons_t:
         infinite = True
@@ -156,11 +164,11 @@ def degree1_darboux_oracle(deriv):
     # family p = x + s*y + t: need p | delta(x) + s*delta(y)
     s_var, t_var = MPoly.var(4, 2), MPoly.var(4, 3)
     img = MPoly.from_bipoly(deriv.dx, 4) + s_var * MPoly.from_bipoly(deriv.dy, 4)
-    sub = img.substitute_poly(0, -(s_var * MPoly.var(4, 1) + t_var))
+    sub = substitute_poly(img, 0, -(s_var * MPoly.var(4, 1) + t_var))
     cons = []
     for c in sub.coeffs_in(1):
         if not c.is_zero:
-            cons.append(MPoly(2, {(es, et): v for (_, _, es, et), v in c.terms.items()}))
+            cons.append(MPoly(2, {(es, et): v for (_, _, es, et), v in c.rational_terms().items()}))
     if not cons:
         infinite = True
         record(BiPoly.var_x())
