@@ -17,12 +17,12 @@ from .poly import (
     exact_divide,
     gcd,
     rational_roots,
-    resultant,
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
     uni_resultant,
 )
+from .multipoly import resultant
 from .groebner import (
     buchberger,
     has_common_zero_with,

@@ -24,7 +24,7 @@ F(b, u) of a smaller reported pencil b/u (_composite_of).
 
 from functools import reduce
 
-from .rational import q
+from .rational import QZERO, q
 from .poly import (
     BiPoly,
     DomainError,
@@ -247,7 +247,7 @@ def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     in row x^a*y^b, column x^i*y^j of p holds the coefficient of x^a*y^b in
     (ad*d/dx + bd*d/dy - c_top)(x^i*y^j), column x^i*y^j of the cofactor
     that in -x^i*y^j*p_top."""
-    A, B, C, P = ad.terms, bd.terms, c_top.terms, p_top.terms
+    A, B, C, P = (p.rational_terms() for p in (ad, bd, c_top, p_top))
     return [
         [i * A.get((a - i + 1, b - j), 0) + j * B.get((a - i, b - j + 1), 0) - C.get((a - i, b - j), 0)
          for (i, j) in mons_p]
@@ -363,8 +363,9 @@ def _kernel_families(deriv, c0, n):
         deriv.apply(BiPoly.monomial(i, j)) - c0 * BiPoly.monomial(i, j)
         for (i, j) in mons
     ]
-    eq_set = sorted({e for ex in exprs for e in ex.terms}, key=_grlex_key)
-    rows = [[ex.coeff(i, j) for ex in exprs] for (i, j) in eq_set]
+    views = [ex.rational_terms() for ex in exprs]
+    eq_set = sorted(set().union(*views), key=_grlex_key)
+    rows = [[v.get(e, QZERO) for v in views] for e in eq_set]
     kernel = linalg.nullspace(rows, len(mons))
     if not kernel:
         return []
@@ -378,12 +379,11 @@ def _kernel_families(deriv, c0, n):
 
 
 def _span_key(p, q_):
-    """Canonical key for the 2-dimensional span of two polynomials."""
+    """Canonical key for the 2-dimensional span of two polynomials.  A
+    span does not change when a polynomial is scaled, so the rows hold
+    the int numerators."""
     mons = sorted(set(p.terms) | set(q_.terms), key=_grlex_key, reverse=True)
-    rows = [
-        [p.coeff(i, j) for (i, j) in mons],
-        [q_.coeff(i, j) for (i, j) in mons],
-    ]
+    rows = [[f.terms.get(e, 0) for e in mons] for f in (p, q_)]
     ech, _, _ = linalg.rref(rows, len(mons))
     return tuple(
         tuple((mons[k], v) for k, v in enumerate(row) if v) for row in ech if any(row)
@@ -404,10 +404,11 @@ def _order_pair(p, q_):
 
 
 def _in_span(p, *gens):
-    """True when p is a rational linear combination of gens."""
+    """True when p is a rational linear combination of gens, read off the
+    int numerators, as scaling a polynomial does not change a span."""
     mons = sorted(set(p.terms).union(*(g.terms for g in gens)), key=_grlex_key)
-    rows = [[g.coeff(i, j) for g in gens] for (i, j) in mons]
-    sol, _ = linalg.solve(rows, [p.coeff(i, j) for (i, j) in mons])
+    rows = [[g.terms.get(e, 0) for g in gens] for e in mons]
+    sol, _ = linalg.solve(rows, [p.terms.get(e, 0) for e in mons])
     return sol is not None
 
 
@@ -494,14 +495,14 @@ def _assemble_report(deriv, raw, families, bound, complete):
         if p.is_zero or p.is_constant:
             continue
         p = p.monic()
-        all_certs[frozenset(p.terms.items())] = (p, c)
+        all_certs[p] = (p, c)
     pencil_map = {}
     for base, dirs, c in families:
         members = [base] + dirs if not base.is_zero else list(dirs)
         for m in members:
             if not m.is_zero and not m.is_constant:
                 mm = m.monic()
-                all_certs.setdefault(frozenset(mm.terms.items()), (mm, c))
+                all_certs.setdefault(mm, (mm, c))
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 _add_pencil(pencil_map, members[i], members[j], c)

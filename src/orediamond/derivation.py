@@ -65,10 +65,8 @@ class UniDerivation:
         self.laurent = laurent
 
     def apply(self, p):
-        if self.laurent:
-            if isinstance(p, UniPoly):
-                p = LaurentUniPoly.from_uni(p)
-            return self.dx * p.derivative()
+        if self.laurent and isinstance(p, UniPoly):
+            p = LaurentUniPoly.from_uni(p)
         return self.dx * p.derivative()
 
     @property

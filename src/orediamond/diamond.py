@@ -9,7 +9,7 @@ primitivity / maximal-invariant-ideal analysis driven by Darboux data.
 """
 
 from .rational import QZERO
-from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide, gcd
+from .poly import DomainError, LaurentUniPoly, UniPoly, exact_divide, gcd
 from .derivation import (
     Derivation,
     UniDerivation,
@@ -341,13 +341,12 @@ def _shamsuddin_shape(deriv):
     c = dx.constant_value()
     if dy.deg_y() != 1:
         return None
-    a_part = BiPoly({(i, 0): co for (i, j), co in dy.terms.items() if j == 1})
-    b_part = BiPoly({(i, 0): co for (i, j), co in dy.terms.items() if j == 0})
+    b_part, a_part = dy.coeffs_in(1)
     if a_part.is_zero:
         return None
     inv = 1 / c
-    a_u = (inv * a_part).as_unipoly("x")
-    b_u = (inv * b_part).as_unipoly("x")
+    a_u = (inv * a_part).as_unipoly(0)
+    b_u = (inv * b_part).as_unipoly(0)
     return a_u, b_u
 
 

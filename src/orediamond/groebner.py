@@ -2,7 +2,8 @@
 
 Plain Buchberger with the coprime-leading-term criterion and full
 interreduction; two variables keep the pair sets small enough that no
-further strategy is needed.
+further strategy is needed.  The reductions work on the rational view of
+each BiPoly (rational_terms) and build a BiPoly from the result.
 """
 
 from .rational import QONE
@@ -21,8 +22,8 @@ def normal_form(p, basis):
     """Remainder of p on division by basis (every term fully reduced)."""
     if not basis:
         return p
-    lead = [(g.leading_exp(), g.lc(), g.terms) for g in basis if not g.is_zero]
-    rem = dict(p.terms)
+    lead = [(g.leading_exp(), g.lc(), g.rational_terms()) for g in basis if not g.is_zero]
+    rem = p.rational_terms()
     out = {}
     while rem:
         rexp = max(rem, key=_grlex_key)
@@ -35,15 +36,15 @@ def normal_form(p, basis):
         else:
             out[rexp] = c
             del rem[rexp]
-    return BiPoly._raw(out)
+    return BiPoly(out)
 
 
 def s_polynomial(f, g):
     fe, ge = f.leading_exp(), g.leading_exp()
     l = _lcm_exp(fe, ge)
-    tf = kmul_term(f.terms, (l[0] - fe[0], l[1] - fe[1]), QONE / f.lc())
-    tg = kmul_term(g.terms, (l[0] - ge[0], l[1] - ge[1]), QONE / g.lc())
-    return BiPoly._raw(ksub(tf, tg))
+    tf = kmul_term(f.rational_terms(), (l[0] - fe[0], l[1] - fe[1]), QONE / f.lc())
+    tg = kmul_term(g.rational_terms(), (l[0] - ge[0], l[1] - ge[1]), QONE / g.lc())
+    return BiPoly(ksub(tf, tg))
 
 
 def buchberger(gens):

@@ -22,6 +22,8 @@ POLY_BI = "poly2"
 
 # Largest |exponent| of a variable in a term: x^n in poly1 is n dense coefficients.
 MAX_EXPONENT = 1000
+# Longest number, CPython's default limit on str-to-int conversion.
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -80,6 +82,13 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
         return tok
 
+    def number(self):
+        """(value, position) of the next token, which must be digits."""
+        _, text, pos = self.expect("digits")
+        if len(text) > MAX_DIGITS:
+            raise ParseError(f"number exceeds {MAX_DIGITS} digits", pos)
+        return int(text), pos
+
     def parse_poly(self):
         """List of (coefficient, {var: exponent}) raw terms."""
         terms = [self.parse_term(1)]
@@ -120,14 +129,13 @@ class _Parser:
         if tok is not None and tok[0] == "-":
             self.next()
             sign = -1
-        num = int(self.expect("digits")[1])
+        num, _ = self.number()
         tok = self.peek()
         if tok is not None and tok[0] == "/":
             self.next()
-            dtok = self.expect("digits")
-            den = int(dtok[1])
+            den, pos = self.number()
             if den == 0:
-                raise ParseError("zero denominator", dtok[2])
+                raise ParseError("zero denominator", pos)
             return Q(sign * num, den)
         return Q(sign * num)
 
@@ -144,7 +152,7 @@ class _Parser:
             if tok is not None and tok[0] == "-":
                 self.next()
                 neg = True
-            exp = int(self.expect("digits")[1])
+            exp, _ = self.number()
             if neg:
                 exp = -exp
         total = exps[vtok[1]] = exps.get(vtok[1], 0) + exp

@@ -1,10 +1,17 @@
-"""Exact polynomial arithmetic over Q in one and two variables.
+"""Exact polynomial arithmetic over Q.
 
-BiPoly is a sparse exponent-map polynomial in x, y; UniPoly is dense in
-one variable; LaurentUniPoly allows negative exponents of x.  The term
-order used for leading terms and all normalizations is graded
-lexicographic with x > y.  All values are immutable; every operation is
-a pure function.
+One sparse representation serves every polynomial in two or more
+variables.  An MPoly is terms / den: terms maps exponent tuples to
+nonzero ints and den is a positive int, with gcd(den, every numerator)
+= 1 and den = 1 for the zero polynomial, so the form is canonical and
+== and hash compare (nvars, den, terms).  Arithmetic is on ints (von zur
+Gathen & Gerhard, Modern Computer Algebra, 6.2); rational_terms() is the
+rational view.  BiPoly is its 2-variable case in x (variable 0) and y
+(variable 1), with x/y-named constructors and the bivariate algorithms
+below (exact division, gcd, square-free part).  UniPoly is dense in one
+variable; LaurentUniPoly allows negative exponents of x.  Leading terms
+are taken in graded lexicographic order (x > y, variable 0 first).  All
+values are immutable; every operation is a pure function.
 """
 
 from math import gcd as gcd_int, lcm
@@ -27,10 +34,8 @@ def _grlex_key(exp):
 # term-dict kernels
 # ----------------------------------------------------------------------
 # A sparse polynomial is a dict mapping exponent tuples to nonzero
-# coefficients: rationals for BiPoly and the Groebner engine, ints over a
-# common denominator for MPoly.  The product (kmul_int) and exact
-# division (kdivide) kernels work on ints and serve both; none of the
-# kernels stores a zero coefficient.
+# coefficients: ints over a common denominator in MPoly, rationals in the
+# Groebner engine.  None of the kernels stores a zero coefficient.
 
 
 def kadd(a, b):
@@ -67,12 +72,6 @@ def kneg(a):
     return {e: -c for e, c in a.items()}
 
 
-def kscale(a, c):
-    if not c:
-        return {}
-    return {e: co * c for e, co in a.items()}
-
-
 def kmul_term(a, exp, c):
     """Multiply by the single term c * X^exp."""
     if not c:
@@ -80,16 +79,9 @@ def kmul_term(a, exp, c):
     return {tuple(map(add, e, exp)): co * c for e, co in a.items()}
 
 
-def _as_integers(a):
-    """(d, {exp: n}) with every coefficient of a equal to n / d, d the
-    lcm of the denominators, so gcd(d, every n) = 1."""
-    d = lcm(*(c.denominator for c in a.values()))
-    return d, {e: c.numerator * (d // c.denominator) for e, c in a.items()}
-
-
 def kmul_int(a, b):
     """Product of two term dicts with int coefficients: the one product
-    kernel, shared by BiPoly (through kmul) and MPoly."""
+    kernel."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
@@ -102,23 +94,6 @@ def kmul_int(a, b):
             e = tuple(map(add, ea, eb))
             acc[e] = get(e, 0) + ca * cb
     return {e: v for e, v in acc.items() if v}
-
-
-def kmul(a, b):
-    """Product of two term dicts.  Both operands are brought to integer
-    numerators over their common denominators, so the double loop adds
-    plain int products and each output coefficient is built once."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        ((e, c),) = a.items()
-        return kmul_term(b, e, c)
-    da, ia = _as_integers(a)
-    db, ib = _as_integers(b)
-    d = da * db
-    if d == 1:
-        return {e: Q(v) for e, v in kmul_int(ia, ib).items()}
-    return {e: Q(v, d) for e, v in kmul_int(ia, ib).items()}
 
 
 def _degree_lex(exp):
@@ -155,6 +130,24 @@ def kdivide(a, b):
             else:
                 del rem[t]
     return quot, c
+
+
+def _scaled(terms, f):
+    return terms if f == 1 else {e: c * f for e, c in terms.items()}
+
+
+def _square_multiply(base, n, one):
+    """base**n (n >= 0) by repeated squaring; one is the unit of base's ring."""
+    if n < 0:
+        raise DomainError("negative power of a polynomial")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -195,55 +188,115 @@ def _power(var, n):
     return var if n == 1 else f"{var}^{n}"
 
 
-class BiPoly:
-    """Sparse bivariate polynomial over Q."""
+# ----------------------------------------------------------------------
+# sparse polynomials
+# ----------------------------------------------------------------------
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+class MPoly:
+    """Sparse polynomial over Q in nvars variables, terms / den.
+
+    Every operation returns the type of the polynomial it is called on,
+    so the results of BiPoly operations are BiPoly."""
+
+    __slots__ = ("nvars", "den", "terms")
+
+    def __init__(self, nvars, terms=None):
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
                 coeff = q(coeff)
                 if coeff:
-                    cleaned[(int(exp[0]), int(exp[1]))] = coeff
-        object.__setattr__(self, "terms", cleaned)
+                    cleaned[tuple(int(e) for e in exp)] = coeff
+        self.nvars = nvars
+        # the lcm of the denominators leaves the numerators coprime to it
+        self.den = den = lcm(*(c.denominator for c in cleaned.values()))
+        self.terms = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
 
     @classmethod
-    def _raw(cls, terms):
+    def _raw(cls, nvars, den, terms):
         p = cls.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        p.nvars, p.den, p.terms = nvars, den, terms
         return p
 
     @classmethod
-    def zero(cls):
-        return cls._raw({})
+    def _lowest(cls, nvars, den, terms):
+        """terms / den (int terms without zeros, den > 0) in lowest terms."""
+        if den != 1:
+            g = gcd_int(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        return cls._raw(nvars, den, terms)
 
     @classmethod
-    def const(cls, c):
+    def zero(cls, nvars):
+        return cls._raw(nvars, 1, {})
+
+    @classmethod
+    def const(cls, nvars, c):
+        return cls._term(nvars, (0,) * nvars, c)
+
+    @classmethod
+    def one(cls, nvars):
+        return cls._raw(nvars, 1, {(0,) * nvars: 1})
+
+    @classmethod
+    def var(cls, nvars, i):
+        exp = [0] * nvars
+        exp[i] = 1
+        return cls._raw(nvars, 1, {tuple(exp): 1})
+
+    @classmethod
+    def monomial(cls, nvars, exp, c=1):
         c = q(c)
-        return cls._raw({(0, 0): c} if c else {})
+        if not c:
+            return cls._raw(nvars, 1, {})
+        return cls._raw(nvars, int(c.denominator), {tuple(exp): int(c.numerator)})
+
+    # BiPoly redefines the public constructors with x/y signatures
+    _term = monomial
+
+    def _const(self, c):
+        """The constant c with self's type and variables."""
+        return self._term(self.nvars, (0,) * self.nvars, c)
 
     @classmethod
-    def one(cls):
-        return cls.const(1)
+    def from_bipoly(cls, p, nvars):
+        """p in variables 0 and 1 of nvars."""
+        pad = (0,) * (nvars - 2)
+        return cls._raw(nvars, p.den, {e + pad: c for e, c in p.terms.items()})
+
+    def to_bipoly(self):
+        if any(any(e[2:]) for e in self.terms):
+            raise DomainError("extra variables present")
+        return BiPoly._raw(2, self.den, {e[:2]: c for e, c in self.terms.items()})
 
     @classmethod
-    def var_x(cls):
-        return cls._raw({(1, 0): QONE})
+    def from_xy_coeffs(cls, pairs, nvars):
+        """The sum of coeff*x^i*y^j over ((i, j), coeff) pairs, each coeff
+        free of x and y."""
+        pairs = list(pairs)
+        den = lcm(*(c.den for _, c in pairs))
+        terms = {}
+        for ij, c in pairs:
+            for e, n in _scaled(c.terms, den // c.den).items():
+                terms[ij + e[2:]] = n
+        # in lowest terms, as in the constructor
+        return cls._raw(nvars, den, terms)
 
-    @classmethod
-    def var_y(cls):
-        return cls._raw({(0, 1): QONE})
+    def xy_coeffs(self):
+        """{(i, j): coefficient of x^i*y^j} over the nonzero ones, each an
+        MPoly free of x and y."""
+        buckets = {}
+        for e, c in self.terms.items():
+            buckets.setdefault(e[:2], {})[(0, 0) + e[2:]] = c
+        return {ij: MPoly._lowest(self.nvars, self.den, b) for ij, b in buckets.items()}
 
-    @classmethod
-    def monomial(cls, i, j, c=1):
-        c = q(c)
-        if i < 0 or j < 0:
-            raise DomainError("negative exponent in polynomial ring")
-        return cls._raw({(i, j): c} if c else {})
-
-    # -- queries ------------------------------------------------------
+    def rational_terms(self):
+        """{exponent tuple: rational coefficient}."""
+        den = self.den
+        return {e: Q(c, den) for e, c in self.terms.items()}
 
     @property
     def is_zero(self):
@@ -251,173 +304,242 @@ class BiPoly:
 
     @property
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
+        z = (0,) * self.nvars
+        return not self.terms or (len(self.terms) == 1 and z in self.terms)
 
     def constant_value(self):
         if not self.is_constant:
             raise DomainError("not a constant polynomial")
-        return self.terms.get((0, 0), QZERO)
+        return Q(self.terms.get((0,) * self.nvars, 0), self.den)
 
     def total_degree(self):
         if not self.terms:
             return NEG_INF
-        return max(i + j for i, j in self.terms)
+        return max(sum(e) for e in self.terms)
 
-    def deg_x(self):
+    def degree_in(self, i):
         if not self.terms:
             return NEG_INF
-        return max(i for i, _ in self.terms)
-
-    def deg_y(self):
-        if not self.terms:
-            return NEG_INF
-        return max(j for _, j in self.terms)
+        return max(e[i] for e in self.terms)
 
     def leading_exp(self):
+        """Exponent of the leading term: highest total degree, then
+        lexicographically greatest."""
         if not self.terms:
             raise DomainError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex_key)
+        return max(self.terms, key=_degree_lex)
 
     def lc(self):
-        return self.terms[self.leading_exp()]
-
-    def coeff(self, i, j):
-        return self.terms.get((i, j), QZERO)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        return BiPoly._raw(kadd(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        return BiPoly._raw(ksub(self.terms, other.terms))
-
-    def __rsub__(self, other):
-        return BiPoly.const(other) - self
-
-    def __neg__(self):
-        return BiPoly._raw(kneg(self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            return BiPoly._raw(kmul(self.terms, other.terms))
-        return BiPoly._raw(kscale(self.terms, q(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power of a polynomial")
-        out = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, type(QONE))):
-            return self == BiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- calculus and normalization ----------------------------------
-
-    def deriv_x(self):
-        return BiPoly._raw(
-            {(i - 1, j): c * i for (i, j), c in self.terms.items() if i}
-        )
-
-    def deriv_y(self):
-        return BiPoly._raw(
-            {(i, j - 1): c * j for (i, j), c in self.terms.items() if j}
-        )
+        return Q(self.terms[self.leading_exp()], self.den)
 
     def monic(self):
         if not self.terms:
             return self
-        lc = self.lc()
-        if lc == 1:
+        n = self.terms[self.leading_exp()]
+        if n == self.den:
             return self
-        return self * (QONE / lc)
+        return self * Q(self.den, n)
 
-    def eval(self, xv, yv):
-        xv, yv = q(xv), q(yv)
-        total = QZERO
-        for (i, j), c in self.terms.items():
-            total += c * xv**i * yv**j
-        return total
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise DomainError("variable count mismatch")
 
-    def homogeneous_part(self, d):
-        return BiPoly._raw(
-            {e: c for e, c in self.terms.items() if e[0] + e[1] == d}
+    def _common(self, other):
+        """(den, terms of self, terms of other) over a common den."""
+        if not isinstance(other, MPoly):
+            other = self._const(other)
+        self._check(other)
+        den = lcm(self.den, other.den)
+        return den, _scaled(self.terms, den // self.den), _scaled(other.terms, den // other.den)
+
+    def __add__(self, other):
+        den, ta, tb = self._common(other)
+        return self._lowest(self.nvars, den, kadd(ta, tb))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        den, ta, tb = self._common(other)
+        return self._lowest(self.nvars, den, ksub(ta, tb))
+
+    def __rsub__(self, other):
+        return self._const(other) - self
+
+    def __neg__(self):
+        return self._raw(self.nvars, self.den, kneg(self.terms))
+
+    def __mul__(self, other):
+        if isinstance(other, MPoly):
+            self._check(other)
+            return self._lowest(self.nvars, self.den * other.den, kmul_int(self.terms, other.terms))
+        c = q(other)
+        if not c:
+            return self._raw(self.nvars, 1, {})
+        return self._lowest(
+            self.nvars, self.den * int(c.denominator), _scaled(self.terms, int(c.numerator))
         )
 
-    def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+    __rmul__ = __mul__
 
-    # -- conversions --------------------------------------------------
+    def __pow__(self, n):
+        return _square_multiply(self, n, self._const(1))
+
+    def __eq__(self, other):
+        if isinstance(other, MPoly):
+            return (self.nvars, self.den, self.terms) == (other.nvars, other.den, other.terms)
+        if isinstance(other, (int, Q)):
+            return self == self._const(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def deriv(self, i):
+        out = {}
+        for exp, c in self.terms.items():
+            k = exp[i]
+            if k:
+                out[exp[:i] + (k - 1,) + exp[i + 1 :]] = c * k
+        return self._lowest(self.nvars, self.den, out)
+
+    def substitute(self, values):
+        """Replace each variable i in values, a {i: rational} map, by its
+        value, in one pass over the terms.
+
+        A zero value drops the terms its variable occurs in.  A value a/b
+        with b > 0 multiplies a term of degree k in it by a^k*b^(top-k),
+        top being the variable's degree, and den by b^top."""
+        values = [(i, q(v)) for i, v in values.items()]
+        zeros = [i for i, v in values if not v]
+        terms = self.terms
+        if zeros:
+            terms = {e: c for e, c in terms.items() if not any(e[i] for i in zeros)}
+        den = self.den
+        tables = []
+        for i, v in values:
+            if not v:
+                continue
+            a, b = int(v.numerator), int(v.denominator)
+            top = max((e[i] for e in terms), default=0)
+            table = [b**top]
+            for _ in range(top):
+                table.append(table[-1] // b * a)
+            tables.append((i, table))
+            den *= table[0]
+        if not tables:
+            return self._lowest(self.nvars, den, terms)
+        out = {}
+        for exp, c in terms.items():
+            e = list(exp)
+            for i, table in tables:
+                c *= table[e[i]]
+                e[i] = 0
+            e = tuple(e)
+            out[e] = out.get(e, 0) + c
+        return self._lowest(self.nvars, den, {e: c for e, c in out.items() if c})
+
+    def variables(self):
+        """Ascending indices of the variables that occur."""
+        return [k for k, column in enumerate(zip(*self.terms)) if any(column)]
+
+    def coeffs_in(self, i):
+        """Coefficients of powers of variable i, ascending, with that
+        exponent zeroed."""
+        d = self.degree_in(i)
+        if d is NEG_INF:
+            return []
+        buckets = [dict() for _ in range(int(d) + 1)]
+        for exp, c in self.terms.items():
+            buckets[exp[i]][exp[:i] + (0,) + exp[i + 1 :]] = c
+        return [self._lowest(self.nvars, self.den, b) for b in buckets]
+
+    def as_unipoly(self, i):
+        """Dense univariate view in variable i; other variables must be
+        absent."""
+        cs = [0] * (len(self.terms) and int(self.degree_in(i)) + 1)
+        for exp, c in self.terms.items():
+            if sum(exp) != exp[i]:
+                raise DomainError("other variables present")
+            cs[exp[i]] = Q(c, self.den)
+        return UniPoly(cs)
+
+    def __repr__(self):
+        terms = sorted(self.rational_terms().items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        parts = [
+            str(c) + "".join(f"*v{k}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(exp) if e)
+            for exp, c in terms
+        ]
+        return "MPoly(" + (" + ".join(parts) or "0") + ")"
+
+
+class BiPoly(MPoly):
+    """Sparse polynomial in x, y over Q: the 2-variable MPoly, x being
+    variable 0 and y variable 1."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        super().__init__(2, terms)
+
+    @classmethod
+    def zero(cls):
+        return cls._raw(2, 1, {})
+
+    @classmethod
+    def const(cls, c):
+        return cls._term(2, (0, 0), c)
+
+    @classmethod
+    def one(cls):
+        return cls._raw(2, 1, {(0, 0): 1})
+
+    @classmethod
+    def var_x(cls):
+        return cls._raw(2, 1, {(1, 0): 1})
+
+    @classmethod
+    def var_y(cls):
+        return cls._raw(2, 1, {(0, 1): 1})
+
+    @classmethod
+    def monomial(cls, i, j, c=1):
+        if i < 0 or j < 0:
+            raise DomainError("negative exponent in polynomial ring")
+        return cls._term(2, (i, j), c)
 
     @classmethod
     def from_uni(cls, u, var="x"):
-        if var == "x":
-            return cls._raw({(i, 0): c for i, c in enumerate(u.coeffs) if c})
-        return cls._raw({(0, i): c for i, c in enumerate(u.coeffs) if c})
+        return cls({(i, 0) if var == "x" else (0, i): c for i, c in enumerate(u.coeffs)})
 
-    def as_unipoly(self, var="x"):
-        if var == "x":
-            if self.deg_y() > 0:
-                raise DomainError("polynomial involves y")
-            out = [QZERO] * (len(self.terms) and max(i for i, _ in self.terms) + 1)
-            for (i, _), c in self.terms.items():
-                out[i] = c
-            return UniPoly(out)
-        if self.deg_x() > 0:
-            raise DomainError("polynomial involves x")
-        out = [QZERO] * (len(self.terms) and max(j for _, j in self.terms) + 1)
-        for (_, j), c in self.terms.items():
-            out[j] = c
-        return UniPoly(out)
+    # MPoly's operators, bound again here so that they are entries of
+    # BiPoly's own class dict and can be told apart from MPoly's
+    __add__ = __radd__ = MPoly.__add__
+    __sub__ = MPoly.__sub__
+    __mul__ = __rmul__ = MPoly.__mul__
 
-    def x_coefficients(self):
-        """Coefficients of powers of x, each a UniPoly in y."""
-        by_deg = {}
-        for (i, j), c in self.terms.items():
-            by_deg.setdefault(i, {})[j] = c
-        top = max(by_deg) if by_deg else -1
-        out = []
-        for i in range(top + 1):
-            row = by_deg.get(i, {})
-            coeffs = [QZERO] * (max(row) + 1 if row else 0)
-            for j, c in row.items():
-                coeffs[j] = c
-            out.append(UniPoly(coeffs))
-        return out
+    def deg_y(self):
+        return self.degree_in(1)
 
-    # -- rendering ----------------------------------------------------
+    def deriv_x(self):
+        return self.deriv(0)
+
+    def deriv_y(self):
+        return self.deriv(1)
+
+    def coeff(self, i, j):
+        return Q(self.terms.get((i, j), 0), self.den)
+
+    def homogeneous_part(self, d):
+        return self._lowest(2, self.den, {e: c for e, c in self.terms.items() if e[0] + e[1] == d})
 
     def render(self):
         """Canonical text form: descending graded-lex terms."""
+        terms = sorted(self.rational_terms().items(), key=lambda t: _grlex_key(t[0]), reverse=True)
         return _render_terms(
-            ("*".join(filter(None, (_power("x", i), _power("y", j)))), c)
-            for (i, j), c in self.sorted_terms()
+            ("*".join(filter(None, (_power("x", i), _power("y", j)))), c) for (i, j), c in terms
         )
 
     def __repr__(self):
@@ -427,34 +549,29 @@ class BiPoly:
         return self.render()
 
 
-def bipoly(spec):
-    """Convenience constructor from {(i, j): coeff} or a constant."""
-    if isinstance(spec, BiPoly):
-        return spec
-    if isinstance(spec, dict):
-        return BiPoly(spec)
-    return BiPoly.const(spec)
-
-
 # ----------------------------------------------------------------------
-# exact division, gcd, resultants, square-free parts
+# exact division, gcd, square-free parts
 # ----------------------------------------------------------------------
 
 
 def exact_divide(p, q_):
-    """Return h with p = q_*h if q_ divides p exactly in Q[x,y], else None."""
-    if not isinstance(q_, BiPoly):
-        q_ = BiPoly.const(q_)
+    """Return h with p = q_*h if q_ divides p exactly, else None."""
+    if not isinstance(q_, MPoly):
+        q_ = p._const(q_)
     if q_.is_zero:
         raise DomainError("division by the zero polynomial")
-    da, a = _as_integers(p.terms)
-    db, b = _as_integers(q_.terms)
-    out = kdivide(a, b)
+    return _quotient(p, q_)
+
+
+def _quotient(p, d):
+    """h with p = d*h when d (nonzero) divides p exactly, else None: the
+    one exact-division body, behind exact_divide and mpoly_exact_divide."""
+    p._check(d)
+    out = kdivide(p.terms, d.terms)
     if out is None:
         return None
     h, c = out
-    d = c * da
-    return BiPoly._raw({e: Q(v * db, d) for e, v in h.items()})
+    return p._lowest(p.nvars, c * p.den, _scaled(h, d.den))
 
 
 def _lift_y(u):
@@ -464,8 +581,9 @@ def _lift_y(u):
 def _content_x(p):
     """Monic gcd in Q[y] of the x-coefficients of p (p nonzero)."""
     cont = UniPoly.zero()
-    for c in p.x_coefficients():
+    for c in p.coeffs_in(0):
         if not c.is_zero:
+            c = c.as_unipoly(1)
             cont = uni_gcd(cont, c) if not cont.is_zero else c.monic()
         if cont.degree() == 0:
             break
@@ -481,15 +599,19 @@ def _primitive_part_x(p):
     return exact_divide(p, _lift_y(cont))
 
 
+def _lc_x(p):
+    """The coefficient in Q[y] of the highest power of x in p."""
+    d = p.degree_in(0)
+    return p._lowest(2, p.den, {(0, j): c for (i, j), c in p.terms.items() if i == d})
+
+
 def _prem_x(a, b):
     """Pseudo-remainder of a by b with respect to x (deg_x b >= 1)."""
-    db = b.deg_x()
-    blc = _lift_y(b.x_coefficients()[db])
+    db = b.degree_in(0)
+    blc = _lc_x(b)
     r = a
-    while not r.is_zero and r.deg_x() >= db:
-        dr = r.deg_x()
-        rlc = _lift_y(r.x_coefficients()[dr])
-        r = blc * r - BiPoly.monomial(dr - db, 0) * rlc * b
+    while not r.is_zero and r.degree_in(0) >= db:
+        r = blc * r - BiPoly.monomial(r.degree_in(0) - db, 0) * _lc_x(r) * b
     return r
 
 
@@ -502,102 +624,22 @@ def gcd(p, q_):
         return q_.monic()
     if q_.is_zero:
         return p.monic()
-    dxp, dxq = p.deg_x(), q_.deg_x()
+    dxp, dxq = p.degree_in(0), q_.degree_in(0)
     if dxp == 0 and dxq == 0:
-        return _lift_y(uni_gcd(p.as_unipoly("y"), q_.as_unipoly("y"))).monic()
+        return _lift_y(uni_gcd(p.as_unipoly(1), q_.as_unipoly(1))).monic()
     if dxp == 0:
-        return _lift_y(uni_gcd(p.as_unipoly("y"), _content_x(q_))).monic()
+        return _lift_y(uni_gcd(p.as_unipoly(1), _content_x(q_))).monic()
     if dxq == 0:
-        return _lift_y(uni_gcd(q_.as_unipoly("y"), _content_x(p))).monic()
+        return _lift_y(uni_gcd(q_.as_unipoly(1), _content_x(p))).monic()
     cont = uni_gcd(_content_x(p), _content_x(q_))
     a, b = _primitive_part_x(p), _primitive_part_x(q_)
-    if a.deg_x() < b.deg_x():
+    if a.degree_in(0) < b.degree_in(0):
         a, b = b, a
-    while not b.is_zero and b.deg_x() > 0:
+    while not b.is_zero and b.degree_in(0) > 0:
         r = _prem_x(a, b)
         a, b = b, _primitive_part_x(r)
     g = _primitive_part_x(a) if b.is_zero else BiPoly.one()
     return (g * _lift_y(cont)).monic()
-
-
-def resultant(p, q_, eliminate):
-    """Sylvester resultant eliminating 'x' or 'y'; a UniPoly in the other
-    variable."""
-    if eliminate not in ("x", "y"):
-        raise DomainError("eliminate must be 'x' or 'y'")
-    if p.is_zero or q_.is_zero:
-        raise DomainError("resultant of the zero polynomial")
-
-    def coeffs_in(poly):
-        # list of UniPoly (in the surviving variable), ascending in the
-        # eliminated variable
-        if eliminate == "x":
-            return poly.x_coefficients()
-        flipped = BiPoly._raw({(j, i): c for (i, j), c in poly.terms.items()})
-        return flipped.x_coefficients()
-
-    return _sylvester_resultant(
-        coeffs_in(p), coeffs_in(q_), UniPoly.one(), _uni_exact_div
-    )
-
-
-def _uni_exact_div(a, b):
-    quo, rem = a.divmod(b)
-    if not rem.is_zero:
-        raise DomainError("inexact division in determinant computation")
-    return quo
-
-
-def _sylvester_resultant(cp, cq, one, exact_div):
-    """Resultant of two polynomials given by their coefficient lists
-    (ascending in the eliminated variable, entries in an integral domain
-    whose unit is one and where exact_div(a, b) returns a/b)."""
-    dp, dq = len(cp) - 1, len(cq) - 1
-    if dp <= 0 and dq <= 0:
-        raise DomainError("both inputs constant in the eliminated variable")
-    if dp == 0:
-        return cp[0] ** dq
-    if dq == 0:
-        return cq[0] ** dp
-    n = dp + dq
-    zero = one - one
-    rows = []
-    for cs, shifts in ((cp, dq), (cq, dp)):
-        d = len(cs) - 1
-        for k in range(shifts):
-            row = [zero] * n
-            for i, c in enumerate(cs):
-                row[k + d - i] = c
-            rows.append(row)
-    return _bareiss_det(rows, one, exact_div)
-
-
-def _bareiss_det(rows, one, exact_div):
-    """Fraction-free (Bareiss) determinant; entries form an integral
-    domain with exact division.  Entries below the pivot of a finished
-    column are never read again, so they are left as they are."""
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return one - one
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
 
 
 def squarefree_part(p):
@@ -612,6 +654,7 @@ def squarefree_part(p):
             g = gcd(g, d)
     h = exact_divide(p, g)
     return h.monic()
+
 
 
 # ----------------------------------------------------------------------
@@ -715,17 +758,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative power of a polynomial")
-        out = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _square_multiply(self, n, UniPoly.one())
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):

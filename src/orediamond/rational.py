@@ -5,10 +5,9 @@ gmpy2 is not a dependency, so a plain install runs on Fraction.  Both
 are always reduced with positive denominator, which is the
 representation contract relied on everywhere.
 The int kernels read .numerator and .denominator and build results with
-Q(n, d): poly._as_integers (behind kmul, exact_divide and the MPoly
-constructor and from_bipoly), and MPoly's monomial, scaling and
-substitute.  mpq has the same attributes, but that path is not covered
-by the tests when gmpy2 is absent.
+Q(n, d): the MPoly constructor, monomial, scaling, substitute and
+rational view in poly.py.  mpq has the same attributes, but that path is
+not covered by the tests when gmpy2 is absent.
 """
 
 try:
@@ -24,9 +23,21 @@ def q(value, den=None):
     """Coerce to a rational; accepts ints, strings like '3/2', rationals."""
     if den is not None:
         return Q(value, den)
-    return Q(value)
+    return value if type(value) is Q else Q(value)
 
 
 def qstr(value):
-    """Canonical text: 'num' or 'num/den'."""
-    return str(value)
+    """Canonical text: 'num' or 'num/den', at any size."""
+    num, den = _digits(value.numerator), value.denominator
+    return num if den == 1 else f"{num}/{_digits(den)}"
+
+
+def _digits(n):
+    """Decimal text of the int n, also past the interpreter's limit on
+    int-to-str conversion: split at a power of ten near half the digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # log10(2) < 0.302, so about half
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _digits(hi) + _digits(lo).zfill(k)

@@ -2,6 +2,7 @@
 and JSON schema validation."""
 
 import json
+import sys
 from importlib import resources
 
 import jsonschema
@@ -13,6 +14,7 @@ from orediamond import (
     Derivation,
     ParseError,
     Q,
+    UniPoly,
     UniDerivation,
     parse_derivation,
     parse_ore,
@@ -63,6 +65,19 @@ class TestParsePolynomial:
         with pytest.raises(ParseError):
             parse_ore("t^1001", "poly2")
         assert parse_polynomial("x^600*x^400", "poly2") == BiPoly.monomial(1000, 0)
+
+    def test_digit_cap(self):
+        # int() of more than 4300 digits fails in CPython
+        big = "7" * 4301
+        for text, position in (
+            (f"x + {big}*y", 4),
+            (f"1/{big}", 2),
+            (f"x^{big}", 2),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text, "poly2")
+            assert exc.value.position == position
+        assert parse_polynomial("7" * 4300, "poly2") == int("7" * 4300)
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError):
@@ -179,6 +194,25 @@ class TestCli:
         doc = json.loads(out)
         assert code == 0
         assert doc["result"]["product"]["rendered"] == "(x)t + (1)"
+
+    def test_coefficients_past_the_int_str_limit(self, capsys):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        n = int("7" * 3000)
+        code, out, _ = run(
+            ["ore-mul", "--deriv", "dx=1", "--f", f"{n}*t", "--g", f"{n}*x", "--json"], capsys
+        )
+        p = UniPoly([Q(-(10**5000) - 3, 7**5000), 0, n * n])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            square = str(n * n)
+            expected = f"{square}*x^2 - {10**5000 + 3}/{7**5000}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert json.loads(out)["result"]["product"]["rendered"] == f"({square}*x)t + ({square})"
+        assert p.render() == expected
 
     def test_simple(self, capsys):
         code, out, _ = run(

@@ -217,10 +217,10 @@ class TestUnivariateTools:
 def test_kernels_do_not_store_zeros():
     rng = random.Random(108)
     p = random_bipoly(rng, nonzero=True)
-    assert (p - p).terms == {}
-    assert (1, 1) not in ((bi("x") + bi("y")) * (bi("x") - bi("y"))).terms
+    assert (p - p).rational_terms() == {}
+    assert (1, 1) not in ((bi("x") + bi("y")) * (bi("x") - bi("y"))).rational_terms()
     x, y, z = (MPoly.var(3, i) for i in range(3))
-    assert ((x + y * z) * (x - y * z)).terms == {
+    assert ((x + y * z) * (x - y * z)).rational_terms() == {
         (2, 0, 0): Q(1),
         (0, 2, 2): Q(-1),
     }
@@ -309,7 +309,7 @@ class TestAgainstSympy:
         for p, q_ in pairs:
             ours = resultant(p, q_, eliminate)
             theirs = _sympy_resultant(
-                sp, _to_sympy(sp, p.terms, (x, y)), _to_sympy(sp, q_.terms, (x, y)), elim
+                sp, _to_sympy(sp, p.rational_terms(), (x, y)), _to_sympy(sp, q_.rational_terms(), (x, y)), elim
             )
             assert sp.expand(_uni_to_sympy(sp, ours, other) - theirs) == 0
 
@@ -430,14 +430,9 @@ def _rational_terms(rng, nvars, nterms, maxdeg=3):
     return terms
 
 
-def _rational(p):
-    """The {exponent: rational} terms of a BiPoly or MPoly."""
-    return p.rational_terms() if isinstance(p, MPoly) else p.terms
-
-
 def _assert_product(p, q_):
-    prod = _rational(p * q_)
-    assert prod == _naive_product(_rational(p), _rational(q_))
+    prod = (p * q_).rational_terms()
+    assert prod == _naive_product(p.rational_terms(), q_.rational_terms())
     assert all(c for c in prod.values())
 
 
@@ -460,11 +455,11 @@ class TestRationalProducts:
     def test_cancellation(self):
         p = BiPoly({(1, 0): Q(1, 2), (0, 1): Q(2, 3)})
         q_ = BiPoly({(1, 0): Q(1, 2), (0, 1): Q(-2, 3)})
-        assert (p * q_).terms == {(2, 0): Q(1, 4), (0, 2): Q(-4, 9)}
+        assert (p * q_).rational_terms() == {(2, 0): Q(1, 4), (0, 2): Q(-4, 9)}
         _assert_product(p, q_)
         # denominators that cancel leave integer coefficients
         r = BiPoly({(1, 0): Q(3, 2), (0, 0): Q(-1, 3)}) * BiPoly({(0, 1): Q(2, 3), (0, 0): Q(6)})
-        assert r.terms == {(1, 1): Q(1), (1, 0): Q(9), (0, 1): Q(-2, 9), (0, 0): Q(-2)}
+        assert r.rational_terms() == {(1, 1): Q(1), (1, 0): Q(9), (0, 1): Q(-2, 9), (0, 0): Q(-2)}
         # the terms of degree one cancel
         s = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(1)})
         t = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(-1)})
@@ -474,8 +469,8 @@ class TestRationalProducts:
     def test_empty_and_single_term(self):
         rng = random.Random(112)
         p = BiPoly(_rational_terms(rng, 2, 5))
-        assert (p * BiPoly.zero()).terms == {}
-        assert (BiPoly.zero() * p).terms == {}
+        assert (p * BiPoly.zero()).rational_terms() == {}
+        assert (BiPoly.zero() * p).rational_terms() == {}
         mono = BiPoly({(2, 1): Q(-7, 6)})
         _assert_product(mono, p)
         _assert_product(p, mono)
@@ -539,44 +534,54 @@ def _mpoly_cases(rng):
             yield nvars, p, q_
 
 
+def _kinds(nvars):
+    """(from terms, monomial) constructors of the sparse type in nvars
+    variables: MPoly, and BiPoly, its 2-variable case, for two."""
+    kinds = [(lambda t: MPoly(nvars, t), lambda e, c: MPoly.monomial(nvars, e, c))]
+    if nvars == 2:
+        kinds.append((BiPoly, lambda e, c: BiPoly.monomial(*e, c)))
+    return kinds
+
+
 class TestIntegerMPoly:
     def test_arithmetic(self):
         rng = random.Random(120)
         for nvars, a, b in _mpoly_cases(rng):
-            p, q_ = MPoly(nvars, a), MPoly(nvars, b)
-            assert p.rational_terms() == a
             c = Fraction(rng.choice([-7, -1, 2, 5]), rng.choice([1, 3, 10]))
-            results = {
-                "add": (p + q_, _ref_sum(a, b)),
-                "sub": (p - q_, _ref_sum(a, b, -1)),
-                "mul": (p * q_, _naive_product(a, b)),
-                "scale": (p * c, {e: v * c for e, v in a.items()}),
-                "rscale": (c * q_, {e: v * c for e, v in b.items()}),
-                "neg": (-p, {e: -v for e, v in a.items()}),
-                "zero": (p * 0, {}),
-                "cancel": (p - p, {}),
-            }
-            for i in range(min(nvars, 4)):
-                results[f"deriv{i}"] = (p.deriv(i), _ref_deriv(a, i))
-            for name, (ours, ref) in results.items():
-                _assert_canonical(ours)
-                assert ours.rational_terms() == ref, name
-            for i in range(min(nvars, 3)):
-                coeffs = p.coeffs_in(i)
-                for ours in coeffs:
+            for make, _ in _kinds(nvars):
+                p, q_ = make(a), make(b)
+                assert p.rational_terms() == a
+                results = {
+                    "add": (p + q_, _ref_sum(a, b)),
+                    "sub": (p - q_, _ref_sum(a, b, -1)),
+                    "mul": (p * q_, _naive_product(a, b)),
+                    "scale": (p * c, {e: v * c for e, v in a.items()}),
+                    "rscale": (c * q_, {e: v * c for e, v in b.items()}),
+                    "neg": (-p, {e: -v for e, v in a.items()}),
+                    "zero": (p * 0, {}),
+                    "cancel": (p - p, {}),
+                }
+                for i in range(min(nvars, 4)):
+                    results[f"deriv{i}"] = (p.deriv(i), _ref_deriv(a, i))
+                for name, (ours, ref) in results.items():
                     _assert_canonical(ours)
-                assert [m.rational_terms() for m in coeffs] == _ref_coeffs_in(a, i)
+                    assert ours.rational_terms() == ref, name
+                for i in range(min(nvars, 3)):
+                    coeffs = p.coeffs_in(i)
+                    for ours in coeffs:
+                        _assert_canonical(ours)
+                    assert [m.rational_terms() for m in coeffs] == _ref_coeffs_in(a, i)
 
     def test_substitute(self):
         rng = random.Random(121)
         choices = [0, -3, Fraction(-2, 3), Fraction(5, 4), 2]
         for nvars, a, _ in _mpoly_cases(rng):
-            p = MPoly(nvars, a)
             chosen = rng.sample(range(nvars), min(nvars, rng.randrange(1, 4)))
             values = {i: rng.choice(choices) for i in chosen}
-            ours = p.substitute(values)
-            _assert_canonical(ours)
-            assert ours.rational_terms() == _ref_substitute(a, values)
+            for make, _ in _kinds(nvars):
+                ours = make(a).substitute(values)
+                _assert_canonical(ours)
+                assert ours.rational_terms() == _ref_substitute(a, values)
         # zero, negative and fractional values at once
         x, y, z = (MPoly.var(3, i) for i in range(3))
         p = x**2 * y * Q(3, 2) + x * z**3 - y**2 + 7
@@ -586,15 +591,17 @@ class TestIntegerMPoly:
     def test_exact_divide(self):
         rng = random.Random(122)
         for nvars, a, b in _mpoly_cases(rng):
-            h, d = MPoly(nvars, a), MPoly(nvars, b)
             # a non-primitive divisor, a non-integral quotient
-            d = d * Q(rng.choice([6, 10, 4]), rng.choice([1, 7]))
-            quo = mpoly_exact_divide(d * h, d)
-            _assert_canonical(quo)
-            assert quo == h
-            # a nonzero remainder of lower degree than d: not a multiple
-            if not d.is_constant:
-                assert mpoly_exact_divide(d * h + Q(1, 3), d) is None
+            f = Q(rng.choice([6, 10, 4]), rng.choice([1, 7]))
+            for make, _ in _kinds(nvars):
+                h, d = make(a), make(b) * f
+                for divide in (mpoly_exact_divide, exact_divide):
+                    quo = divide(d * h, d)
+                    _assert_canonical(quo)
+                    assert quo == h
+                    # a nonzero remainder of lower degree than d: not a multiple
+                    if not d.is_constant:
+                        assert divide(d * h + Q(1, 3), d) is None
         for _ in range(60):
             h = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6)))
             d = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6))) * rng.choice([6, Q(15, 7)])
@@ -610,25 +617,51 @@ class TestIntegerMPoly:
     def test_canonical_form(self):
         rng = random.Random(123)
         for nvars, a, b in _mpoly_cases(rng):
-            p, q_ = MPoly(nvars, a), MPoly(nvars, b)
-            paths = [
-                (p + q_) - q_,
-                (p * Q(6, 5)) * Q(5, 6),
-                sum((MPoly.monomial(nvars, e, c) for e, c in a.items()), MPoly.zero(nvars)),
-                MPoly(nvars, p.rational_terms()),
-                p.substitute({}),
-                -(-p),
-            ]
-            for other in paths:
-                _assert_canonical(other)
-                assert other == p and hash(other) == hash(p)
+            for make, monomial in _kinds(nvars):
+                p, q_ = make(a), make(b)
+                paths = [
+                    (p + q_) - q_,
+                    (p * Q(6, 5)) * Q(5, 6),
+                    sum((monomial(e, c) for e, c in a.items()), make({})),
+                    make(p.rational_terms()),
+                    p.substitute({}),
+                    -(-p),
+                ]
+                for other in paths:
+                    _assert_canonical(other)
+                    assert other == p and hash(other) == hash(p)
         zero = MPoly(3, {(1, 0, 0): Q(1, 2)}) * 2 - MPoly.var(3, 0)
         _assert_canonical(zero)
         assert zero == MPoly.zero(3) and hash(zero) == hash(MPoly.zero(3))
-        half = MPoly(2, {(1, 0): Q(1, 2), (0, 1): Q(3, 2)})
-        assert (half.den, half.terms) == (2, {(1, 0): 1, (0, 1): 3})
-        assert half * 2 == MPoly(2, {(1, 0): 1, (0, 1): 3})
+        for half, two in (
+            (MPoly(2, {(1, 0): Q(1, 2), (0, 1): Q(3, 2)}), MPoly(2, {(1, 0): 1, (0, 1): 3})),
+            (BiPoly({(1, 0): Q(1, 2), (0, 1): Q(3, 2)}), bi("x + 3*y")),
+        ):
+            assert (half.den, half.terms) == (2, {(1, 0): 1, (0, 1): 3})
+            assert half * 2 == two
         assert MPoly.const(2, Q(-3, 4)) == Q(-3, 4)
+        assert BiPoly.const(Q(-3, 4)) == Q(-3, 4)
+
+
+def test_bipoly_results_stay_bipoly():
+    """Every operation on a BiPoly returns a BiPoly, which Derivation and
+    OrePoly require, also where the left operand is a number."""
+    p, q_ = bi("1/2*x^2*y - 3*y + 2/3"), bi("x - 2*y")
+    results = {
+        "add": p + q_, "radd": 1 + p, "sub": p - q_, "rsub": 1 - p,
+        "mul": p * q_, "scale": p * Q(2, 3), "rscale": Q(2, 3) * p, "rzero": 0 * p,
+        "neg": -p, "pow": p**3, "pow0": p**0, "deriv_x": p.deriv_x(), "deriv_y": p.deriv_y(),
+        "monic": p.monic(), "quotient": exact_divide(p * q_, q_),
+        "coeff_in_x": p.coeffs_in(0)[1], "homogeneous": p.homogeneous_part(3),
+        "zero": BiPoly.zero(), "one": BiPoly.one(), "const": BiPoly.const(Q(1, 2)),
+        "monomial": BiPoly.monomial(1, 2, 3), "x": BiPoly.var_x(), "y": BiPoly.var_y(),
+        "from_uni": BiPoly.from_uni(uni("x^2 - 1"), "y"), "gcd": gcd(p * q_, q_),
+    }
+    for name, r in results.items():
+        assert type(r) is BiPoly, name
+        _assert_canonical(r)
+    assert p * q_ == MPoly(2, (p * q_).rational_terms())
+    assert hash(p * q_) == hash(MPoly(2, (p * q_).rational_terms()))
 
 
 def test_replay_matches_augmented_rref():

@@ -65,13 +65,13 @@ def macaulay_member(p, gens, bound=8):
         for (i, j) in monomials_upto(bound - dg):
             prod = BiPoly.monomial(i, j, Q(1)) * g
             col = [Q(0)] * len(rows_idx)
-            for exp, c in prod.terms.items():
+            for exp, c in prod.rational_terms().items():
                 col[rows_idx[exp]] = c
             columns.append(col)
     nrows = len(rows_idx)
     matrix = [[columns[c][r] for c in range(len(columns))] for r in range(nrows)]
     rhs = [Q(0)] * nrows
-    for exp, c in p.terms.items():
+    for exp, c in p.rational_terms().items():
         rhs[rows_idx[exp]] = c
     sol, _ = linalg.solve(matrix, rhs)
     return sol is not None
