@@ -12,10 +12,8 @@ import sys
 
 from .poly import BiPoly, DomainError
 from .derivation import Derivation
-from .darboux import INFINITY, darboux_search, first_integral_search
+from .darboux import darboux_search, first_integral_search
 from .diamond import (
-    DIAMOND,
-    NOT_DIAMOND,
     UNKNOWN,
     NotPrimitive,
     PrimitiveCertified,

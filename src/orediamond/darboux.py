@@ -9,12 +9,14 @@ atoms of M.  Fixing a leading form makes the cofactor's top part exact
 and the remaining coefficient system triangular by homogeneous level:
 each level is linear over Q in the new unknowns, with earlier
 parametric solutions carried symbolically.  The level matrices are
-rational and do not depend on the parameters, so they are all reduced
-first; the number P of their free columns fixes the variables
+rational, integer for an integer derivation, and do not depend on the
+parameters, so they are all reduced first (linalg.rref eliminates on
+ints); the number P of their free columns fixes the variables
 (x, y, p_0, ..., p_{P-1}) of the MPoly the cascade computes in, and the
 free unknowns become parameters in level-then-column order.  Rows left
 unsatisfied become polynomial constraints on the parameters, solved over
-Q at the end.  When M vanishes
+Q at the end; a nonzero constant among them has no solution, so the
+cascade stops at the first level that leaves one.  When M vanishes
 identically the top part is a multiple of the Euler operator, the top
 cofactor is forced, and for d = 1 the whole system is linear.
 
@@ -29,7 +31,7 @@ from .poly import (
     BiPoly,
     DomainError,
     UniPoly,
-    _grlex_key,
+    _degree_lex,
     exact_divide,
     gcd,
     rational_roots,
@@ -246,8 +248,14 @@ def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     """One cascade level's rational matrix, read off by coefficient lookup:
     in row x^a*y^b, column x^i*y^j of p holds the coefficient of x^a*y^b in
     (ad*d/dx + bd*d/dy - c_top)(x^i*y^j), column x^i*y^j of the cofactor
-    that in -x^i*y^j*p_top."""
-    A, B, C, P = (p.rational_terms() for p in (ad, bd, c_top, p_top))
+    that in -x^i*y^j*p_top.  The entries are ints when the four
+    polynomials have integer coefficients, which linalg.rref reduces
+    fastest."""
+    polys = (ad, bd, c_top, p_top)
+    if all(p.den == 1 for p in polys):
+        A, B, C, P = (p.terms for p in polys)
+    else:
+        A, B, C, P = (p.rational_terms() for p in polys)
     return [
         [i * A.get((a - i + 1, b - j), 0) + j * B.get((a - i, b - j + 1), 0) - C.get((a - i, b - j), 0)
          for (i, j) in mons_p]
@@ -287,7 +295,8 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     matrices, and p_k is the k-th of them in level-then-column order.
 
     Returns (solutions, families, complete) where solutions are concrete
-    (p, c) pairs and families are (base, directions, c) affine families.
+    (p, c) pairs and families are (base, directions, c) affine families;
+    ([], [], True) as soon as a level leaves a nonzero constant row.
     """
     levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
@@ -313,7 +322,12 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
         g = g.xy_coeffs()
         # m*u + rhs = 0, rhs being the right sides after the row operations
         rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
-        constraints.extend(v for v in rhs[len(pivots):] if v)
+        leftover = [v for v in rhs[len(pivots):] if v]
+        if any(v.is_constant for v in leftover):
+            # a nonzero constant row has no solution: the answer
+            # _solve_constraints would give, without the levels below
+            return [], [], True
+        constraints.extend(leftover)
         ncols = len(mons_p) + len(mons_c)
         free = [c for c in range(ncols) if c not in pivots]
         u = [None] * ncols
@@ -358,13 +372,13 @@ def _kernel_families(deriv, c0, n):
     mons = []
     for deg in range(n, -1, -1):
         mons.extend(_monomials(deg))
-    mons.sort(key=_grlex_key, reverse=True)
+    mons.sort(key=_degree_lex, reverse=True)
     exprs = [
         deriv.apply(BiPoly.monomial(i, j)) - c0 * BiPoly.monomial(i, j)
         for (i, j) in mons
     ]
     views = [ex.rational_terms() for ex in exprs]
-    eq_set = sorted(set().union(*views), key=_grlex_key)
+    eq_set = sorted(set().union(*views), key=_degree_lex)
     rows = [[v.get(e, QZERO) for v in views] for e in eq_set]
     kernel = linalg.nullspace(rows, len(mons))
     if not kernel:
@@ -382,7 +396,7 @@ def _span_key(p, q_):
     """Canonical key for the 2-dimensional span of two polynomials.  A
     span does not change when a polynomial is scaled, so the rows hold
     the int numerators."""
-    mons = sorted(set(p.terms) | set(q_.terms), key=_grlex_key, reverse=True)
+    mons = sorted(set(p.terms) | set(q_.terms), key=_degree_lex, reverse=True)
     rows = [[f.terms.get(e, 0) for e in mons] for f in (p, q_)]
     ech, _, _ = linalg.rref(rows, len(mons))
     return tuple(
@@ -397,8 +411,9 @@ def _order_pair(p, q_):
     def key(poly):
         if poly.is_constant:
             return (1, 0, (0, 0))
-        lead = poly.leading_exp()
-        return (0, int(poly.total_degree()), tuple(-v for v in _grlex_key(lead)))
+        # the leading exponent has the total degree as its sum, so within
+        # one degree its negated entries order it graded-lex, descending
+        return (0, int(poly.total_degree()), tuple(-v for v in poly.leading_exp()))
 
     return tuple(sorted((p, q_), key=key))
 
@@ -406,7 +421,7 @@ def _order_pair(p, q_):
 def _in_span(p, *gens):
     """True when p is a rational linear combination of gens, read off the
     int numerators, as scaling a polynomial does not change a span."""
-    mons = sorted(set(p.terms).union(*(g.terms for g in gens)), key=_grlex_key)
+    mons = sorted(set(p.terms).union(*(g.terms for g in gens)), key=_degree_lex)
     rows = [[g.terms.get(e, 0) for g in gens] for e in mons]
     sol, _ = linalg.solve(rows, [p.terms.get(e, 0) for e in mons])
     return sol is not None
@@ -509,7 +524,7 @@ def _assemble_report(deriv, raw, families, bound, complete):
     # cofactor-sharing certificates also form pencils
     cert_list = sorted(
         all_certs.values(),
-        key=lambda pc: (int(pc[0].total_degree()), _grlex_key(pc[0].leading_exp())),
+        key=lambda pc: (int(pc[0].total_degree()), _degree_lex(pc[0].leading_exp())),
     )
     for i in range(len(cert_list)):
         for j in range(i + 1, len(cert_list)):
@@ -525,7 +540,7 @@ def _assemble_report(deriv, raw, families, bound, complete):
     pencils.sort(
         key=lambda t: (
             int(max(t[0].total_degree(), t[1].total_degree())),
-            _grlex_key(t[0].leading_exp()) if not t[0].is_zero else (0, 0),
+            _degree_lex(t[0].leading_exp()),
         )
     )
     # a pencil that is a function of a smaller pencil carries no new
@@ -543,9 +558,11 @@ def _assemble_report(deriv, raw, families, bound, complete):
     pencils = primitive_pencils
     kept = []
     for p, c in cert_list:
-        if squarefree_part(p) != p:
-            continue
+        # pure filters, cheapest first: most certs that are not square-free
+        # are multiples of a kept one
         if any(exact_divide(p, kp.p) is not None for kp in kept if kp.p.total_degree() < p.total_degree()):
+            continue
+        if squarefree_part(p) != p:
             continue
         if any(
             max(b.total_degree(), u.total_degree()) <= p.total_degree()

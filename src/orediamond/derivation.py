@@ -6,7 +6,7 @@ test and the analysis of Shamsuddin-type derivations d/dx + (a(x)y +
 b(x)) d/dy.
 """
 
-from .rational import QZERO, QONE, q
+from .rational import QZERO, q
 from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide
 from . import linalg
 

@@ -9,7 +9,7 @@ primitivity / maximal-invariant-ideal analysis driven by Darboux data.
 """
 
 from .rational import QZERO
-from .poly import DomainError, LaurentUniPoly, UniPoly, exact_divide, gcd
+from .poly import DomainError, exact_divide, gcd
 from .derivation import (
     Derivation,
     UniDerivation,

@@ -1,6 +1,16 @@
-"""Exact linear algebra over Q used by the solvers."""
+"""Exact linear algebra over Q used by the solvers.
 
-from .rational import QONE, QZERO, q
+rref eliminates on ints: each row is held as int numerators over one
+positive int scale and updated fraction-free, as in Bareiss, Math. Comp.
+22 (1968).  Gauss-Jordan also clears above the pivot, so a row is divided
+by the gcd of its numerators and scale after each step rather than by the
+previous pivot.  The rationals it returns, and the row operations replay
+needs, are read off those ints.
+"""
+
+from math import gcd, lcm
+
+from .rational import Q, QONE, QZERO, q
 
 
 def rref(rows, ncols):
@@ -9,35 +19,67 @@ def rref(rows, ncols):
 
     Only those columns are tested for pivots, so further columns may hold
     anything that supports * and - with rationals (an augmented right-hand
-    side, for instance).  The row operations are one (r, pr, inv, [(i, f),
-    ...]) per pivot: swap rows r and pr, scale row r by inv, subtract f
-    times row r from each row i."""
-    m = [list(r) for r in rows]
+    side, for instance); they are carried by replay.  The row operations
+    are one (r, pr, inv, [(i, f), ...]) per pivot: swap rows r and pr,
+    scale row r by inv, subtract f times row r from each row i.
+
+    The first ncols columns are eliminated on ints: row i stands for
+    nums[i] / scales[i], so the pivot order and the rationals of the
+    Fraction elimination come out unchanged."""
+    nums, scales = [], []
+    for row in rows:
+        left = row[:ncols]
+        s = lcm(*(v.denominator for v in left))
+        nums.append([int(v.numerator) * (s // v.denominator) for v in left])
+        scales.append(s)
+    n = len(nums)
     pivots = []
     ops = []
     r = 0
     for c in range(ncols):
         pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
+        for i in range(r, n):
+            if nums[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = QONE / m[r][c]
-        m[r] = [v * inv if v else v for v in m[r]]
+        nums[r], nums[pr] = nums[pr], nums[r]
+        scales[r], scales[pr] = scales[pr], scales[r]
+        piv = nums[r]
+        p = piv[c]
+        inv = Q(scales[r], p)
+        # the scaled row is piv / p; keep p positive and piv primitive
+        g = gcd(*piv) if p > 0 else -gcd(*piv)
+        if g != 1:
+            piv = nums[r] = [v // g for v in piv]
+            p //= g
+        scales[r] = p
         elim = []
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-                elim.append((i, f))
+        for i in range(n):
+            row = nums[i]
+            f = row[c]
+            if f and i != r:
+                si = scales[i]
+                # row/si - (f/si)*(piv/p) = (p*row - f*piv) / (p*si)
+                new = [p * a - f * b if b else p * a for a, b in zip(row, piv)]
+                s = p * si
+                g = gcd(s, *new)
+                if g != 1:
+                    new = [v // g for v in new]
+                    s //= g
+                nums[i], scales[i] = new, s
+                elim.append((i, Q(f, si)))
         ops.append((r, pr, inv, elim))
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == n:
             break
+    m = [[Q(v, s) if v else QZERO for v in row] for row, s in zip(nums, scales)]
+    width = len(rows[0]) if rows else 0
+    for j in range(ncols, width):
+        for row, v in zip(m, replay(ops, [row[j] for row in rows])):
+            row.append(v)
     return m, pivots, ops
 
 

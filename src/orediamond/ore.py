@@ -10,7 +10,6 @@ once.
 
 from math import comb
 
-from .rational import QZERO
 from .poly import BiPoly, DomainError, NEG_INF, _power, exact_divide
 from .derivation import Derivation
 from .unifactor import is_irreducible

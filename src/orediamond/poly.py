@@ -26,10 +26,6 @@ class DomainError(ValueError):
     """A mathematical precondition was violated."""
 
 
-def _grlex_key(exp):
-    return (exp[0] + exp[1], exp[0])
-
-
 # ----------------------------------------------------------------------
 # term-dict kernels
 # ----------------------------------------------------------------------
@@ -409,14 +405,15 @@ class MPoly:
         """Replace each variable i in values, a {i: rational} map, by its
         value, in one pass over the terms.
 
-        A zero value drops the terms its variable occurs in.  A value a/b
-        with b > 0 multiplies a term of degree k in it by a^k*b^(top-k),
-        top being the variable's degree, and den by b^top."""
+        A zero value drops the terms its variable occurs in, before that
+        pass.  A value a/b with b > 0 multiplies a term of degree k in it
+        by a^k*b^(top-k), top being the variable's degree, and den by
+        b^top."""
         values = [(i, q(v)) for i, v in values.items()]
         zeros = [i for i, v in values if not v]
         terms = self.terms
-        if zeros:
-            terms = {e: c for e, c in terms.items() if not any(e[i] for i in zeros)}
+        for i in zeros:
+            terms = {e: c for e, c in terms.items() if not e[i]}
         den = self.den
         tables = []
         for i, v in values:
@@ -467,7 +464,7 @@ class MPoly:
         return UniPoly(cs)
 
     def __repr__(self):
-        terms = sorted(self.rational_terms().items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        terms = sorted(self.rational_terms().items(), key=lambda t: _degree_lex(t[0]), reverse=True)
         parts = [
             str(c) + "".join(f"*v{k}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(exp) if e)
             for exp, c in terms
@@ -536,10 +533,13 @@ class BiPoly(MPoly):
         return self._lowest(2, self.den, {e: c for e, c in self.terms.items() if e[0] + e[1] == d})
 
     def render(self):
-        """Canonical text form: descending graded-lex terms."""
-        terms = sorted(self.rational_terms().items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """Canonical text form: descending graded-lex terms.  An integer
+        polynomial is rendered from its int terms, which qstr reads as it
+        reads rationals."""
+        terms = self.terms if self.den == 1 else self.rational_terms()
         return _render_terms(
-            ("*".join(filter(None, (_power("x", i), _power("y", j)))), c) for (i, j), c in terms
+            ("*".join(filter(None, (_power("x", i), _power("y", j)))), terms[(i, j)])
+            for (i, j) in sorted(terms, key=_degree_lex, reverse=True)
         )
 
     def __repr__(self):

@@ -9,7 +9,6 @@ degrees could still split (e.g. as two cubics) and are reported with
 certified=False.
 """
 
-from .rational import QONE
 from .poly import DomainError, UniPoly, rational_roots, squarefree_decomposition, uni_gcd
 from .multipoly import MPoly, mpoly_resultant
 

@@ -11,6 +11,7 @@ from orediamond import (
     Derivation,
     DomainError,
     Q,
+    darboux,
     darboux_search,
     decide,
     exact_divide,
@@ -19,7 +20,6 @@ from orediamond import (
     pencil_members_through,
 )
 from orediamond.darboux import (
-    INFINITY,
     _cascade,
     _cascade_levels,
     _composite_of,
@@ -28,6 +28,7 @@ from orediamond.darboux import (
     _top_atoms,
     _top_candidates,
 )
+from orediamond.multipoly import MPoly
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
 
@@ -66,7 +67,9 @@ class TestSearchExamples:
 
 # Reports at bound 6 on named planar systems, taken from the release
 # before the cascade moved to one polynomial type: (dx, dy) ->
-# (certs as (p, cofactor), pencils as (p, q, cofactor), complete).
+# (certs as (p, cofactor), pencils as (p, q, cofactor), complete).  The
+# reports at bound 8, taken from the release before rref eliminated on
+# ints, are the same strings.
 PINNED_REPORTS = {
     "lotka-volterra": (
         ("x - x*y", "x*y - y"),
@@ -96,16 +99,25 @@ PINNED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-def test_pinned_report(name):
-    (dx, dy), expected = PINNED_REPORTS[name]
-    report = darboux_search(Derivation(bi(dx), bi(dy)), 6)
-    got = (
+def _report_strings(dx, dy, bound):
+    report = darboux_search(Derivation(bi(dx), bi(dy)), bound)
+    return (
         [(c.p.render(), c.cofactor.render()) for c in report.certs],
         [(p.p.render(), p.q.render(), p.cofactor.render()) for p in report.pencils],
         report.complete_up_to_bound,
     )
-    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report(name):
+    (dx, dy), expected = PINNED_REPORTS[name]
+    assert _report_strings(dx, dy, 6) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report_bound_8(name):
+    (dx, dy), expected = PINNED_REPORTS[name]
+    assert _report_strings(dx, dy, 8) == expected
 
 
 def test_cascade_parameters_follow_the_input():
@@ -120,6 +132,20 @@ def test_cascade_parameters_follow_the_input():
     assert sorted(d.monic().render() for d in directions) == sorted(
         bi(f"y^{k}").render() for k in range(n)
     )
+
+
+def test_cascade_stops_at_a_constant_row(monkeypatch):
+    # for the final example, d = 5, below the leading form x with cofactor
+    # top 0 an early level leaves a nonzero constant row: no solution,
+    # and the cascade returns before solving any constraint
+    assert darboux._solve_constraints([MPoly.one(3)]) == ([], True)
+
+    def unreachable(cons, depth=0):
+        raise AssertionError("constraints solved after a constant row")
+
+    monkeypatch.setattr(darboux, "_solve_constraints", unreachable)
+    a_pol, b_pol = bi("x*y^2 + y^2 - y"), bi("-1*x*y^4 - y^4 + y^3")
+    assert _cascade(a_pol, b_pol, 5, 1, bi("x"), BiPoly.zero()) == ([], [], True)
 
 
 def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):

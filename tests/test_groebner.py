@@ -8,6 +8,7 @@ import pytest
 from orediamond import (
     BiPoly,
     DomainError,
+    Q,
     buchberger,
     has_common_zero_with,
     in_ideal,
@@ -128,3 +129,23 @@ class TestMacaulayOracle:
             # random probe: answers must agree
             p = random_bipoly(rng, maxdeg=3, nonzero=True)
             assert in_ideal(p, gens) == macaulay_member(p, gens, bound=8)
+
+
+def test_reduced_basis_matches_sympy():
+    """A reduced Groebner basis is unique, so buchberger's equals sympy's
+    grlex basis (x > y), each made monic."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    rng = random.Random(311)
+    for _ in range(25):
+        gens = [random_bipoly(rng, maxdeg=3, nonzero=True) for _ in range(rng.randrange(2, 4))]
+        exprs = [
+            sum(sp.Rational(c.numerator, c.denominator) * x**i * y**j for (i, j), c in g.rational_terms().items())
+            for g in gens
+        ]
+        theirs = [
+            BiPoly({e: Q(int(c.p), int(c.q)) for e, c in sp.Poly(h, x, y).terms()}).monic()
+            for h in sp.groebner(exprs, x, y, order="grlex").exprs
+        ]
+        ours = buchberger(gens)
+        assert len(ours) == len(theirs) and set(ours) == set(theirs)

@@ -15,14 +15,13 @@ from orediamond import (
     ParseError,
     Q,
     UniPoly,
-    UniDerivation,
     parse_derivation,
     parse_ore,
     parse_polynomial,
     render_derivation,
 )
 from orediamond.cli import main
-from util import bi, lau, uni
+from util import bi, lau
 
 
 class TestParsePolynomial:

@@ -24,7 +24,7 @@ from orediamond import (
 )
 from orediamond import linalg
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
-from util import bi, lau, random_bipoly, random_unipoly, uni
+from util import bi, gauss_jordan, lau, random_bipoly, random_unipoly, uni
 
 
 class TestExactDivide:
@@ -692,3 +692,64 @@ def test_replay_matches_augmented_rref():
         assert [row[:ncols] for row in aug] == m
         assert linalg.replay(ops, column) == [row[ncols] for row in aug]
     assert swaps >= 20
+
+
+def _elimination_case(rng, kind, nrows, ncols):
+    """A matrix of ints, Fractions or both, with a dependent row, a zero
+    row and, in most cases, a zero where the first pivot would be."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0 if kind == "int" or (kind == "mixed" and rng.random() < 0.5) else Q(0)
+        n = rng.randrange(-9, 10) or -1
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return n
+        return Q(n, rng.randrange(1, 6))
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows - 2)]
+    dependent = [0] * ncols
+    for row in rows:
+        f = rng.randrange(-3, 4)
+        dependent = [a + f * b for a, b in zip(dependent, row)]
+    rows.insert(rng.randrange(len(rows) + 1), dependent)
+    rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+    if rng.random() < 0.7:
+        rows[0][0] = 0
+    return rows
+
+
+def test_rref_matches_textbook_gauss_jordan():
+    """rref's integer elimination gives the rows, pivots and row
+    operations of Fraction Gauss-Jordan, and replay its extra columns,
+    on int, Fraction and mixed matrices."""
+    rng = random.Random(909)
+    seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0}
+    for trial in range(240):
+        kind = ("int", "fraction", "mixed")[trial % 3]
+        nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 7)
+        rows = _elimination_case(rng, kind, nrows, ncols)
+        extra = rng.randrange(0, 3)
+        rows = [row + [_random_entry(rng) for _ in range(extra)] for row in rows]
+        m, pivots, ops = linalg.rref(rows, ncols)
+        ref_m, ref_pivots, ref_ops = gauss_jordan(rows, ncols)
+        assert (m, pivots, ops) == (ref_m, ref_pivots, ref_ops)
+        assert all(type(v) is Q for row in m for v in row)
+        for j in range(ncols, ncols + extra):
+            assert linalg.replay(ops, [row[j] for row in rows]) == [row[j] for row in ref_m]
+        # inv is 1 / pivot, so a negative inv marks a negative pivot
+        seen["negative pivot"] += sum(inv < 0 for _, _, inv, _ in ops)
+        seen["swap"] += sum(r != pr for r, pr, _, _ in ops)
+        seen["zero row"] += not any(m[-1][:ncols])
+        seen["extra column"] += extra
+    assert min(seen.values()) >= 40, seen
+
+
+def test_rref_small_cases():
+    # no rows, a zero matrix, a single negative pivot, and an int row that
+    # reduces to a non-integral one
+    assert linalg.rref([], 3) == ([], [], [])
+    assert linalg.rref([[0, 0], [0, 0]], 2) == ([[0, 0], [0, 0]], [], [])
+    assert linalg.rref([[-3, 2]], 2) == ([[1, Q(-2, 3)]], [0], [(0, 0, Q(-1, 3), [])])
+    m, pivots, ops = linalg.rref([[0, 2, 4], [3, 1, 1]], 2)
+    assert m == [[1, 0, Q(-1, 3)], [0, 1, 2]] and pivots == [0, 1]
+    assert ops == [(0, 1, Q(1, 3), []), (1, 1, Q(1, 2), [(0, Q(1, 3))])]

@@ -51,6 +51,36 @@ def monomials_upto(d):
     return [(i, j) for t in range(d + 1) for i in range(t + 1) for j in [t - i]]
 
 
+def gauss_jordan(rows, ncols):
+    """Textbook Gauss-Jordan elimination over Fraction on the first ncols
+    columns, every entry converted first and the whole row updated at each
+    step, in linalg.rref's format: (rows, pivot columns, row operations
+    (r, pr, inv, [(i, f), ...])).  The pivot of each column is the first
+    nonzero entry at or below the current row."""
+    m = [[Q(v) for v in row] for row in rows]
+    pivots, ops = [], []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        elim = []
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                elim.append((i, f))
+        ops.append((r, pr, inv, elim))
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots, ops
+
+
 def macaulay_member(p, gens, bound=8):
     """Independent ideal-membership oracle: exact linear algebra for
     cofactors u_k with deg(u_k * g_k) <= bound, so p = sum u_k g_k."""
