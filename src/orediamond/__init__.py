@@ -20,9 +20,8 @@ from .poly import (
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
-    uni_resultant,
 )
-from .multipoly import resultant
+from .multipoly import resultant, uni_resultant
 from .groebner import (
     buchberger,
     has_common_zero_with,

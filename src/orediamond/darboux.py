@@ -150,12 +150,8 @@ def _splits_rationally(g, roots):
     residual = g
     for root in roots:
         lin = UniPoly([-root, 1])
-        while True:
-            quo, rem = residual.divmod(lin)
-            if rem.is_zero:
-                residual = quo
-            else:
-                break
+        while (quo := exact_divide(residual, lin)) is not None:
+            residual = quo
     return residual.degree() <= 0
 
 
@@ -627,10 +623,7 @@ def pencil_members_through(pencil, gens):
     withx = [w for w in work if w.degree_in(0) > 0]
     for w in work:
         if w.degree_in(0) == 0 and w.degree_in(1) == 0:
-            try:
-                tpolys.append(w.as_unipoly(2))
-            except DomainError:
-                pass
+            tpolys.append(w.as_unipoly(2))
     for i in range(len(withx)):
         for j in range(i + 1, len(withx)):
             try:

@@ -65,8 +65,7 @@ class UniDerivation:
         self.laurent = laurent
 
     def apply(self, p):
-        if self.laurent and isinstance(p, UniPoly):
-            p = LaurentUniPoly.from_uni(p)
+        # an MPoly product takes the type of its left operand, dx
         return self.dx * p.derivative()
 
     @property

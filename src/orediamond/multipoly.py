@@ -6,9 +6,11 @@ that work in more than the two ring variables.  The Darboux cascade
 works in (x, y, p_0, ..., p_{P-1}): x and y are variables 0 and 1 and
 the parameters follow, P being the number of free unknowns of its
 rational level matrices (see darboux._cascade).  Pencil elimination
-works in (x, y, t).
+works in (x, y, t).  uni_resultant is the same Sylvester resultant of
+two UniPoly.
 """
 
+from .rational import QONE, QZERO
 from .poly import DomainError, MPoly, _quotient
 
 
@@ -34,6 +36,16 @@ def resultant(p, q_, eliminate):
         raise DomainError("eliminate must be 'x' or 'y'")
     i = "xy".index(eliminate)
     return mpoly_resultant(p, q_, i).as_unipoly(1 - i)
+
+
+def uni_resultant(a, b):
+    """Resultant of two univariate polynomials (a rational number): 0 when
+    one is zero, 1 for two nonzero constants."""
+    if a.is_zero or b.is_zero:
+        return QZERO
+    if a.is_constant and b.is_constant:
+        return QONE
+    return mpoly_resultant(a, b, 0).constant_value()
 
 
 def _sylvester_resultant(cp, cq):

@@ -1,23 +1,24 @@
 """Exact polynomial arithmetic over Q.
 
-One sparse representation serves every polynomial in two or more
-variables.  An MPoly is terms / den: terms maps exponent tuples to
-nonzero ints and den is a positive int, with gcd(den, every numerator)
-= 1 and den = 1 for the zero polynomial, so the form is canonical and
-== and hash compare (nvars, den, terms).  Arithmetic is on ints (von zur
-Gathen & Gerhard, Modern Computer Algebra, 6.2); rational_terms() is the
-rational view.  BiPoly is its 2-variable case in x (variable 0) and y
-(variable 1), with x/y-named constructors and the bivariate algorithms
-below (exact division, gcd, square-free part).  UniPoly is dense in one
-variable; LaurentUniPoly allows negative exponents of x.  Leading terms
-are taken in graded lexicographic order (x > y, variable 0 first).  All
-values are immutable; every operation is a pure function.
+One sparse representation serves every polynomial.  An MPoly is terms /
+den: terms maps exponent tuples to nonzero ints and den is a positive
+int, with gcd(den, every numerator) = 1 and den = 1 for the zero
+polynomial, so the form is canonical and == and hash compare (nvars,
+den, terms).  Arithmetic is on ints (von zur Gathen & Gerhard, Modern
+Computer Algebra, 6.2); rational_terms() is the rational view.  BiPoly
+is its 2-variable case in x (variable 0) and y (variable 1), with
+x/y-named constructors and the bivariate algorithms below (exact
+division, gcd, square-free part).  UniPoly and LaurentUniPoly are its
+1-variable cases in x, keyed (i,); only LaurentUniPoly allows i < 0, and
+UniPoly.coeffs is the dense rational view.  Leading terms are taken in
+graded lexicographic order (x > y, variable 0 first).  All values are
+immutable; every operation is a pure function.
 """
 
 from math import gcd as gcd_int, lcm
 from operator import add, sub
 
-from .rational import Q, QONE, QZERO, q, qstr
+from .rational import Q, QZERO, q, qstr
 
 NEG_INF = float("-inf")
 
@@ -454,14 +455,13 @@ class MPoly:
         return [self._lowest(self.nvars, self.den, b) for b in buckets]
 
     def as_unipoly(self, i):
-        """Dense univariate view in variable i; other variables must be
-        absent."""
-        cs = [0] * (len(self.terms) and int(self.degree_in(i)) + 1)
+        """The UniPoly in variable i; other variables must be absent."""
+        terms = {}
         for exp, c in self.terms.items():
             if sum(exp) != exp[i]:
                 raise DomainError("other variables present")
-            cs[exp[i]] = Q(c, self.den)
-        return UniPoly(cs)
+            terms[(exp[i],)] = c
+        return UniPoly._raw(1, self.den, terms)
 
     def __repr__(self):
         terms = sorted(self.rational_terms().items(), key=lambda t: _degree_lex(t[0]), reverse=True)
@@ -509,7 +509,7 @@ class BiPoly(MPoly):
 
     @classmethod
     def from_uni(cls, u, var="x"):
-        return cls({(i, 0) if var == "x" else (0, i): c for i, c in enumerate(u.coeffs)})
+        return cls._raw(2, u.den, {(i, 0) if var == "x" else (0, i): c for (i,), c in u.terms.items()})
 
     # MPoly's operators, bound again here so that they are entries of
     # BiPoly's own class dict and can be told apart from MPoly's
@@ -547,6 +547,143 @@ class BiPoly(MPoly):
 
     def __str__(self):
         return self.render()
+
+
+class _Univariate(MPoly):
+    """The 1-variable MPoly in x, exponent keys (i,): what UniPoly and
+    LaurentUniPoly share."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls._raw(1, 1, {})
+
+    @classmethod
+    def one(cls):
+        return cls._raw(1, 1, {(0,): 1})
+
+    @classmethod
+    def const(cls, c):
+        return cls._term(1, (0,), c)
+
+    @classmethod
+    def monomial(cls, n, c=1):
+        return cls._term(1, (n,), c)
+
+    def coeff(self, n):
+        return Q(self.terms.get((n,), 0), self.den)
+
+    def derivative(self):
+        return self.deriv(0)
+
+    def render(self, var="x"):
+        """Canonical text form, highest power first."""
+        terms = self.terms if self.den == 1 else self.rational_terms()
+        return _render_terms((_power(var, i), terms[(i,)]) for (i,) in sorted(terms, reverse=True))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+    def __str__(self):
+        return self.render()
+
+
+class UniPoly(_Univariate):
+    """Polynomial in x over Q, built from its coefficients lowest degree
+    first."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        super().__init__(1, {(i,): c for i, c in enumerate(coeffs)})
+
+    @classmethod
+    def monomial(cls, n, c=1):
+        if n < 0:
+            raise DomainError("negative exponent in polynomial ring")
+        return super().monomial(n, c)
+
+    # bound again in this class's own dict, as in BiPoly
+    __add__ = __radd__ = MPoly.__add__
+    __sub__ = MPoly.__sub__
+    __mul__ = __rmul__ = MPoly.__mul__
+
+    @classmethod
+    def _from_ints(cls, den, cs):
+        return cls._lowest(1, den, {(i,): c for i, c in enumerate(cs) if c})
+
+    def _ints(self):
+        """The int numerators of x^0, ..., x^degree."""
+        get = self.terms.get
+        return [get((i,), 0) for i in range(len(self.terms) and self.degree() + 1)]
+
+    def _check(self, other):
+        # results take the left operand's type, so a Laurent operand
+        # would put negative exponents into a UniPoly
+        if isinstance(other, LaurentUniPoly):
+            raise DomainError("a Laurent polynomial is not in Q[x]")
+        MPoly._check(self, other)
+
+    @property
+    def coeffs(self):
+        """Dense view: the rational coefficients of x^0, ..., x^degree."""
+        return tuple(Q(c, self.den) for c in self._ints())
+
+    def degree(self):
+        return self.degree_in(0)
+
+    def divmod(self, other):
+        """(quotient, remainder) in Q[x], from one pseudo-division of the
+        int numerators."""
+        if not other.terms:
+            raise DomainError("division by the zero polynomial")
+        quo, rem, s = _pseudo_divmod(self._ints(), other._ints())
+        den = s * self.den
+        return self._from_ints(den, [c * other.den for c in quo]), self._from_ints(den, rem)
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+
+class LaurentUniPoly(_Univariate):
+    """Laurent polynomial in x over Q, built from its lowest exponent
+    (offset) and its coefficients from there up."""
+
+    __slots__ = ()
+
+    def __init__(self, offset=0, coeffs=()):
+        super().__init__(1, {(offset + i,): c for i, c in enumerate(coeffs)})
+
+    @classmethod
+    def from_uni(cls, u):
+        return cls._raw(1, u.den, u.terms)
+
+    # bound again in this class's own dict, as in BiPoly
+    __add__ = __radd__ = MPoly.__add__
+    __sub__ = MPoly.__sub__
+    __mul__ = __rmul__ = MPoly.__mul__
+
+    def min_degree(self):
+        return min(self.terms)[0] if self.terms else NEG_INF
+
+    def max_degree(self):
+        return self.degree_in(0)
+
+    def as_monomial(self):
+        """(alpha, n) when this is alpha*x^n, else None."""
+        if len(self.terms) == 1:
+            (((n,), c),) = self.terms.items()
+            return Q(c, self.den), n
+        return None
+
+    def as_unipoly(self):
+        if any(n < 0 for (n,) in self.terms):
+            raise DomainError("negative exponents present")
+        return UniPoly._raw(1, self.den, self.terms)
 
 
 # ----------------------------------------------------------------------
@@ -656,201 +793,53 @@ def squarefree_part(p):
     return h.monic()
 
 
-
 # ----------------------------------------------------------------------
-# dense univariate polynomials
+# univariate algorithms
 # ----------------------------------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial over Q, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [q(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def var(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, n, c=1):
-        return cls([0] * n + [c])
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise DomainError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else QZERO
-
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def lc(self):
-        if not self.coeffs:
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else QZERO
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return UniPoly.const(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            c = q(other)
-            return UniPoly([co * c for co in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero()
-        out = [QZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _square_multiply(self, n, UniPoly.one())
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, type(QONE))):
-            return self == UniPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def divmod(self, other):
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree()
-        blc = other.lc()
-        quo = [QZERO] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] / blc
-            k = len(rem) - 1 - db
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s*a = q*b + r and len(r) < len(b), for int
+    coefficient lists lowest degree first, b's last entry nonzero; r has
+    no trailing zeros.  s = |lc|^m, lc the last entry of b and m the
+    number of steps, makes every step divide by lc exactly (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 6)."""
+    db = len(b) - 1
+    lc = b[-1]
+    m = max(len(a) - db, 0)
+    s = abs(lc) ** m
+    r = [c * s for c in a]
+    quo = [0] * m
+    for k in range(m - 1, -1, -1):
+        c = r.pop()
+        if c:
+            c //= lc
             quo[k] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[k + i] -= c * bc
-            while rem and not rem[-1]:
-                rem.pop()
-        return UniPoly(quo), UniPoly(rem)
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return quo, r, s
 
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return self * (QONE / lc)
-
-    def derivative(self):
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, v):
-        v = q(v)
-        total = QZERO
-        for c in reversed(self.coeffs):
-            total = total * v + c
-        return total
-
-    def render(self, var="x"):
-        return _render_terms(
-            (_power(var, i), self.coeffs[i])
-            for i in range(len(self.coeffs) - 1, -1, -1)
-        )
-
-    def __repr__(self):
-        return f"UniPoly({self.render()})"
-
-    def __str__(self):
-        return self.render()
+def _primitive(cs):
+    """An int list divided by the gcd of its entries."""
+    g = gcd_int(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
 def uni_gcd(a, b):
-    """Monic gcd in Q[t]."""
+    """Monic gcd in Q[x]: the primitive pseudo-remainder sequence on the
+    int numerators (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 6)."""
     if a.is_zero and b.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def uni_resultant(a, b):
-    """Resultant of two univariate polynomials (a rational number)."""
-    if a.is_zero or b.is_zero:
-        return QZERO
-    da, db = a.degree(), b.degree()
-    if da == 0:
-        return a.coeffs[0] ** db
-    if db == 0:
-        return b.coeffs[0] ** da
-    # Euclidean resultant recursion
-    r = a % b
-    if r.is_zero:
-        return QZERO
-    sign = -QONE if (da % 2) and (db % 2) else QONE
-    return sign * b.lc() ** (da - r.degree()) * uni_resultant(b, r)
+    f, g = _primitive(a._ints()), _primitive(b._ints())
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f, g = g, _primitive(_pseudo_divmod(f, g)[1])
+    return UniPoly._from_ints(1, f).monic() if not g else UniPoly.one()
 
 
 def _int_divisors(n):
@@ -866,28 +855,30 @@ def _int_divisors(n):
 
 
 def rational_roots(p):
-    """All rational roots of p (without multiplicity), p nonzero."""
+    """All rational roots of p (without multiplicity), p nonzero.
+
+    Every root a/b in lowest terms of c_0 + ... + c_n x^n (c_0 != 0, int
+    numerators) has a | c_0 and b | c_n, and is one exactly when the int
+    sum of c_i a^i b^(n-i) is zero."""
     if p.is_zero:
         raise DomainError("roots of the zero polynomial")
-    coeffs = list(p.coeffs)
-    roots = []
-    low = 0
-    while low < len(coeffs) and not coeffs[low]:
-        low += 1
-    if low:
-        roots.append(QZERO)
-        coeffs = coeffs[low:]
-    if len(coeffs) <= 1:
+    low = min(p.terms)[0]
+    roots = [QZERO] if low else []
+    cs = p._ints()[low:]
+    top = cs.pop()
+    if not cs:
         return roots
-    denom = lcm(*(int(c.denominator) for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    p_int = UniPoly(ints)
-    for num in _int_divisors(ints[0]):
-        for den in _int_divisors(ints[-1]):
-            for s in (1, -1):
-                cand = Q(s * num, den)
-                if p_int.eval(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+    for num in _int_divisors(cs[0]):
+        for den in _int_divisors(top):
+            if gcd_int(num, den) != 1:
+                continue
+            for a in (num, -num):
+                total, power = top, 1
+                for c in reversed(cs):
+                    power *= den
+                    total = total * a + c * power
+                if not total:
+                    roots.append(Q(a, den))
     return sorted(roots)
 
 
@@ -900,8 +891,8 @@ def squarefree_decomposition(p):
         return []
     dp = p.derivative()
     a = uni_gcd(p, dp)
-    b = p // a
-    c = dp // a
+    b = exact_divide(p, a)
+    c = exact_divide(dp, a)
     d = c - b.derivative()
     out = []
     i = 1
@@ -909,142 +900,7 @@ def squarefree_decomposition(p):
         a = uni_gcd(b, d)
         if a.degree() > 0:
             out.append((a, i))
-        b = b // a
-        d = (d // a) - b.derivative()
+        b = exact_divide(b, a)
+        d = exact_divide(d, a) - b.derivative()
         i += 1
     return out
-
-
-# ----------------------------------------------------------------------
-# Laurent polynomials in x
-# ----------------------------------------------------------------------
-
-
-class LaurentUniPoly:
-    """Laurent polynomial in x: offset (minimum exponent) plus dense
-    coefficients."""
-
-    __slots__ = ("offset", "coeffs")
-
-    def __init__(self, offset=0, coeffs=()):
-        cs = [q(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        lead_trim = 0
-        while lead_trim < len(cs) and not cs[lead_trim]:
-            lead_trim += 1
-        cs = cs[lead_trim:]
-        object.__setattr__(self, "offset", int(offset) + lead_trim if cs else 0)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls):
-        return cls(0, ())
-
-    @classmethod
-    def const(cls, c):
-        return cls(0, (c,))
-
-    @classmethod
-    def monomial(cls, n, c=1):
-        return cls(n, (c,))
-
-    @classmethod
-    def from_uni(cls, u):
-        return cls(0, u.coeffs)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def min_degree(self):
-        return self.offset if self.coeffs else NEG_INF
-
-    def max_degree(self):
-        return self.offset + len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def coeff(self, n):
-        i = n - self.offset
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else QZERO
-
-    def as_monomial(self):
-        """(alpha, n) when this is alpha*x^n, else None."""
-        if len(self.coeffs) == 1:
-            return self.coeffs[0], self.offset
-        return None
-
-    def as_unipoly(self):
-        if self.offset < 0:
-            raise DomainError("negative exponents present")
-        return UniPoly((0,) * self.offset + self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentUniPoly):
-            other = LaurentUniPoly.const(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.max_degree(), other.max_degree())
-        out = [QZERO] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - lo + i] += c
-        return LaurentUniPoly(lo, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentUniPoly(self.offset, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentUniPoly):
-            other = LaurentUniPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentUniPoly):
-            c = q(other)
-            return LaurentUniPoly(self.offset, [co * c for co in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return LaurentUniPoly.zero()
-        out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca:
-                for j, cb in enumerate(other.coeffs):
-                    out[i + j] += ca * cb
-        return LaurentUniPoly(self.offset + other.offset, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentUniPoly):
-            return self.offset == other.offset and self.coeffs == other.coeffs
-        if isinstance(other, (int, type(QONE))):
-            return self == LaurentUniPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs))
-
-    def derivative(self):
-        out = LaurentUniPoly.zero()
-        for i, c in enumerate(self.coeffs):
-            n = self.offset + i
-            if c and n:
-                out = out + LaurentUniPoly.monomial(n - 1, c * n)
-        return out
-
-    def render(self):
-        return _render_terms(
-            (_power("x", self.offset + i), self.coeffs[i])
-            for i in range(len(self.coeffs) - 1, -1, -1)
-        )
-
-    def __repr__(self):
-        return f"LaurentUniPoly({self.render()})"
-
-    def __str__(self):
-        return self.render()

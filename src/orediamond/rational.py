@@ -6,7 +6,8 @@ are always reduced with positive denominator, which is the
 representation contract relied on everywhere.
 The int kernels read .numerator and .denominator and build results with
 Q(n, d): the MPoly constructor, monomial, scaling, substitute and
-rational view in poly.py.  mpq has the same attributes, but that path is
+rational view in poly.py, which also serve UniPoly and LaurentUniPoly,
+and the dense view UniPoly.coeffs.  mpq has the same attributes, but that path is
 not covered by the tests when gmpy2 is absent.
 """
 

@@ -9,7 +9,7 @@ degrees could still split (e.g. as two cubics) and are reported with
 certified=False.
 """
 
-from .poly import DomainError, UniPoly, rational_roots, squarefree_decomposition, uni_gcd
+from .poly import DomainError, UniPoly, exact_divide, rational_roots, squarefree_decomposition, uni_gcd
 from .multipoly import MPoly, mpoly_resultant
 
 
@@ -70,7 +70,7 @@ def _quadratic_factor(f):
             continue
         for b0 in rational_roots(g):
             cand = UniPoly([b0, a0, 1])
-            if (f % cand).is_zero:
+            if exact_divide(f, cand) is not None:
                 return cand, True
     return None, True
 
@@ -82,7 +82,7 @@ def _factor_squarefree(f):
     for r in rational_roots(f):
         lin = UniPoly([-r, 1])
         atoms.append(lin)
-        f = f // lin
+        f = exact_divide(f, lin)
     while f.degree() >= 3:
         quad, certain = _quadratic_factor(f)
         if quad is None:
@@ -90,7 +90,7 @@ def _factor_squarefree(f):
                 certified = False
             break
         atoms.append(quad)
-        f = f // quad
+        f = exact_divide(f, quad)
     if f.degree() == 2:
         atoms.append(f)
     elif f.degree() >= 3:
