@@ -24,8 +24,6 @@ The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).
 """
 
-from functools import reduce
-
 from .rational import QZERO, q
 from .poly import (
     BiPoly,
@@ -36,12 +34,11 @@ from .poly import (
     gcd,
     rational_roots,
     squarefree_part,
-    uni_gcd,
 )
 from .multipoly import MPoly, mpoly_resultant
 from .unifactor import factor_univariate
 from . import linalg
-from .groebner import has_common_zero_with, is_unit_ideal
+from .groebner import _eliminate, has_common_zero_with, is_unit_ideal
 
 INFINITY = float("inf")
 
@@ -595,73 +592,33 @@ def first_integral_search(deriv, bound):
 
 
 def pencil_members_through(pencil, gens):
-    """The pencil members whose curves meet the common zeros of gens."""
+    """The pencil members p + t*q whose curves meet V(gens), the common
+    zeros of gens over C.
+
+    Let I = (gens, p + t*q) in Q[x, y, t] and take I ∩ Q[t] from a lex
+    basis (groebner._eliminate).  Its zero set is the closure of the
+    projection of V(I) to the t-line (closure theorem; Cox, Little &
+    O'Shea, 3.2).  If I ∩ Q[t] = (g) with g != 0, the projection lies in
+    the finite set V(g), which is closed, so it is exactly V(g): the
+    members are p + r*q for the rational roots r of g, and
+    residual_nonrational says that g does not split over Q, i.e. some
+    member through V(gens) has an irrational parameter.  If I ∩ Q[t] = 0
+    the answer is "all": exact when V(gens) is finite (the projection is
+    then a finite union of points and lines, and its closure is the whole
+    line), cofinite otherwise.  The member t = infinity, q, is checked on
+    its own.
+    """
     gens = [g for g in gens if not g.is_zero]
     if is_unit_ideal(gens):
         raise DomainError("unit ideal: the variety is empty")
-    h3 = MPoly.from_bipoly(pencil.p, 3) + MPoly.var(3, 2) * MPoly.from_bipoly(
-        pencil.q, 3
-    )
-    work = []
-    zero_eliminant = False
-    for g in gens:
-        g3 = MPoly.from_bipoly(g, 3)
-        if g3.degree_in(1) > 0 and h3.degree_in(1) > 0:
-            try:
-                r = mpoly_resultant(g3, h3, 1)
-            except DomainError:
-                continue
-            if r.is_zero:
-                zero_eliminant = True
-            else:
-                work.append(r)
-        else:
-            work.append(g3)
-    if h3.degree_in(1) == 0:
-        work.append(h3)
-    tpolys = []
-    withx = [w for w in work if w.degree_in(0) > 0]
-    for w in work:
-        if w.degree_in(0) == 0 and w.degree_in(1) == 0:
-            tpolys.append(w.as_unipoly(2))
-    for i in range(len(withx)):
-        for j in range(i + 1, len(withx)):
-            try:
-                r = mpoly_resultant(withx[i], withx[j], 0)
-            except DomainError:
-                continue
-            if r.is_zero:
-                zero_eliminant = True
-                continue
-            try:
-                tpolys.append(r.as_unipoly(2))
-            except DomainError:
-                pass
-    tpolys = [t for t in tpolys if not t.is_zero]
-    if not tpolys:
-        # no nontrivial condition in t emerged; verify a sample and report
-        for t in (0, 1, 2, 3):
-            member = pencil.member(t)
-            if member.is_zero or not has_common_zero_with(gens, member):
-                break
-        else:
-            return PencilMembers("all")
-        return PencilMembers("finite", [], residual_nonrational=True)
-    g = reduce(uni_gcd, tpolys)
-    members = []
-    residual = False
-    if g.is_constant:
-        candidates = []
-    else:
-        candidates = rational_roots(g)
-        residual = not _splits_rationally(g, candidates)
-    for t in sorted(candidates):
-        member = pencil.member(t)
-        if not member.is_zero and has_common_zero_with(gens, member):
-            members.append((t, member))
-    if not pencil.q.is_zero and not pencil.q.is_constant:
-        if has_common_zero_with(gens, pencil.q):
-            members.append((INFINITY, pencil.q))
-    if zero_eliminant and not members:
-        residual = True
-    return PencilMembers("finite", members, residual_nonrational=residual)
+    member = MPoly.from_bipoly(pencil.p, 3) + MPoly.var(3, 2) * MPoly.from_bipoly(pencil.q, 3)
+    eliminant = _eliminate([MPoly.from_bipoly(g, 3) for g in gens] + [member], 2)
+    if not eliminant:
+        return PencilMembers("all")
+    (g,) = eliminant
+    g = g.as_unipoly(2)
+    roots = rational_roots(g)
+    members = [(t, pencil.member(t)) for t in roots]
+    if not pencil.q.is_constant and has_common_zero_with(gens, pencil.q):
+        members.append((INFINITY, pencil.q))
+    return PencilMembers("finite", members, residual_nonrational=not _splits_rationally(g, roots))

@@ -75,10 +75,15 @@ class LaurentRule(Certificate):
         self.monomial = monomial  # (alpha, n) or None
 
     def describe(self):
+        """The text of the case _decide_laurent decided, or left open."""
         if self.monomial:
             alpha, n = self.monomial
-            return f"Laurent ring with delta(x) = {alpha}*x^{n}: the ring is delta-simple of Krull dimension 1; property holds"
-        return f"Laurent ring with delta(x) = {self.dx.render()} not a monomial: a proper nonzero delta-ideal exists; property fails"
+            if n >= 0:
+                return f"Laurent ring with delta(x) = {alpha}*x^{n}: the ring is delta-simple of Krull dimension 1; property holds"
+            return f"Laurent ring with delta(x) = {alpha}*x^{n}, a monomial of negative degree: no implemented rule decides this Laurent case"
+        if self.dx.min_degree() >= 0:
+            return f"Laurent ring with delta(x) = {self.dx.render()} not a monomial: a proper nonzero delta-ideal exists; property fails"
+        return f"Laurent ring with delta(x) = {self.dx.render()} not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
 
     def to_json(self):
         out = {"kind": self.kind, "dx": self.dx.render()}
@@ -389,14 +394,16 @@ def singular_darboux_audit(deriv, report):
         through = pencil_members_through(pencil, gens)
         residual = residual or through.residual_nonrational
         if through.kind == "all":
+            # "all" is cofinite when V(gens) is a curve, so each member
+            # audited here is checked against the locus on its own
             for t, member in ((QZERO, pencil.p), (INFINITY, pencil.q)):
                 if not member.is_constant:
-                    audit(member, t, True)
+                    audit(member, t, has_common_zero_with(gens, member))
             generic = pencil.p + pencil.q  # a representative generic member
             if not generic.is_constant and not any(
                 generic.monic() == i.poly.monic() for i in incidences
             ):
-                audit(generic, "generic", True)
+                audit(generic, "generic", has_common_zero_with(gens, generic))
         else:
             for t, member in through.members:
                 audit(member, t, True)

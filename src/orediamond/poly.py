@@ -30,9 +30,9 @@ class DomainError(ValueError):
 # ----------------------------------------------------------------------
 # term-dict kernels
 # ----------------------------------------------------------------------
-# A sparse polynomial is a dict mapping exponent tuples to nonzero
-# coefficients: ints over a common denominator in MPoly, rationals in the
-# Groebner engine.  None of the kernels stores a zero coefficient.
+# A sparse polynomial is a dict mapping exponent tuples to nonzero int
+# coefficients over the common denominator of its MPoly.  None of the
+# kernels stores a zero coefficient.
 
 
 def kadd(a, b):
@@ -67,13 +67,6 @@ def ksub(a, b):
 
 def kneg(a):
     return {e: -c for e, c in a.items()}
-
-
-def kmul_term(a, exp, c):
-    """Multiply by the single term c * X^exp."""
-    if not c:
-        return {}
-    return {tuple(map(add, e, exp)): co * c for e, co in a.items()}
 
 
 def kmul_int(a, b):
@@ -868,8 +861,9 @@ def rational_roots(p):
     top = cs.pop()
     if not cs:
         return roots
+    dens = _int_divisors(top)
     for num in _int_divisors(cs[0]):
-        for den in _int_divisors(top):
+        for den in dens:
             if gcd_int(num, den) != 1:
                 continue
             for a in (num, -num):

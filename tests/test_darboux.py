@@ -304,6 +304,36 @@ class TestPencilMembers:
         through = pencil_members_through(pencil, [bi("x"), bi("y")])
         assert through.kind == "all"
 
+    def test_member_through_a_line_of_zeros(self):
+        """V(4x^2, -xy) is the line x = 0; the member x*y^4 of the pencil
+        (x*y^4, 1) contains it, and no resultant of the generators sees it."""
+        dx, dy = bi("4*x^2"), -bi("x*y")
+        pencil = darboux_search(Derivation(bi("4*x"), -bi("y")), 6).pencils[0]
+        assert (pencil.p, pencil.q) == (bi("x*y^4"), bi("1"))
+        through = pencil_members_through(pencil, [dx, dy])
+        assert through.kind == "finite"
+        assert through.members == [(Q(0), bi("x*y^4"))]
+        assert not through.residual_nonrational
+        audit = next(c for c in decide("poly2", Derivation(dx, dy)).trace if c.kind == "singular_locus_audit")
+        assert not audit.report.residual_nonrational
+        assert (Q(0), bi("x*y^4")) in [(i.parameter, i.poly) for i in audit.report.incidences]
+
+    def test_all_on_a_curve_is_checked_member_by_member(self):
+        """V(xy - 1) is a curve, so "all" for the pencil (y, 1) is only
+        cofinite: y = 0 misses xy = 1.  The audit must not count y as
+        meeting the locus, and the violation it names is a member that
+        does meet it."""
+        dx, dy = bi("x*y - 1"), bi("0")
+        pencil = darboux_search(Derivation(bi("1"), bi("0")), 6).pencils[0]
+        assert (pencil.p, pencil.q) == (bi("y"), bi("1"))
+        assert pencil_members_through(pencil, [dx, dy]).kind == "all"
+        verdict = decide("poly2", Derivation(dx, dy))
+        audit = next(c for c in verdict.trace if c.kind == "singular_locus_audit")
+        meets = {i.poly: i.meets_locus for i in audit.report.incidences}
+        assert meets == {bi("y"): False, bi("y + 1"): True}
+        violation = next(c for c in verdict.trace if c.kind == "singular_violation")
+        assert violation.p == bi("y + 1")
+
     def test_unit_ideal_rejected(self):
         pencil = darboux_search(Derivation(bi("1"), bi("-1*y^2")), 2).pencils[0]
         with pytest.raises(DomainError):

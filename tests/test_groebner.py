@@ -1,5 +1,5 @@
-"""Groebner engine: pinned examples, structural properties, and the
-Macaulay-matrix linear-algebra membership oracle."""
+"""Groebner engine: pinned examples, structural properties, the
+Macaulay-matrix linear-algebra membership oracle, and sympy."""
 
 import random
 
@@ -16,6 +16,8 @@ from orediamond import (
     normal_form,
     s_polynomial,
 )
+from orediamond.groebner import _eliminate
+from orediamond.multipoly import MPoly
 from util import bi, macaulay_member, random_bipoly
 
 
@@ -68,6 +70,18 @@ class TestNormalForm:
                 (random_bipoly(rng, maxdeg=2) * g for g in gens), BiPoly.zero()
             )
             assert normal_form(p, gb) == normal_form(p + noise, gb)
+
+    def test_s_polynomial_definition(self):
+        """S(f, g) = X^(l-fe)*f/lc(f) - X^(l-ge)*g/lc(g), with rational and
+        negative leading coefficients."""
+        assert s_polynomial(bi("2*x^2 + y"), bi("3*x*y + x")) == bi("1/2*y^2 - 1/3*x^2")
+        rng = random.Random(204)
+        for _ in range(40):
+            f, g = (random_bipoly(rng, maxdeg=3, nonzero=True) * Q(rng.choice([-3, 2]), rng.randrange(1, 5)) for _ in range(2))
+            (fi, fj), (gi, gj) = f.leading_exp(), g.leading_exp()
+            li, lj = max(fi, gi), max(fj, gj)
+            want = BiPoly.monomial(li - fi, lj - fj) * f * (1 / f.lc()) - BiPoly.monomial(li - gi, lj - gj) * g * (1 / g.lc())
+            assert s_polynomial(f, g) == want
 
     def test_spoly_reduces_in_basis(self):
         gens = [bi("x^2 + y"), bi("x*y + x")]
@@ -149,3 +163,74 @@ def test_reduced_basis_matches_sympy():
         ]
         ours = buchberger(gens)
         assert len(ours) == len(theirs) and set(ours) == set(theirs)
+
+
+def _mpoly(rng, nvars, maxdeg, nterms):
+    """Seeded nonzero polynomial with rational coefficients; a BiPoly in
+    two variables."""
+    terms = {}
+    for _ in range(nterms):
+        exp = [0] * nvars
+        for _ in range(rng.randrange(maxdeg + 1)):
+            exp[rng.randrange(nvars)] += 1
+        terms[tuple(exp)] = Q(rng.randrange(-9, 10), rng.randrange(1, 4))
+    p = BiPoly(terms) if nvars == 2 else MPoly(nvars, terms)
+    return p if p else p._const(1)
+
+
+def _to_sympy(sp, p, syms):
+    return sp.Add(
+        *(
+            sp.Rational(c.numerator, c.denominator) * sp.Mul(*(s**e for s, e in zip(syms, exp)))
+            for exp, c in p.rational_terms().items()
+        )
+    )
+
+
+def _from_sympy(sp, expr, syms):
+    return MPoly(len(syms), {e: Q(int(c.p), int(c.q)) for e, c in sp.Poly(expr, *syms).terms()})
+
+
+def test_normal_form_matches_sympy_reduced():
+    """normal_form against the remainder of sympy.reduced on the grlex
+    basis, in two and three variables with rational coefficients; the
+    bases agree too, and the remainder keeps the input's type."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(312)
+    for trial in range(30):
+        nvars = 2 + trial % 2
+        syms = sp.symbols(f"v0:{nvars}")
+        gens = [_mpoly(rng, nvars, 2, 3) for _ in range(rng.randrange(1, 4))]
+        theirs = sp.groebner([_to_sympy(sp, g, syms) for g in gens], *syms, order="grlex")
+        basis = buchberger(gens)
+        assert len(basis) == len(theirs.exprs)
+        assert set(basis) == {_from_sympy(sp, h, syms).monic() for h in theirs.exprs}
+        for _ in range(4):
+            p = _mpoly(rng, nvars, 4, 6)
+            _, r = sp.reduced(_to_sympy(sp, p, syms), theirs.exprs, *syms, order="grlex")
+            ours = normal_form(p, basis)
+            assert type(ours) is type(p)
+            assert ours == _from_sympy(sp, r, syms)
+
+
+def test_eliminate_matches_sympy_lex():
+    """_eliminate(gens, 2) against the elements of sympy's reduced lex
+    basis (x > y > t) free of x and y: pencil-shaped ideals (f, g, p + t*q)
+    with f, g, p, q in Q[x, y], and other ideals of Q[x, y, t]."""
+    sp = pytest.importorskip("sympy")
+    syms = x, y, _ = sp.symbols("x y t")
+    t = MPoly.var(3, 2)
+    rng = random.Random(313)
+    kinds = {"zero": 0, "nonzero": 0}
+    for trial in range(40):
+        if trial % 2:
+            f, g, p, q_ = (MPoly.from_bipoly(_mpoly(rng, 2, 2, 3), 3) for _ in range(4))
+            gens = [f, g, p + t * q_]
+        else:
+            gens = [_mpoly(rng, 3, 2, 3) for _ in range(rng.randrange(2, 4))]
+        theirs = sp.groebner([_to_sympy(sp, g, syms) for g in gens], *syms, order="lex")
+        want = [_from_sympy(sp, h, syms).monic() for h in theirs.exprs if not h.has(x, y)]
+        ours = _eliminate(gens, 2)
+        assert ours == want
+        kinds["nonzero" if ours else "zero"] += 1
+    assert min(kinds.values()) >= 8

@@ -363,6 +363,28 @@ class TestAgainstSympy:
             assert sp.expand(_to_sympy(sp, ours.rational_terms(), syms) - theirs) == 0
             assert all(ours.degree_in(i) <= 0 for i in chosen)
 
+    def test_bivariate_gcd(self, sp):
+        """gcd against the monic sympy.gcd on seeded rational inputs: pairs
+        with a common factor (in x and y, or in y alone), pairs free of x,
+        and pairs with no common factor."""
+        x, y = sp.symbols("x y")
+        rng = random.Random(114)
+        for trial in range(80):
+            kind = trial % 4
+            if kind == 2:  # free of x
+                p, q_, common = (BiPoly.from_uni(random_unipoly(rng, maxdeg=2, nonzero=True), "y") for _ in range(3))
+            else:
+                p, q_, common = (BiPoly(_random_mpoly(rng, 2, nterms=3).rational_terms()) for _ in range(3))
+            if kind == 1:  # a common factor in y alone
+                common = BiPoly.from_uni(random_unipoly(rng, maxdeg=2, nonzero=True), "y")
+            if kind < 3:
+                p, q_ = p * common, q_ * common
+            if p.is_zero or q_.is_zero:
+                continue
+            theirs = sp.gcd(_to_sympy(sp, p.rational_terms(), (x, y)), _to_sympy(sp, q_.rational_terms(), (x, y)))
+            want = BiPoly({e: Q(int(c.p), int(c.q)) for e, c in sp.Poly(theirs, x, y).terms()}).monic()
+            assert gcd(p, q_) == want
+
     def test_rational_roots(self, sp):
         """Seeded products of rational linear factors (repeats and the
         root 0 included) and random cofactors.  The integers stay small,
