@@ -21,7 +21,10 @@ identically the top part is a multiple of the Euler operator, the top
 cofactor is forced, and for d = 1 the whole system is linear.
 
 The report leaves out pencils and certificates that are composites
-F(b, u) of a smaller reported pencil b/u (_composite_of).
+F(b, u) of a smaller reported pencil b/u (_composite_of).  When gcd(dx,
+dy) = 1, the degree loop stops at the degree D(m, c) that the first
+pencil found, of degree m and cofactor c, bounds (Jouanolou; Stein;
+Vistoli): darboux_search gives the proof.
 """
 
 from .rational import QZERO, q
@@ -99,20 +102,23 @@ class PencilCert:
 
 
 class DarbouxReport:
-    """All irreducible Darboux data up to a degree bound."""
+    """All irreducible Darboux data up to a degree bound; searched_degree
+    is the last degree searched (see darboux_search for the stop)."""
 
-    __slots__ = ("certs", "pencils", "degree_bound", "complete_up_to_bound")
+    __slots__ = ("certs", "pencils", "degree_bound", "complete_up_to_bound", "searched_degree")
 
-    def __init__(self, certs, pencils, degree_bound, complete_up_to_bound):
+    def __init__(self, certs, pencils, degree_bound, complete_up_to_bound, searched_degree):
         self.certs = list(certs)
         self.pencils = list(pencils)
         self.degree_bound = degree_bound
         self.complete_up_to_bound = complete_up_to_bound
+        self.searched_degree = searched_degree
 
     def __repr__(self):
         return (
             f"DarbouxReport(certs={self.certs}, pencils={self.pencils}, "
-            f"bound={self.degree_bound}, complete={self.complete_up_to_bound})"
+            f"bound={self.degree_bound}, complete={self.complete_up_to_bound}, "
+            f"searched={self.searched_degree})"
         )
 
 
@@ -444,47 +450,64 @@ def darboux_search(deriv, bound):
     """All monic Q-irreducible Darboux polynomials of total degree at
     most bound, with pencils for the cofactor-sharing families, leaving
     out composites F(b, u) of a smaller pencil b/u other than its members.
+
+    The degree loop stops early (Jouanolou, LNM 708).  Let gcd(dx, dy) =
+    1, let m be the first degree where the polynomials found include a
+    pencil b/u, with cofactor c, and let the search be complete through m.
+    Then no degree above D = max(m, S*(m - 1)) has anything to report,
+    S bounding the number of reducible fibers b - lambda*u of a
+    non-composite b/u: m - 1 when c = 0 (Stein, Israel J. Math. 1989),
+    m^2 - 1 otherwise (Vistoli, Invent. Math. 1993).  Proof: completeness
+    through m makes b/u minimal, hence non-composite, and with finitely
+    many singular points every irreducible invariant curve lies in a
+    fiber.  The complex factors of a Q-irreducible Darboux polynomial f of
+    degree > m are conjugate, so either they are whole reduced fibers and
+    f = F(b, u) is a composite, which the report drops, or they are
+    proper components of k <= S reducible fibers and deg f <= S*(m - 1).
+    Conjugate non-reduced irreducible fibers C^e, C'^e do not occur: b/u
+    would be a Moebius image of (C/C')^e, a composite.
+    complete_up_to_bound stays the AND over the degrees searched.
     """
     if deriv.is_zero:
         raise DomainError("every polynomial is Darboux for the zero derivation")
     if bound < 1:
         raise DomainError("degree bound must be at least 1")
     a_pol, b_pol = deriv.dx, deriv.dy
-    d = max(a_pol.total_degree(), b_pol.total_degree())
-    d = int(d)
+    d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     complete = True
     raw = []  # (p, cofactor) concrete
     families = []  # (base, [directions], cofactor)
+    n = bound
     if d == 0:
         basis = _kernel_families(deriv, BiPoly.zero(), bound)
         if basis:
-            first = basis[0]
             raw.extend((p, BiPoly.zero()) for p in basis)
-            families.append((first, basis[1:], BiPoly.zero()))
+            families.append((basis[0], basis[1:], BiPoly.zero()))
     else:
         ad = a_pol.homogeneous_part(d)
         bd = b_pol.homogeneous_part(d)
         big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
-        if big_m.is_zero:
-            h = exact_divide(ad, BiPoly.var_x())
-            if d == 1:
-                hval = h.constant_value()
-                for n in range(1, bound + 1):
-                    basis = _kernel_families(deriv, BiPoly.const(n * hval), n)
-                    if basis:
-                        c0 = BiPoly.const(n * hval)
-                        raw.extend((p, c0) for p in basis)
-                        if len(basis) > 1:
-                            families.append((basis[0], basis[1:], c0))
-                atoms = None
-            else:
-                complete = False
-                atoms = [BiPoly.var_x(), BiPoly.var_y()]
+        atoms = None
+        if not big_m.is_zero:
+            atoms, complete = _top_atoms(big_m, d)
+        elif d == 1:
+            hval = exact_divide(ad, BiPoly.var_x()).constant_value()
         else:
-            atoms, atoms_certified = _top_atoms(big_m, d)
-            complete = complete and atoms_certified
-        if atoms is not None:
-            for n in range(1, bound + 1):
+            complete = False
+            atoms = [BiPoly.var_x(), BiPoly.var_y()]
+        # the stop is fixed at the first pencil, and stays at bound when
+        # there are infinitely many singular points
+        stop_fixed = not gcd(a_pol, b_pol).is_constant
+        stop, n = bound, 0
+        while n < stop:
+            n += 1
+            if atoms is None:
+                c0 = BiPoly.const(n * hval)
+                basis = _kernel_families(deriv, c0, n)
+                raw.extend((p, c0) for p in basis)
+                if len(basis) > 1:
+                    families.append((basis[0], basis[1:], c0))
+            else:
                 for p_top in _top_candidates(atoms, n):
                     dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
                     c_top = exact_divide(dp, p_top)
@@ -494,10 +517,34 @@ def darboux_search(deriv, bound):
                     complete = complete and comp
                     raw.extend(sols)
                     families.extend(fams)
-    return _assemble_report(deriv, raw, families, bound, complete)
+            if not stop_fixed and (c := _pencil_cofactor(raw, families)) is not None:
+                stop_fixed = True
+                if complete:
+                    stop = min(bound, _stop_degree(n, c))
+    return _assemble_report(deriv, raw, families, bound, complete, n)
 
 
-def _assemble_report(deriv, raw, families, bound, complete):
+def _pencil_cofactor(raw, families):
+    """The cofactor c of a pencil among the polynomials found (a family,
+    two non-proportional ones, or one with c = 0 and 1), else None."""
+    for _base, dirs, c in families:
+        if dirs:
+            return c
+    first = {}
+    for p, c in raw:
+        if c.is_zero or not _proportional(first.setdefault(c, p), p):
+            return c
+    return None
+
+
+def _stop_degree(m, cofactor):
+    """D(m, c), the last degree darboux_search needs after a minimal
+    pencil of degree m with cofactor c."""
+    s = m - 1 if cofactor.is_zero else m * m - 1
+    return max(m, s * (m - 1))
+
+
+def _assemble_report(deriv, raw, families, bound, complete, searched):
     all_certs = {}
     for p, c in raw:
         if p.is_zero or p.is_constant:
@@ -571,7 +618,7 @@ def _assemble_report(deriv, raw, families, bound, complete):
         for cert in kept
         if not any(_in_span(cert.p, pc.p, pc.q) for pc in pencil_certs)
     ]
-    return DarbouxReport(kept, pencil_certs, bound, complete)
+    return DarbouxReport(kept, pencil_certs, bound, complete, searched)
 
 
 def _add_pencil(pencil_map, p, q_, c):

@@ -25,6 +25,8 @@ from orediamond.darboux import (
     _composite_of,
     _in_span,
     _level_matrix,
+    _pencil_cofactor,
+    _stop_degree,
     _top_atoms,
     _top_candidates,
 )
@@ -118,6 +120,124 @@ def test_pinned_report(name):
 def test_pinned_report_bound_8(name):
     (dx, dy), expected = PINNED_REPORTS[name]
     assert _report_strings(dx, dy, 8) == expected
+
+
+# Pencil systems whose first pencil, of degree m and cofactor c, is found
+# by a search complete through m: at bound 12 the search stops at
+# D(m, c) and returns the bound-6 report.
+STOPS = {
+    "hamiltonian": (PINNED_REPORTS["hamiltonian"], 4),
+    "x2-y2": (PINNED_REPORTS["x2-y2"], 3),
+    "nilpotent": (PINNED_REPORTS["nilpotent"], 2),
+    "euler": (PINNED_REPORTS["euler"], 1),
+    "linear-center": ((("5*y + 3", "3*x"), ([], [("x^2 - 5/3*y^2 - 2*y", "1", "0")], True)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOPS))
+def test_search_stops_at_the_pencil_bound(name):
+    ((dx, dy), expected), stop = STOPS[name]
+    assert _report_strings(dx, dy, 12) == expected
+    assert darboux_search(Derivation(bi(dx), bi(dy)), 12).searched_degree == stop
+
+
+@pytest.mark.parametrize("name", ["final-example", "euler-top-d2", "one-xy2", "lotka-volterra"])
+def test_search_runs_to_the_bound(name):
+    # gcd(dx, dy) != 1; incomplete when the pencil appears; D(3, x*y) =
+    # 16 > 8; no pencil
+    (dx, dy), _ = PINNED_REPORTS[name]
+    assert darboux_search(Derivation(bi(dx), bi(dy)), 8).searched_degree == 8
+
+
+def test_stop_degree():
+    zero, c = BiPoly.zero(), bi("x")
+    assert [_stop_degree(1, zero), _stop_degree(1, c)] == [1, 1]
+    assert [_stop_degree(2, zero), _stop_degree(2, c)] == [2, 3]
+    assert [_stop_degree(3, zero), _stop_degree(3, c)] == [4, 16]
+
+
+def test_pencil_cofactor():
+    zero, c = BiPoly.zero(), bi("x")
+    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), bi("y"))], []) is None
+    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), c)], []) == c
+    assert _pencil_cofactor([(bi("x^2 - 2*y"), zero)], []) == zero
+    assert _pencil_cofactor([], [(bi("x"), [], c)]) is None
+    assert _pencil_cofactor([], [(bi("x"), [bi("1")], c)]) == c
+
+
+def _no_stop(monkeypatch):
+    monkeypatch.setattr(darboux, "_stop_degree", lambda m, c: float("inf"))
+
+
+class TestIrrationalFibers:
+    """delta = (2 - x^2, 1 + 2xy) is the Hamiltonian field of H = 2y - x -
+    x^2*y (m = 3, c = 0).  Its fibers at H = +-sqrt(2) split into a line
+    and a conic, and the product of the two conjugate conics is a
+    Q-irreducible Darboux polynomial of degree 4 > m: the stop is at
+    D(3, 0) = 4, not at m."""
+
+    DERIV = ("2 - x^2", "1 + 2*x*y")
+    CONICS = "x^2*y^2 + 2*x*y - 2*y^2 + 1"
+
+    def _report(self, bound):
+        return darboux_search(Derivation(*map(bi, self.DERIV)), bound)
+
+    def test_conjugate_conics_reported(self):
+        for bound in range(4, 9):
+            assert bi(self.CONICS) in [c.p for c in self._report(bound).certs]
+
+    def test_stop_keeps_them(self, monkeypatch):
+        # the cascade gives up on the irrational lines x +- sqrt(2) at
+        # degree 1, so the search is incomplete and runs to the bound;
+        # with that give-up treated as settled the stop fires at 4
+        monkeypatch.setattr(darboux, "_splits_rationally", lambda g, roots: True)
+        for bound in range(4, 9):
+            report = self._report(bound)
+            assert report.complete_up_to_bound and report.searched_degree == 4
+            assert bi(self.CONICS) in [c.p for c in report.certs]
+
+
+def _random_degree2(rng, k):
+    """Generic degree-2 fields and, every other one, the Hamiltonian
+    field of a random cubic, which has a polynomial first integral."""
+    if k % 2:
+        h = random_bipoly(rng, maxdeg=3, nterms=4, maxcoef=5)
+        return Derivation(h.deriv_y(), -h.deriv_x())
+    return Derivation(*(random_bipoly(rng, maxdeg=2, nterms=4, maxcoef=5) for _ in range(2)))
+
+
+def test_stop_changes_no_answer(monkeypatch):
+    """The stop leaves certs and pencils as they are; it may only turn
+    complete_up_to_bound from false to true, where it fired."""
+    rng = random.Random(1201)
+    derivs = [d for d in (_random_degree2(rng, k) for k in range(40)) if not d.is_zero]
+    stopped = [darboux_search(d, 6) for d in derivs]
+    _no_stop(monkeypatch)
+    fired = settled = 0
+    for d, report in zip(derivs, stopped):
+        full = darboux_search(d, 6)
+        assert full.searched_degree == 6
+        assert [(c.p, c.cofactor) for c in report.certs] == [(c.p, c.cofactor) for c in full.certs]
+        assert pencil_triples(report) == pencil_triples(full)
+        fired += report.searched_degree < 6
+        if report.complete_up_to_bound != full.complete_up_to_bound:
+            assert report.complete_up_to_bound and report.searched_degree < 6
+            settled += 1
+    assert fired >= 10 and settled >= 1
+
+
+def test_stop_settles_a_solver_give_up(monkeypatch):
+    """H = y^3 - 6/5*y - 3x is linear in x, so every fiber is irreducible
+    and nothing above degree D(3, 0) = 4 is Darboux and non-composite;
+    without the stop the solver gives up above degree 4."""
+    deriv = Derivation(bi("5*y^2 - 2"), bi("5"))
+    report = darboux_search(deriv, 8)
+    assert report.certs == [] and report.complete_up_to_bound and report.searched_degree == 4
+    assert pencil_triples(report) == {(bi("y^3 - 3*x - 6/5*y"), bi("1"), bi("0"))}
+    assert "searched=4" in repr(report)
+    _no_stop(monkeypatch)
+    full = darboux_search(deriv, 8)
+    assert pencil_triples(full) == pencil_triples(report) and not full.complete_up_to_bound
 
 
 def test_cascade_parameters_follow_the_input():
