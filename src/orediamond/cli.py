@@ -14,6 +14,9 @@ from .poly import BiPoly, DomainError
 from .derivation import Derivation
 from .darboux import darboux_search, first_integral_search
 from .diamond import (
+    LAURENT_UNI,
+    POLY_BI,
+    POLY_UNI,
     UNKNOWN,
     NotPrimitive,
     PrimitiveCertified,
@@ -24,9 +27,6 @@ from .diamond import (
 )
 from .ore import OreContext, essential_witness, mul, render_coefficients
 from .parse import (
-    LAURENT_UNI,
-    POLY_BI,
-    POLY_UNI,
     ParseError,
     parse_derivation,
     parse_ore,

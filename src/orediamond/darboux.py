@@ -158,11 +158,22 @@ def _splits_rationally(g, roots):
     return residual.degree() <= 0
 
 
-def _solve_constraints(cons, depth=0):
+def _solve_constraints(cons):
     """Rational solutions of a polynomial constraint system.
 
     Returns (solutions, complete); each solution maps parameter index to
     a rational value, parameters absent from the map stay free.
+
+    A call that finds a constraint in one variable v substitutes each of
+    its rational roots for v, which removes v from every constraint.
+    Otherwise it adds the resultant in the last variable v of the first
+    two constraints that contain v, when that resultant is univariate, so
+    the next call substitutes.  A call that removes no variable is
+    followed by one that does, so the depth is at most twice the number
+    of parameters.
+    Two give-ups are left, each turning complete False: an irrational
+    root, and a resultant that is not univariate (the next call would
+    only compute it again) or fewer than two constraints in v.
     """
     cons = [c for c in cons if not c.is_zero]
     for c in cons:
@@ -170,8 +181,6 @@ def _solve_constraints(cons, depth=0):
             return [], True
     if not cons:
         return [{}], True
-    if depth > 6:
-        return [], False
     for c in cons:
         vs = c.variables()
         if len(vs) == 1:
@@ -182,7 +191,7 @@ def _solve_constraints(cons, depth=0):
             out = []
             for root in roots:
                 rest = [cc.substitute({v: root}) for cc in cons]
-                sols, comp = _solve_constraints(rest, depth + 1)
+                sols, comp = _solve_constraints(rest)
                 complete = complete and comp
                 for s in sols:
                     s = dict(s)
@@ -193,12 +202,9 @@ def _solve_constraints(cons, depth=0):
     v = allvars[-1]
     withv = [c for c in cons if c.degree_in(v) > 0]
     if len(withv) >= 2:
-        try:
-            res = mpoly_resultant(withv[0], withv[1], v)
-        except DomainError:
-            res = None
-        if res is not None and not res.is_zero and not res.is_constant:
-            return _solve_constraints(cons + [res], depth + 1)
+        res = mpoly_resultant(withv[0], withv[1], v)
+        if len(res.variables()) == 1:
+            return _solve_constraints(cons + [res])
     return [], False
 
 
@@ -509,10 +515,13 @@ def darboux_search(deriv, bound):
                     families.append((basis[0], basis[1:], c0))
             else:
                 for p_top in _top_candidates(atoms, n):
+                    # p_top divides its image.  For h homogeneous of
+                    # degree k, Euler's identity gives x*D(h) = k*ad*h +
+                    # h_y*M and y*D(h) = k*bd*h - h_x*M; a product h of
+                    # factors of M divides h_y*M and h_x*M, so h divides
+                    # x*D(h) and y*D(h), hence D(h), as gcd(x, y) = 1
                     dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
                     c_top = exact_divide(dp, p_top)
-                    if c_top is None:
-                        continue
                     sols, fams, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
                     complete = complete and comp
                     raw.extend(sols)
@@ -572,8 +581,6 @@ def _assemble_report(deriv, raw, families, bound, complete, searched):
                 _add_pencil(pencil_map, cert_list[i][0], cert_list[j][0], cert_list[i][1])
     pencils = []
     for (p, q_, c) in pencil_map.values():
-        if _proportional(p, q_):
-            continue
         if not p.is_constant and not q_.is_constant and not gcd(p, q_).is_constant:
             continue
         pencils.append((p, q_, c))

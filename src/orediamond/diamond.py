@@ -305,6 +305,8 @@ class SingularLocusAudit(Certificate):
                 "passes" if i.meets_locus else "misses locus"
             )
             rows.append(f"{i.poly.render()}{tag}: {status}")
+        if self.report.residual_nonrational:
+            rows.append("pencil members at irrational t: meet the locus, not checked")
         return "singular-locus audit of Darboux members: " + "; ".join(rows) if rows else "singular-locus audit: no Darboux members to check"
 
     def to_json(self):

@@ -30,7 +30,7 @@ def rref(rows, ncols):
     for row in rows:
         left = row[:ncols]
         s = lcm(*(v.denominator for v in left))
-        nums.append([int(v.numerator) * (s // v.denominator) for v in left])
+        nums.append([v.numerator * (s // v.denominator) for v in left])
         scales.append(s)
     n = len(nums)
     pivots = []

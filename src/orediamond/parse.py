@@ -15,10 +15,7 @@ from .rational import Q
 from .poly import BiPoly, LaurentUniPoly, UniPoly
 from .derivation import Derivation, UniDerivation
 from .ore import OrePoly
-
-POLY_UNI = "poly1"
-LAURENT_UNI = "laurent1"
-POLY_BI = "poly2"
+from .diamond import LAURENT_UNI, POLY_BI, POLY_UNI
 
 # Largest |exponent| of a variable in a term: x^n in poly1 is n dense coefficients.
 MAX_EXPONENT = 1000

@@ -242,7 +242,7 @@ class MPoly:
         c = q(c)
         if not c:
             return cls._raw(nvars, 1, {})
-        return cls._raw(nvars, int(c.denominator), {tuple(exp): int(c.numerator)})
+        return cls._raw(nvars, c.denominator, {tuple(exp): c.numerator})
 
     # BiPoly redefines the public constructors with x/y signatures
     _term = monomial
@@ -366,7 +366,7 @@ class MPoly:
         if not c:
             return self._raw(self.nvars, 1, {})
         return self._lowest(
-            self.nvars, self.den * int(c.denominator), _scaled(self.terms, int(c.numerator))
+            self.nvars, self.den * c.denominator, _scaled(self.terms, c.numerator)
         )
 
     __rmul__ = __mul__
@@ -413,7 +413,7 @@ class MPoly:
         for i, v in values:
             if not v:
                 continue
-            a, b = int(v.numerator), int(v.denominator)
+            a, b = v.numerator, v.denominator
             top = max((e[i] for e in terms), default=0)
             table = [b**top]
             for _ in range(top):
@@ -754,13 +754,6 @@ def gcd(p, q_):
         return q_.monic()
     if q_.is_zero:
         return p.monic()
-    dxp, dxq = p.degree_in(0), q_.degree_in(0)
-    if dxp == 0 and dxq == 0:
-        return _lift_y(uni_gcd(p.as_unipoly(1), q_.as_unipoly(1))).monic()
-    if dxp == 0:
-        return _lift_y(uni_gcd(p.as_unipoly(1), _content_x(q_))).monic()
-    if dxq == 0:
-        return _lift_y(uni_gcd(q_.as_unipoly(1), _content_x(p))).monic()
     cont = uni_gcd(_content_x(p), _content_x(q_))
     a, b = _primitive_part_x(p), _primitive_part_x(q_)
     if a.degree_in(0) < b.degree_in(0):

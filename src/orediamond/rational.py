@@ -1,20 +1,12 @@
-"""Exact rational coefficients.
-
-Uses gmpy2.mpq when gmpy2 is installed, otherwise fractions.Fraction.
-gmpy2 is not a dependency, so a plain install runs on Fraction.  Both
-are always reduced with positive denominator, which is the
-representation contract relied on everywhere.
-The int kernels read .numerator and .denominator and build results with
-Q(n, d): the MPoly constructor, monomial, scaling, substitute and
-rational view in poly.py, which also serve UniPoly and LaurentUniPoly,
-and the dense view UniPoly.coeffs.  mpq has the same attributes, but that path is
-not covered by the tests when gmpy2 is absent.
+"""Exact rational coefficients: fractions.Fraction, always reduced with
+positive denominator, which is the representation contract relied on
+everywhere.  The int kernels read .numerator and .denominator and build
+results with Q(n, d): the MPoly constructor, monomial, scaling,
+substitute and rational view in poly.py, which also serve UniPoly and
+LaurentUniPoly, and the dense view UniPoly.coeffs.
 """
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is optional
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 QZERO = Q(0)
 QONE = Q(1)

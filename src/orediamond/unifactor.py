@@ -3,10 +3,11 @@
 Strategy: Yun square-free decomposition, then per square-free factor
 strip all rational roots and all monic quadratic factors with rational
 coefficients (found by symbolic division with parametric quadratic and
-elimination).  What remains has no linear or quadratic factor, so a
-remainder of degree at most five is certifiably irreducible; higher
-degrees could still split (e.g. as two cubics) and are reported with
-certified=False.
+elimination; _quadratic_factor proves the search exhaustive).  What
+remains has no linear or quadratic factor, so a remainder of degree at
+most five is certifiably irreducible.  certified=False means one thing
+only: a leftover factor of degree 6 or more, which could still split
+(e.g. as two cubics).
 """
 
 from .poly import DomainError, UniPoly, exact_divide, rational_roots, squarefree_decomposition, uni_gcd
@@ -28,10 +29,23 @@ class FactorReport:
 
 
 def _quadratic_factor(f):
-    """A monic rational quadratic factor of f (degree >= 3), or None.
+    """A monic rational quadratic factor of f, or None when it has none.
 
-    Returns (factor, certain) where certain=False means the search was
-    inconclusive rather than exhaustive.
+    f is monic of degree n >= 3 without rational roots.  Dividing f by
+    t^2 + a*t + b leaves r1*t + r0 with r1, r0 in Q[a, b], and their
+    common zeros over C are the (a, b) with t^2 + a*t + b dividing f:
+    finitely many, as f has finitely many monic quadratic factors over
+    C, and at least one.  At b = 0 the divisor is t*(t + a), so
+    r0(a, 0) = f(0) != 0 and r1(a, 0) = (f(0) - f(-a))/a has degree
+    n - 1: neither is zero.  Were both free of b, their common zeros
+    would be empty or infinite, so the resultant in b is defined; it is
+    nonzero, as a common factor of positive degree in b has infinitely
+    many zeros; it lies in (r0, r1) ∩ Q[a] (Cox, Little & O'Shea, 3.6),
+    so it vanishes at a common zero and is a nonconstant polynomial in
+    a.  At each of its roots a0, r1 and r0 are not both zero as
+    polynomials in b, which would again give infinitely many common
+    zeros, so their gcd is defined, and a rational root b0 of it makes
+    t^2 + a0*t + b0 divide f.
     """
     a_var, b_var = MPoly.var(2, 0), MPoly.var(2, 1)
     rem = [MPoly.const(2, c) for c in f.coeffs]
@@ -43,61 +57,28 @@ def _quadratic_factor(f):
         rem[k - 1] = rem[k - 1] - c * a_var
         rem[k - 2] = rem[k - 2] - c * b_var
     r1, r0 = rem[1], rem[0]
-    if r1.is_zero and r0.is_zero:
-        raise DomainError("degenerate division remainder")
-    if r1.is_zero or r0.is_zero:
-        # solutions form a curve in one equation; outside this search's reach
-        return None, False
-    try:
-        res = mpoly_resultant(r0, r1, 1)
-    except DomainError:
-        return None, False
-    if res.is_zero:
-        return None, False
-    if res.is_constant:
-        return None, True
-    a_poly = res.as_unipoly(0)
-    for a0 in rational_roots(a_poly):
-        u1 = r1.substitute({0: a0}).as_unipoly(1)
-        u0 = r0.substitute({0: a0}).as_unipoly(1)
-        if u1.is_zero and u0.is_zero:
-            continue
-        if u1.is_zero or u0.is_zero:
-            g = u0 if u1.is_zero else u1
-        else:
-            g = uni_gcd(u0, u1)
-        if g.is_constant:
-            continue
-        for b0 in rational_roots(g):
-            cand = UniPoly([b0, a0, 1])
-            if exact_divide(f, cand) is not None:
-                return cand, True
-    return None, True
+    for a0 in rational_roots(mpoly_resultant(r0, r1, 1).as_unipoly(0)):
+        u0, u1 = (r.substitute({0: a0}).as_unipoly(1) for r in (r0, r1))
+        roots = rational_roots(uni_gcd(u0, u1))
+        if roots:
+            return UniPoly([roots[0], a0, 1])
+    return None
 
 
 def _factor_squarefree(f):
     """Atoms of a monic square-free f; returns (atoms, certified)."""
     atoms = []
-    certified = True
     for r in rational_roots(f):
         lin = UniPoly([-r, 1])
         atoms.append(lin)
         f = exact_divide(f, lin)
-    while f.degree() >= 3:
-        quad, certain = _quadratic_factor(f)
-        if quad is None:
-            if not certain:
-                certified = False
-            break
+    while f.degree() >= 3 and (quad := _quadratic_factor(f)) is not None:
         atoms.append(quad)
         f = exact_divide(f, quad)
-    if f.degree() == 2:
+    # f has no factor of degree 1 or 2 now, so below degree 6 it is irreducible
+    if f.degree() >= 2:
         atoms.append(f)
-    elif f.degree() >= 3:
-        atoms.append(f)
-        if f.degree() >= 6:
-            certified = False
-    return atoms, certified
+    return atoms, f.degree() < 6
 
 
 def factor_univariate(p):

@@ -260,12 +260,46 @@ def test_cascade_stops_at_a_constant_row(monkeypatch):
     # and the cascade returns before solving any constraint
     assert darboux._solve_constraints([MPoly.one(3)]) == ([], True)
 
-    def unreachable(cons, depth=0):
+    def unreachable(cons):
         raise AssertionError("constraints solved after a constant row")
 
     monkeypatch.setattr(darboux, "_solve_constraints", unreachable)
     a_pol, b_pol = bi("x*y^2 + y^2 - y"), bi("-1*x*y^4 - y^4 + y^3")
     assert _cascade(a_pol, b_pol, 5, 1, bi("x"), BiPoly.zero()) == ([], [], True)
+
+
+def test_solve_constraints_nests_substitutions_without_a_cap():
+    # v2 - 1, v3 - v2, ..., v9 - v8: eight substitutions, one inside the
+    # other, each making the next constraint univariate
+    v = [MPoly.var(10, i) for i in range(10)]
+    cons = [v[2] - 1] + [v[i] - v[i - 1] for i in range(3, 10)]
+    assert darboux._solve_constraints(cons) == ([dict.fromkeys(range(2, 10), Q(1))], True)
+
+
+def test_search_complete_past_six_substitutions():
+    # y = C*exp(3x/4) is transcendental, so x and y are the only
+    # irreducible Darboux polynomials; from degree 7 on the cascade's
+    # constraints need more than six nested substitutions
+    report = darboux_search(Derivation(bi("4*x"), bi("3*x*y")), 8)
+    assert report.complete_up_to_bound
+    assert {(c.p, c.cofactor) for c in report.certs} == {(bi("x"), bi("4")), (bi("y"), bi("3*x"))}
+    assert report.pencils == []
+
+
+def test_solve_constraints_gives_up_on_a_bivariate_resultant(monkeypatch):
+    # the resultant in v4 of v2*v4 + v3 and v3*v4 + v2 is v2^2 - v3^2,
+    # not univariate: give up at once instead of computing it again
+    v = [MPoly.var(5, i) for i in range(5)]
+    calls = []
+    solve = darboux._solve_constraints
+
+    def counted(cons):
+        calls.append(cons)
+        return solve(cons)
+
+    monkeypatch.setattr(darboux, "_solve_constraints", counted)
+    assert counted([v[2] * v[4] + v[3], v[3] * v[4] + v[2]]) == ([], False)
+    assert len(calls) == 1
 
 
 def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):

@@ -111,6 +111,35 @@ class TestDecideBivariate:
             bi("-1*y"),
         )
 
+    def test_irrational_members_through_the_locus_leave_unknown(self):
+        # the pencil x^3 + 1/2*y^3 + 3*y + t meets the singular locus
+        # only at irrational t, so no member is audited
+        v = decide("poly2", Derivation(bi("y^2 + 2"), bi("-2*x^2")), 6)
+        assert (v.status, v.certified) == (UNKNOWN, False)
+        (audit,) = v.trace
+        assert audit.to_json() == {
+            "kind": "singular_locus_audit",
+            "locus_proper": True,
+            "incidences": [],
+            "residual_nonrational": True,
+        }
+        assert "irrational t" in audit.describe()
+
+    def test_unit_ideal_without_pencil_is_uncertified(self):
+        v = decide("poly2", Derivation(bi("-7*x*y"), bi("2")), 6)
+        assert (v.status, v.certified) == (NOT_DIAMOND, False)
+        assert [c.to_json() for c in v.trace] == [
+            {"kind": "primitivity", "status": "primitive_evidence", "bound": 6}
+        ]
+
+    def test_audit_passes_without_pencil_is_uncertified(self):
+        v = decide("poly2", Derivation(bi("-4*x*y"), bi("-3*x - 2")), 6)
+        assert (v.status, v.certified) == (NOT_DIAMOND, False)
+        audit, primitivity = v.trace
+        assert [(i.poly, i.meets_locus) for i in audit.report.incidences] == [(bi("x"), False)]
+        assert not audit.report.violations and not audit.report.residual_nonrational
+        assert primitivity.to_json() == {"kind": "primitivity", "status": "primitive_evidence", "bound": 6}
+
     def test_zero_derivation(self):
         v = decide("poly2", Derivation(BiPoly.zero(), BiPoly.zero()))
         assert (v.status, v.certified) == (DIAMOND, True)

@@ -1,5 +1,6 @@
 """Source hygiene of the package, checked with the standard library
-alone: every imported name is used."""
+alone: every imported name is used, and no top-level name is defined in
+two modules."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,35 @@ def test_scan_sees_an_unused_import(tmp_path):
     (tmp_path / "c.py").write_text("h = k = 0\n__all__ = ['h']\n")
     # b.k is imported by nobody and read nowhere; c's names are all used
     assert unused_imports(tmp_path) == ["a.py:1: g", "a.py:2: os", "b.py:1: k"]
+
+
+def _defined(tree):
+    """Names a module's top-level statements define (not import)."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return out
+
+
+def duplicate_definitions(package=PACKAGE):
+    """'name: module, module, ...' for each name defined in two modules."""
+    owners = {}
+    for path in sorted(package.glob("*.py")):
+        for name in _defined(ast.parse(path.read_text(), str(path))):
+            owners.setdefault(name, []).append(path.name)
+    return [f"{name}: {', '.join(mods)}" for name, mods in sorted(owners.items()) if len(mods) > 1]
+
+
+def test_no_name_defined_twice():
+    assert duplicate_definitions() == []
+
+
+def test_scan_sees_a_name_defined_twice(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import g\n\nRING = 'r'\n\ndef f():\n    x = 1\n")
+    (tmp_path / "b.py").write_text("RING: str = 'r'\n\nclass f:\n    x = 1\n\ndef g():\n    pass\n")
+    # local names and imports are not definitions
+    assert duplicate_definitions(tmp_path) == ["RING: a.py, b.py", "f: a.py, b.py"]

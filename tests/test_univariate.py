@@ -24,7 +24,7 @@ from orediamond import (
 )
 from orediamond.cli import main
 from orediamond.multipoly import MPoly
-from orediamond.unifactor import factor_univariate
+from orediamond.unifactor import _quadratic_factor, factor_univariate
 from util import bi, lau, uni
 
 
@@ -244,6 +244,48 @@ def test_factor_univariate_against_sympy(sp):
         assert rep.unit == p.lc()
         assert rep.factors == theirs
     assert certified >= 100
+
+
+def _no_rational_roots(rng, deg):
+    """A monic polynomial of the given degree without rational roots."""
+    while True:
+        f = UniPoly([Q(rng.randrange(-5, 6), rng.choice([1, 2])) for _ in range(deg)] + [1])
+        if f.coeffs[0] and not rational_roots(f):
+            return f
+
+
+def test_quadratic_factor_found():
+    # even quartic: the remainder's t-coefficient r1(0, b) is zero, so
+    # the gcd at a0 = 0 has a zero operand
+    f = uni("x^4 + 3*x^2 + 2")
+    assert _quadratic_factor(f) == uni("x^2 + 1")
+    # sqrt(2) + sqrt(3) has degree 4 over Q with no rational quadratic factor
+    assert _quadratic_factor(uni("x^4 - 10*x^2 + 1")) is None
+    rep = factor_univariate(f)
+    assert rep.certified and rep.factors == [(uni("x^2 + 1"), 1), (uni("x^2 + 2"), 1)]
+
+
+def test_factor_univariate_of_products_without_rational_roots_against_sympy(sp):
+    # products of quadratics, some squared, and simple cubics without
+    # rational roots: the search must find each quadratic factor;
+    # certified unless two cubics leave a remainder of degree 6
+    x = sp.Symbol("x")
+    rng = random.Random(306)
+    for _ in range(40):
+        degrees = rng.choice([(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3), (2, 3, 3)])
+        p = UniPoly.const(Q(rng.choice([-3, 1, 2]), rng.choice([1, 5])))
+        for deg in degrees:
+            p = p * _no_rational_roots(rng, deg) ** (rng.choice([1, 1, 2]) if deg == 2 else 1)
+        rep = factor_univariate(p)
+        assert rep.certified == (degrees.count(3) < 2)
+        _, parts = sp.factor_list(_to_sympy(sp, p, x))
+        theirs = sorted(((_from_sympy(f.monic()), m) for f, m in parts), key=lambda fm: (fm[0].degree(), fm[0].coeffs))
+        if rep.certified:
+            assert rep.unit == p.lc() and rep.factors == theirs
+        else:
+            # the quadratics are split off; the cubics stay together
+            quads = [fm for fm in theirs if fm[0].degree() == 2]
+            assert [fm for fm in rep.factors if fm[0].degree() == 2] == quads
 
 
 def test_rational_roots_of_rational_polynomials_against_sympy(sp):
