@@ -18,8 +18,7 @@ from .diamond import (
     POLY_BI,
     POLY_UNI,
     UNKNOWN,
-    NotPrimitive,
-    PrimitiveCertified,
+    PrimitiveEvidence,
     PrimitivityCert,
     classify_primitivity,
     decide,
@@ -34,25 +33,6 @@ from .parse import (
 )
 
 SCHEMA_VERSION = "1.0"
-
-
-def _pencil_json(pencil):
-    return {
-        "p": pencil.p.render(),
-        "q": pencil.q.render(),
-        "cofactor": pencil.cofactor.render(),
-    }
-
-
-def _report_json(report):
-    return {
-        "certs": [
-            {"p": c.p.render(), "cofactor": c.cofactor.render()} for c in report.certs
-        ],
-        "pencils": [_pencil_json(p) for p in report.pencils],
-        "degree_bound": report.degree_bound,
-        "complete_up_to_bound": report.complete_up_to_bound,
-    }
 
 
 def _ore_json(f):
@@ -80,12 +60,8 @@ def _ore_context(args):
 def _cmd_decide(args):
     deriv = parse_derivation(args.deriv, args.ring)
     verdict = decide(args.ring, deriv, args.bound)
-    doc_result = {
-        "status": verdict.status,
-        "certified": verdict.certified,
-        "evidence_bound": verdict.evidence_bound,
-    }
-    trace = [c.to_json() for c in verdict.trace]
+    doc_result = verdict.to_json()
+    trace = doc_result.pop("trace")
     lines = [
         f"status: {verdict.status}",
         f"certified: {'yes' if verdict.certified else 'no'}",
@@ -99,7 +75,7 @@ def _cmd_decide(args):
 def _cmd_darboux(args):
     deriv = parse_derivation(args.deriv, POLY_BI)
     report = darboux_search(deriv, args.bound)
-    result = _report_json(report)
+    result = report.to_json()
     lines = [f"degree bound: {report.degree_bound}"]
     for c in report.certs:
         lines.append(f"darboux: {c.p.render()}  (cofactor {c.cofactor.render()})")
@@ -121,7 +97,7 @@ def _cmd_primitive(args):
     cert = PrimitivityCert(verdict)
     result = cert.to_json()
     lines = [cert.describe()]
-    code = 0 if isinstance(verdict, (NotPrimitive, PrimitiveCertified)) else 2
+    code = 2 if verdict.status == PrimitiveEvidence.status else 0
     inputs = {"ring": POLY_BI, "deriv": render_derivation(deriv)}
     return result, [], lines, code, inputs
 
@@ -178,7 +154,7 @@ def _cmd_first_integral(args):
         lines = [f"no rational first integral up to degree {args.bound}"]
         code = 2
     else:
-        result = {"found": True, "pencil": _pencil_json(pencil)}
+        result = {"found": True, "pencil": pencil.to_json()}
         lines = [
             f"first integral: ({pencil.p.render()}) / ({pencil.q.render()})",
             f"shared cofactor: {pencil.cofactor.render()}",

@@ -37,6 +37,7 @@ from .poly import (
     gcd,
     rational_roots,
     squarefree_part,
+    uni_gcd,
 )
 from .multipoly import MPoly, mpoly_resultant
 from .unifactor import factor_univariate
@@ -61,6 +62,9 @@ class DarbouxCert:
 
     def verify(self, deriv):
         return deriv.apply(self.p) == self.cofactor * self.p
+
+    def to_json(self):
+        return {"p": self.p.render(), "cofactor": self.cofactor.render()}
 
     def __repr__(self):
         return f"DarbouxCert(p={self.p.render()}, cofactor={self.cofactor.render()})"
@@ -94,6 +98,9 @@ class PencilCert:
             return self.q
         return self.p + q(t) * self.q
 
+    def to_json(self):
+        return {"p": self.p.render(), "q": self.q.render(), "cofactor": self.cofactor.render()}
+
     def __repr__(self):
         return (
             f"PencilCert(p={self.p.render()}, q={self.q.render()}, "
@@ -113,6 +120,15 @@ class DarbouxReport:
         self.degree_bound = degree_bound
         self.complete_up_to_bound = complete_up_to_bound
         self.searched_degree = searched_degree
+
+    def to_json(self):
+        """The CLI's darboux answer; searched_degree is left out."""
+        return {
+            "certs": [c.to_json() for c in self.certs],
+            "pencils": [p.to_json() for p in self.pencils],
+            "degree_bound": self.degree_bound,
+            "complete_up_to_bound": self.complete_up_to_bound,
+        }
 
     def __repr__(self):
         return (
@@ -149,13 +165,10 @@ def _monomials(deg):
 
 
 def _splits_rationally(g, roots):
-    """True when g splits into linear factors over Q; roots are its rational roots."""
-    residual = g
-    for root in roots:
-        lin = UniPoly([-root, 1])
-        while (quo := exact_divide(residual, lin)) is not None:
-            residual = quo
-    return residual.degree() <= 0
+    """True when g splits into linear factors over Q, roots being its
+    distinct rational roots: g has deg g - deg gcd(g, g') distinct roots
+    over C."""
+    return len(roots) == g.degree() - uni_gcd(g, g.derivative()).degree()
 
 
 def _solve_constraints(cons):
@@ -362,11 +375,16 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
         if not free:
             solutions.append((pm.to_bipoly(), c_val))
             continue
+        # pm is affine in the free parameters, so no direction involves
+        # one.  Substituting values is a ring map, and the parts of cm
+        # have distinct (x, y)-degrees, so each substituted cofactor part
+        # is free of parameters with cm.  Each product in a level's right
+        # side has as one factor a cofactor part or a parameter-free
+        # a/b part, the other a part of p or its gradient, and the level
+        # is affine in its right side and new parameters: by induction
+        # over the levels each substituted part of p is affine.  Were
+        # it not, to_bipoly would raise on a direction.
         directions = [pm.deriv(v) for v in free]
-        # pm is affine in the parameters when no direction involves one
-        if any(v > 1 for dv in directions for v in dv.variables()):
-            complete = False
-            continue
         base = pm.substitute(dict.fromkeys(free, 0)).to_bipoly()
         families.append((base, [dv.to_bipoly() for dv in directions], c_val))
     return solutions, families, complete

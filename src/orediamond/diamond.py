@@ -70,20 +70,14 @@ class LocallyNilpotentCert(Certificate):
 class LaurentRule(Certificate):
     kind = "laurent_rule"
 
-    def __init__(self, dx, monomial):
+    def __init__(self, dx, monomial, finding):
         self.dx = dx
         self.monomial = monomial  # (alpha, n) or None
+        self.finding = finding  # the case _decide_laurent decided, or left open
 
     def describe(self):
-        """The text of the case _decide_laurent decided, or left open."""
-        if self.monomial:
-            alpha, n = self.monomial
-            if n >= 0:
-                return f"Laurent ring with delta(x) = {alpha}*x^{n}: the ring is delta-simple of Krull dimension 1; property holds"
-            return f"Laurent ring with delta(x) = {alpha}*x^{n}, a monomial of negative degree: no implemented rule decides this Laurent case"
-        if self.dx.min_degree() >= 0:
-            return f"Laurent ring with delta(x) = {self.dx.render()} not a monomial: a proper nonzero delta-ideal exists; property fails"
-        return f"Laurent ring with delta(x) = {self.dx.render()} not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
+        shown = "{}*x^{}".format(*self.monomial) if self.monomial else self.dx.render()
+        return f"Laurent ring with delta(x) = {shown}{self.finding}"
 
     def to_json(self):
         out = {"kind": self.kind, "dx": self.dx.render()}
@@ -198,11 +192,7 @@ class PrimitivityCert(Certificate):
     def to_json(self):
         out = {"kind": self.kind, "status": self.verdict.status}
         if self.verdict.status == "not_primitive":
-            out["pencil"] = {
-                "p": self.verdict.pencil.p.render(),
-                "q": self.verdict.pencil.q.render(),
-                "cofactor": self.verdict.pencil.cofactor.render(),
-            }
+            out["pencil"] = self.verdict.pencil.to_json()
         elif self.verdict.status == "primitive_evidence":
             out["bound"] = self.verdict.bound
         return out
@@ -221,14 +211,7 @@ class NoMaxDeltaIdealAndNotPrimitive(Certificate):
         )
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "pencil": {
-                "p": self.pencil.p.render(),
-                "q": self.pencil.q.render(),
-                "cofactor": self.pencil.cofactor.render(),
-            },
-        }
+        return {"kind": self.kind, "pencil": self.pencil.to_json()}
 
 
 class SingularViolation(Certificate):
@@ -412,30 +395,32 @@ def singular_darboux_audit(deriv, report):
     return SingularLocusReport(True, incidences, residual)
 
 
+def _delta_simple(spec, dx):
+    """Q[x] is delta-simple exactly when delta(x) is a nonzero constant,
+    Q[x, 1/x] when delta(x) = alpha*x^n with n >= 0."""
+    mono = dx.as_monomial()
+    return mono is not None and (mono[1] == 0 if spec == POLY_UNI else mono[1] >= 0)
+
+
 def delta_simple_dim1_check(spec, deriv):
     """Decidable delta-simplicity for the one-dimensional rings."""
     if spec == POLY_BI:
         raise DomainError("delta-simplicity of Q[x,y] is not decided by this rule")
-    dx = deriv.dx
-    if spec == POLY_UNI:
-        return dx.is_constant and not dx.is_zero
-    if spec == LAURENT_UNI:
-        mono = dx.as_monomial()
-        return mono is not None and mono[1] >= 0
-    raise DomainError(f"unknown ring spec {spec!r}")
+    if spec not in RING_SPECS:
+        raise DomainError(f"unknown ring spec {spec!r}")
+    return _delta_simple(spec, deriv.dx)
 
 
 def _decide_poly_uni(deriv, bound):
     dx = deriv.dx
     if dx.is_zero:
         return Verdict(DIAMOND, True, bound, [CommutativeCase()])
-    if dx.is_constant:
-        return Verdict(DIAMOND, True, bound, [UniConstantCert(dx.constant_value())])
-    coeffs = [(i, c) for i, c in enumerate(dx.coeffs) if c]
-    if len(coeffs) == 1:
-        n, alpha = coeffs[0]
-        return Verdict(NOT_DIAMOND, True, bound, [UniMonomialCert(alpha, n)])
-    return Verdict(UNKNOWN, False, bound, [UnivariateOutOfScope(dx)])
+    mono = dx.as_monomial()
+    if mono is None:
+        return Verdict(UNKNOWN, False, bound, [UnivariateOutOfScope(dx)])
+    if _delta_simple(POLY_UNI, dx):
+        return Verdict(DIAMOND, True, bound, [UniConstantCert(mono[0])])
+    return Verdict(NOT_DIAMOND, True, bound, [UniMonomialCert(*mono)])
 
 
 def _decide_laurent(deriv, bound):
@@ -443,13 +428,15 @@ def _decide_laurent(deriv, bound):
     if dx.is_zero:
         return Verdict(DIAMOND, True, bound, [CommutativeCase()])
     mono = dx.as_monomial()
-    if mono is not None:
-        if mono[1] >= 0:
-            return Verdict(DIAMOND, True, bound, [LaurentRule(dx, mono)])
-        return Verdict(UNKNOWN, False, bound, [LaurentRule(dx, mono)])
-    if dx.min_degree() >= 0:
-        return Verdict(NOT_DIAMOND, True, bound, [LaurentRule(dx, None)])
-    return Verdict(UNKNOWN, False, bound, [LaurentRule(dx, None)])
+    if _delta_simple(LAURENT_UNI, dx):
+        status, finding = DIAMOND, ": the ring is delta-simple of Krull dimension 1; property holds"
+    elif mono is not None:
+        status, finding = UNKNOWN, ", a monomial of negative degree: no implemented rule decides this Laurent case"
+    elif dx.min_degree() >= 0:
+        status, finding = NOT_DIAMOND, " not a monomial: a proper nonzero delta-ideal exists; property fails"
+    else:
+        status, finding = UNKNOWN, " not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
+    return Verdict(status, status != UNKNOWN, bound, [LaurentRule(dx, mono, finding)])
 
 
 def _decide_poly_bi(deriv, darboux_bound):
@@ -472,32 +459,28 @@ def _decide_poly_bi(deriv, darboux_bound):
             exact_divide(deriv.dx, g), exact_divide(deriv.dy, g)
         )
     report = darboux_search(reduced, darboux_bound)
-    if is_unit_ideal([deriv.dx, deriv.dy]):
-        if report.pencils:
-            pencil = report.pencils[0]
-            trace = [
-                PrimitivityCert(NotPrimitive(pencil)),
-                NoMaxDeltaIdealAndNotPrimitive(pencil),
-            ]
-            return Verdict(DIAMOND, False, darboux_bound, trace)
-        trace = [PrimitivityCert(PrimitiveEvidence(darboux_bound))]
+    unit = is_unit_ideal([deriv.dx, deriv.dy])
+    trace = []
+    if not unit:
+        audit = singular_darboux_audit(deriv, report)
+        trace.append(SingularLocusAudit(audit))
+        violations = audit.violations
+        if violations:
+            worst = violations[0]
+            which = "dy" if worst.divides_dx else "dx"
+            trace.append(SingularViolation(worst.poly, which))
+            certain = worst.poly.total_degree() == 1 or report.complete_up_to_bound
+            return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
+        if audit.residual_nonrational:
+            return Verdict(UNKNOWN, False, darboux_bound, trace)
+    if not report.pencils:
+        trace.append(PrimitivityCert(PrimitiveEvidence(darboux_bound)))
         return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
-    audit = singular_darboux_audit(deriv, report)
-    trace = [SingularLocusAudit(audit)]
-    violations = audit.violations
-    if violations:
-        worst = violations[0]
-        which = "dy" if worst.divides_dx else "dx"
-        trace.append(SingularViolation(worst.poly, which))
-        certain = worst.poly.total_degree() == 1 or report.complete_up_to_bound
-        return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
-    if audit.residual_nonrational:
-        return Verdict(UNKNOWN, False, darboux_bound, trace)
-    if report.pencils:
-        trace.append(PrimitivityCert(NotPrimitive(report.pencils[0])))
-        return Verdict(DIAMOND, False, darboux_bound, trace)
-    trace.append(PrimitivityCert(PrimitiveEvidence(darboux_bound)))
-    return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
+    pencil = report.pencils[0]
+    trace.append(PrimitivityCert(NotPrimitive(pencil)))
+    if unit:
+        trace.append(NoMaxDeltaIdealAndNotPrimitive(pencil))
+    return Verdict(DIAMOND, False, darboux_bound, trace)
 
 
 def decide(spec, deriv, darboux_bound=6):

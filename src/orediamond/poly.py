@@ -570,6 +570,13 @@ class _Univariate(MPoly):
     def derivative(self):
         return self.deriv(0)
 
+    def as_monomial(self):
+        """(alpha, n) when this is alpha*x^n, else None."""
+        if len(self.terms) == 1:
+            (((n,), c),) = self.terms.items()
+            return Q(c, self.den), n
+        return None
+
     def render(self, var="x"):
         """Canonical text form, highest power first."""
         terms = self.terms if self.den == 1 else self.rational_terms()
@@ -665,13 +672,6 @@ class LaurentUniPoly(_Univariate):
 
     def max_degree(self):
         return self.degree_in(0)
-
-    def as_monomial(self):
-        """(alpha, n) when this is alpha*x^n, else None."""
-        if len(self.terms) == 1:
-            (((n,), c),) = self.terms.items()
-            return Q(c, self.den), n
-        return None
 
     def as_unipoly(self):
         if any(n < 0 for (n,) in self.terms):

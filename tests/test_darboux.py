@@ -11,6 +11,7 @@ from orediamond import (
     Derivation,
     DomainError,
     Q,
+    UniPoly,
     darboux,
     darboux_search,
     decide,
@@ -18,6 +19,7 @@ from orediamond import (
     first_integral_search,
     linalg,
     pencil_members_through,
+    rational_roots,
 )
 from orediamond.darboux import (
     _cascade,
@@ -300,6 +302,30 @@ def test_solve_constraints_gives_up_on_a_bivariate_resultant(monkeypatch):
     monkeypatch.setattr(darboux, "_solve_constraints", counted)
     assert counted([v[2] * v[4] + v[3], v[3] * v[4] + v[2]]) == ([], False)
     assert len(calls) == 1
+
+
+def test_splits_rationally_matches_sympy():
+    """Products of rational linear factors, some repeated, and irreducible
+    quadratics split over Q exactly when sympy factors them into linear
+    factors alone."""
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    rng = random.Random(1402)
+    seen = set()
+    for _ in range(80):
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            factors += [rng.randint(1, 4) * z + rng.randint(-6, 6)] * rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2)):
+            b, c = rng.randint(-5, 5), rng.randint(-6, 6)
+            if sp.Poly(z**2 + b * z + c, z).is_irreducible:
+                factors += [z**2 + b * z + c] * rng.randint(1, 2)
+        g = sp.Poly(rng.randint(1, 5) * sp.Mul(*factors), z)
+        ours = UniPoly([int(c) for c in reversed(g.all_coeffs())])
+        expected = all(f.degree() == 1 for f, _ in g.factor_list()[1])
+        assert darboux._splits_rationally(ours, rational_roots(ours)) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library
-alone: every imported name is used, and no top-level name is defined in
-two modules."""
+alone: every imported name is used, no top-level name is defined in two
+modules, and every private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -62,15 +62,16 @@ def test_scan_sees_an_unused_import(tmp_path):
     assert unused_imports(tmp_path) == ["a.py:1: g", "a.py:2: os", "b.py:1: k"]
 
 
-def _defined(tree):
-    """Names a module's top-level statements define (not import)."""
-    out = set()
-    for node in tree.body:
+def _defined(body):
+    """(name, line) of each name the statements of a module or class body
+    define (not import)."""
+    out = []
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.add(node.name)
+            out.append((node.name, node.lineno))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            out += [(n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     return out
 
 
@@ -78,7 +79,7 @@ def duplicate_definitions(package=PACKAGE):
     """'name: module, module, ...' for each name defined in two modules."""
     owners = {}
     for path in sorted(package.glob("*.py")):
-        for name in _defined(ast.parse(path.read_text(), str(path))):
+        for name in {name for name, _ in _defined(ast.parse(path.read_text(), str(path)).body)}:
             owners.setdefault(name, []).append(path.name)
     return [f"{name}: {', '.join(mods)}" for name, mods in sorted(owners.items()) if len(mods) > 1]
 
@@ -92,3 +93,53 @@ def test_scan_sees_a_name_defined_twice(tmp_path):
     (tmp_path / "b.py").write_text("RING: str = 'r'\n\nclass f:\n    x = 1\n\ndef g():\n    pass\n")
     # local names and imports are not definitions
     assert duplicate_definitions(tmp_path) == ["RING: a.py, b.py", "f: a.py, b.py"]
+
+
+def _read(tree):
+    """Names a module loads, as a name or an attribute, or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+    return out
+
+
+def unused_private_names(package=PACKAGE):
+    """'module.py:line: name' for each _-prefixed name, dunders aside,
+    defined at module or class level and read nowhere in the package."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    read = set().union(*map(_read, trees.values()))
+    found = []
+    for module, tree in trees.items():
+        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        found += [
+            f"{module}:{line}: {name}"
+            for body in bodies
+            for name, line in _defined(body)
+            if name.startswith("_") and not name.endswith("__") and name not in read
+        ]
+    return found
+
+
+def test_no_unused_private_names():
+    assert unused_private_names() == []
+
+
+def test_scan_sees_an_unused_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n_UNUSED = 2\n\n"
+        "def _helper():\n    return _USED\n\n"
+        "def _orphan():\n    _local = 3\n\n"
+        "def _shared():\n    return 0\n\n"
+        "class K:\n    __slots__ = ()\n    _tag = 'k'\n\n"
+        "    def _method(self):\n        return self._tag\n\n"
+        "    def _dead(self):\n        pass\n\n"
+        "    def __repr__(self):\n        return self._method() + _helper()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _shared\n\nprint(_shared())\n")
+    # locals, dunders and names read from another module are not reported
+    assert unused_private_names(tmp_path) == ["a.py:2: _UNUSED", "a.py:7: _orphan", "a.py:20: _dead"]

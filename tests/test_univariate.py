@@ -1,6 +1,7 @@
 """UniPoly and LaurentUniPoly, the 1-variable cases of the sparse integer
 MPoly: result types, canonical form, differential checks against sympy
-and a Fraction reference, and pinned CLI output of the univariate rings."""
+and a Fraction reference, and pinned CLI output of the univariate rings
+and of the planar named corpus."""
 
 import json
 import math
@@ -366,9 +367,14 @@ def test_laurent_against_fraction_reference():
     assert negative >= 100
 
 
-# -- CLI output of the univariate rings, pinned -------------------------
+# -- CLI output, pinned: the univariate rings, and the planar named -----
+# -- corpus through decide, darboux, primitive and first-integral -------
 
-PINS = json.loads((Path(__file__).parent / "univariate_cli_pins.json").read_text())
+PINS = [
+    pin
+    for name in ("univariate_cli_pins.json", "planar_cli_pins.json")
+    for pin in json.loads((Path(__file__).parent / name).read_text())
+]
 
 
 @pytest.mark.parametrize("pin", PINS, ids=[" ".join(p["argv"]) for p in PINS])
