@@ -71,7 +71,17 @@ def kneg(a):
 
 def kmul_int(a, b):
     """Product of two term dicts with int coefficients: the one product
-    kernel."""
+    kernel.
+
+    Two-variable operands are multiplied on packed exponents (Monagan &
+    Pearce, CASC 2007): x^i*y^j is keyed as the int (i << s) + j - m,
+    m being its operand's least y-exponent and s the bit length of the
+    largest sum of two such offset y-exponents.  Every such sum is below
+    2^s, so adding two keys never carries into the x field, and each
+    product key decodes to exactly one (i, j), negative i included (>>
+    floors).  The inner loop then adds ints instead of building and
+    hashing a tuple per pair of terms; terms come out in the order the
+    tuple loop, kept for every other arity, gives them."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
@@ -79,11 +89,25 @@ def kmul_int(a, b):
         return {tuple(map(add, e, ea)): c * ca for e, c in b.items()}
     acc = {}
     get = acc.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+    if not a or len(next(iter(a))) != 2:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                acc[e] = get(e, 0) + ca * cb
+        return {e: v for e, v in acc.items() if v}
+    ja = [j for _, j in a]
+    jb = [j for _, j in b]
+    ma, mb = min(ja), min(jb)
+    s = (max(ja) - ma + max(jb) - mb).bit_length()
+    kb = [((i << s) + j - mb, cb) for (i, j), cb in b.items()]
+    for (i, j), ca in a.items():
+        ka = (i << s) + j - ma
+        for e, cb in kb:
+            e += ka
             acc[e] = get(e, 0) + ca * cb
-    return {e: v for e, v in acc.items() if v}
+    mask = (1 << s) - 1
+    m = ma + mb
+    return {(e >> s, (e & mask) + m): v for e, v in acc.items() if v}
 
 
 def _degree_lex(exp):
@@ -473,6 +497,8 @@ class BiPoly(MPoly):
 
     def __init__(self, terms=None):
         super().__init__(2, terms)
+        if any(i < 0 or j < 0 for i, j in self.terms):
+            raise DomainError("negative exponent in polynomial ring")
 
     @classmethod
     def zero(cls):

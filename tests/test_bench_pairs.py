@@ -1,0 +1,59 @@
+"""The pair summary of tools/bench_pairs.py, on synthetic run entries and
+on the runs of a recorded BENCH file; no benchmark is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "pass_s", "better": "lower"}, {"name": "success_ratio", "better": "higher"}]
+
+
+def _entry(workload, seed, side, pass_s, success=1.0, digest="d"):
+    return {
+        "workload": workload,
+        "seed": seed,
+        "side": side,
+        "record": {"digests": {"q": digest}},
+        "result": {"metrics": {"pass_s": {"value": pass_s}, "success_ratio": {"value": success}}},
+    }
+
+
+def test_quartiles_wins_and_losses():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 3.0, 1.0, 0.0]
+    runs = [_entry("w", 100 + k, "parent", v) for k, v in enumerate(parent)]
+    runs += [_entry("w", 100 + k, "change", v, success=0.5 if k == 4 else 1.0) for k, v in enumerate(change)]
+    s = bench_pairs.summarize(runs, END_TO_END)["w"]
+    assert s["pairs"] == 5 and s["digests_identical_in_every_pair"]
+    assert s["pass_s"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert s["pass_s"]["change"] == {"median": 1.0, "q1": 0.5, "q3": 2.5}
+    # lower is better: pairs 0, 3, 4 win, pair 1 loses, pair 2 ties
+    assert s["pass_s"]["change_wins_losses"] == [3, 1]
+    # higher is better: the one lower success_ratio is a loss
+    assert s["success_ratio"]["change_wins_losses"] == [0, 1]
+
+
+def test_digests_and_incomplete_pairs():
+    runs = [
+        _entry("a", 1, "parent", 1.0),
+        _entry("a", 1, "change", 1.0, digest="other"),
+        _entry("b", 7, "parent", 2.0),
+        _entry("b", 7, "change", 1.0),
+        _entry("b", 8, "change", 1.0),  # its parent run is missing
+    ]
+    s = bench_pairs.summarize(runs, END_TO_END)
+    assert s["a"]["digests_identical_in_every_pair"] is False
+    assert s["b"]["pairs"] == 1 and s["b"]["digests_identical_in_every_pair"]
+    assert s["b"]["pass_s"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert s["b"]["pass_s"]["change_wins_losses"] == [1, 0]
+
+
+def test_reproduces_a_recorded_summary():
+    recorded = json.loads((ROOT / "BENCH_12.json").read_text())
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench_pairs.summarize(recorded["runs"], end_to_end) == recorded["summary"]

@@ -22,8 +22,9 @@ from orediamond import (
     uni_gcd,
     uni_resultant,
 )
-from orediamond import linalg
+from orediamond import linalg, parse
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
+from orediamond.poly import kmul_int
 from util import bi, gauss_jordan, lau, random_bipoly, random_unipoly, uni
 
 
@@ -499,6 +500,88 @@ class TestRationalProducts:
         m = MPoly(48, _rational_terms(rng, 48, 4, maxdeg=2))
         assert (m * MPoly(48, {})).terms == {}
         _assert_product(MPoly(48, {tuple(range(48)): Q(5, 4)}), m)
+
+
+# -- the packed two-variable product against the schoolbook one ---------
+
+
+def _int_terms(rng, nterms, xs, ys):
+    return {(rng.choice(xs), rng.choice(ys)): rng.choice([n for n in range(-9, 10) if n]) for _ in range(nterms)}
+
+
+class TestPackedProducts:
+    """kmul_int packs (i, j) into one int key for two-variable operands;
+    every case below is checked against _naive_product."""
+
+    @staticmethod
+    def _check(a, b):
+        ref = _naive_product(a, b)
+        for x, y in ((a, b), (b, a)):
+            assert kmul_int(x, y) == ref
+            assert (MPoly(2, x) * MPoly(2, y)).terms == ref
+
+    def test_y_degree_sums_at_the_shift_width(self):
+        # the largest y-exponent sum is 2^k - 1 (fills s bits) or 2^k (one
+        # more bit); a shift one bit too narrow carries into the x field
+        rng = random.Random(150)
+        for k in range(1, 11):
+            for top in (2**k - 1, 2**k):
+                for _ in range(4):
+                    ja = rng.randrange(top + 1)
+                    a = _int_terms(rng, rng.randrange(1, 6), range(4), range(ja + 1))
+                    b = _int_terms(rng, rng.randrange(1, 6), range(4), range(top - ja + 1))
+                    a[(rng.randrange(4), ja)] = 1
+                    b[(rng.randrange(4), top - ja)] = -1
+                    a[(0, 0)] = b[(0, 0)] = 2
+                    self._check(a, b)
+
+    def test_no_y_spread(self):
+        # x only, constants and a common power of y: the shift is 0
+        xs = {(3, 0): 2, (1, 0): -1, (0, 0): 5}
+        self._check(xs, {(2, 0): 1, (0, 0): 3})
+        self._check(xs, {(0, 0): 7})
+        self._check({(0, 0): 4}, {(0, 0): -3})
+        self._check({(2, 3): 1, (0, 3): -2}, {(5, 5): 3, (1, 5): 1, (0, 5): 1})
+
+    def test_exponents_past_the_parser_limit(self):
+        x, y = BiPoly.var_x(), BiPoly.var_y()
+        big = 10 * parse.MAX_EXPONENT
+        p = x**big - 3 * y ** (big + 1) + x * y**4096
+        q_ = y**4095 * x**7 + 2 * x ** (3 * big) - 1
+        self._check(p.terms, q_.terms)
+        assert (x**big - y**big) ** 2 == x ** (2 * big) - 2 * x**big * y**big + y ** (2 * big)
+
+    def test_empty_single_term_and_cancellation(self):
+        a = {(2, 1): 3, (0, 4): -1, (1, 0): 2}
+        assert kmul_int({}, a) == kmul_int(a, {}) == kmul_int({}, {}) == {}
+        self._check({(5, 7): -2}, a)
+        # (x - y)(x^9 + x^8*y + ... + y^9) = x^10 - y^10: all middle terms cancel
+        self._check({(1, 0): 1, (0, 1): -1}, {(9 - k, k): 1 for k in range(10)})
+        assert kmul_int({(1, 0): 1, (0, 1): -1}, {(9 - k, k): 1 for k in range(10)}) == {(10, 0): 1, (0, 10): -1}
+
+    def test_negative_exponents_of_a_raw_mpoly(self):
+        rng = random.Random(151)
+        for _ in range(80):
+            lo = rng.randrange(-40, 1)
+            a = _int_terms(rng, rng.randrange(1, 7), range(-20, 21), range(lo, lo + rng.randrange(1, 40)))
+            b = _int_terms(rng, rng.randrange(1, 7), range(-20, 21), range(-30, 30))
+            self._check(a, b)
+
+    def test_large_product_against_sympy(self, sp):
+        x, y = BiPoly.var_x(), BiPoly.var_y()
+        ours = (3 * x + 5 * y - 7) ** 40 * (x - 2 * y**2 + 1) ** 25
+        sx, sy = sp.symbols("x y")
+        theirs = sp.Poly(3 * sx + 5 * sy - 7, sx, sy) ** 40 * sp.Poly(sx - 2 * sy**2 + 1, sx, sy) ** 25
+        assert ours.den == 1
+        assert ours.terms == {e: int(c) for e, c in theirs.as_dict().items()}
+
+
+def test_bipoly_rejects_negative_exponents():
+    for terms in ({(-1, 0): 1}, {(0, -2): Q(3, 4)}, {(1, 1): 1, (2, -1): 5}):
+        with pytest.raises(DomainError, match="negative exponent"):
+            BiPoly(terms)
+    # the 2-variable MPoly, like LaurentUniPoly, keeps them
+    assert MPoly(2, {(-1, 0): 1}).terms == {(-1, 0): 1}
 
 
 # -- integer-numerator MPoly against a Fraction reference --------------

@@ -372,7 +372,7 @@ def test_laurent_against_fraction_reference():
 
 PINS = [
     pin
-    for name in ("univariate_cli_pins.json", "planar_cli_pins.json")
+    for name in ("univariate_cli_pins.json", "planar_cli_pins.json", "ore_cli_pins.json")
     for pin in json.loads((Path(__file__).parent / name).read_text())
 ]
 
