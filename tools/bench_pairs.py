@@ -6,7 +6,7 @@
 Each tree is a checkout of the repository (src, orebench, BENCHMARK.json).
 The command, run length and workloads come from the change tree's
 BENCHMARK.json.  Workload k (counting from 1) runs seeds 1000*k + 1 to
-1000*k + --pairs; each seed is one pair, the parent running first when
+1000*k + PAIRS (ten); each seed is one pair, the parent running first when
 the seed is odd and the change first otherwise.  One traced run of each
 workload's first seed follows, parent first.  Runs are one at a time.
 
@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10  # alternating pairs per workload, the fewest that can support a claim
 
 
 def _quartiles(values):
@@ -80,7 +81,6 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="tree of the change")
     ap.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     ap.add_argument("--change-note", required=True, help="one sentence on what the change does")
     ap.add_argument("--claim", required=True, help="the metric claimed to improve, and what must hold")
     args = ap.parse_args(argv)
@@ -95,8 +95,8 @@ def main(argv=None):
             "claim": args.claim,
             "command": f"{' '.join(command)} --workload <w> --seed <s> --seconds {seconds} --trace 0 (traced: --trace 1)",
             "method": (
-                f"{args.pairs} pairs per workload (seeds "
-                + ", ".join(f"{w} {1000 * k + 1}-{1000 * k + args.pairs}" for k, w in enumerate(workloads, 1))
+                f"{PAIRS} pairs per workload (seeds "
+                + ", ".join(f"{w} {1000 * k + 1}-{1000 * k + PAIRS}" for k, w in enumerate(workloads, 1))
                 + "); the parent runs first in pairs whose seed is odd, the change first in the others; "
                 "each side runs from its own tree, one run at a time; traced runs of each workload's "
                 "first seed follow, parent first; written by tools/bench_pairs.py"
@@ -128,7 +128,7 @@ def main(argv=None):
         print(f"{workload} {seed} {side} trace={trace}: {metrics}", file=sys.stderr, flush=True)
 
     for k, workload in enumerate(workloads, 1):
-        for seed in range(1000 * k + 1, 1000 * k + args.pairs + 1):
+        for seed in range(1000 * k + 1, 1000 * k + PAIRS + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             for i, side in enumerate(order):
                 measure(workload, seed, side, i == 0, 0)
