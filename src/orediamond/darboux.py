@@ -12,13 +12,14 @@ parametric solutions carried symbolically.  The level matrices are
 rational, integer for an integer derivation, and do not depend on the
 parameters, so they are all reduced first (linalg.rref eliminates on
 ints); the number P of their free columns fixes the variables
-(x, y, p_0, ..., p_{P-1}) of the MPoly the cascade computes in, and the
-free unknowns become parameters in level-then-column order.  Rows left
-unsatisfied become polynomial constraints on the parameters, solved over
-Q at the end; a nonzero constant among them has no solution, so the
-cascade stops at the first level that leaves one.  When M vanishes
-identically the top part is a multiple of the Euler operator, the top
-cofactor is forced, and for d = 1 the whole system is linear.
+(x, y, p_0, ..., p_{P-1}) of the MPoly coefficients the cascade computes
+with, one per (x, y)-monomial of each part, and the free unknowns become
+parameters in level-then-column order.  Rows left unsatisfied become
+polynomial constraints on the parameters, solved over Q at the end; a
+nonzero constant among them has no solution, so the cascade stops at
+the first level that leaves one.  When M vanishes identically the top
+part is a multiple of the Euler operator, the top cofactor is forced,
+and for d = 1 the whole system is linear.
 
 The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).  When gcd(dx,
@@ -27,7 +28,7 @@ pencil found, of degree m and cofactor c, bounds (Jouanolou; Stein;
 Vistoli): darboux_search gives the proof.
 """
 
-from .rational import QZERO, q
+from .rational import Q, QZERO, q
 from .poly import (
     BiPoly,
     DomainError,
@@ -308,36 +309,51 @@ def _cascade_levels(a_pol, b_pol, d, n, p_top, c_top):
 def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     """Solve delta(p) = c*p level by level below a fixed leading form.
 
-    p and c are MPoly in (x, y, p_0, ..., p_{P-1}), x and y being
-    variables 0 and 1; P is the number of free columns of the level
-    matrices, and p_k is the k-th of them in level-then-column order.
+    Every part of p and of the cofactor is held as a map {(i, j):
+    coefficient of x^i*y^j}, each coefficient an MPoly in (x, y, p_0,
+    ..., p_{P-1}) free of x and y; P is the number of free columns of the
+    level matrices, and p_k is the k-th of them in level-then-column
+    order.  A level's right side is built monomial by monomial in that
+    layout: every contribution to the coefficient of one monomial is
+    num/den times a parameter monomial times a coefficient of a part of
+    p (a term of a parameter-free a/b part times a gradient coefficient,
+    or a term of a cofactor coefficient times a p coefficient), and
+    MPoly.combination sums them in one pass over one common denominator.
+    The coefficients are the ones the flat product of whole parts would
+    give, so the level matrices, the replayed right sides, the
+    constraints and their order, the arity and the numbering of the
+    parameters are those of that product; the parts are joined into one
+    MPoly only for _cascade_answers.
 
-    Returns (solutions, families, complete) where solutions are concrete
-    (p, c) pairs and families are (base, directions, c) affine families;
+    Returns (solutions, families, complete) as _cascade_answers does;
     ([], [], True) as soon as a level leaves a nonzero constant row.
     """
     levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
     params = iter(range(2, nv))
-    a_parts = [MPoly.from_bipoly(a_pol.homogeneous_part(e), nv) for e in range(d + 1)]
-    b_parts = [MPoly.from_bipoly(b_pol.homogeneous_part(e), nv) for e in range(d + 1)]
-    parts_p = {n: MPoly.from_bipoly(p_top, nv)}
-    parts_c = {d - 1: MPoly.from_bipoly(c_top, nv)}
-    grads = {n: (parts_p[n].deriv(0), parts_p[n].deriv(1))}
+    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
+    parts_p = {n: _constant_coeffs(p_top, nv)}
+    parts_c = {d - 1: _constant_coeffs(c_top, nv)}
     zero = MPoly.zero(nv)
     constraints = []
     for s, (mons_p, mons_c, eq_mons, m, pivots, ops) in enumerate(levels, 1):
-        g = zero
+        items = {}  # (x, y)-monomial: its (num, den, parameter monomial, coefficient)
         for i in range(max(0, s - d), min(s - 1, n) + 1):
-            e = d - (s - i)
-            for grad, coeff in zip(grads.get(n - i, ()), (a_parts[e], b_parts[e])):
-                if grad and coeff:
-                    g = g + grad * coeff
+            a_e, b_e = ab_parts[d - (s - i)]
+            for (k, l), coeff in parts_p[n - i].items():
+                if k:
+                    for (u, v), num in a_e.terms.items():
+                        items.setdefault((k - 1 + u, l + v), []).append((k * num, a_e.den, (), coeff))
+                if l:
+                    for (u, v), num in b_e.terms.items():
+                        items.setdefault((k + u, l - 1 + v), []).append((l * num, b_e.den, (), coeff))
         for j in range(1, min(s - 1, d - 1) + 1):
-            cpart, ppart = parts_c.get(d - 1 - j), parts_p.get(n - s + j)
-            if cpart and ppart:
-                g = g - cpart * ppart
-        g = g.xy_coeffs()
+            ppart = parts_p.get(n - s + j, {})
+            for (u, v), cc in parts_c[d - 1 - j].items():
+                for mono, num in cc.terms.items():
+                    for (k, l), coeff in ppart.items():
+                        items.setdefault((k + u, l + v), []).append((-num, cc.den, mono, coeff))
+        g = {e: MPoly.combination(nv, it) for e, it in items.items()}
         # m*u + rhs = 0, rhs being the right sides after the row operations
         rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
         leftover = [v for v in rhs[len(pivots):] if v]
@@ -357,13 +373,25 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
                 if row[f]:
                     u[c] = u[c] - row[f] * u[f]
         if mons_p:
-            part = parts_p[n - s] = MPoly.from_xy_coeffs(zip(mons_p, u), nv)
-            grads[n - s] = (part.deriv(0), part.deriv(1))
+            parts_p[n - s] = {e: c for e, c in zip(mons_p, u) if c}
         if mons_c:
-            parts_c[d - 1 - s] = MPoly.from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
+            parts_c[d - 1 - s] = {e: c for e, c in zip(mons_c, u[len(mons_p):]) if c}
+    p_all = MPoly.from_xy_coeffs([t for part in parts_p.values() for t in part.items()], nv)
+    c_all = MPoly.from_xy_coeffs([t for part in parts_c.values() for t in part.items()], nv)
+    return _cascade_answers(p_all, c_all, constraints)
+
+
+def _constant_coeffs(p, nv):
+    """The BiPoly p as {(i, j): constant MPoly in nv variables}."""
+    return {e: MPoly.const(nv, Q(c, p.den)) for e, c in p.terms.items()}
+
+
+def _cascade_answers(p_all, c_all, constraints):
+    """The cascade's (solutions, families, complete) from the whole p and
+    cofactor in (x, y, p_0, ..., p_{P-1}) and the parameter constraints:
+    solutions are concrete (p, c) pairs and families are (base,
+    directions, c) affine families."""
     sols, complete = _solve_constraints(constraints)
-    p_all = sum(parts_p.values(), zero)
-    c_all = sum(parts_c.values(), zero)
     solutions, families = [], []
     for values in sols:
         pm, cm = p_all.substitute(values), c_all.substitute(values)

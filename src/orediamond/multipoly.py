@@ -3,10 +3,12 @@
 MPoly, the one sparse polynomial type, is defined in poly.py next to
 BiPoly, its 2-variable case, and is imported from here by the modules
 that work in more than the two ring variables.  The Darboux cascade
-works in (x, y, p_0, ..., p_{P-1}): x and y are variables 0 and 1 and
-the parameters follow, P being the number of free unknowns of its
-rational level matrices (see darboux._cascade).  Pencil elimination
-works in (x, y, t).  uni_resultant is the same Sylvester resultant of
+holds each part of a polynomial as a map from (x, y)-monomials to MPoly
+coefficients in (x, y, p_0, ..., p_{P-1}) free of x and y, the
+parameters following x and y (variables 0 and 1), P being the number of
+free unknowns of its rational level matrices; its constraints and its
+joined p and cofactor are MPoly in those variables (see
+darboux._cascade).  Pencil elimination works in (x, y, t).  uni_resultant is the same Sylvester resultant of
 two UniPoly.
 """
 

@@ -299,13 +299,26 @@ class MPoly:
         # in lowest terms, as in the constructor
         return cls._raw(nvars, den, terms)
 
-    def xy_coeffs(self):
-        """{(i, j): coefficient of x^i*y^j} over the nonzero ones, each an
-        MPoly free of x and y."""
-        buckets = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(e[:2], {})[(0, 0) + e[2:]] = c
-        return {ij: MPoly._lowest(self.nvars, self.den, b) for ij, b in buckets.items()}
+    @classmethod
+    def combination(cls, nvars, items):
+        """The sum of num/den * X^mono * coeff over items (num, den, mono,
+        coeff): ints num and den > 0, an exponent tuple mono (() for X^0)
+        and an MPoly coeff.  Every term is added into one dict over the
+        lcm of the products' denominators, and the sum is brought to
+        lowest terms once.  A term's exponent is shifted by slicing in the
+        variables mono has, most often one, which costs less than adding
+        whole tuples."""
+        den = lcm(*(dn * c.den for _, dn, _, c in items))
+        acc = {}
+        get = acc.get
+        for num, dn, mono, c in items:
+            f = num * (den // (dn * c.den))
+            occurs = [(i, k) for i, k in enumerate(mono) if k]
+            for e, v in c.terms.items():
+                for i, k in occurs:
+                    e = e[:i] + (e[i] + k,) + e[i + 1 :]
+                acc[e] = get(e, 0) + f * v
+        return cls._lowest(nvars, den, {e: v for e, v in acc.items() if v})
 
     def rational_terms(self):
         """{exponent tuple: rational coefficient}."""

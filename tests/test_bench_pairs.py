@@ -13,12 +13,12 @@ _spec.loader.exec_module(bench_pairs)
 END_TO_END = [{"name": "pass_s", "better": "lower"}, {"name": "success_ratio", "better": "higher"}]
 
 
-def _entry(workload, seed, side, pass_s, success=1.0, digest="d"):
+def _entry(workload, seed, side, pass_s, success=1.0, digest="d", digests=None):
     return {
         "workload": workload,
         "seed": seed,
         "side": side,
-        "record": {"digests": {"q": digest}},
+        "record": {"digests": digests or {"q": digest}},
         "result": {"metrics": {"pass_s": {"value": pass_s}, "success_ratio": {"value": success}}},
     }
 
@@ -46,9 +46,19 @@ def test_digests_and_incomplete_pairs():
         _entry("b", 7, "change", 1.0),
         _entry("b", 8, "change", 1.0),  # its parent run is missing
     ]
+    runs += [
+        _entry("c", 1, "parent", 1.0, digests={"z": "1", "m": "1", "k": "1"}),
+        _entry("c", 1, "change", 1.0, digests={"z": "2", "m": "1", "k": "2"}),
+        _entry("c", 2, "parent", 1.0, digests={"z": "1", "m": "1", "k": "1"}),
+        _entry("c", 2, "change", 1.0, digests={"z": "1", "m": "2", "k": "1"}),
+    ]
     s = bench_pairs.summarize(runs, END_TO_END)
     assert s["a"]["digests_identical_in_every_pair"] is False
+    assert s["a"]["digest_mismatches"] == ["q"]
+    # every label that differs in some pair, sorted
+    assert s["c"]["digest_mismatches"] == ["k", "m", "z"]
     assert s["b"]["pairs"] == 1 and s["b"]["digests_identical_in_every_pair"]
+    assert "digest_mismatches" not in s["b"]
     assert s["b"]["pass_s"]["change"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert s["b"]["pass_s"]["change_wins_losses"] == [1, 0]
 

@@ -368,6 +368,123 @@ def test_level_matrices_match_products():
     assert levels_seen > 100
 
 
+def _flat_xy_coeffs(g):
+    """{(i, j): coefficient of x^i*y^j} of an MPoly in (x, y, p_0, ...),
+    each coefficient free of x and y."""
+    buckets = {}
+    for e, c in g.terms.items():
+        buckets.setdefault(e[:2], {})[(0, 0) + e[2:]] = c
+    return {ij: MPoly._lowest(g.nvars, g.den, b) for ij, b in buckets.items()}
+
+
+def _flat_cascade(a_pol, b_pol, d, n, p_top, c_top):
+    """Reference for _cascade: its level loop in the flat layout, every
+    part of p and of the cofactor one MPoly in (x, y, p_0, ...), each
+    right side built from products of whole parts and split into its
+    (x, y)-coefficients afterwards."""
+    levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
+    nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
+    params = iter(range(2, nv))
+    a_parts = [MPoly.from_bipoly(a_pol.homogeneous_part(e), nv) for e in range(d + 1)]
+    b_parts = [MPoly.from_bipoly(b_pol.homogeneous_part(e), nv) for e in range(d + 1)]
+    parts_p = {n: MPoly.from_bipoly(p_top, nv)}
+    parts_c = {d - 1: MPoly.from_bipoly(c_top, nv)}
+    grads = {n: (parts_p[n].deriv(0), parts_p[n].deriv(1))}
+    zero = MPoly.zero(nv)
+    constraints = []
+    for s, (mons_p, mons_c, eq_mons, m, pivots, ops) in enumerate(levels, 1):
+        g = zero
+        for i in range(max(0, s - d), min(s - 1, n) + 1):
+            e = d - (s - i)
+            for grad, coeff in zip(grads.get(n - i, ()), (a_parts[e], b_parts[e])):
+                if grad and coeff:
+                    g = g + grad * coeff
+        for j in range(1, min(s - 1, d - 1) + 1):
+            cpart, ppart = parts_c.get(d - 1 - j), parts_p.get(n - s + j)
+            if cpart and ppart:
+                g = g - cpart * ppart
+        g = _flat_xy_coeffs(g)
+        rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
+        leftover = [v for v in rhs[len(pivots):] if v]
+        if any(v.is_constant for v in leftover):
+            return [], [], True
+        constraints.extend(leftover)
+        ncols = len(mons_p) + len(mons_c)
+        free = [c for c in range(ncols) if c not in pivots]
+        u = [None] * ncols
+        for f in free:
+            u[f] = MPoly.var(nv, next(params))
+        for row, c, v in zip(m, pivots, rhs):
+            u[c] = -v
+            for f in free:
+                if row[f]:
+                    u[c] = u[c] - row[f] * u[f]
+        if mons_p:
+            part = parts_p[n - s] = MPoly.from_xy_coeffs(zip(mons_p, u), nv)
+            grads[n - s] = (part.deriv(0), part.deriv(1))
+        if mons_c:
+            parts_c[d - 1 - s] = MPoly.from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
+    return darboux._cascade_answers(sum(parts_p.values(), zero), sum(parts_c.values(), zero), constraints)
+
+
+def _cascade_inputs(a_pol, b_pol, n):
+    """(d, n, p_top, c_top) for every leading form darboux_search tries
+    at degree n (none when M = 0 and d = 1)."""
+    d = int(max(a_pol.total_degree(), b_pol.total_degree()))
+    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+    big_m = bi("x") * bd - bi("y") * ad
+    if not big_m.is_zero:
+        atoms, _ = _top_atoms(big_m, d)
+    elif d == 1:
+        return []
+    else:
+        atoms = [bi("x"), bi("y")]
+    out = []
+    for p_top in _top_candidates(atoms, n):
+        c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
+        out.append((d, n, p_top, c_top))
+    return out
+
+
+def _random_field(rng, deg, k):
+    """A field of degree deg: for odd k the Hamiltonian field of a random
+    H of degree deg + 1, which has the first integral H, else a generic
+    one."""
+    if k % 2:
+        top = rng.randint(0, deg + 1)
+        h = random_bipoly(rng, maxdeg=deg + 1, nterms=4, maxcoef=5)
+        h = h + BiPoly.monomial(top, deg + 1 - top, rng.choice([-2, -1, 1, 3]))
+        return h.deriv_y(), -h.deriv_x()
+    top = rng.randint(0, deg)
+    dx = random_bipoly(rng, maxdeg=deg, nterms=3, maxcoef=5)
+    dx = dx + BiPoly.monomial(top, deg - top, rng.choice([-3, 1, 2]))
+    return dx, random_bipoly(rng, maxdeg=deg, nterms=3, maxcoef=5)
+
+
+def test_cascade_matches_product_form():
+    """_cascade, which builds each level's right side monomial by monomial
+    on (x, y)-coefficient maps, gives the answers of the flat product
+    layout: on seeded fields of degree 2-5 for every leading form up to
+    degree 5, and on the final example below the leading form x^2*y^6."""
+    rng = random.Random(1601)
+    cases = []
+    for deg in range(2, 6):
+        for k in range(4):
+            a_pol, b_pol = _random_field(rng, deg, k)
+            for n in range(1, 6):
+                cases += [(a_pol, b_pol, *args) for args in _cascade_inputs(a_pol, b_pol, n)]
+    (dx, dy), _ = PINNED_REPORTS["final-example"]
+    final = [args for args in _cascade_inputs(bi(dx), bi(dy), 8) if args[2] == bi("x^2*y^6")]
+    assert len(final) == 1
+    cases.append((bi(dx), bi(dy), *final[0]))
+    found = 0
+    for case in cases:
+        ours = _cascade(*case)
+        assert ours == _flat_cascade(*case)
+        found += bool(ours[0] or ours[1])
+    assert len(cases) > 100 and found > 10
+
+
 class TestCompositePencils:
     """Pencils and certs that are functions of a smaller pencil b/u are
     left out of the report."""

@@ -677,6 +677,30 @@ class TestIntegerMPoly:
                         _assert_canonical(ours)
                     assert [m.rational_terms() for m in coeffs] == _ref_coeffs_in(a, i)
 
+    def test_combination(self):
+        """MPoly.combination equals the sum of the scaled products, on
+        shifts by no variable, one and several, and on sums that cancel."""
+        rng = random.Random(123)
+        for nvars, a, b in _mpoly_cases(rng):
+            items = []
+            for terms in (a, b, a):
+                mono = [0] * nvars
+                for i in rng.sample(range(nvars), rng.randrange(min(nvars, 3) + 1)):
+                    mono[i] = rng.randrange(1, 3)
+                num, den = rng.choice([-4, -1, 3, 6]), rng.choice([1, 2, 9, 35])
+                items.append((num, den, tuple(mono), MPoly(nvars, terms)))
+            ref = MPoly.zero(nvars)
+            for num, den, mono, c in items:
+                ref = ref + MPoly.monomial(nvars, mono, Q(num, den)) * c
+            ours = MPoly.combination(nvars, items)
+            _assert_canonical(ours)
+            assert ours == ref
+            # () stands for the unit monomial
+            p = MPoly(nvars, a)
+            zero = MPoly.combination(nvars, [(2, 3, (), p), (-4, 6, (0,) * nvars, p)])
+            _assert_canonical(zero)
+            assert zero.is_zero
+
     def test_substitute(self):
         rng = random.Random(121)
         choices = [0, -3, Fraction(-2, 3), Fraction(5, 4), 2]

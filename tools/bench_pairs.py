@@ -35,22 +35,28 @@ def _quartiles(values):
 
 def summarize(runs, end_to_end):
     """Per workload: the pair count, whether the answer digests of the two
-    sides agree in every pair, and per end-to-end metric each side's
-    median and quartiles with the change's [wins, losses] over the pairs
-    (ties count for neither).  runs are untraced run entries; end_to_end is
-    BENCHMARK.json's list of {"name", "better"}."""
+    sides agree in every pair, and if not digest_mismatches, the sorted
+    labels of the queries whose digests differ in some pair; then per
+    end-to-end metric each side's median and quartiles with the change's
+    [wins, losses] over the pairs (ties count for neither).  runs are
+    untraced run entries; end_to_end is BENCHMARK.json's list of {"name",
+    "better"}."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
     summary = {}
     for workload, by_seed in pairs.items():
         complete = [p for _, p in sorted(by_seed.items()) if len(p) == 2]
+        mismatches = set()
+        for p in complete:
+            a, c = p["parent"]["record"]["digests"], p["change"]["record"]["digests"]
+            mismatches.update(label for label in a.keys() | c.keys() if a.get(label) != c.get(label))
         out = summary[workload] = {
             "pairs": len(complete),
-            "digests_identical_in_every_pair": all(
-                p["parent"]["record"]["digests"] == p["change"]["record"]["digests"] for p in complete
-            ),
+            "digests_identical_in_every_pair": not mismatches,
         }
+        if mismatches:
+            out["digest_mismatches"] = sorted(mismatches)
         if not complete:
             continue
         for metric in end_to_end:
@@ -104,7 +110,9 @@ def main(argv=None):
             "summary_fields": (
                 "per workload and metric: median, q1, q3 (inclusive quartiles) of each side, and "
                 "[change wins, change losses] over the pairs (ties count for neither); "
-                "digests_identical_in_every_pair compares the answer digests of the two sides of each pair"
+                "digests_identical_in_every_pair compares the answer digests of the two sides of each pair, "
+                "and digest_mismatches, present only when they differ, lists the labels of the queries "
+                "whose digests differ in some pair"
             ),
         },
         "runs": [],
