@@ -337,6 +337,25 @@ def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     return [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
 
 
+def _cascade_inputs(a_pol, b_pol, n):
+    """(d, n, p_top, c_top) for every leading form darboux_search tries
+    at degree n (none when M = 0 and d = 1)."""
+    d = int(max(a_pol.total_degree(), b_pol.total_degree()))
+    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+    big_m = bi("x") * bd - bi("y") * ad
+    if not big_m.is_zero:
+        atoms, _ = _top_atoms(big_m, d)
+    elif d == 1:
+        return []
+    else:
+        atoms = [bi("x"), bi("y")]
+    out = []
+    for p_top in _top_candidates(atoms, n):
+        c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
+        out.append((d, n, p_top, c_top))
+    return out
+
+
 def test_level_matrices_match_products():
     """On the named systems at bound 8, every cascade level matrix read
     off by coefficient lookup equals the one built from products, and
@@ -344,20 +363,9 @@ def test_level_matrices_match_products():
     levels_seen = 0
     for (dx, dy), _ in PINNED_REPORTS.values():
         a_pol, b_pol = bi(dx), bi(dy)
-        d = int(max(a_pol.total_degree(), b_pol.total_degree()))
-        ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-        big_m = bi("x") * bd - bi("y") * ad
-        if big_m.is_zero:
-            if d == 1:
-                continue  # solved by kernel families, without a cascade
-            atoms = [bi("x"), bi("y")]
-        else:
-            atoms, _ = _top_atoms(big_m, d)
         for n in range(1, 9):
-            for p_top in _top_candidates(atoms, n):
-                c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
-                if c_top is None:
-                    continue
+            for d, _, p_top, c_top in _cascade_inputs(a_pol, b_pol, n):
+                ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
                 levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
                 for mons_p, mons_c, eq_mons, m, pivots, _ in levels:
                     args = (ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
@@ -425,25 +433,6 @@ def _flat_cascade(a_pol, b_pol, d, n, p_top, c_top):
         if mons_c:
             parts_c[d - 1 - s] = MPoly.from_xy_coeffs(zip(mons_c, u[len(mons_p):]), nv)
     return darboux._cascade_answers(sum(parts_p.values(), zero), sum(parts_c.values(), zero), constraints)
-
-
-def _cascade_inputs(a_pol, b_pol, n):
-    """(d, n, p_top, c_top) for every leading form darboux_search tries
-    at degree n (none when M = 0 and d = 1)."""
-    d = int(max(a_pol.total_degree(), b_pol.total_degree()))
-    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-    big_m = bi("x") * bd - bi("y") * ad
-    if not big_m.is_zero:
-        atoms, _ = _top_atoms(big_m, d)
-    elif d == 1:
-        return []
-    else:
-        atoms = [bi("x"), bi("y")]
-    out = []
-    for p_top in _top_candidates(atoms, n):
-        c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
-        out.append((d, n, p_top, c_top))
-    return out
 
 
 def _random_field(rng, deg, k):
