@@ -10,11 +10,14 @@ and the remaining coefficient system triangular by homogeneous level:
 each level is linear over Q in the new unknowns, with earlier
 parametric solutions carried symbolically.  The level matrices are
 rational, integer for an integer derivation, and do not depend on the
-parameters, so they are all reduced first (linalg.rref eliminates on
-ints); the number P of their free columns fixes the variables
-(x, y, p_0, ..., p_{P-1}) of the MPoly coefficients the cascade computes
-with, one per (x, y)-monomial of each part, and the free unknowns become
-parameters in level-then-column order.  Rows left unsatisfied become
+parameters (linalg.rref eliminates on ints).  The first level's right
+side has no parameters either, the lower cofactor parts entering only
+below it, so it is solved on rationals first, and most leading forms
+fail there.  For a leading form that passes, the other levels are
+reduced, and the number P of free columns of all levels fixes the
+variables (x, y, p_0, ..., p_{P-1}) of the MPoly coefficients the cascade
+computes with, one per (x, y)-monomial of each part; the free unknowns
+become parameters in level-then-column order.  Rows left unsatisfied become
 polynomial constraints on the parameters, solved over Q at the end; a
 nonzero constant among them has no solution, so the cascade stops at
 the first level that leaves one.  When M vanishes identically the top
@@ -264,46 +267,53 @@ def _top_candidates(atoms, n):
 
 
 def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
-    """One cascade level's rational matrix, read off by coefficient lookup:
-    in row x^a*y^b, column x^i*y^j of p holds the coefficient of x^a*y^b in
-    (ad*d/dx + bd*d/dy - c_top)(x^i*y^j), column x^i*y^j of the cofactor
-    that in -x^i*y^j*p_top.  The entries are ints when the four
-    polynomials have integer coefficients, which linalg.rref reduces
-    fastest."""
+    """One cascade level's rational matrix: in row x^a*y^b, column
+    x^i*y^j of p holds the coefficient of x^a*y^b in (ad*d/dx + bd*d/dy -
+    c_top)(x^i*y^j), column x^i*y^j of the cofactor that in
+    -x^i*y^j*p_top.  Each column is built from the terms of the four
+    polynomials, so only its nonzero entries are written; every term
+    lands in a row, the polynomials being homogeneous of the degrees the
+    level pairs.  The entries are ints when the four polynomials have
+    integer coefficients, which linalg.rref reduces fastest."""
     polys = (ad, bd, c_top, p_top)
     if all(p.den == 1 for p in polys):
         A, B, C, P = (p.terms for p in polys)
     else:
         A, B, C, P = (p.rational_terms() for p in polys)
-    return [
-        [i * A.get((a - i + 1, b - j), 0) + j * B.get((a - i, b - j + 1), 0) - C.get((a - i, b - j), 0)
-         for (i, j) in mons_p]
-        + [-P.get((a - i, b - j), 0) for (i, j) in mons_c]
-        for (a, b) in eq_mons
-    ]
+    top = eq_mons[0][0]  # row x^a*y^b is row top - a
+    rows = [[0] * (len(mons_p) + len(mons_c)) for _ in eq_mons]
+    for col, (i, j) in enumerate(mons_p):
+        if i:
+            for (u, _), c in A.items():
+                rows[top - i + 1 - u][col] += i * c
+        if j:
+            for (u, _), c in B.items():
+                rows[top - i - u][col] += j * c
+        for (u, _), c in C.items():
+            rows[top - i - u][col] -= c
+    for col, (i, _) in enumerate(mons_c, len(mons_p)):
+        for (u, _), c in P.items():
+            rows[top - i - u][col] -= c
+    return rows
 
 
-def _cascade_levels(a_pol, b_pol, d, n, p_top, c_top):
-    """The rational left-hand sides of the cascade, one per level s,
-    each reduced once.
+def _cascade_level(ad, bd, d, n, p_top, c_top, s):
+    """Level s of the cascade's rational left-hand side, reduced.
 
     Level s solves for the homogeneous parts of degree n - s of p and
     d - 1 - s of the cofactor (its unknowns: the coefficients on mons_p
     and mons_c) from the equation's part of degree n + d - 1 - s, on
-    eq_mons.  Each level is (mons_p, mons_c, eq_mons, m, pivots, ops),
-    m, pivots and ops being what linalg.rref returns for the level's
-    matrix; the free columns are those outside pivots.
+    eq_mons; ad and bd are the top parts of the derivation.  Returns
+    (mons_p, mons_c, eq_mons, m, pivots, ops), m, pivots and ops being
+    what linalg.rref returns for the level's matrix; the free columns are
+    those outside pivots.
     """
-    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-    levels = []
-    for s in range(1, n + d):
-        mons_p = _monomials(n - s) if s <= n else []
-        mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
-        eq_mons = _monomials(n + d - 1 - s)
-        rows = _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
-        m, pivots, ops = linalg.rref(rows, len(mons_p) + len(mons_c))
-        levels.append((mons_p, mons_c, eq_mons, m, pivots, ops))
-    return levels
+    mons_p = _monomials(n - s) if s <= n else []
+    mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
+    eq_mons = _monomials(n + d - 1 - s)
+    rows = _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
+    m, pivots, ops = linalg.rref(rows, len(mons_p) + len(mons_c))
+    return mons_p, mons_c, eq_mons, m, pivots, ops
 
 
 def _cascade(a_pol, b_pol, d, n, p_top, c_top):
@@ -313,11 +323,23 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     coefficient of x^i*y^j}, each coefficient an MPoly in (x, y, p_0,
     ..., p_{P-1}) free of x and y; P is the number of free columns of the
     level matrices, and p_k is the k-th of them in level-then-column
-    order.  A level's right side is built monomial by monomial in that
-    layout: every contribution to the coefficient of one monomial is
-    num/den times a parameter monomial times a coefficient of a part of
-    p (a term of a parameter-free a/b part times a gradient coefficient,
-    or a term of a cofactor coefficient times a p coefficient), and
+    order.
+
+    Level 1 is reduced and solved alone first.  Its right side is
+    D_{d-1}(p_top) = a_{d-1}*dp_top/dx + b_{d-1}*dp_top/dy: the cofactor
+    parts below c_top enter only from level 2 on, so it has no
+    parameters and is replayed on rationals before P is known.  A
+    nonzero row it leaves has no solution, and most leading forms are
+    refuted there, with no other level reduced.  P needs the free-column
+    count of every level, so the others are reduced only for a leading
+    form that passes, and level 1's rational right side then enters the
+    MPoly layout as constants.
+
+    From level 2 on, a level's right side is built monomial by monomial:
+    every contribution to the coefficient of one monomial is num/den
+    times a parameter monomial times a coefficient of a part of p (a term
+    of a parameter-free a/b part times a gradient coefficient, or a term
+    of a cofactor coefficient times a p coefficient), and
     MPoly.combination sums them in one pass over one common denominator.
     The coefficients are the ones the flat product of whole parts would
     give, so the level matrices, the replayed right sides, the
@@ -328,40 +350,52 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     Returns (solutions, families, complete) as _cascade_answers does;
     ([], [], True) as soon as a level leaves a nonzero constant row.
     """
-    levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
+    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
+    ad, bd = ab_parts[d]
+    first = _cascade_level(ad, bd, d, n, p_top, c_top, 1)
+    _, _, eq_mons, _, pivots, ops = first
+    # level 1's right side D_{d-1}(p_top), on rationals: a nonzero row
+    # it leaves refutes p_top before any other level is reduced
+    a_e, b_e = ab_parts[d - 1]
+    g = a_e * p_top.deriv_x() + b_e * p_top.deriv_y()
+    rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
+    if any(rhs[len(pivots):]):
+        return [], [], True
+    levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, n + d)]
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
     params = iter(range(2, nv))
-    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     parts_p = {n: _constant_coeffs(p_top, nv)}
     parts_c = {d - 1: _constant_coeffs(c_top, nv)}
     zero = MPoly.zero(nv)
     constraints = []
+    rhs = [MPoly.const(nv, v) for v in rhs]  # level 1's, read below
     for s, (mons_p, mons_c, eq_mons, m, pivots, ops) in enumerate(levels, 1):
-        items = {}  # (x, y)-monomial: its (num, den, parameter monomial, coefficient)
-        for i in range(max(0, s - d), min(s - 1, n) + 1):
-            a_e, b_e = ab_parts[d - (s - i)]
-            for (k, l), coeff in parts_p[n - i].items():
-                if k:
-                    for (u, v), num in a_e.terms.items():
-                        items.setdefault((k - 1 + u, l + v), []).append((k * num, a_e.den, (), coeff))
-                if l:
-                    for (u, v), num in b_e.terms.items():
-                        items.setdefault((k + u, l - 1 + v), []).append((l * num, b_e.den, (), coeff))
-        for j in range(1, min(s - 1, d - 1) + 1):
-            ppart = parts_p.get(n - s + j, {})
-            for (u, v), cc in parts_c[d - 1 - j].items():
-                for mono, num in cc.terms.items():
-                    for (k, l), coeff in ppart.items():
-                        items.setdefault((k + u, l + v), []).append((-num, cc.den, mono, coeff))
-        g = {e: MPoly.combination(nv, it) for e, it in items.items()}
-        # m*u + rhs = 0, rhs being the right sides after the row operations
-        rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
-        leftover = [v for v in rhs[len(pivots):] if v]
-        if any(v.is_constant for v in leftover):
-            # a nonzero constant row has no solution: the answer
-            # _solve_constraints would give, without the levels below
-            return [], [], True
-        constraints.extend(leftover)
+        if s > 1:
+            items = {}  # (x, y)-monomial: its (num, den, parameter monomial, coefficient)
+            for i in range(max(0, s - d), min(s - 1, n) + 1):
+                a_e, b_e = ab_parts[d - (s - i)]
+                for (k, l), coeff in parts_p[n - i].items():
+                    if k:
+                        for (u, v), num in a_e.terms.items():
+                            items.setdefault((k - 1 + u, l + v), []).append((k * num, a_e.den, (), coeff))
+                    if l:
+                        for (u, v), num in b_e.terms.items():
+                            items.setdefault((k + u, l - 1 + v), []).append((l * num, b_e.den, (), coeff))
+            for j in range(1, min(s - 1, d - 1) + 1):
+                ppart = parts_p.get(n - s + j, {})
+                for (u, v), cc in parts_c[d - 1 - j].items():
+                    for mono, num in cc.terms.items():
+                        for (k, l), coeff in ppart.items():
+                            items.setdefault((k + u, l + v), []).append((-num, cc.den, mono, coeff))
+            g = {e: MPoly.combination(nv, it) for e, it in items.items()}
+            # m*u + rhs = 0, rhs being the right sides after the row operations
+            rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
+            leftover = [v for v in rhs[len(pivots):] if v]
+            if any(v.is_constant for v in leftover):
+                # a nonzero constant row has no solution: the answer
+                # _solve_constraints would give, without the levels below
+                return [], [], True
+            constraints.extend(leftover)
         ncols = len(mons_p) + len(mons_c)
         free = [c for c in range(ncols) if c not in pivots]
         u = [None] * ncols

@@ -4,8 +4,12 @@ rref eliminates on ints: each row is held as int numerators over one
 positive int scale and updated fraction-free, as in Bareiss, Math. Comp.
 22 (1968).  Gauss-Jordan also clears above the pivot, so a row is divided
 by the gcd of its numerators and scale after each step rather than by the
-previous pivot.  The rationals it returns, and the row operations replay
-needs, are read off those ints.
+previous pivot.  A row whose entries are all ints is taken as it is, over
+scale 1, with no pass over denominators; the Darboux cascade's level
+matrices are such rows for an integer derivation.  An elimination step
+changes a row only where the pivot row is nonzero, besides scaling it.
+The rationals it returns, and the row operations replay needs, are read
+off those ints.
 """
 
 from math import gcd, lcm
@@ -25,12 +29,17 @@ def rref(rows, ncols):
 
     The first ncols columns are eliminated on ints: row i stands for
     nums[i] / scales[i], so the pivot order and the rationals of the
-    Fraction elimination come out unchanged."""
+    Fraction elimination come out unchanged.  The input rows are left
+    unchanged."""
     nums, scales = [], []
     for row in rows:
         left = row[:ncols]
-        s = lcm(*(v.denominator for v in left))
-        nums.append([v.numerator * (s // v.denominator) for v in left])
+        if all(type(v) is int for v in left):
+            s = 1
+        else:
+            s = lcm(*(v.denominator for v in left))
+            left = [v.numerator * (s // v.denominator) for v in left]
+        nums.append(left)
         scales.append(s)
     n = len(nums)
     pivots = []
@@ -55,14 +64,19 @@ def rref(rows, ncols):
             piv = nums[r] = [v // g for v in piv]
             p //= g
         scales[r] = p
+        # the pivot row is zero left of c
+        support = [(j, b) for j, b in enumerate(piv[c:], c) if b]
         elim = []
         for i in range(n):
             row = nums[i]
             f = row[c]
             if f and i != r:
                 si = scales[i]
-                # row/si - (f/si)*(piv/p) = (p*row - f*piv) / (p*si)
-                new = [p * a - f * b if b else p * a for a, b in zip(row, piv)]
+                # row/si - (f/si)*(piv/p) = (p*row - f*piv) / (p*si); the
+                # rows are rref's own lists, so one is updated in place
+                new = [p * a for a in row] if p != 1 else row
+                for j, b in support:
+                    new[j] -= f * b
                 s = p * si
                 g = gcd(s, *new)
                 if g != 1:

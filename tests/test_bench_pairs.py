@@ -63,6 +63,28 @@ def test_digests_and_incomplete_pairs():
     assert s["b"]["pass_s"]["change_wins_losses"] == [1, 0]
 
 
+def test_per_query_medians_and_ratios():
+    def run(seed, side, latency):
+        return {"workload": "w", "seed": seed, "side": side, "record": {"latency_ms": latency}}
+
+    runs = [
+        run(1, "parent", {"a": 10.0, "b": 0.0}),
+        run(1, "change", {"a": 8.0, "b": 1.0}),
+        run(2, "change", {"a": 4.0, "b": 1.0, "c": 2.0}),
+        run(2, "parent", {"a": 20.0, "b": 0.0}),
+        run(3, "parent", {"a": 30.0, "b": 0.0}),
+        run(3, "change", {"a": 12.0, "b": 1.0}),
+        run(4, "parent", {"a": 1.0}),  # its change run is missing
+    ]
+    rows = bench_pairs.per_query(runs)["w"]
+    assert list(rows) == ["a", "b", "c"]
+    assert rows["a"] == {"parent": 20.0, "change": 8.0, "change_over_parent": 0.4}
+    # a parent median of 0 gives no ratio
+    assert rows["b"] == {"parent": 0.0, "change": 1.0, "change_over_parent": None}
+    # a label one side never ran has no median there
+    assert rows["c"] == {"parent": None, "change": 2.0, "change_over_parent": None}
+
+
 def test_reproduces_a_recorded_summary():
     recorded = json.loads((ROOT / "BENCH_12.json").read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

@@ -23,7 +23,7 @@ from orediamond import (
 )
 from orediamond.darboux import (
     _cascade,
-    _cascade_levels,
+    _cascade_level,
     _composite_of,
     _in_span,
     _level_matrix,
@@ -356,24 +356,35 @@ def _cascade_inputs(a_pol, b_pol, n):
     return out
 
 
+def _levels(a_pol, b_pol, d, n, p_top, c_top):
+    """Every level of the cascade below p_top, reduced, whether or not
+    _cascade reads it."""
+    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+    return [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(1, n + d)]
+
+
 def test_level_matrices_match_products():
-    """On the named systems at bound 8, every cascade level matrix read
-    off by coefficient lookup equals the one built from products, and
-    _cascade_levels reduces it as rref does."""
-    levels_seen = 0
-    for (dx, dy), _ in PINNED_REPORTS.values():
-        a_pol, b_pol = bi(dx), bi(dy)
+    """On the named systems at bound 8, and on a seeded cubic field with a
+    coefficient 1/2, every cascade level matrix built from terms equals
+    the one built from products, and _cascade_level reduces it as rref
+    does."""
+    fields = [(bi(dx), bi(dy)) for (dx, dy), _ in PINNED_REPORTS.values()]
+    dx, dy = _random_field(random.Random(1702), 3, 0)
+    fields.append((dx + BiPoly.monomial(2, 1, Q(1, 2)), dy))
+    levels_seen = rational_seen = 0
+    for a_pol, b_pol in fields:
         for n in range(1, 9):
             for d, _, p_top, c_top in _cascade_inputs(a_pol, b_pol, n):
                 ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-                levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
-                for mons_p, mons_c, eq_mons, m, pivots, _ in levels:
+                for mons_p, mons_c, eq_mons, m, pivots, _ in _levels(a_pol, b_pol, d, n, p_top, c_top):
                     args = (ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
                     rows = _product_level_matrix(*args)
                     assert _level_matrix(*args) == rows
                     assert linalg.rref(rows, len(mons_p) + len(mons_c))[:2] == (m, pivots)
                     levels_seen += 1
-    assert levels_seen > 100
+                    rational_seen += ad.den != 1
+    # every level of the named systems, read or not, and the rational field's
+    assert levels_seen >= 3138 + 10 and rational_seen >= 10
 
 
 def _flat_xy_coeffs(g):
@@ -387,10 +398,11 @@ def _flat_xy_coeffs(g):
 
 def _flat_cascade(a_pol, b_pol, d, n, p_top, c_top):
     """Reference for _cascade: its level loop in the flat layout, every
+    level reduced up front and solved in MPoly, level 1 included, every
     part of p and of the cofactor one MPoly in (x, y, p_0, ...), each
     right side built from products of whole parts and split into its
     (x, y)-coefficients afterwards."""
-    levels = _cascade_levels(a_pol, b_pol, d, n, p_top, c_top)
+    levels = _levels(a_pol, b_pol, d, n, p_top, c_top)
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
     params = iter(range(2, nv))
     a_parts = [MPoly.from_bipoly(a_pol.homogeneous_part(e), nv) for e in range(d + 1)]
@@ -472,6 +484,26 @@ def test_cascade_matches_product_form():
         assert ours == _flat_cascade(*case)
         found += bool(ours[0] or ours[1])
     assert len(cases) > 100 and found > 10
+
+
+def test_level_one_refutes_before_reducing_the_rest(monkeypatch):
+    """On Lotka-Volterra at n = 3 a leading form refuted at level 1 has
+    only that level reduced, and one that passes has all four."""
+    a_pol, b_pol = bi("x - x*y"), bi("x*y - y")
+    inputs = {args[2]: args for args in _cascade_inputs(a_pol, b_pol, 3)}
+    calls = []
+    rref = linalg.rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    assert _cascade(a_pol, b_pol, *inputs[bi("x^3 + 3*x^2*y + 3*x*y^2 + y^3")]) == ([], [], True)
+    assert len(calls) == 1
+    calls.clear()
+    assert _cascade(a_pol, b_pol, *inputs[bi("x^3")]) == ([(bi("x^3"), bi("-3*y + 3"))], [], True)
+    assert len(calls) == 4
 
 
 class TestCompositePencils:

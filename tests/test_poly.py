@@ -873,6 +873,23 @@ def test_rref_matches_textbook_gauss_jordan():
     assert min(seen.values()) >= 40, seen
 
 
+def test_rref_keeps_its_input_and_reads_ints_as_fractions():
+    """rref leaves its input rows unchanged, for int, Fraction and mixed
+    rows with extra columns, and an int matrix, which it takes over scale
+    1, gives what the same matrix with Fraction entries gives."""
+    rng = random.Random(1703)
+    for trial in range(120):
+        kind = ("int", "fraction", "mixed")[trial % 3]
+        nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 7)
+        rows = _elimination_case(rng, kind, nrows, ncols)
+        rows = [row + [_random_entry(rng) for _ in range(trial % 2)] for row in rows]
+        copy = [list(row) for row in rows]
+        result = linalg.rref(rows, ncols)
+        assert rows == copy and [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in copy]
+        if kind == "int":
+            assert linalg.rref([[Q(v) for v in row] for row in rows], ncols) == result
+
+
 def test_rref_small_cases():
     # no rows, a zero matrix, a single negative pivot, and an int row that
     # reduces to a non-integral one

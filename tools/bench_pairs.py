@@ -11,7 +11,8 @@ the seed is odd and the change first otherwise.  One traced run of each
 workload's first seed follows, parent first.  Runs are one at a time.
 
 Every run keeps orebench's last two stdout lines: the record and the
-result.  The output file is rewritten after every run, so an interrupted
+result.  The summary compares the end-to-end metrics of the pairs, and
+per_query each query's latency.  The output file is rewritten after every run, so an interrupted
 session keeps what it measured.  Standard library only.
 """
 
@@ -33,6 +34,17 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _complete_pairs(runs):
+    """{workload: [{"parent": run, "change": run}, ...]} in seed order,
+    leaving out seeds that lack one side."""
+    pairs = {}
+    for run in runs:
+        pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
+    return {
+        workload: [p for _, p in sorted(by_seed.items()) if len(p) == 2] for workload, by_seed in pairs.items()
+    }
+
+
 def summarize(runs, end_to_end):
     """Per workload: the pair count, whether the answer digests of the two
     sides agree in every pair, and if not digest_mismatches, the sorted
@@ -41,12 +53,8 @@ def summarize(runs, end_to_end):
     [wins, losses] over the pairs (ties count for neither).  runs are
     untraced run entries; end_to_end is BENCHMARK.json's list of {"name",
     "better"}."""
-    pairs = {}
-    for run in runs:
-        pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
     summary = {}
-    for workload, by_seed in pairs.items():
-        complete = [p for _, p in sorted(by_seed.items()) if len(p) == 2]
+    for workload, complete in _complete_pairs(runs).items():
         mismatches = set()
         for p in complete:
             a, c = p["parent"]["record"]["digests"], p["change"]["record"]["digests"]
@@ -71,6 +79,27 @@ def summarize(runs, end_to_end):
                 q1, median, q3 = _quartiles(values[side])
                 out[name][side] = {"median": median, "q1": q1, "q3": q3}
     return summary
+
+
+def per_query(runs):
+    """Per workload and query label: each side's median over the pairs of
+    the query's record latency_ms (orebench's median over the passes of
+    one run), and change_over_parent, the ratio of the two medians (None
+    when the parent's is 0).  A label missing from a run counts only in
+    the pairs that have it on that side."""
+    out = {}
+    for workload, complete in _complete_pairs(runs).items():
+        labels = {label for p in complete for side in SIDES for label in p[side]["record"]["latency_ms"]}
+        rows = out[workload] = {}
+        for label in sorted(labels):
+            row = rows[label] = {}
+            for side in SIDES:
+                values = [p[side]["record"]["latency_ms"][label] for p in complete
+                          if label in p[side]["record"]["latency_ms"]]
+                row[side] = statistics.median(values) if values else None
+            parent, change = row["parent"], row["change"]
+            row["change_over_parent"] = change / parent if parent and change is not None else None
+    return out
 
 
 def _run(tree, command, workload, seed, seconds, trace):
@@ -114,7 +143,12 @@ def main(argv=None):
                 "and digest_mismatches, present only when they differ, lists the labels of the queries "
                 "whose digests differ in some pair"
             ),
+            "per_query_fields": (
+                "per workload and query label: each side's median over the pairs of the run record's "
+                "latency_ms for that query, and change_over_parent, the change's median over the parent's"
+            ),
         },
+        "per_query": {},
         "runs": [],
         "summary": {},
         "traced": [],
@@ -131,6 +165,7 @@ def main(argv=None):
                  "trace": trace, "workload": workload}
         doc["traced" if trace else "runs"].append(entry)
         doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
+        doc["per_query"] = per_query(doc["runs"])
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True))
         metrics = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
         print(f"{workload} {seed} {side} trace={trace}: {metrics}", file=sys.stderr, flush=True)
