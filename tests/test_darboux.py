@@ -383,8 +383,9 @@ def test_level_matrices_match_products():
                     assert linalg.rref(rows, len(mons_p) + len(mons_c))[:2] == (m, pivots)
                     levels_seen += 1
                     rational_seen += ad.den != 1
-    # every level of the named systems, read or not, and the rational field's
-    assert levels_seen >= 3138 + 10 and rational_seen >= 10
+    # every level of the named systems, read by _cascade or not, and the
+    # rational field's
+    assert (levels_seen - rational_seen, rational_seen) == (3138, 1318)
 
 
 def _flat_xy_coeffs(g):

@@ -12,8 +12,9 @@ workload's first seed follows, parent first.  Runs are one at a time.
 
 Every run keeps orebench's last two stdout lines: the record and the
 result.  The summary compares the end-to-end metrics of the pairs, and
-per_query each query's latency.  The output file is rewritten after every run, so an interrupted
-session keeps what it measured.  Standard library only.
+per_query each query's latency.  The output file is rewritten after
+every run, so an interrupted session keeps what it measured.  Standard
+library only.
 """
 
 import argparse
@@ -84,9 +85,10 @@ def summarize(runs, end_to_end):
 def per_query(runs):
     """Per workload and query label: each side's median over the pairs of
     the query's record latency_ms (orebench's median over the passes of
-    one run), and change_over_parent, the ratio of the two medians (None
-    when the parent's is 0).  A label missing from a run counts only in
-    the pairs that have it on that side."""
+    one run, in wall-clock ms, not scaled by the speed sampler as the
+    end-to-end metrics are), and change_over_parent, the ratio of the two
+    medians (None when the parent's is 0).  A label missing from a run
+    counts only in the pairs that have it on that side."""
     out = {}
     for workload, complete in _complete_pairs(runs).items():
         labels = {label for p in complete for side in SIDES for label in p[side]["record"]["latency_ms"]}
@@ -145,7 +147,8 @@ def main(argv=None):
             ),
             "per_query_fields": (
                 "per workload and query label: each side's median over the pairs of the run record's "
-                "latency_ms for that query, and change_over_parent, the change's median over the parent's"
+                "latency_ms for that query (wall-clock ms, not speed-scaled), and change_over_parent, "
+                "the change's median over the parent's"
             ),
         },
         "per_query": {},
