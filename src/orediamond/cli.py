@@ -29,6 +29,7 @@ from .parse import (
     ParseError,
     parse_derivation,
     parse_ore,
+    parse_polynomial,
     render_derivation,
 )
 
@@ -41,20 +42,12 @@ def _ore_json(f):
 
 
 def _ore_context(args):
-    ring = args.ring
-    if ring not in (POLY_UNI, POLY_BI):
+    if args.ring not in (POLY_UNI, POLY_BI):
         raise DomainError("operator verbs support poly1 and poly2")
-    if ring == POLY_UNI:
-        from .parse import parse_polynomial
-
-        parts = args.deriv.split("=", 1)
-        if len(parts) != 2 or parts[0].strip() != "dx":
-            raise ParseError("derivation must look like dx=<poly>", 0)
-        dx_uni = parse_polynomial(parts[1].strip(), POLY_UNI)
-        deriv = Derivation(BiPoly.from_uni(dx_uni), BiPoly.zero())
-    else:
-        deriv = parse_derivation(args.deriv, POLY_BI)
-    return OreContext(ring, deriv)
+    deriv = parse_derivation(args.deriv, args.ring)
+    if args.ring == POLY_UNI:
+        deriv = Derivation(BiPoly.from_uni(deriv.dx), BiPoly.zero())
+    return OreContext(args.ring, deriv)
 
 
 def _cmd_decide(args):
@@ -132,12 +125,9 @@ def _cmd_ore_mul(args):
 def _cmd_witness(args):
     ctx = _ore_context(args)
     f = parse_ore(args.f, args.ring)
-    from .parse import parse_polynomial
-
+    x_elt = parse_polynomial(args.x, args.ring)
     if args.ring == POLY_UNI:
-        x_elt = BiPoly.from_uni(parse_polynomial(args.x, POLY_UNI))
-    else:
-        x_elt = parse_polynomial(args.x, POLY_BI)
+        x_elt = BiPoly.from_uni(x_elt)
     cert = essential_witness(ctx, f, x_elt)
     h, r = _ore_json(cert.h), cert.r.render()
     result = {"h": h, "r": r, "identity": "x^(n+1)*f = h*t*x + r*x"}

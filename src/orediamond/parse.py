@@ -7,8 +7,14 @@ Grammar (whitespace-insensitive):
     monomial := ('x'|'y'|'t') ('^' '-'? digits)?
     coeff    := '-'? digits ('/' digits)?
 
-'t' denotes theta and is only allowed in Ore operands; negative
-exponents only on x in the Laurent ring.
+Every input goes through one accumulator, _terms: it parses the text,
+checks each term and sums the terms into one {(i, j, k): coefficient}
+dict, i, j and k being the exponents of x, y and t.  The caps hold while
+a term is read: MAX_DIGITS per number, MAX_EXPONENT per variable and
+term.  The ring checks follow per term: 't' (theta) only in Ore
+operands, 'y' only in poly2, negative exponents only on x in laurent1.
+parse_polynomial builds its ring's type from that dict in one call, and
+parse_ore groups it by the power of t.
 """
 
 from .rational import Q
@@ -22,9 +28,17 @@ MAX_EXPONENT = 1000
 # Longest number, CPython's default limit on str-to-int conversion.
 MAX_DIGITS = 4300
 
+# each ring's polynomial type and its number of variables
+_RING_TYPES = {POLY_UNI: (UniPoly, 1), LAURENT_UNI: (LaurentUniPoly, 1), POLY_BI: (BiPoly, 2)}
+
 
 class ParseError(ValueError):
-    """Syntax or validation error with a character position."""
+    """Syntax or validation error with a character position: the index
+    in the parsed text of the offending token, for a validation error
+    the variable's first occurrence in its term.  A derivation component
+    is parsed on its own text, the part after 'dx=' or 'dy=' with
+    surrounding spaces removed, so positions count from its start; the
+    errors in a derivation's layout are at position 0."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -73,6 +87,14 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, kind):
+        """Consume the next token when it is of this kind."""
+        tok = self.peek()
+        if tok is not None and tok[0] == kind:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
@@ -87,7 +109,9 @@ class _Parser:
         return int(text), pos
 
     def parse_poly(self):
-        """List of (coefficient, {var: exponent}) raw terms."""
+        """List of (coefficient, {var: exponent}, {var: position}) raw
+        terms, the position being that of the variable's first occurrence
+        in its term."""
         terms = [self.parse_term(1)]
         while True:
             tok = self.peek()
@@ -104,92 +128,67 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a term", len(self.text))
-        if tok[0] == "digits" or tok[0] == "-":
-            coeff = self.parse_coeff()
-            exps = {}
-            while self.peek() is not None and self.peek()[0] == "*":
-                self.next()
-                self.parse_monomial(exps)
-            return sign * coeff, exps
-        if tok[0] == "var":
-            exps = {}
-            self.parse_monomial(exps)
-            while self.peek() is not None and self.peek()[0] == "*":
-                self.next()
-                self.parse_monomial(exps)
-            return Q(sign), exps
-        raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
+        if tok[0] not in ("digits", "-", "var"):
+            raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
+        # a term opening with a variable is a product of monomials alone
+        bare = tok[0] == "var"
+        coeff = Q(sign) if bare else sign * self.parse_coeff()
+        exps, where = {}, {}
+        while bare or self.accept("*"):
+            bare = False
+            self.parse_monomial(exps, where)
+        return coeff, exps, where
 
     def parse_coeff(self):
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         num, _ = self.number()
-        tok = self.peek()
-        if tok is not None and tok[0] == "/":
-            self.next()
+        if self.accept("/"):
             den, pos = self.number()
             if den == 0:
                 raise ParseError("zero denominator", pos)
             return Q(sign * num, den)
         return Q(sign * num)
 
-    def parse_monomial(self, exps):
-        vtok = self.next()
-        if vtok[0] != "var":
-            raise ParseError(f"expected a variable, found {vtok[1]!r}", vtok[2])
+    def parse_monomial(self, exps, where):
+        kind, var, at = self.next()
+        if kind != "var":
+            raise ParseError(f"expected a variable, found {var!r}", at)
         exp = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "^":
-            self.next()
-            neg = False
-            tok = self.peek()
-            if tok is not None and tok[0] == "-":
-                self.next()
-                neg = True
+        if self.accept("^"):
+            neg = self.accept("-")
             exp, _ = self.number()
             if neg:
                 exp = -exp
-        total = exps[vtok[1]] = exps.get(vtok[1], 0) + exp
+        where.setdefault(var, at)
+        total = exps[var] = exps.get(var, 0) + exp
         if abs(total) > MAX_EXPONENT:
-            raise ParseError(f"exponent of {vtok[1]!r} exceeds {MAX_EXPONENT}", vtok[2])
+            raise ParseError(f"exponent of {var!r} exceeds {MAX_EXPONENT}", at)
 
 
-def _raw_terms(text):
-    parser = _Parser(text)
-    terms = parser.parse_poly()
-    return terms
+def _terms(text, ring, theta):
+    """{(i, j, k): coefficient} of the text, the sum of its terms
+    coefficient*x^i*y^j*t^k; 't' is allowed when theta is true."""
+    acc = {}
+    for coeff, exps, where in _Parser(text).parse_poly():
+        if "t" in exps and not theta:
+            raise ParseError("'t' is only allowed in operator operands", where["t"])
+        if "y" in exps and ring != POLY_BI:
+            raise ParseError("variable 'y' is not in this ring", where["y"])
+        for var, exp in exps.items():
+            if exp < 0 and not (ring == LAURENT_UNI and var == "x"):
+                raise ParseError("negative exponent in polynomial ring", where[var])
+        key = (exps.get("x", 0), exps.get("y", 0), exps.get("t", 0))
+        c = acc.get(key)
+        acc[key] = coeff if c is None else c + coeff
+    return acc
 
 
 def parse_polynomial(text, ring):
     """Parse a ring element for poly1, laurent1, or poly2."""
-    terms = _raw_terms(text)
-    for _, exps in terms:
-        if "t" in exps:
-            raise ParseError("'t' is only allowed in operator operands", 0)
-        if ring in (POLY_UNI, LAURENT_UNI) and "y" in exps:
-            raise ParseError("variable 'y' is not in this ring", 0)
-        for var, exp in exps.items():
-            if exp < 0 and not (ring == LAURENT_UNI and var == "x"):
-                raise ParseError("negative exponent in polynomial ring", 0)
-    if ring == POLY_BI:
-        out = BiPoly.zero()
-        for coeff, exps in terms:
-            out = out + BiPoly.monomial(exps.get("x", 0), exps.get("y", 0), coeff)
-        return out
-    if ring == POLY_UNI:
-        out = UniPoly.zero()
-        for coeff, exps in terms:
-            out = out + UniPoly.monomial(exps.get("x", 0), coeff)
-        return out
-    if ring == LAURENT_UNI:
-        out = LaurentUniPoly.zero()
-        for coeff, exps in terms:
-            out = out + LaurentUniPoly.monomial(exps.get("x", 0), coeff)
-        return out
-    raise ParseError(f"unknown ring {ring!r}", 0)
+    if ring not in _RING_TYPES:
+        raise ParseError(f"unknown ring {ring!r}", 0)
+    cls, n = _RING_TYPES[ring]
+    return cls.from_terms(n, {e[:n]: c for e, c in _terms(text, ring, False).items()})
 
 
 def parse_derivation(text, ring):
@@ -224,19 +223,10 @@ def parse_ore(text, ring):
     """Parse an Ore operand; 't' is theta, interpreted left-normal."""
     if ring not in (POLY_UNI, POLY_BI):
         raise ParseError("operator operands live over poly1 or poly2", 0)
-    terms = _raw_terms(text)
-    coeffs = {}
-    for coeff, exps in terms:
-        if ring == POLY_UNI and "y" in exps:
-            raise ParseError("variable 'y' is not in this ring", 0)
-        for var, exp in exps.items():
-            if exp < 0:
-                raise ParseError("negative exponent in polynomial ring", 0)
-        k = exps.get("t", 0)
-        mono = BiPoly.monomial(exps.get("x", 0), exps.get("y", 0), coeff)
-        coeffs[k] = coeffs.get(k, BiPoly.zero()) + mono
-    top = max(coeffs) if coeffs else 0
-    return OrePoly([coeffs.get(i, BiPoly.zero()) for i in range(top + 1)])
+    by_power = {}
+    for (i, j, k), c in _terms(text, ring, True).items():
+        by_power.setdefault(k, {})[(i, j)] = c
+    return OrePoly([BiPoly(by_power.get(k)) for k in range(max(by_power, default=0) + 1)])
 
 
 def render_derivation(deriv):

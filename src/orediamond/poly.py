@@ -215,6 +215,9 @@ class MPoly:
 
     __slots__ = ("nvars", "den", "terms")
 
+    # the variable names render() uses: None names variable k v<k>
+    _names = None
+
     def __init__(self, nvars, terms=None):
         cleaned = {}
         if terms:
@@ -226,6 +229,15 @@ class MPoly:
         # the lcm of the denominators leaves the numerators coprime to it
         self.den = den = lcm(*(c.denominator for c in cleaned.values()))
         self.terms = {e: c.numerator * (den // c.denominator) for e, c in cleaned.items()}
+
+    @classmethod
+    def from_terms(cls, nvars, terms):
+        """The polynomial of cls with the {exponent tuple: rational} terms,
+        built as MPoly(nvars, terms) builds it, whatever arguments cls's
+        own constructor takes."""
+        p = cls.__new__(cls)
+        MPoly.__init__(p, nvars, terms)
+        return p
 
     @classmethod
     def _raw(cls, nvars, den, terms):
@@ -493,13 +505,25 @@ class MPoly:
             terms[(exp[i],)] = c
         return UniPoly._raw(1, self.den, terms)
 
+    def render(self, names=None):
+        """Canonical text form: descending graded-lex terms, variable k
+        named names[k], by default the class's names or else v<k>.  An
+        integer polynomial is rendered from its int terms, which qstr
+        reads as it reads rationals."""
+        names = names or self._names or [f"v{k}" for k in range(self.nvars)]
+        terms = self.terms if self.den == 1 else self.rational_terms()
+        # the text of each power that occurs, made once per variable
+        powers = [{e: _power(v, e) for e in set(col)} for v, col in zip(names, zip(*terms))]
+        return _render_terms(
+            ("*".join(filter(None, map(dict.__getitem__, powers, exp))), terms[exp])
+            for exp in sorted(terms, key=_degree_lex, reverse=True)
+        )
+
     def __repr__(self):
-        terms = sorted(self.rational_terms().items(), key=lambda t: _degree_lex(t[0]), reverse=True)
-        parts = [
-            str(c) + "".join(f"*v{k}" + (f"^{e}" if e > 1 else "") for k, e in enumerate(exp) if e)
-            for exp, c in terms
-        ]
-        return "MPoly(" + (" + ".join(parts) or "0") + ")"
+        return f"{type(self).__name__}({self.render()})"
+
+    def __str__(self):
+        return self.render()
 
 
 class BiPoly(MPoly):
@@ -507,6 +531,7 @@ class BiPoly(MPoly):
     variable 0 and y variable 1."""
 
     __slots__ = ()
+    _names = "xy"
 
     def __init__(self, terms=None):
         super().__init__(2, terms)
@@ -564,28 +589,13 @@ class BiPoly(MPoly):
     def homogeneous_part(self, d):
         return self._lowest(2, self.den, {e: c for e, c in self.terms.items() if e[0] + e[1] == d})
 
-    def render(self):
-        """Canonical text form: descending graded-lex terms.  An integer
-        polynomial is rendered from its int terms, which qstr reads as it
-        reads rationals."""
-        terms = self.terms if self.den == 1 else self.rational_terms()
-        return _render_terms(
-            ("*".join(filter(None, (_power("x", i), _power("y", j)))), terms[(i, j)])
-            for (i, j) in sorted(terms, key=_degree_lex, reverse=True)
-        )
-
-    def __repr__(self):
-        return f"BiPoly({self.render()})"
-
-    def __str__(self):
-        return self.render()
-
 
 class _Univariate(MPoly):
     """The 1-variable MPoly in x, exponent keys (i,): what UniPoly and
     LaurentUniPoly share."""
 
     __slots__ = ()
+    _names = "x"
 
     @classmethod
     def zero(cls):
@@ -615,17 +625,6 @@ class _Univariate(MPoly):
             (((n,), c),) = self.terms.items()
             return Q(c, self.den), n
         return None
-
-    def render(self, var="x"):
-        """Canonical text form, highest power first."""
-        terms = self.terms if self.den == 1 else self.rational_terms()
-        return _render_terms((_power(var, i), terms[(i,)]) for (i,) in sorted(terms, reverse=True))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.render()})"
-
-    def __str__(self):
-        return self.render()
 
 
 class UniPoly(_Univariate):

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library
 alone: every imported name is used, no top-level name is defined in two
-modules, and every private name is read somewhere in the package."""
+modules, every private name is read somewhere in the package, and every
+import is at module level."""
 
 import ast
 from pathlib import Path
@@ -143,3 +144,31 @@ def test_scan_sees_an_unused_private_name(tmp_path):
     (tmp_path / "b.py").write_text("from .a import _shared\n\nprint(_shared())\n")
     # locals, dunders and names read from another module are not reported
     assert unused_private_names(tmp_path) == ["a.py:2: _UNUSED", "a.py:7: _orphan", "a.py:20: _dead"]
+
+
+def function_level_imports(package=PACKAGE):
+    """'module.py:line: name' for each name imported inside a function."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, line, name) for name, line in _imports(node)}
+    return [f"{module}:{line}: {name}" for module, line, name in sorted(found)]
+
+
+def test_no_function_level_imports():
+    assert function_level_imports() == []
+
+
+def test_scan_sees_a_function_level_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n\n"
+        "def f():\n    from .b import g\n\n"
+        "    def inner():\n        import json as j\n\n    return g, j\n\n"
+        "class K:\n    from .b import h\n\n"
+        "    def m(self):\n        import sys\n"
+    )
+    (tmp_path / "b.py").write_text("g = h = 0\n")
+    # module- and class-level imports are not reported, a nested
+    # function's only once
+    assert function_level_imports(tmp_path) == ["a.py:4: g", "a.py:7: j", "a.py:15: sys"]

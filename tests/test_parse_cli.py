@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from orediamond import (
     BiPoly,
     Derivation,
+    LaurentUniPoly,
     ParseError,
     Q,
     UniPoly,
@@ -21,6 +22,7 @@ from orediamond import (
     render_derivation,
 )
 from orediamond.cli import main
+from orediamond.poly import MPoly
 from util import bi, lau
 
 
@@ -85,6 +87,42 @@ class TestParsePolynomial:
             parse_polynomial("x ? y", "poly2")
 
 
+# (parser, text, ring, message, position); a derivation component's
+# positions count from the start of that component's text
+ERRORS = [
+    (parse_polynomial, "x^", "poly2", "unexpected end of input", 2),
+    (parse_polynomial, "x +", "poly2", "expected a term", 3),
+    (parse_polynomial, "x + * y", "poly2", "expected a term, found '*'", 4),
+    (parse_polynomial, "2x", "poly2", "expected '+' or '-', found 'x'", 1),
+    (parse_polynomial, "x*2", "poly2", "expected a variable, found '2'", 2),
+    (parse_polynomial, "x ? y", "poly2", "unexpected character '?'", 2),
+    (parse_polynomial, "x", "poly3", "unknown ring 'poly3'", 0),
+    (parse_polynomial, "x + 2*y", "poly1", "variable 'y' is not in this ring", 6),
+    (parse_polynomial, "1 + x*y^2", "laurent1", "variable 'y' is not in this ring", 6),
+    (parse_polynomial, "x + 3*t", "poly2", "'t' is only allowed in operator operands", 6),
+    (parse_polynomial, "1 + y*x^-1", "poly2", "negative exponent in polynomial ring", 6),
+    (parse_polynomial, "x + x^2*y^-1", "laurent1", "variable 'y' is not in this ring", 8),
+    (parse_derivation, "dx", "poly2", "derivation component must look like dx=<poly>", 0),
+    (parse_derivation, "dx=1; dz=x", "poly2", "unknown derivation component 'dz'", 0),
+    (parse_derivation, "dx=1; dx=2", "poly1", "duplicate component 'dx'", 0),
+    (parse_derivation, "dy=1", "poly2", "dx component required", 0),
+    (parse_derivation, "dx=1", "poly2", "dy required for the bivariate ring", 0),
+    (parse_derivation, "dx=1; dy=0", "poly1", "dy is not allowed for a univariate ring", 0),
+    (parse_derivation, "dx=1; dy = x + 2*t", "poly2", "'t' is only allowed in operator operands", 6),
+    (parse_ore, "t", "laurent1", "operator operands live over poly1 or poly2", 0),
+    (parse_ore, "t^2 + x*y*t", "poly1", "variable 'y' is not in this ring", 8),
+    (parse_ore, "t + x^-1*t", "poly2", "negative exponent in polynomial ring", 4),
+]
+
+
+@pytest.mark.parametrize("parser, text, ring, message, position", ERRORS)
+def test_error_message_and_position(parser, text, ring, message, position):
+    with pytest.raises(ParseError) as exc:
+        parser(text, ring)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
 class TestParseDerivation:
     def test_bivariate(self):
         d = parse_derivation("dx=1; dy=x*y^2", "poly2")
@@ -135,11 +173,25 @@ def bipoly_strategy(draw):
     return BiPoly(terms)
 
 
+@st.composite
+def univariate_strategy(draw, laurent):
+    """A UniPoly, or a LaurentUniPoly whose exponents may be negative."""
+    low = draw(st.integers(min_value=-5, max_value=0)) if laurent else 0
+    coeffs = draw(st.lists(coeff_strategy() | st.just(Q(0)), min_size=1, max_size=6))
+    return LaurentUniPoly(low, coeffs) if laurent else UniPoly(coeffs)
+
+
 class TestRoundTrip:
-    @settings(max_examples=200, deadline=None)
-    @given(bipoly_strategy())
-    def test_bipoly_render_reparse(self, p):
-        assert parse_polynomial(p.render(), "poly2") == p
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bipoly_strategy().map(lambda p: (p, "poly2"))
+        | univariate_strategy(False).map(lambda p: (p, "poly1"))
+        | univariate_strategy(True).map(lambda p: (p, "laurent1"))
+    )
+    def test_bipoly_render_reparse(self, case):
+        p, ring = case
+        q_ = parse_polynomial(p.render(), ring)
+        assert q_ == p and type(q_) is type(p)
 
     @settings(max_examples=100, deadline=None)
     @given(bipoly_strategy(), bipoly_strategy())
@@ -212,6 +264,8 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["result"]["product"]["rendered"] == f"({square}*x)t + ({square})"
         assert p.render() == expected
+        big = MPoly.const(3, 10**5000) * MPoly.var(3, 2)
+        assert repr(big) == f"MPoly(1{'0' * 5000}*v2)"
 
     def test_simple(self, capsys):
         code, out, _ = run(
@@ -252,6 +306,18 @@ class TestJsonSchema:
             code, out, _ = run(argv + ["--json"], capsys)
             assert code in (0, 2)
             jsonschema.validate(json.loads(out), schema)
+
+    def test_univariate_operator_derivation_error(self, schema, capsys):
+        # operator verbs over poly1 read --deriv with parse_derivation
+        argv = ["ore-mul", "--ring", "poly1", "--deriv", "dx=1; dy=0", "--f", "t", "--g", "x"]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err == "error: dy is not allowed for a univariate ring (at position 0)\n"
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "dy is not allowed for a univariate ring (at position 0)"
+        jsonschema.validate(doc, schema)
 
     def test_error_document_validates(self, schema, capsys):
         code, out, _ = run(
