@@ -42,12 +42,15 @@ def _ore_json(f):
 
 
 def _ore_context(args):
+    """The operator ring of the arguments, and the inputs echo that
+    starts with the derivation's canonical text."""
     if args.ring not in (POLY_UNI, POLY_BI):
         raise DomainError("operator verbs support poly1 and poly2")
     deriv = parse_derivation(args.deriv, args.ring)
+    inputs = {"ring": args.ring, "deriv": render_derivation(deriv)}
     if args.ring == POLY_UNI:
         deriv = Derivation(BiPoly.from_uni(deriv.dx), BiPoly.zero())
-    return OreContext(args.ring, deriv)
+    return OreContext(args.ring, deriv), inputs
 
 
 def _cmd_decide(args):
@@ -107,23 +110,18 @@ def _cmd_simple(args):
 
 
 def _cmd_ore_mul(args):
-    ctx = _ore_context(args)
+    ctx, inputs = _ore_context(args)
     f = parse_ore(args.f, args.ring)
     g = parse_ore(args.g, args.ring)
     product = _ore_json(mul(ctx, f, g))
     result = {"product": product}
     lines = [f"product: {product['rendered']}"]
-    inputs = {
-        "ring": args.ring,
-        "deriv": args.deriv,
-        "f": f.render(),
-        "g": g.render(),
-    }
+    inputs.update(f=f.render(), g=g.render())
     return result, [], lines, 0, inputs
 
 
 def _cmd_witness(args):
-    ctx = _ore_context(args)
+    ctx, inputs = _ore_context(args)
     f = parse_ore(args.f, args.ring)
     x_elt = parse_polynomial(args.x, args.ring)
     if args.ring == POLY_UNI:
@@ -132,7 +130,7 @@ def _cmd_witness(args):
     h, r = _ore_json(cert.h), cert.r.render()
     result = {"h": h, "r": r, "identity": "x^(n+1)*f = h*t*x + r*x"}
     lines = [f"h = {h['rendered']}", f"r = {r}"]
-    inputs = {"ring": args.ring, "deriv": args.deriv, "f": f.render(), "x": x_elt.render()}
+    inputs.update(f=f.render(), x=x_elt.render())
     return result, [], lines, 0, inputs
 
 

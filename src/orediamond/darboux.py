@@ -20,9 +20,12 @@ computes with, one per (x, y)-monomial of each part; the free unknowns
 become parameters in level-then-column order.  Rows left unsatisfied become
 polynomial constraints on the parameters, solved over Q at the end; a
 nonzero constant among them has no solution, so the cascade stops at
-the first level that leaves one.  When M vanishes identically the top
-part is a multiple of the Euler operator, the top cofactor is forced,
-and for d = 1 the whole system is linear.
+the first level that leaves one.  An affine family of solutions
+enters as its base and its directions.  When M vanishes identically the
+top part is a multiple of the Euler operator, the top cofactor is
+forced, and for d = 1 the whole system is linear; for d = 0 (M is then
+the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
+the same linear solve.
 
 The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).  When gcd(dx,
@@ -84,7 +87,7 @@ class PencilCert:
         for m in (p, q):
             if m.is_zero or deriv.apply(m) != cofactor * m:
                 raise DomainError("pencil certificate failed verification")
-        if _proportional(p, q):
+        if p.monic() == q.monic():
             raise DomainError("pencil requires non-proportional members")
         self.p = p
         self.q = q
@@ -156,12 +159,6 @@ class PencilMembers:
         if self.kind == "all":
             return "PencilMembers(all)"
         return f"PencilMembers({self.members}, residual={self.residual_nonrational})"
-
-
-def _proportional(p, q_):
-    if p.is_zero or q_.is_zero:
-        return True
-    return p.monic() == q_.monic()
 
 
 def _monomials(deg):
@@ -347,8 +344,8 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     parameters are those of that product; the parts are joined into one
     MPoly only for _cascade_answers.
 
-    Returns (solutions, families, complete) as _cascade_answers does;
-    ([], [], True) as soon as a level leaves a nonzero constant row.
+    Returns (solutions, complete) as _cascade_answers does; ([], True) as
+    soon as a level leaves a nonzero constant row.
     """
     ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     ad, bd = ab_parts[d]
@@ -360,7 +357,7 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     g = a_e * p_top.deriv_x() + b_e * p_top.deriv_y()
     rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
     if any(rhs[len(pivots):]):
-        return [], [], True
+        return [], True
     levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, n + d)]
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
     params = iter(range(2, nv))
@@ -394,7 +391,7 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
             if any(v.is_constant for v in leftover):
                 # a nonzero constant row has no solution: the answer
                 # _solve_constraints would give, without the levels below
-                return [], [], True
+                return [], True
             constraints.extend(leftover)
         ncols = len(mons_p) + len(mons_c)
         free = [c for c in range(ncols) if c not in pivots]
@@ -421,12 +418,13 @@ def _constant_coeffs(p, nv):
 
 
 def _cascade_answers(p_all, c_all, constraints):
-    """The cascade's (solutions, families, complete) from the whole p and
-    cofactor in (x, y, p_0, ..., p_{P-1}) and the parameter constraints:
-    solutions are concrete (p, c) pairs and families are (base,
-    directions, c) affine families."""
+    """The cascade's (solutions, complete) from the whole p and cofactor
+    in (x, y, p_0, ..., p_{P-1}) and the parameter constraints: solutions
+    are (p, c) pairs.  An affine family base + span(directions) enters as
+    its base and each direction, all with cofactor c: base and base +
+    direction are in ker(delta - c), so their difference is too."""
     sols, complete = _solve_constraints(constraints)
-    solutions, families = [], []
+    solutions = []
     for values in sols:
         pm, cm = p_all.substitute(values), c_all.substitute(values)
         if any(v > 1 for v in cm.variables()):
@@ -434,9 +432,6 @@ def _cascade_answers(p_all, c_all, constraints):
             continue
         c_val = cm.to_bipoly()
         free = [v for v in pm.variables() if v > 1]
-        if not free:
-            solutions.append((pm.to_bipoly(), c_val))
-            continue
         # pm is affine in the free parameters, so no direction involves
         # one.  Substituting values is a ring map, and the parts of cm
         # have distinct (x, y)-degrees, so each substituted cofactor part
@@ -446,13 +441,12 @@ def _cascade_answers(p_all, c_all, constraints):
         # is affine in its right side and new parameters: by induction
         # over the levels each substituted part of p is affine.  Were
         # it not, to_bipoly would raise on a direction.
-        directions = [pm.deriv(v) for v in free]
-        base = pm.substitute(dict.fromkeys(free, 0)).to_bipoly()
-        families.append((base, [dv.to_bipoly() for dv in directions], c_val))
-    return solutions, families, complete
+        base = pm.substitute(dict.fromkeys(free, 0))
+        solutions += [(f.to_bipoly(), c_val) for f in [base] + [pm.deriv(v) for v in free]]
+    return solutions, complete
 
 
-def _kernel_families(deriv, c0, n):
+def _kernel_echelon(deriv, c0, n):
     """Echelon basis of {p : deg p <= n, delta(p) = c0*p}."""
     mons = []
     for deg in range(n, -1, -1):
@@ -466,15 +460,9 @@ def _kernel_families(deriv, c0, n):
     eq_set = sorted(set().union(*views), key=_degree_lex)
     rows = [[v.get(e, QZERO) for v in views] for e in eq_set]
     kernel = linalg.nullspace(rows, len(mons))
-    if not kernel:
-        return []
+    # the kernel vectors are independent, so no echelon row is zero
     echelon, _, _ = linalg.rref(kernel, len(mons))
-    basis = []
-    for vec in echelon:
-        p = BiPoly({mons[k]: v for k, v in enumerate(vec) if v})
-        if not p.is_zero:
-            basis.append(p.monic())
-    return basis
+    return [BiPoly({mons[k]: v for k, v in enumerate(vec) if v}).monic() for vec in echelon]
 
 
 def _span_key(p, q_):
@@ -534,8 +522,10 @@ def _composite_of(b, u, polys):
 
 def darboux_search(deriv, bound):
     """All monic Q-irreducible Darboux polynomials of total degree at
-    most bound, with pencils for the cofactor-sharing families, leaving
-    out composites F(b, u) of a smaller pencil b/u other than its members.
+    most bound, with a pencil for every two found that share a cofactor
+    (the constant 1 among them), leaving out composites F(b, u) of a
+    smaller pencil b/u other than its members.  What each degree yields
+    goes into one list of (p, cofactor) pairs.
 
     The degree loop stops early (Jouanolou, LNM 708).  Let gcd(dx, dy) =
     1, let m be the first degree where the polynomials found include a
@@ -551,7 +541,9 @@ def darboux_search(deriv, bound):
     f = F(b, u) is a composite, which the report drops, or they are
     proper components of k <= S reducible fibers and deg f <= S*(m - 1).
     Conjugate non-reduced irreducible fibers C^e, C'^e do not occur: b/u
-    would be a Moebius image of (C/C')^e, a composite.
+    would be a Moebius image of (C/C')^e, a composite.  A constant field
+    is covered: the gcd of two constants, not both zero, is 1, and it has
+    no singular points.
     complete_up_to_bound stays the AND over the degrees searched.
     """
     if deriv.is_zero:
@@ -560,68 +552,55 @@ def darboux_search(deriv, bound):
         raise DomainError("degree bound must be at least 1")
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
+    ad = a_pol.homogeneous_part(d)
+    bd = b_pol.homogeneous_part(d)
+    big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
     complete = True
-    raw = []  # (p, cofactor) concrete
-    families = []  # (base, [directions], cofactor)
-    n = bound
+    atoms = None
     if d == 0:
-        basis = _kernel_families(deriv, BiPoly.zero(), bound)
-        if basis:
-            raw.extend((p, BiPoly.zero()) for p in basis)
-            families.append((basis[0], basis[1:], BiPoly.zero()))
+        hval = 0  # delta lowers the degree, so every cofactor is 0
+    elif not big_m.is_zero:
+        atoms, complete = _top_atoms(big_m, d)
+    elif d == 1:
+        hval = exact_divide(ad, BiPoly.var_x()).constant_value()
     else:
-        ad = a_pol.homogeneous_part(d)
-        bd = b_pol.homogeneous_part(d)
-        big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
-        atoms = None
-        if not big_m.is_zero:
-            atoms, complete = _top_atoms(big_m, d)
-        elif d == 1:
-            hval = exact_divide(ad, BiPoly.var_x()).constant_value()
+        complete = False
+        atoms = [BiPoly.var_x(), BiPoly.var_y()]
+    # the stop is fixed at the first pencil, and stays at bound when
+    # there are infinitely many singular points
+    stop_fixed = not gcd(a_pol, b_pol).is_constant
+    found = []  # (p, cofactor)
+    stop, n = bound, 0
+    while n < stop:
+        n += 1
+        if atoms is None:
+            c0 = BiPoly.const(n * hval)
+            found += [(p, c0) for p in _kernel_echelon(deriv, c0, n)]
         else:
-            complete = False
-            atoms = [BiPoly.var_x(), BiPoly.var_y()]
-        # the stop is fixed at the first pencil, and stays at bound when
-        # there are infinitely many singular points
-        stop_fixed = not gcd(a_pol, b_pol).is_constant
-        stop, n = bound, 0
-        while n < stop:
-            n += 1
-            if atoms is None:
-                c0 = BiPoly.const(n * hval)
-                basis = _kernel_families(deriv, c0, n)
-                raw.extend((p, c0) for p in basis)
-                if len(basis) > 1:
-                    families.append((basis[0], basis[1:], c0))
-            else:
-                for p_top in _top_candidates(atoms, n):
-                    # p_top divides its image.  For h homogeneous of
-                    # degree k, Euler's identity gives x*D(h) = k*ad*h +
-                    # h_y*M and y*D(h) = k*bd*h - h_x*M; a product h of
-                    # factors of M divides h_y*M and h_x*M, so h divides
-                    # x*D(h) and y*D(h), hence D(h), as gcd(x, y) = 1
-                    dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
-                    c_top = exact_divide(dp, p_top)
-                    sols, fams, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
-                    complete = complete and comp
-                    raw.extend(sols)
-                    families.extend(fams)
-            if not stop_fixed and (c := _pencil_cofactor(raw, families)) is not None:
-                stop_fixed = True
-                if complete:
-                    stop = min(bound, _stop_degree(n, c))
-    return _assemble_report(deriv, raw, families, bound, complete, n)
+            for p_top in _top_candidates(atoms, n):
+                # p_top divides its image.  For h homogeneous of degree
+                # k, Euler's identity gives x*D(h) = k*ad*h + h_y*M and
+                # y*D(h) = k*bd*h - h_x*M; a product h of factors of M
+                # divides h_y*M and h_x*M, so h divides x*D(h) and
+                # y*D(h), hence D(h), as gcd(x, y) = 1
+                dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
+                c_top = exact_divide(dp, p_top)
+                sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
+                complete = complete and comp
+                found += sols
+        if not stop_fixed and (c := _pencil_cofactor(found)) is not None:
+            stop_fixed = True
+            if complete:
+                stop = min(bound, _stop_degree(n, c))
+    return _assemble_report(deriv, found, bound, complete, n)
 
 
-def _pencil_cofactor(raw, families):
-    """The cofactor c of a pencil among the polynomials found (a family,
-    two non-proportional ones, or one with c = 0 and 1), else None."""
-    for _base, dirs, c in families:
-        if dirs:
-            return c
+def _pencil_cofactor(found):
+    """The cofactor c of a pencil among the polynomials found (two
+    non-proportional ones, or one with c = 0 and 1), else None."""
     first = {}
-    for p, c in raw:
-        if c.is_zero or not _proportional(first.setdefault(c, p), p):
+    for p, c in found:
+        if c.is_zero or first.setdefault(c, p).monic() != p.monic():
             return c
     return None
 
@@ -633,32 +612,22 @@ def _stop_degree(m, cofactor):
     return max(m, s * (m - 1))
 
 
-def _assemble_report(deriv, raw, families, bound, complete, searched):
-    all_certs = {}
-    for p, c in raw:
-        if p.is_zero or p.is_constant:
-            continue
-        p = p.monic()
-        all_certs[p] = (p, c)
-    pencil_map = {}
-    for base, dirs, c in families:
-        members = [base] + dirs if not base.is_zero else list(dirs)
-        for m in members:
-            if not m.is_zero and not m.is_constant:
-                mm = m.monic()
-                all_certs.setdefault(mm, (mm, c))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                _add_pencil(pencil_map, members[i], members[j], c)
-    # cofactor-sharing certificates also form pencils
-    cert_list = sorted(
-        all_certs.values(),
+def _assemble_report(deriv, found, bound, complete, searched):
+    """The report on the (p, cofactor) pairs found: each p is taken monic
+    once, the constant 1 kept as a pencil partner; every two that share a
+    cofactor span a pencil, and the nonconstant ones are the candidate
+    certificates."""
+    entries = sorted(
+        {p.monic(): c for p, c in found}.items(),
         key=lambda pc: (int(pc[0].total_degree()), _degree_lex(pc[0].leading_exp())),
     )
-    for i in range(len(cert_list)):
-        for j in range(i + 1, len(cert_list)):
-            if cert_list[i][1] == cert_list[j][1]:
-                _add_pencil(pencil_map, cert_list[i][0], cert_list[j][0], cert_list[i][1])
+    pencil_map = {}
+    for i, (p, c) in enumerate(entries):
+        for q_, c2 in entries[i + 1:]:
+            if c == c2:
+                a, b = _order_pair(p, q_)
+                pencil_map.setdefault(_span_key(a, b), (a, b, c))
+    cert_list = [(p, c) for p, c in entries if not p.is_constant]
     pencils = []
     for (p, q_, c) in pencil_map.values():
         if not p.is_constant and not q_.is_constant and not gcd(p, q_).is_constant:
@@ -706,15 +675,6 @@ def _assemble_report(deriv, raw, families, bound, complete, searched):
         if not any(_in_span(cert.p, pc.p, pc.q) for pc in pencil_certs)
     ]
     return DarbouxReport(kept, pencil_certs, bound, complete, searched)
-
-
-def _add_pencil(pencil_map, p, q_, c):
-    if _proportional(p, q_):
-        return
-    a, b = _order_pair(p, q_)
-    key = _span_key(a, b)
-    if key not in pencil_map:
-        pencil_map[key] = (a, b, c)
 
 
 def first_integral_search(deriv, bound):

@@ -17,6 +17,8 @@ parse_polynomial builds its ring's type from that dict in one call, and
 parse_ore groups it by the power of t.
 """
 
+import re
+
 from .rational import Q
 from .poly import BiPoly, LaurentUniPoly, UniPoly
 from .derivation import Derivation, UniDerivation
@@ -34,11 +36,11 @@ _RING_TYPES = {POLY_UNI: (UniPoly, 1), LAURENT_UNI: (LaurentUniPoly, 1), POLY_BI
 
 class ParseError(ValueError):
     """Syntax or validation error with a character position: the index
-    in the parsed text of the offending token, for a validation error
-    the variable's first occurrence in its term.  A derivation component
-    is parsed on its own text, the part after 'dx=' or 'dy=' with
-    surrounding spaces removed, so positions count from its start; the
-    errors in a derivation's layout are at position 0."""
+    in the text the caller passed of the offending token, for a
+    validation error the variable's first occurrence in its term.  In a
+    derivation, an error inside a component is at its index in the whole
+    text; a malformed, unknown, duplicate or disallowed component is where
+    that component starts, and a missing one at the end of the text."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -193,29 +195,33 @@ def parse_polynomial(text, ring):
 
 def parse_derivation(text, ring):
     """Parse 'dx=<poly>' or 'dx=<poly>; dy=<poly>'."""
-    parts = [p.strip() for p in text.split(";") if p.strip()]
-    comps = {}
-    for part in parts:
-        if "=" not in part:
-            raise ParseError("derivation component must look like dx=<poly>", 0)
-        name, expr = part.split("=", 1)
+    comps = {}  # name: (where the component starts, its polynomial's text)
+    for part in re.finditer(r"[^;]+", text):
+        body = part.group()
+        if not body.strip():
+            continue
+        at = part.start() + len(body) - len(body.lstrip())
+        if "=" not in body:
+            raise ParseError("derivation component must look like dx=<poly>", at)
+        name, expr = body.split("=", 1)
         name = name.strip()
         if name not in ("dx", "dy"):
-            raise ParseError(f"unknown derivation component {name!r}", 0)
+            raise ParseError(f"unknown derivation component {name!r}", at)
         if name in comps:
-            raise ParseError(f"duplicate component {name!r}", 0)
-        comps[name] = expr.strip()
+            raise ParseError(f"duplicate component {name!r}", at)
+        # expr with the text before it blanked, so its positions index text
+        comps[name] = (at, " " * (part.end() - len(expr)) + expr)
     if "dx" not in comps:
-        raise ParseError("dx component required", 0)
+        raise ParseError("dx component required", len(text))
     if ring == POLY_BI:
         if "dy" not in comps:
-            raise ParseError("dy required for the bivariate ring", 0)
+            raise ParseError("dy required for the bivariate ring", len(text))
         return Derivation(
-            parse_polynomial(comps["dx"], ring), parse_polynomial(comps["dy"], ring)
+            parse_polynomial(comps["dx"][1], ring), parse_polynomial(comps["dy"][1], ring)
         )
     if "dy" in comps:
-        raise ParseError("dy is not allowed for a univariate ring", 0)
-    dx = parse_polynomial(comps["dx"], ring)
+        raise ParseError("dy is not allowed for a univariate ring", comps["dy"][0])
+    dx = parse_polynomial(comps["dx"][1], ring)
     return UniDerivation(dx, laurent=(ring == LAURENT_UNI))
 
 

@@ -171,11 +171,10 @@ def _square_multiply(base, n, one):
 
 def _render_terms(terms):
     """Canonical text of (monomial, coefficient) pairs given in display
-    order; the monomial is "" for the constant term."""
+    order, none with a zero coefficient; the monomial is "" for the
+    constant term."""
     parts = []
     for body, c in terms:
-        if not c:
-            continue
         mag = abs(c)
         if not body:
             piece = qstr(mag)

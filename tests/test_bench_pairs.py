@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -83,6 +85,20 @@ def test_per_query_medians_and_ratios():
     assert rows["b"] == {"parent": 0.0, "change": 1.0, "change_over_parent": None}
     # a label one side never ran has no median there
     assert rows["c"] == {"parent": None, "change": 2.0, "change_over_parent": None}
+
+
+def test_src_lines_per_side():
+    def run(side, lines):
+        return {"side": side, "record": {"provenance": {"src_lines": lines}}}
+
+    runs = [run("parent", 3850), run("change", 3820), run("parent", 3850), run("change", 3820)]
+    assert bench_pairs.src_lines(runs) == {"parent": 3850, "change": 3820}
+    assert bench_pairs.src_lines(runs[:1]) == {"parent": 3850}
+    # a tree edited between its runs reports two counts
+    with pytest.raises(ValueError, match=r"change runs report src_lines \[3820, 3821\]"):
+        bench_pairs.src_lines(runs + [run("change", 3821)])
+    recorded = json.loads((ROOT / "BENCH_19.json").read_text())
+    assert bench_pairs.src_lines(recorded["runs"] + recorded["traced"]) == {"parent": 3871, "change": 3850}
 
 
 def test_reproduces_a_recorded_summary():

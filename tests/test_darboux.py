@@ -124,6 +124,34 @@ def test_pinned_report_bound_8(name):
     assert _report_strings(dx, dy, 8) == expected
 
 
+@pytest.mark.parametrize("dx, dy, line", [("2", "-3", "x + 2/3*y"), ("0", "1/2", "x")])
+def test_constant_field_report(dx, dy, line):
+    # a constant field runs the degree loop with cofactor 0; its pencil
+    # (dy*x - dx*y)/1 appears at degree 1 and D(1, 0) = 1 stops the loop
+    assert _report_strings(dx, dy, 6) == ([], [(line, "1", "0")], True)
+    assert darboux_search(Derivation(bi(dx), bi(dy)), 6).searched_degree == 1
+
+
+def test_pencil_members_are_monic():
+    """Pencil members are monic, as certificates are, also where they
+    come from an affine family of the cascade: below the leading form
+    (x + 2/3*y)^3 of delta = (3*x, 3*x + 5*y) the coefficient of x^5 is
+    free."""
+    report = darboux_search(Derivation(bi("3*x"), bi("3*x + 5*y")), 6)
+    assert [(p.p, p.q, p.cofactor) for p in report.pencils] == [
+        (bi("x^3 + 2*x^2*y + 4/3*x*y^2 + 8/27*y^3"), bi("x^5"), bi("15"))
+    ]
+    rng = random.Random(2001)
+    fields = [(bi(dx), bi(dy)) for (dx, dy), _ in PINNED_REPORTS.values()]
+    fields += [(d.dx, d.dy) for d in (_random_degree2(rng, k) for k in range(16)) if not d.is_zero]
+    pencils = 0
+    for dx, dy in fields:
+        for pencil in darboux_search(Derivation(dx, dy), 6).pencils:
+            assert pencil.p == pencil.p.monic() and pencil.q == pencil.q.monic()
+            pencils += 1
+    assert pencils >= 10
+
+
 # Pencil systems whose first pencil, of degree m and cofactor c, is found
 # by a search complete through m: at bound 12 the search stops at
 # D(m, c) and returns the bound-6 report.
@@ -160,11 +188,11 @@ def test_stop_degree():
 
 def test_pencil_cofactor():
     zero, c = BiPoly.zero(), bi("x")
-    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), bi("y"))], []) is None
-    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), c)], []) == c
-    assert _pencil_cofactor([(bi("x^2 - 2*y"), zero)], []) == zero
-    assert _pencil_cofactor([], [(bi("x"), [], c)]) is None
-    assert _pencil_cofactor([], [(bi("x"), [bi("1")], c)]) == c
+    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), bi("y"))]) is None
+    assert _pencil_cofactor([(bi("x"), c), (bi("2*x"), c), (bi("y"), c)]) == c
+    assert _pencil_cofactor([(bi("x^2 - 2*y"), zero)]) == zero
+    assert _pencil_cofactor([(bi("x"), c)]) is None
+    assert _pencil_cofactor([(bi("x"), c), (bi("1"), c)]) == c
 
 
 def _no_stop(monkeypatch):
@@ -244,14 +272,15 @@ def test_stop_settles_a_solver_give_up(monkeypatch):
 
 def test_cascade_parameters_follow_the_input():
     # below the leading form y^50 of delta = y*d/dx every lower power of
-    # y is free: one affine family with 50 parameters
+    # y is free: one affine family with 50 parameters, its base first and
+    # then its directions
     n = 50
     p_top = bi(f"y^{n}")
-    sols, families, complete = _cascade(bi("y"), BiPoly.zero(), 1, n, p_top, BiPoly.zero())
-    assert sols == [] and complete
-    ((base, directions, cofactor),) = families
-    assert base == p_top and cofactor.is_zero
-    assert sorted(d.monic().render() for d in directions) == sorted(
+    sols, complete = _cascade(bi("y"), BiPoly.zero(), 1, n, p_top, BiPoly.zero())
+    assert complete and len(sols) == n + 1
+    (base, _), *directions = sols
+    assert base == p_top and all(c.is_zero for _, c in sols)
+    assert sorted(d.monic().render() for d, _ in directions) == sorted(
         bi(f"y^{k}").render() for k in range(n)
     )
 
@@ -267,7 +296,7 @@ def test_cascade_stops_at_a_constant_row(monkeypatch):
 
     monkeypatch.setattr(darboux, "_solve_constraints", unreachable)
     a_pol, b_pol = bi("x*y^2 + y^2 - y"), bi("-1*x*y^4 - y^4 + y^3")
-    assert _cascade(a_pol, b_pol, 5, 1, bi("x"), BiPoly.zero()) == ([], [], True)
+    assert _cascade(a_pol, b_pol, 5, 1, bi("x"), BiPoly.zero()) == ([], True)
 
 
 def test_solve_constraints_nests_substitutions_without_a_cap():
@@ -428,7 +457,7 @@ def _flat_cascade(a_pol, b_pol, d, n, p_top, c_top):
         rhs = linalg.replay(ops, [g.get(e, zero) for e in eq_mons])
         leftover = [v for v in rhs[len(pivots):] if v]
         if any(v.is_constant for v in leftover):
-            return [], [], True
+            return [], True
         constraints.extend(leftover)
         ncols = len(mons_p) + len(mons_c)
         free = [c for c in range(ncols) if c not in pivots]
@@ -483,7 +512,7 @@ def test_cascade_matches_product_form():
     for case in cases:
         ours = _cascade(*case)
         assert ours == _flat_cascade(*case)
-        found += bool(ours[0] or ours[1])
+        found += bool(ours[0])
     assert len(cases) > 100 and found > 10
 
 
@@ -500,10 +529,10 @@ def test_level_one_refutes_before_reducing_the_rest(monkeypatch):
         return rref(rows, ncols)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    assert _cascade(a_pol, b_pol, *inputs[bi("x^3 + 3*x^2*y + 3*x*y^2 + y^3")]) == ([], [], True)
+    assert _cascade(a_pol, b_pol, *inputs[bi("x^3 + 3*x^2*y + 3*x*y^2 + y^3")]) == ([], True)
     assert len(calls) == 1
     calls.clear()
-    assert _cascade(a_pol, b_pol, *inputs[bi("x^3")]) == ([(bi("x^3"), bi("-3*y + 3"))], [], True)
+    assert _cascade(a_pol, b_pol, *inputs[bi("x^3")]) == ([(bi("x^3"), bi("-3*y + 3"))], True)
     assert len(calls) == 4
 
 
@@ -652,6 +681,26 @@ class TestPencilMembers:
         assert meets == {bi("y"): False, bi("y + 1"): True}
         violation = next(c for c in verdict.trace if c.kind == "singular_violation")
         assert violation.p == bi("y + 1")
+
+    def test_member_at_infinity(self):
+        """delta = (-x*y^2 - 2*y, -y^3) reduces by gcd y to a field with
+        the pencil (x*y + 1, y^2).  No finite member meets the locus y = 0
+        (x*y + 1 + t*y^2 is 1 there); the member at t = infinity, y^2,
+        does and does not divide dx."""
+        dx, dy = bi("-1*x*y^2 - 2*y"), bi("-1*y^3")
+        report = darboux_search(Derivation(bi("-1*x*y - 2"), bi("-1*y^2")), 4)
+        assert [(p.p, p.q) for p in report.pencils] == [(bi("x*y + 1"), bi("y^2"))]
+        through = pencil_members_through(report.pencils[0], [dx, dy])
+        assert through.kind == "finite"
+        assert through.members == [(darboux.INFINITY, bi("y^2"))]
+        assert not through.residual_nonrational
+        verdict = decide("poly2", Derivation(dx, dy), 4)
+        audit = next(c for c in verdict.trace if c.kind == "singular_locus_audit")
+        assert "y^2 (t=inf): violates" in audit.describe()
+        assert [(i.parameter, i.poly, i.violation) for i in audit.report.incidences] == [
+            (None, bi("y"), False),
+            (darboux.INFINITY, bi("y^2"), True),
+        ]
 
     def test_unit_ideal_rejected(self):
         pencil = darboux_search(Derivation(bi("1"), bi("-1*y^2")), 2).pencils[0]

@@ -103,12 +103,12 @@ ERRORS = [
     (parse_polynomial, "1 + y*x^-1", "poly2", "negative exponent in polynomial ring", 6),
     (parse_polynomial, "x + x^2*y^-1", "laurent1", "variable 'y' is not in this ring", 8),
     (parse_derivation, "dx", "poly2", "derivation component must look like dx=<poly>", 0),
-    (parse_derivation, "dx=1; dz=x", "poly2", "unknown derivation component 'dz'", 0),
-    (parse_derivation, "dx=1; dx=2", "poly1", "duplicate component 'dx'", 0),
-    (parse_derivation, "dy=1", "poly2", "dx component required", 0),
-    (parse_derivation, "dx=1", "poly2", "dy required for the bivariate ring", 0),
-    (parse_derivation, "dx=1; dy=0", "poly1", "dy is not allowed for a univariate ring", 0),
-    (parse_derivation, "dx=1; dy = x + 2*t", "poly2", "'t' is only allowed in operator operands", 6),
+    (parse_derivation, "dx=1; dz=x", "poly2", "unknown derivation component 'dz'", 6),
+    (parse_derivation, "dx=1; dx=2", "poly1", "duplicate component 'dx'", 6),
+    (parse_derivation, "dy=1", "poly2", "dx component required", 4),
+    (parse_derivation, "dx=1", "poly2", "dy required for the bivariate ring", 4),
+    (parse_derivation, "dx=1; dy=0", "poly1", "dy is not allowed for a univariate ring", 6),
+    (parse_derivation, "dx=1; dy = x + 2*t", "poly2", "'t' is only allowed in operator operands", 17),
     (parse_ore, "t", "laurent1", "operator operands live over poly1 or poly2", 0),
     (parse_ore, "t^2 + x*y*t", "poly1", "variable 'y' is not in this ring", 8),
     (parse_ore, "t + x^-1*t", "poly2", "negative exponent in polynomial ring", 4),
@@ -312,11 +312,11 @@ class TestJsonSchema:
         argv = ["ore-mul", "--ring", "poly1", "--deriv", "dx=1; dy=0", "--f", "t", "--g", "x"]
         code, _, err = run(argv, capsys)
         assert code == 1
-        assert err == "error: dy is not allowed for a univariate ring (at position 0)\n"
+        assert err == "error: dy is not allowed for a univariate ring (at position 6)\n"
         code, out, _ = run(argv + ["--json"], capsys)
         assert code == 1
         doc = json.loads(out)
-        assert doc["error"] == "dy is not allowed for a univariate ring (at position 0)"
+        assert doc["error"] == "dy is not allowed for a univariate ring (at position 6)"
         jsonschema.validate(doc, schema)
 
     def test_error_document_validates(self, schema, capsys):

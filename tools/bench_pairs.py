@@ -12,9 +12,10 @@ workload's first seed follows, parent first.  Runs are one at a time.
 
 Every run keeps orebench's last two stdout lines: the record and the
 result.  The summary compares the end-to-end metrics of the pairs, and
-per_query each query's latency.  The output file is rewritten after
-every run, so an interrupted session keeps what it measured.  Standard
-library only.
+per_query each query's latency; about.src_lines gives each side's source
+line count, as its runs' provenance reports it.  The output file is
+rewritten after every run, so an interrupted session keeps what it
+measured.  Standard library only.
 """
 
 import argparse
@@ -80,6 +81,19 @@ def summarize(runs, end_to_end):
                 q1, median, q3 = _quartiles(values[side])
                 out[name][side] = {"median": median, "q1": q1, "q3": q3}
     return summary
+
+
+def src_lines(runs):
+    """{side: src_lines} read from the provenance of the runs' records;
+    ValueError when the runs of one side disagree, its tree having
+    changed between them."""
+    seen = {}
+    for run in runs:
+        seen.setdefault(run["side"], set()).add(run["record"]["provenance"]["src_lines"])
+    for side, counts in seen.items():
+        if len(counts) > 1:
+            raise ValueError(f"{side} runs report src_lines {sorted(counts)}")
+    return {side: counts.pop() for side, counts in seen.items()}
 
 
 def per_query(runs):
@@ -167,6 +181,7 @@ def main(argv=None):
         entry = {"ran_first": ran_first, "record": record, "result": result, "seed": seed, "side": side,
                  "trace": trace, "workload": workload}
         doc["traced" if trace else "runs"].append(entry)
+        doc["about"]["src_lines"] = src_lines(doc["runs"] + doc["traced"])
         doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
         doc["per_query"] = per_query(doc["runs"])
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True))
