@@ -18,8 +18,6 @@ from .diamond import (
     POLY_BI,
     POLY_UNI,
     UNKNOWN,
-    PrimitiveEvidence,
-    PrimitivityCert,
     classify_primitivity,
     decide,
     delta_simple_dim1_check,
@@ -89,11 +87,10 @@ def _cmd_darboux(args):
 
 def _cmd_primitive(args):
     deriv = parse_derivation(args.deriv, POLY_BI)
-    verdict = classify_primitivity(deriv, args.bound)
-    cert = PrimitivityCert(verdict)
+    cert = classify_primitivity(deriv, args.bound)
     result = cert.to_json()
     lines = [cert.describe()]
-    code = 2 if verdict.status == PrimitiveEvidence.status else 0
+    code = 2 if cert.status == "primitive_evidence" else 0
     inputs = {"ring": POLY_BI, "deriv": render_derivation(deriv)}
     return result, [], lines, code, inputs
 

@@ -49,7 +49,7 @@ from .poly import (
 from .multipoly import MPoly, mpoly_resultant
 from .unifactor import factor_univariate
 from . import linalg
-from .groebner import _eliminate, has_common_zero_with, is_unit_ideal
+from .groebner import _eliminate, has_common_zero_with
 
 INFINITY = float("inf")
 
@@ -260,7 +260,7 @@ def _top_candidates(atoms, n):
                 power = power * atoms[idx]
 
     rec(0, BiPoly.one(), n)
-    return [p for p in out if p.total_degree() == n]
+    return out
 
 
 def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
@@ -687,7 +687,10 @@ def first_integral_search(deriv, bound):
 
 def pencil_members_through(pencil, gens):
     """The pencil members p + t*q whose curves meet V(gens), the common
-    zeros of gens over C.
+    zeros of gens over C.  singular_darboux_audit passes the reduced basis
+    of the singular locus, and any generators of that ideal give the same
+    members.  A nonzero constant among gens, which every Groebner basis
+    of the unit ideal holds, raises: V(gens) is then empty.
 
     Let I = (gens, p + t*q) in Q[x, y, t] and take I ∩ Q[t] from a lex
     basis (groebner._eliminate).  Its zero set is the closure of the
@@ -703,7 +706,7 @@ def pencil_members_through(pencil, gens):
     its own.
     """
     gens = [g for g in gens if not g.is_zero]
-    if is_unit_ideal(gens):
+    if any(g.is_constant for g in gens):
         raise DomainError("unit ideal: the variety is empty")
     member = MPoly.from_bipoly(pencil.p, 3) + MPoly.var(3, 2) * MPoly.from_bipoly(pencil.q, 3)
     eliminant = _eliminate([MPoly.from_bipoly(g, 3) for g in gens] + [member], 2)

@@ -22,7 +22,7 @@ from .darboux import (
     first_integral_search,
     pencil_members_through,
 )
-from .groebner import has_common_zero_with, is_unit_ideal
+from .groebner import buchberger, has_common_zero_with
 
 POLY_UNI = "poly1"
 LAURENT_UNI = "laurent1"
@@ -151,50 +151,36 @@ class ShamsuddinCert(Certificate):
         return out
 
 
-class NotPrimitive:
-    status = "not_primitive"
-
-    def __init__(self, pencil):
-        self.pencil = pencil
-
-
-class PrimitiveEvidence:
-    status = "primitive_evidence"
-
-    def __init__(self, bound):
-        self.bound = bound
-
-
-class PrimitiveCertified:
-    status = "primitive_certified"
-
-    def __init__(self, reason):
-        self.reason = reason
-
-
 class PrimitivityCert(Certificate):
+    """Primitivity of the operator ring, by status: "not_primitive" with
+    the pencil of a rational first integral, "primitive_certified" with
+    the Shamsuddin analysis as reason, "primitive_evidence" with the
+    degree bound searched in vain."""
+
     kind = "primitivity"
 
-    def __init__(self, verdict):
-        self.verdict = verdict
+    def __init__(self, status, pencil=None, bound=None, reason=None):
+        self.status = status
+        self.pencil = pencil
+        self.bound = bound
+        self.reason = reason
 
     def describe(self):
-        v = self.verdict
-        if v.status == "not_primitive":
+        if self.status == "not_primitive":
             return (
-                f"rational first integral {v.pencil.p.render()} / {v.pencil.q.render()} "
-                f"(shared cofactor {v.pencil.cofactor.render()}): the operator ring is not primitive"
+                f"rational first integral {self.pencil.p.render()} / {self.pencil.q.render()} "
+                f"(shared cofactor {self.pencil.cofactor.render()}): the operator ring is not primitive"
             )
-        if v.status == "primitive_certified":
+        if self.status == "primitive_certified":
             return "primitivity certified via the Shamsuddin unique-solution analysis"
-        return f"no rational first integral up to degree {v.bound}: evidence that the operator ring is primitive"
+        return f"no rational first integral up to degree {self.bound}: evidence that the operator ring is primitive"
 
     def to_json(self):
-        out = {"kind": self.kind, "status": self.verdict.status}
-        if self.verdict.status == "not_primitive":
-            out["pencil"] = self.verdict.pencil.to_json()
-        elif self.verdict.status == "primitive_evidence":
-            out["bound"] = self.verdict.bound
+        out = {"kind": self.kind, "status": self.status}
+        if self.status == "not_primitive":
+            out["pencil"] = self.pencil.to_json()
+        elif self.status == "primitive_evidence":
+            out["bound"] = self.bound
         return out
 
 
@@ -259,8 +245,11 @@ class Incidence:
         return out
 
 
-class SingularLocusReport:
-    __slots__ = ("locus_proper", "incidences", "residual_nonrational")
+class SingularLocusAudit(Certificate):
+    """The Darboux members checked against the singular locus; an empty
+    locus has locus_proper False and no incidences."""
+
+    kind = "singular_locus_audit"
 
     def __init__(self, locus_proper, incidences, residual_nonrational):
         self.locus_proper = locus_proper
@@ -271,16 +260,9 @@ class SingularLocusReport:
     def violations(self):
         return [i for i in self.incidences if i.violation]
 
-
-class SingularLocusAudit(Certificate):
-    kind = "singular_locus_audit"
-
-    def __init__(self, report):
-        self.report = report
-
     def describe(self):
         rows = []
-        for i in self.report.incidences:
+        for i in self.incidences:
             tag = "" if i.parameter is None else (
                 " (t=inf)" if i.parameter == INFINITY else f" (t={i.parameter})"
             )
@@ -288,16 +270,16 @@ class SingularLocusAudit(Certificate):
                 "passes" if i.meets_locus else "misses locus"
             )
             rows.append(f"{i.poly.render()}{tag}: {status}")
-        if self.report.residual_nonrational:
+        if self.residual_nonrational:
             rows.append("pencil members at irrational t: meet the locus, not checked")
         return "singular-locus audit of Darboux members: " + "; ".join(rows) if rows else "singular-locus audit: no Darboux members to check"
 
     def to_json(self):
         return {
             "kind": self.kind,
-            "locus_proper": self.report.locus_proper,
-            "incidences": [i.to_json() for i in self.report.incidences],
-            "residual_nonrational": self.report.residual_nonrational,
+            "locus_proper": self.locus_proper,
+            "incidences": [i.to_json() for i in self.incidences],
+            "residual_nonrational": self.residual_nonrational,
         }
 
 
@@ -332,8 +314,6 @@ def _shamsuddin_shape(deriv):
     if dy.deg_y() != 1:
         return None
     b_part, a_part = dy.coeffs_in(1)
-    if a_part.is_zero:
-        return None
     inv = 1 / c
     a_u = (inv * a_part).as_unipoly(0)
     b_u = (inv * b_part).as_unipoly(0)
@@ -341,24 +321,35 @@ def _shamsuddin_shape(deriv):
 
 
 def classify_primitivity(deriv, bound):
-    """Primitivity of the operator ring from first-integral evidence."""
+    """The PrimitivityCert of the operator ring: certified for a
+    Shamsuddin derivation, not primitive when a rational first integral
+    of degree at most bound exists, else evidence of primitivity."""
     if deriv.is_zero:
         raise DomainError("primitivity classification requires delta != 0")
     shape = _shamsuddin_shape(deriv)
     if shape is not None:
-        return PrimitiveCertified(shamsuddin_analyze(*shape))
+        return PrimitivityCert("primitive_certified", reason=shamsuddin_analyze(*shape))
     pencil = first_integral_search(deriv, bound)
     if pencil is not None:
-        return NotPrimitive(pencil)
-    return PrimitiveEvidence(bound)
+        return PrimitivityCert("not_primitive", pencil=pencil)
+    return PrimitivityCert("primitive_evidence", bound=bound)
 
 
 def singular_darboux_audit(deriv, report):
-    """Check delta(R) <= Rp for every Darboux member through the
-    singular locus V(delta(x), delta(y))."""
-    gens = [deriv.dx, deriv.dy]
-    if is_unit_ideal([g for g in gens if not g.is_zero]):
-        raise DomainError("the singular locus is empty")
+    """The SingularLocusAudit of report's Darboux members: check
+    delta(R) <= Rp for every member p through the singular locus
+    V(delta(x), delta(y)).
+
+    basis, the reduced graded lex basis G of the nonzero ones among
+    delta(x), delta(y), is computed once, and every incidence test and
+    pencil_members_through start from G instead of the generators.  The
+    answers are the same, a reduced basis being unique: (G, p) and
+    (delta(x), delta(y), p) have one graded lex basis, (G, p + t*q) and
+    (delta(x), delta(y), p + t*q) one lex eliminant.  An empty locus,
+    G = [1], is reported as locus_proper False with no incidences."""
+    basis = buchberger([g for g in (deriv.dx, deriv.dy) if not g.is_zero])
+    if any(g.is_constant for g in basis):
+        return SingularLocusAudit(False, [], False)
     incidences = []
     residual = False
 
@@ -374,25 +365,25 @@ def singular_darboux_audit(deriv, report):
         )
 
     for cert in report.certs:
-        audit(cert.p, None, has_common_zero_with(gens, cert.p))
+        audit(cert.p, None, has_common_zero_with(basis, cert.p))
     for pencil in report.pencils:
-        through = pencil_members_through(pencil, gens)
+        through = pencil_members_through(pencil, basis)
         residual = residual or through.residual_nonrational
         if through.kind == "all":
-            # "all" is cofinite when V(gens) is a curve, so each member
+            # "all" is cofinite when V(basis) is a curve, so each member
             # audited here is checked against the locus on its own
             for t, member in ((QZERO, pencil.p), (INFINITY, pencil.q)):
                 if not member.is_constant:
-                    audit(member, t, has_common_zero_with(gens, member))
+                    audit(member, t, has_common_zero_with(basis, member))
             generic = pencil.p + pencil.q  # a representative generic member
             if not generic.is_constant and not any(
                 generic.monic() == i.poly.monic() for i in incidences
             ):
-                audit(generic, "generic", has_common_zero_with(gens, generic))
+                audit(generic, "generic", has_common_zero_with(basis, generic))
         else:
             for t, member in through.members:
                 audit(member, t, True)
-    return SingularLocusReport(True, incidences, residual)
+    return SingularLocusAudit(True, incidences, residual)
 
 
 def _delta_simple(spec, dx):
@@ -451,19 +442,13 @@ def _decide_poly_bi(deriv, darboux_bound):
         return Verdict(
             NOT_DIAMOND, True, darboux_bound, [ShamsuddinCert(shape[0], shape[1], result)]
         )
-    g = gcd(deriv.dx, deriv.dy)
-    if g.is_constant:
-        reduced = deriv
-    else:
-        reduced = Derivation(
-            exact_divide(deriv.dx, g), exact_divide(deriv.dy, g)
-        )
+    g = gcd(deriv.dx, deriv.dy)  # monic, so 1 when constant
+    reduced = Derivation(exact_divide(deriv.dx, g), exact_divide(deriv.dy, g))
     report = darboux_search(reduced, darboux_bound)
-    unit = is_unit_ideal([deriv.dx, deriv.dy])
+    audit = singular_darboux_audit(deriv, report)
     trace = []
-    if not unit:
-        audit = singular_darboux_audit(deriv, report)
-        trace.append(SingularLocusAudit(audit))
+    if audit.locus_proper:
+        trace.append(audit)
         violations = audit.violations
         if violations:
             worst = violations[0]
@@ -474,11 +459,11 @@ def _decide_poly_bi(deriv, darboux_bound):
         if audit.residual_nonrational:
             return Verdict(UNKNOWN, False, darboux_bound, trace)
     if not report.pencils:
-        trace.append(PrimitivityCert(PrimitiveEvidence(darboux_bound)))
+        trace.append(PrimitivityCert("primitive_evidence", bound=darboux_bound))
         return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
     pencil = report.pencils[0]
-    trace.append(PrimitivityCert(NotPrimitive(pencil)))
-    if unit:
+    trace.append(PrimitivityCert("not_primitive", pencil=pencil))
+    if not audit.locus_proper:
         trace.append(NoMaxDeltaIdealAndNotPrimitive(pencil))
     return Verdict(DIAMOND, False, darboux_bound, trace)
 

@@ -1,4 +1,4 @@
-"""Exact division and resultants of sparse polynomials.
+"""Sylvester resultants of sparse polynomials.
 
 MPoly, the one sparse polynomial type, is defined in poly.py next to
 BiPoly, its 2-variable case, and is imported from here by the modules
@@ -8,19 +8,16 @@ coefficients in (x, y, p_0, ..., p_{P-1}) free of x and y, the
 parameters following x and y (variables 0 and 1), P being the number of
 free unknowns of its rational level matrices; its constraints and its
 joined p and cofactor are MPoly in those variables (see
-darboux._cascade).  Pencil elimination works in (x, y, t).  uni_resultant is the same Sylvester resultant of
-two UniPoly.
+darboux._cascade).  Pencil elimination works in (x, y, t).
+
+mpoly_resultant eliminates one variable of two MPoly, resultant is its
+BiPoly case and uni_resultant the same for two UniPoly.  The Bareiss
+determinant under them divides with poly.exact_divide, the one exact
+division of every polynomial type.
 """
 
 from .rational import QONE, QZERO
-from .poly import DomainError, MPoly, _quotient
-
-
-def mpoly_exact_divide(p, d):
-    """Return h with p = d*h when d divides p exactly, else None."""
-    if d.is_zero:
-        raise DomainError("division by the zero polynomial")
-    return _quotient(p, d)
+from .poly import DomainError, MPoly, exact_divide
 
 
 def mpoly_resultant(p, q_, i):
@@ -94,7 +91,7 @@ def _bareiss_det(rows):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 if prev is not None:
-                    num = mpoly_exact_divide(num, prev)
+                    num = exact_divide(num, prev)
                     if num is None:
                         raise DomainError("inexact division in determinant")
                 m[i][j] = num

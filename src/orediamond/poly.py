@@ -723,22 +723,14 @@ class LaurentUniPoly(_Univariate):
 
 def exact_divide(p, q_):
     """Return h with p = q_*h if q_ divides p exactly, else None."""
-    if not isinstance(q_, MPoly):
-        q_ = p._const(q_)
     if q_.is_zero:
         raise DomainError("division by the zero polynomial")
-    return _quotient(p, q_)
-
-
-def _quotient(p, d):
-    """h with p = d*h when d (nonzero) divides p exactly, else None: the
-    one exact-division body, behind exact_divide and mpoly_exact_divide."""
-    p._check(d)
-    out = kdivide(p.terms, d.terms)
+    p._check(q_)
+    out = kdivide(p.terms, q_.terms)
     if out is None:
         return None
     h, c = out
-    return p._lowest(p.nvars, c * p.den, _scaled(h, d.den))
+    return p._lowest(p.nvars, c * p.den, _scaled(h, q_.den))
 
 
 def _lift_y(u):

@@ -12,10 +12,8 @@ QZERO = Q(0)
 QONE = Q(1)
 
 
-def q(value, den=None):
+def q(value):
     """Coerce to a rational; accepts ints, strings like '3/2', rationals."""
-    if den is not None:
-        return Q(value, den)
     return value if type(value) is Q else Q(value)
 
 

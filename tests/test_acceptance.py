@@ -87,10 +87,10 @@ def test_criterion_1_verdict_matrix(capsys):
         v = decide("poly2", Derivation(f, -bi("y^2") * f))
         assert v.status == "Diamond"
         audit = next(c for c in v.trace if c.kind == "singular_locus_audit")
-        assert not audit.report.violations
-        members = {(i.parameter, i.poly) for i in audit.report.incidences}
+        assert not audit.violations
+        members = {(i.parameter, i.poly) for i in audit.incidences}
         assert (Q(0), bi("y")) in members and (Q(1), bi("x*y + y - 1")) in members
-        pencils = [c.verdict.pencil for c in v.trace if c.kind == "primitivity"]
+        pencils = [c.pencil for c in v.trace if c.kind == "primitivity"]
         assert (pencils[0].p, pencils[0].q, pencils[0].cofactor) == (
             bi("y"),
             bi("x*y - 1"),

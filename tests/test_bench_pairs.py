@@ -38,6 +38,26 @@ def test_quartiles_wins_and_losses():
     assert s["pass_s"]["change_wins_losses"] == [3, 1]
     # higher is better: the one lower success_ratio is a loss
     assert s["success_ratio"]["change_wins_losses"] == [0, 1]
+    # medians 3.0 -> 1.0 differ by the parent's IQR of 2.0, not more;
+    # the success_ratio medians agree
+    assert s["pass_s"]["beyond_parent_iqr"] is False
+    assert s["success_ratio"]["beyond_parent_iqr"] is False
+
+
+def test_beyond_parent_iqr():
+    def summary(parent, change):
+        runs = [_entry("w", k, "parent", v) for k, v in enumerate(parent)]
+        runs += [_entry("w", k, "change", v) for k, v in enumerate(change)]
+        return bench_pairs.summarize(runs, END_TO_END)["w"]["pass_s"]
+
+    parent = [1.0, 1.25, 1.5, 1.75, 2.0]  # median 1.5, IQR 0.5
+    assert summary(parent, [0.5, 0.75, 0.875, 1.0, 1.0])["beyond_parent_iqr"] is True
+    assert summary(parent, [2.5, 2.0, 2.25, 1.5, 2.5])["beyond_parent_iqr"] is True
+    # a gap equal to the IQR is not beyond it
+    assert summary(parent, [1.0, 1.0, 1.0, 1.0, 1.0])["beyond_parent_iqr"] is False
+    # ten pairs that all win by less than the IQR: wins alone, not a claim
+    step = summary([1.0 + k / 8 for k in range(10)], [0.9375 + k / 8 for k in range(10)])
+    assert step["change_wins_losses"] == [10, 0] and step["beyond_parent_iqr"] is False
 
 
 def test_digests_and_incomplete_pairs():
@@ -102,6 +122,15 @@ def test_src_lines_per_side():
 
 
 def test_reproduces_a_recorded_summary():
+    """BENCH_12.json predates beyond_parent_iqr: every other field is
+    reproduced, and the new one is computed from the recorded quartiles."""
     recorded = json.loads((ROOT / "BENCH_12.json").read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert bench_pairs.summarize(recorded["runs"], end_to_end) == recorded["summary"]
+    summary = bench_pairs.summarize(recorded["runs"], end_to_end)
+    for workload, rows in summary.items():
+        for metric in end_to_end:
+            row = rows[metric["name"]]
+            old = recorded["summary"][workload][metric["name"]]
+            gap = abs(old["change"]["median"] - old["parent"]["median"])
+            assert row.pop("beyond_parent_iqr") is (gap > old["parent"]["q3"] - old["parent"]["q1"])
+    assert summary == recorded["summary"]

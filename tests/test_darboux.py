@@ -58,15 +58,22 @@ class TestSearchExamples:
             darboux_search(Derivation(BiPoly.zero(), BiPoly.zero()), 2)
 
     def test_certs_verify(self):
-        d = Derivation(bi("1"), bi("y"))
-        report = darboux_search(d, 3)
-        for cert in report.certs:
-            assert d.apply(cert.p) == cert.cofactor * cert.p
-        for pencil in report.pencils:
-            assert d.apply(pencil.p) == pencil.cofactor * pencil.p
-            assert d.apply(pencil.q) == pencil.cofactor * pencil.q
-            # first-integral identity q*delta(p) - p*delta(q) = 0
-            assert (pencil.q * d.apply(pencil.p) - pencil.p * d.apply(pencil.q)).is_zero
+        # (1, y) gives a certificate, (x, y) a pencil
+        for d, bound in ((Derivation(bi("1"), bi("y")), 3), (Derivation(bi("x"), bi("y")), 1)):
+            report = darboux_search(d, bound)
+            for cert in report.certs:
+                assert d.apply(cert.p) == cert.cofactor * cert.p
+            for pencil in report.pencils:
+                assert d.apply(pencil.p) == pencil.cofactor * pencil.p
+                assert d.apply(pencil.q) == pencil.cofactor * pencil.q
+                # first-integral identity q*delta(p) - p*delta(q) = 0
+                assert (pencil.q * d.apply(pencil.p) - pencil.p * d.apply(pencil.q)).is_zero
+            found = report.certs + report.pencils
+            assert found
+            for f in found:
+                assert f.verify(d)
+                f.cofactor = f.cofactor + bi("x")  # a tampered cofactor fails
+                assert not f.verify(d)
 
 
 # Reports at bound 6 on named planar systems, taken from the release
@@ -561,7 +568,7 @@ class TestCompositePencils:
     def test_linear_center_audit(self):
         verdict = decide("poly2", Derivation(bi("5*y + 3"), bi("3*x")), 6)
         assert verdict.trace[0].kind == "singular_locus_audit"
-        assert [(i.parameter, i.poly) for i in verdict.trace[0].report.incidences] == [
+        assert [(i.parameter, i.poly) for i in verdict.trace[0].incidences] == [
             (Q(-3, 5), bi("x^2 - 5/3*y^2 - 2*y - 3/5"))
         ]
 
@@ -663,8 +670,8 @@ class TestPencilMembers:
         assert through.members == [(Q(0), bi("x*y^4"))]
         assert not through.residual_nonrational
         audit = next(c for c in decide("poly2", Derivation(dx, dy)).trace if c.kind == "singular_locus_audit")
-        assert not audit.report.residual_nonrational
-        assert (Q(0), bi("x*y^4")) in [(i.parameter, i.poly) for i in audit.report.incidences]
+        assert not audit.residual_nonrational
+        assert (Q(0), bi("x*y^4")) in [(i.parameter, i.poly) for i in audit.incidences]
 
     def test_all_on_a_curve_is_checked_member_by_member(self):
         """V(xy - 1) is a curve, so "all" for the pencil (y, 1) is only
@@ -677,7 +684,7 @@ class TestPencilMembers:
         assert pencil_members_through(pencil, [dx, dy]).kind == "all"
         verdict = decide("poly2", Derivation(dx, dy))
         audit = next(c for c in verdict.trace if c.kind == "singular_locus_audit")
-        meets = {i.poly: i.meets_locus for i in audit.report.incidences}
+        meets = {i.poly: i.meets_locus for i in audit.incidences}
         assert meets == {bi("y"): False, bi("y + 1"): True}
         violation = next(c for c in verdict.trace if c.kind == "singular_violation")
         assert violation.p == bi("y + 1")
@@ -697,10 +704,16 @@ class TestPencilMembers:
         verdict = decide("poly2", Derivation(dx, dy), 4)
         audit = next(c for c in verdict.trace if c.kind == "singular_locus_audit")
         assert "y^2 (t=inf): violates" in audit.describe()
-        assert [(i.parameter, i.poly, i.violation) for i in audit.report.incidences] == [
+        assert [(i.parameter, i.poly, i.violation) for i in audit.incidences] == [
             (None, bi("y"), False),
             (darboux.INFINITY, bi("y^2"), True),
         ]
+
+    def test_member_parameters(self):
+        pencil = darboux_search(Derivation(bi("x"), bi("y")), 1).pencils[0]
+        assert pencil.member(darboux.INFINITY) == bi("y")
+        assert pencil.member(0) == bi("x")
+        assert pencil.member("-1/2") == bi("x - 1/2*y")
 
     def test_unit_ideal_rejected(self):
         pencil = darboux_search(Derivation(bi("1"), bi("-1*y^2")), 2).pencils[0]

@@ -13,6 +13,7 @@ from orediamond import (
     darboux_search,
     decide,
     delta_simple_dim1_check,
+    groebner,
     singular_darboux_audit,
 )
 from orediamond.diamond import DIAMOND, NOT_DIAMOND, UNKNOWN
@@ -100,11 +101,11 @@ class TestDecideBivariate:
         assert (v.status, v.certified) == (DIAMOND, False)
         audit = v.trace[0]
         assert audit.kind == "singular_locus_audit"
-        members = {(i.parameter, i.poly) for i in audit.report.incidences}
+        members = {(i.parameter, i.poly) for i in audit.incidences}
         assert (Q(0), bi("y")) in members
         assert (Q(1), bi("x*y + y - 1")) in members
-        assert not audit.report.violations
-        pencils = [c.verdict.pencil for c in v.trace if c.kind == "primitivity"]
+        assert not audit.violations
+        pencils = [c.pencil for c in v.trace if c.kind == "primitivity"]
         assert (pencils[0].p, pencils[0].q, pencils[0].cofactor) == (
             bi("y"),
             bi("x*y - 1"),
@@ -136,8 +137,8 @@ class TestDecideBivariate:
         v = decide("poly2", Derivation(bi("-4*x*y"), bi("-3*x - 2")), 6)
         assert (v.status, v.certified) == (NOT_DIAMOND, False)
         audit, primitivity = v.trace
-        assert [(i.poly, i.meets_locus) for i in audit.report.incidences] == [(bi("x"), False)]
-        assert not audit.report.violations and not audit.report.residual_nonrational
+        assert [(i.poly, i.meets_locus) for i in audit.incidences] == [(bi("x"), False)]
+        assert not audit.violations and not audit.residual_nonrational
         assert primitivity.to_json() == {"kind": "primitivity", "status": "primitive_evidence", "bound": 6}
 
     def test_zero_derivation(self):
@@ -184,8 +185,8 @@ class TestPrimitivity:
 class TestSingularAudit:
     def test_euler_violation_row(self):
         d = Derivation(bi("x"), bi("y"))
-        report = singular_darboux_audit(d, darboux_search(d, 2))
-        rows = {i.poly: i for i in report.incidences}
+        audit = singular_darboux_audit(d, darboux_search(d, 2))
+        rows = {i.poly: i for i in audit.incidences}
         assert bi("x") in rows
         row = rows[bi("x")]
         assert row.meets_locus and row.divides_dx and not row.divides_dy
@@ -194,15 +195,44 @@ class TestSingularAudit:
     def test_final_example_all_pass(self):
         d = final_example_derivation()
         reduced = Derivation(bi("1"), bi("-1*y^2"))
-        report = singular_darboux_audit(d, darboux_search(reduced, 6))
-        assert report.incidences and not report.violations
-        polys = {i.poly for i in report.incidences}
+        audit = singular_darboux_audit(d, darboux_search(reduced, 6))
+        assert audit.incidences and not audit.violations
+        polys = {i.poly for i in audit.incidences}
         assert polys == {bi("y"), bi("x*y + y - 1")}
 
-    def test_empty_locus_rejected(self):
+    def test_empty_locus_reported(self):
+        # the pencil (y, x^2*y + 2) is found, but dx = 1 leaves no locus
         d = Derivation(bi("1"), bi("x*y^2"))
-        with pytest.raises(DomainError):
-            singular_darboux_audit(d, darboux_search(d, 3))
+        report = darboux_search(d, 3)
+        assert report.pencils
+        audit = singular_darboux_audit(d, report)
+        assert audit.locus_proper is False
+        assert audit.incidences == [] and not audit.violations and not audit.residual_nonrational
+
+    def test_locus_basis_computed_once(self, monkeypatch):
+        """One decide computes the reduced basis of (dx, dy) once: the
+        audit's incidence tests and pencil eliminations start from it."""
+        for dx, dy in (
+            ("x*y^2 + y^2 - y", "-1*x*y^4 - y^4 + y^3"),  # a finite pencil through the locus
+            ("x^2 - y^2", "2*x*y"),  # an "all" pencil, with a generic member
+            ("x - x*y", "x*y - y"),  # two certificates
+            ("1", "x*y^2"),  # an empty locus
+        ):
+            d = Derivation(bi(dx), bi(dy))
+            locus = groebner.buchberger([d.dx, d.dy])
+            calls = []
+
+            def counting(gens, key, _basis=groebner._basis):
+                calls.append((list(gens), key))
+                return _basis(gens, key)
+
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "_basis", counting)
+                decide("poly2", d, 6)
+            locus_bases = [
+                gens for gens, key in calls if key is groebner._degree_lex and groebner.buchberger(gens) == locus
+            ]
+            assert len(locus_bases) == 1, (dx, dy)
 
 
 class TestDeltaSimpleDim1:

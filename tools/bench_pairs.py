@@ -51,8 +51,10 @@ def summarize(runs, end_to_end):
     """Per workload: the pair count, whether the answer digests of the two
     sides agree in every pair, and if not digest_mismatches, the sorted
     labels of the queries whose digests differ in some pair; then per
-    end-to-end metric each side's median and quartiles with the change's
-    [wins, losses] over the pairs (ties count for neither).  runs are
+    end-to-end metric each side's median and quartiles, the change's
+    [wins, losses] over the pairs (ties count for neither), and
+    beyond_parent_iqr, whether the medians differ by more than the
+    parent's q3 - q1: the two halves of a claim.  runs are
     untraced run entries; end_to_end is BENCHMARK.json's list of {"name",
     "better"}."""
     summary = {}
@@ -80,6 +82,8 @@ def summarize(runs, end_to_end):
             for side in SIDES:
                 q1, median, q3 = _quartiles(values[side])
                 out[name][side] = {"median": median, "q1": q1, "q3": q3}
+            parent, change = out[name]["parent"], out[name]["change"]
+            out[name]["beyond_parent_iqr"] = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
     return summary
 
 
@@ -154,7 +158,8 @@ def main(argv=None):
             ),
             "summary_fields": (
                 "per workload and metric: median, q1, q3 (inclusive quartiles) of each side, and "
-                "[change wins, change losses] over the pairs (ties count for neither); "
+                "[change wins, change losses] over the pairs (ties count for neither), and beyond_parent_iqr, "
+                "whether |change median - parent median| > parent q3 - q1; "
                 "digests_identical_in_every_pair compares the answer digests of the two sides of each pair, "
                 "and digest_mismatches, present only when they differ, lists the labels of the queries "
                 "whose digests differ in some pair"
