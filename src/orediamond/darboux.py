@@ -689,8 +689,11 @@ def pencil_members_through(pencil, gens):
     """The pencil members p + t*q whose curves meet V(gens), the common
     zeros of gens over C.  singular_darboux_audit passes the reduced basis
     of the singular locus, and any generators of that ideal give the same
-    members.  A nonzero constant among gens, which every Groebner basis
-    of the unit ideal holds, raises: V(gens) is then empty.
+    members.  A nonzero constant among gens raises DomainError: V(gens) is
+    then empty, and every Groebner basis of the unit ideal, [1] among
+    them, holds one.  Other generators of the unit ideal, such as
+    [x, x + 1], do not raise; they give "finite" with no members, since
+    no curve meets the empty set.
 
     Let I = (gens, p + t*q) in Q[x, y, t] and take I ∩ Q[t] from a lex
     basis (groebner._eliminate).  Its zero set is the closure of the

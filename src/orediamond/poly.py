@@ -725,12 +725,18 @@ def exact_divide(p, q_):
     """Return h with p = q_*h if q_ divides p exactly, else None."""
     if q_.is_zero:
         raise DomainError("division by the zero polynomial")
-    p._check(q_)
-    out = kdivide(p.terms, q_.terms)
+    return _quotient(p, q_)
+
+
+def _quotient(p, d):
+    """h with p = d*h when d (nonzero) divides p exactly, else None: the
+    one exact-division body, behind exact_divide and mpoly_exact_divide."""
+    p._check(d)
+    out = kdivide(p.terms, d.terms)
     if out is None:
         return None
     h, c = out
-    return p._lowest(p.nvars, c * p.den, _scaled(h, q_.den))
+    return p._lowest(p.nvars, c * p.den, _scaled(h, d.den))
 
 
 def _lift_y(u):

@@ -719,6 +719,9 @@ class TestPencilMembers:
         pencil = darboux_search(Derivation(bi("1"), bi("-1*y^2")), 2).pencils[0]
         with pytest.raises(DomainError):
             pencil_members_through(pencil, [bi("1")])
+        # generators of the unit ideal without a constant: no members
+        through = pencil_members_through(pencil, [bi("x"), bi("x + 1")])
+        assert (through.kind, through.members) == ("finite", [])
 
 
 class TestDegreeOneOracle:

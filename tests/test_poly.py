@@ -23,7 +23,7 @@ from orediamond import (
     uni_resultant,
 )
 from orediamond import linalg, parse
-from orediamond.multipoly import MPoly, mpoly_resultant
+from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from orediamond.poly import kmul_int
 from util import bi, gauss_jordan, lau, random_bipoly, random_unipoly, uni
 
@@ -48,6 +48,15 @@ class TestExactDivide:
             p = random_bipoly(rng)
             q_ = random_bipoly(rng, nonzero=True)
             assert exact_divide(p * q_, q_) == p
+
+
+def test_mpoly_exact_divide():
+    rng = random.Random(113)
+    for _ in range(60):
+        p = _random_mpoly(rng, 4)
+        d = _random_mpoly(rng, 4) + 1
+        assert mpoly_exact_divide(p * d, d) == p
+        assert mpoly_exact_divide(p * d + MPoly.var(4, 3) ** 7, d) is None
 
 
 class TestGcd:
@@ -715,19 +724,13 @@ class TestIntegerMPoly:
             f = Q(rng.choice([6, 10, 4]), rng.choice([1, 7]))
             for make, _ in _kinds(nvars):
                 h, d = make(a), make(b) * f
-                quo = exact_divide(d * h, d)
-                _assert_canonical(quo)
-                assert quo == h
-                # a nonzero remainder of lower degree than d: not a multiple
-                if not d.is_constant:
-                    assert exact_divide(d * h + Q(1, 3), d) is None
-        # in 4 variables, a remainder of higher degree than d
-        rng4 = random.Random(113)
-        for _ in range(60):
-            h = _random_mpoly(rng4, 4)
-            d = _random_mpoly(rng4, 4) + 1
-            assert exact_divide(d * h, d) == h
-            assert exact_divide(d * h + MPoly.var(4, 3) ** 7, d) is None
+                for divide in (mpoly_exact_divide, exact_divide):
+                    quo = divide(d * h, d)
+                    _assert_canonical(quo)
+                    assert quo == h
+                    # a nonzero remainder of lower degree than d: not a multiple
+                    if not d.is_constant:
+                        assert divide(d * h + Q(1, 3), d) is None
         for _ in range(60):
             h = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6)))
             d = BiPoly(_rational_terms(rng, 2, rng.randrange(1, 6))) * rng.choice([6, Q(15, 7)])
