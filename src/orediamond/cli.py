@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Verbs: decide, darboux, primitive, simple, ore-mul, witness,
-first-integral.  Output is a human-readable trace by default or a
-stable JSON document with --json.  Exit codes: 0 decided/complete,
-2 unknown/absent/incomplete, 1 errors.
+first-integral.  Every verb takes --ring and --deriv; argparse limits
+each verb to the rings it supports, and run_command parses the
+derivation once for all of them.  Output is a human-readable trace by
+default or a stable JSON document with --json.  Exit codes: 0
+decided/complete, 2 unknown/absent/incomplete, 1 errors.
 """
 
 import argparse
@@ -39,37 +41,28 @@ def _ore_json(f):
     return {"rendered": render_coefficients(coefficients), "coefficients": coefficients}
 
 
-def _ore_context(args):
-    """The operator ring of the arguments, and the inputs echo that
-    starts with the derivation's canonical text."""
-    if args.ring not in (POLY_UNI, POLY_BI):
-        raise DomainError("operator verbs support poly1 and poly2")
-    deriv = parse_derivation(args.deriv, args.ring)
-    inputs = {"ring": args.ring, "deriv": render_derivation(deriv)}
+def _ore_context(args, deriv):
+    """The operator ring of the arguments; poly1's derivation becomes a
+    Derivation of Q[x, y] that does not move y."""
     if args.ring == POLY_UNI:
         deriv = Derivation(BiPoly.from_uni(deriv.dx), BiPoly.zero())
-    return OreContext(args.ring, deriv), inputs
+    return OreContext(args.ring, deriv)
 
 
-def _cmd_decide(args):
-    deriv = parse_derivation(args.deriv, args.ring)
+def _cmd_decide(args, deriv, inputs):
     verdict = decide(args.ring, deriv, args.bound)
-    doc_result = verdict.to_json()
-    trace = doc_result.pop("trace")
+    result = verdict.to_json()
+    trace = result.pop("trace")
     lines = [
         f"status: {verdict.status}",
         f"certified: {'yes' if verdict.certified else 'no'}",
         f"evidence bound: {verdict.evidence_bound}",
     ] + [f"  - {c.describe()}" for c in verdict.trace]
-    code = 2 if verdict.status == UNKNOWN else 0
-    inputs = {"ring": args.ring, "deriv": render_derivation(deriv)}
-    return doc_result, trace, lines, code, inputs
+    return result, trace, lines, 2 if verdict.status == UNKNOWN else 0
 
 
-def _cmd_darboux(args):
-    deriv = parse_derivation(args.deriv, POLY_BI)
+def _cmd_darboux(args, deriv, inputs):
     report = darboux_search(deriv, args.bound)
-    result = report.to_json()
     lines = [f"degree bound: {report.degree_bound}"]
     for c in report.certs:
         lines.append(f"darboux: {c.p.render()}  (cofactor {c.cofactor.render()})")
@@ -80,45 +73,30 @@ def _cmd_darboux(args):
     lines.append(
         "complete up to bound" if report.complete_up_to_bound else "search incomplete at this bound"
     )
-    code = 0 if report.complete_up_to_bound else 2
-    inputs = {"ring": POLY_BI, "deriv": render_derivation(deriv)}
-    return result, [], lines, code, inputs
+    return report.to_json(), [], lines, 0 if report.complete_up_to_bound else 2
 
 
-def _cmd_primitive(args):
-    deriv = parse_derivation(args.deriv, POLY_BI)
+def _cmd_primitive(args, deriv, inputs):
     cert = classify_primitivity(deriv, args.bound)
-    result = cert.to_json()
-    lines = [cert.describe()]
-    code = 2 if cert.status == "primitive_evidence" else 0
-    inputs = {"ring": POLY_BI, "deriv": render_derivation(deriv)}
-    return result, [], lines, code, inputs
+    return cert.to_json(), [], [cert.describe()], 2 if cert.status == "primitive_evidence" else 0
 
 
-def _cmd_simple(args):
-    if args.ring not in (POLY_UNI, LAURENT_UNI):
-        raise DomainError("delta-simplicity is decided for poly1 and laurent1 only")
-    deriv = parse_derivation(args.deriv, args.ring)
+def _cmd_simple(args, deriv, inputs):
     answer = delta_simple_dim1_check(args.ring, deriv)
-    result = {"delta_simple": answer}
-    lines = [f"delta-simple: {'yes' if answer else 'no'}"]
-    inputs = {"ring": args.ring, "deriv": render_derivation(deriv)}
-    return result, [], lines, 0, inputs
+    return {"delta_simple": answer}, [], [f"delta-simple: {'yes' if answer else 'no'}"], 0
 
 
-def _cmd_ore_mul(args):
-    ctx, inputs = _ore_context(args)
+def _cmd_ore_mul(args, deriv, inputs):
+    ctx = _ore_context(args, deriv)
     f = parse_ore(args.f, args.ring)
     g = parse_ore(args.g, args.ring)
     product = _ore_json(mul(ctx, f, g))
-    result = {"product": product}
-    lines = [f"product: {product['rendered']}"]
     inputs.update(f=f.render(), g=g.render())
-    return result, [], lines, 0, inputs
+    return {"product": product}, [], [f"product: {product['rendered']}"], 0
 
 
-def _cmd_witness(args):
-    ctx, inputs = _ore_context(args)
+def _cmd_witness(args, deriv, inputs):
+    ctx = _ore_context(args, deriv)
     f = parse_ore(args.f, args.ring)
     x_elt = parse_polynomial(args.x, args.ring)
     if args.ring == POLY_UNI:
@@ -126,27 +104,19 @@ def _cmd_witness(args):
     cert = essential_witness(ctx, f, x_elt)
     h, r = _ore_json(cert.h), cert.r.render()
     result = {"h": h, "r": r, "identity": "x^(n+1)*f = h*t*x + r*x"}
-    lines = [f"h = {h['rendered']}", f"r = {r}"]
     inputs.update(f=f.render(), x=x_elt.render())
-    return result, [], lines, 0, inputs
+    return result, [], [f"h = {h['rendered']}", f"r = {r}"], 0
 
 
-def _cmd_first_integral(args):
-    deriv = parse_derivation(args.deriv, POLY_BI)
+def _cmd_first_integral(args, deriv, inputs):
     pencil = first_integral_search(deriv, args.bound)
     if pencil is None:
-        result = {"found": False}
-        lines = [f"no rational first integral up to degree {args.bound}"]
-        code = 2
-    else:
-        result = {"found": True, "pencil": pencil.to_json()}
-        lines = [
-            f"first integral: ({pencil.p.render()}) / ({pencil.q.render()})",
-            f"shared cofactor: {pencil.cofactor.render()}",
-        ]
-        code = 0
-    inputs = {"ring": POLY_BI, "deriv": render_derivation(deriv)}
-    return result, [], lines, code, inputs
+        return {"found": False}, [], [f"no rational first integral up to degree {args.bound}"], 2
+    lines = [
+        f"first integral: ({pencil.p.render()}) / ({pencil.q.render()})",
+        f"shared cofactor: {pencil.cofactor.render()}",
+    ]
+    return {"found": True, "pencil": pencil.to_json()}, [], lines, 0
 
 
 _HANDLERS = {
@@ -190,8 +160,14 @@ def build_parser():
 
 
 def run_command(args):
-    """Dispatch a parsed command; returns (document, lines, exit_code)."""
-    result, trace, lines, code, inputs = _HANDLERS[args.verb](args)
+    """Dispatch a parsed command; returns (document, lines, exit_code).
+    The derivation is parsed here, once, in the ring --ring names; each
+    handler gets (args, deriv, inputs), where inputs echoes the ring and
+    the derivation's canonical text and may gain the verb's operands,
+    and returns (result, trace, lines, exit_code)."""
+    deriv = parse_derivation(args.deriv, args.ring)
+    inputs = {"ring": args.ring, "deriv": render_derivation(deriv)}
+    result, trace, lines, code = _HANDLERS[args.verb](args, deriv, inputs)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "verb": args.verb,

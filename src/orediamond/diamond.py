@@ -6,9 +6,14 @@ the structural facts implemented by the other modules: commutative and
 locally nilpotent cases are always (*), Shamsuddin derivations never
 are, and for the remaining planar derivations the verdict follows the
 primitivity / maximal-invariant-ideal analysis driven by Darboux data.
+
+A Verdict's trace lists the steps of that argument.  Each step is a
+Step record (kind, text, fields), built where decide takes the step,
+except the singular-locus audit and the primitivity classification,
+which are SingularLocusAudit and PrimitivityCert.
 """
 
-from .rational import QZERO
+from .rational import Q, QZERO
 from .poly import DomainError, exact_divide, gcd
 from .derivation import (
     Derivation,
@@ -35,123 +40,38 @@ NOT_DIAMOND = "NotDiamond"
 UNKNOWN = "Unknown"
 
 
-class Certificate:
-    """Base: one re-verifiable reasoning step."""
+class Step:
+    """One reasoning step of a verdict: its kind, its text, and the fields
+    its JSON carries, which read as attributes (step.p, step.pencil).
+    to_json() gives the kind and every field that is not None, an answer
+    object by its to_json(), a polynomial by its render(), a rational as
+    its str, anything else as it is."""
 
-    kind = "certificate"
+    def __init__(self, kind, text, **fields):
+        self.kind = kind
+        self.text = text
+        self.fields = fields
+        vars(self).update(fields)
 
     def describe(self):
-        raise NotImplementedError
+        return self.text
 
     def to_json(self):
-        return {"kind": self.kind, "detail": self.describe()}
-
-
-class CommutativeCase(Certificate):
-    kind = "commutative"
-
-    def describe(self):
-        return "delta = 0: the operator ring is a commutative-coefficient polynomial ring over a Noetherian ring; property holds"
-
-
-class LocallyNilpotentCert(Certificate):
-    kind = "locally_nilpotent"
-
-    def __init__(self, verdict):
-        self.verdict = verdict
-
-    def describe(self):
-        return f"delta is locally nilpotent (order {self.verdict.order} on the generators); property holds"
-
-    def to_json(self):
-        return {"kind": self.kind, "order": self.verdict.order}
-
-
-class LaurentRule(Certificate):
-    kind = "laurent_rule"
-
-    def __init__(self, dx, monomial, finding):
-        self.dx = dx
-        self.monomial = monomial  # (alpha, n) or None
-        self.finding = finding  # the case _decide_laurent decided, or left open
-
-    def describe(self):
-        shown = "{}*x^{}".format(*self.monomial) if self.monomial else self.dx.render()
-        return f"Laurent ring with delta(x) = {shown}{self.finding}"
-
-    def to_json(self):
-        out = {"kind": self.kind, "dx": self.dx.render()}
-        if self.monomial:
-            out["alpha"] = str(self.monomial[0])
-            out["n"] = self.monomial[1]
+        out = {"kind": self.kind}
+        for name, value in self.fields.items():
+            if value is None:
+                continue
+            if hasattr(value, "to_json"):
+                value = value.to_json()
+            elif hasattr(value, "render"):
+                value = value.render()
+            elif isinstance(value, Q):
+                value = str(value)
+            out[name] = value
         return out
 
 
-class UniConstantCert(Certificate):
-    kind = "uni_constant"
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def describe(self):
-        return f"delta(x) = {self.alpha} is a nonzero constant: Q[x] is delta-simple of Krull dimension 1; property holds"
-
-    def to_json(self):
-        return {"kind": self.kind, "alpha": str(self.alpha)}
-
-
-class UniMonomialCert(Certificate):
-    kind = "uni_monomial"
-
-    def __init__(self, alpha, n):
-        self.alpha = alpha
-        self.n = n
-
-    def describe(self):
-        return f"delta(x) = {self.alpha}*x^{self.n} with n >= 1: the operator ring fails the property"
-
-    def to_json(self):
-        return {"kind": self.kind, "alpha": str(self.alpha), "n": self.n}
-
-
-class UnivariateOutOfScope(Certificate):
-    kind = "univariate_out_of_scope"
-
-    def __init__(self, dx):
-        self.dx = dx
-
-    def describe(self):
-        return f"delta(x) = {self.dx.render()} is neither constant nor a monomial: no implemented rule decides this univariate case"
-
-    def to_json(self):
-        return {"kind": self.kind, "dx": self.dx.render()}
-
-
-class ShamsuddinCert(Certificate):
-    kind = "shamsuddin"
-
-    def __init__(self, a, b, result):
-        self.a = a
-        self.b = b
-        self.result = result
-
-    def describe(self):
-        shape = f"delta = c*(dx + (a*y + b)*dy) with a = {self.a.render()}, b = {self.b.render()}"
-        if self.result.status == "d_simple":
-            return f"{shape}: no polynomial solves c' = a*c + b, the ring is delta-simple in dimension 2; property fails"
-        return (
-            f"{shape}: unique Darboux element y - ({self.result.solution.render()}), "
-            "the ring is delta-primitive, hence primitive; property fails"
-        )
-
-    def to_json(self):
-        out = {"kind": self.kind, "a": self.a.render(), "b": self.b.render(), "status": self.result.status}
-        if self.result.solution is not None:
-            out["c"] = self.result.solution.render()
-        return out
-
-
-class PrimitivityCert(Certificate):
+class PrimitivityCert:
     """Primitivity of the operator ring, by status: "not_primitive" with
     the pencil of a rational first integral, "primitive_certified" with
     the Shamsuddin analysis as reason, "primitive_evidence" with the
@@ -184,39 +104,6 @@ class PrimitivityCert(Certificate):
         return out
 
 
-class NoMaxDeltaIdealAndNotPrimitive(Certificate):
-    kind = "no_max_delta_ideal_not_primitive"
-
-    def __init__(self, pencil):
-        self.pencil = pencil
-
-    def describe(self):
-        return (
-            "delta(x), delta(y) generate the unit ideal (no maximal invariant ideal) and a rational "
-            f"first integral {self.pencil.p.render()} / {self.pencil.q.render()} rules out primitivity; property holds"
-        )
-
-    def to_json(self):
-        return {"kind": self.kind, "pencil": self.pencil.to_json()}
-
-
-class SingularViolation(Certificate):
-    kind = "singular_violation"
-
-    def __init__(self, p, failed_generator):
-        self.p = p
-        self.failed_generator = failed_generator  # "dx" or "dy"
-
-    def describe(self):
-        return (
-            f"Darboux polynomial {self.p.render()} passes through the singular locus but does not divide "
-            f"{self.failed_generator}; property fails"
-        )
-
-    def to_json(self):
-        return {"kind": self.kind, "p": self.p.render(), "fails": self.failed_generator}
-
-
 class Incidence:
     """Audit row for one Darboux polynomial or pencil member."""
 
@@ -245,7 +132,7 @@ class Incidence:
         return out
 
 
-class SingularLocusAudit(Certificate):
+class SingularLocusAudit:
     """The Darboux members checked against the singular locus; an empty
     locus has locus_proper False and no incidences."""
 
@@ -402,22 +289,36 @@ def delta_simple_dim1_check(spec, deriv):
     return _delta_simple(spec, deriv.dx)
 
 
+_COMMUTATIVE = (
+    "delta = 0: the operator ring is a commutative-coefficient polynomial ring over a "
+    "Noetherian ring; property holds"
+)
+
+
+def _commutative(bound):
+    return Verdict(DIAMOND, True, bound, [Step("commutative", _COMMUTATIVE, detail=_COMMUTATIVE)])
+
+
 def _decide_poly_uni(deriv, bound):
     dx = deriv.dx
     if dx.is_zero:
-        return Verdict(DIAMOND, True, bound, [CommutativeCase()])
+        return _commutative(bound)
     mono = dx.as_monomial()
     if mono is None:
-        return Verdict(UNKNOWN, False, bound, [UnivariateOutOfScope(dx)])
+        text = f"delta(x) = {dx.render()} is neither constant nor a monomial: no implemented rule decides this univariate case"
+        return Verdict(UNKNOWN, False, bound, [Step("univariate_out_of_scope", text, dx=dx)])
+    alpha, n = mono
     if _delta_simple(POLY_UNI, dx):
-        return Verdict(DIAMOND, True, bound, [UniConstantCert(mono[0])])
-    return Verdict(NOT_DIAMOND, True, bound, [UniMonomialCert(*mono)])
+        text = f"delta(x) = {alpha} is a nonzero constant: Q[x] is delta-simple of Krull dimension 1; property holds"
+        return Verdict(DIAMOND, True, bound, [Step("uni_constant", text, alpha=alpha)])
+    text = f"delta(x) = {alpha}*x^{n} with n >= 1: the operator ring fails the property"
+    return Verdict(NOT_DIAMOND, True, bound, [Step("uni_monomial", text, alpha=alpha, n=n)])
 
 
 def _decide_laurent(deriv, bound):
     dx = deriv.dx
     if dx.is_zero:
-        return Verdict(DIAMOND, True, bound, [CommutativeCase()])
+        return _commutative(bound)
     mono = dx.as_monomial()
     if _delta_simple(LAURENT_UNI, dx):
         status, finding = DIAMOND, ": the ring is delta-simple of Krull dimension 1; property holds"
@@ -427,21 +328,33 @@ def _decide_laurent(deriv, bound):
         status, finding = NOT_DIAMOND, " not a monomial: a proper nonzero delta-ideal exists; property fails"
     else:
         status, finding = UNKNOWN, " not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
-    return Verdict(status, status != UNKNOWN, bound, [LaurentRule(dx, mono, finding)])
+    alpha, n = mono or (None, None)
+    shown = f"{alpha}*x^{n}" if mono else dx.render()
+    step = Step("laurent_rule", f"Laurent ring with delta(x) = {shown}{finding}", dx=dx, alpha=alpha, n=n)
+    return Verdict(status, status != UNKNOWN, bound, [step])
 
 
 def _decide_poly_bi(deriv, darboux_bound):
     if deriv.is_zero:
-        return Verdict(DIAMOND, True, darboux_bound, [CommutativeCase()])
+        return _commutative(darboux_bound)
     nil = locally_nilpotent_bounded(deriv)
     if nil.status == "nilpotent":
-        return Verdict(DIAMOND, True, darboux_bound, [LocallyNilpotentCert(nil)])
+        text = f"delta is locally nilpotent (order {nil.order} on the generators); property holds"
+        return Verdict(DIAMOND, True, darboux_bound, [Step("locally_nilpotent", text, order=nil.order)])
     shape = _shamsuddin_shape(deriv)
     if shape is not None:
-        result = shamsuddin_analyze(*shape)
-        return Verdict(
-            NOT_DIAMOND, True, darboux_bound, [ShamsuddinCert(shape[0], shape[1], result)]
-        )
+        a, b = shape
+        result = shamsuddin_analyze(a, b)
+        text = f"delta = c*(dx + (a*y + b)*dy) with a = {a.render()}, b = {b.render()}"
+        if result.status == "d_simple":
+            text += ": no polynomial solves c' = a*c + b, the ring is delta-simple in dimension 2; property fails"
+        else:
+            text += (
+                f": unique Darboux element y - ({result.solution.render()}), "
+                "the ring is delta-primitive, hence primitive; property fails"
+            )
+        step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
+        return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
     g = gcd(deriv.dx, deriv.dy)  # monic, so 1 when constant
     reduced = Derivation(exact_divide(deriv.dx, g), exact_divide(deriv.dy, g))
     report = darboux_search(reduced, darboux_bound)
@@ -453,7 +366,11 @@ def _decide_poly_bi(deriv, darboux_bound):
         if violations:
             worst = violations[0]
             which = "dy" if worst.divides_dx else "dx"
-            trace.append(SingularViolation(worst.poly, which))
+            text = (
+                f"Darboux polynomial {worst.poly.render()} passes through the singular locus but does not divide "
+                f"{which}; property fails"
+            )
+            trace.append(Step("singular_violation", text, p=worst.poly, fails=which))
             certain = worst.poly.total_degree() == 1 or report.complete_up_to_bound
             return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
         if audit.residual_nonrational:
@@ -464,7 +381,11 @@ def _decide_poly_bi(deriv, darboux_bound):
     pencil = report.pencils[0]
     trace.append(PrimitivityCert("not_primitive", pencil=pencil))
     if not audit.locus_proper:
-        trace.append(NoMaxDeltaIdealAndNotPrimitive(pencil))
+        text = (
+            "delta(x), delta(y) generate the unit ideal (no maximal invariant ideal) and a rational "
+            f"first integral {pencil.p.render()} / {pencil.q.render()} rules out primitivity; property holds"
+        )
+        trace.append(Step("no_max_delta_ideal_not_primitive", text, pencil=pencil))
     return Verdict(DIAMOND, False, darboux_bound, trace)
 
 

@@ -233,10 +233,8 @@ def _check_witness_preconditions(ctx, f, x_elt):
         return  # the image of the element is a unit
     # otherwise the element must be irreducible and not Darboux-dividing
     if ctx.ring == "poly1":
-        u = x_elt.as_unipoly(0)
-        if u.degree() < 1:
-            raise DomainError("hypothesis failed: the element is a unit")
-        irr, certified = is_irreducible(u)
+        # a unit divides the leading coefficient of f, so x has positive degree
+        irr, certified = is_irreducible(x_elt.as_unipoly(0))
         if not irr:
             raise DomainError("hypothesis failed: the element is reducible")
         if not certified:

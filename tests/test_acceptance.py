@@ -63,7 +63,7 @@ def test_criterion_1_verdict_matrix(capsys):
         check("poly1 x^2", decide("poly1", UniDerivation(uni("x^2"))), "NotDiamond", True)
 
         v = check("dx+x dy", decide("poly2", Derivation(bi("1"), bi("x"))), "Diamond", True)
-        assert v.trace[0].kind == "locally_nilpotent" and v.trace[0].verdict.order == 3
+        assert v.trace[0].kind == "locally_nilpotent" and v.trace[0].order == 3
 
         v = check("euler", decide("poly2", Derivation(bi("x"), bi("y"))), "NotDiamond", True)
         violations = [c for c in v.trace if c.kind == "singular_violation"]

@@ -22,6 +22,7 @@ from orediamond import (
     rational_roots,
 )
 from orediamond.darboux import (
+    _assemble_report,
     _cascade,
     _cascade_level,
     _composite_of,
@@ -597,6 +598,31 @@ class TestCompositePencils:
         g = bi("x + y^2")
         assert not _composite_of(b, u, (b * g,))
         assert not _composite_of(b, u, (b * g, u**3))
+
+
+class TestReportFilters:
+    """_assemble_report on hand-built found lists for the rotation
+    (-y, x), whose Darboux polynomials are the functions of x^2 + y^2."""
+
+    rotation = Derivation(bi("-1*y"), bi("x"))
+    circle = bi("x^2 + y^2")
+
+    def test_drops_a_square(self):
+        report = _assemble_report(self.rotation, [(self.circle * self.circle, BiPoly.zero())], 4, True, 4)
+        assert (report.certs, report.pencils) == ([], [])
+
+    def test_drops_a_composite_of_a_pencil(self):
+        # (x^2 + y^2)^2 + 1 is square-free, a function of the pencil
+        # x^2 + y^2 + t, and not one of its members
+        found = [self.circle, bi("1"), self.circle * self.circle + bi("1")]
+        report = _assemble_report(self.rotation, [(p, BiPoly.zero()) for p in found], 4, True, 4)
+        assert report.certs == []
+        assert pencil_triples(report) == {(self.circle, bi("1"), BiPoly.zero())}
+
+    def test_zero_bound_rejected(self):
+        with pytest.raises(DomainError) as exc:
+            darboux_search(self.rotation, 0)
+        assert str(exc.value) == "degree bound must be at least 1"
 
 
 class TestFirstIntegral:

@@ -11,13 +11,15 @@ from orediamond import (
     BiPoly,
     Derivation,
     DomainError,
+    LaurentUniPoly,
     Q,
+    UniDerivation,
     UniPoly,
     derivation,
     locally_nilpotent_bounded,
     shamsuddin_analyze,
 )
-from util import bi, random_bipoly, random_unipoly, uni
+from util import bi, lau, random_bipoly, random_unipoly, uni
 
 
 class TestApply:
@@ -40,6 +42,26 @@ class TestApply:
             p = random_bipoly(rng, maxdeg=6, nterms=3)
             q_ = random_bipoly(rng, maxdeg=6, nterms=3)
             assert d.apply(p * q_) == d.apply(p) * q_ + p * d.apply(q_)
+
+
+class TestUniDerivation:
+    def test_coefficient_types(self):
+        # a Laurent derivation takes a polynomial or a constant for delta(x)
+        d = UniDerivation(uni("x^2"), laurent=True)
+        assert type(d.dx) is LaurentUniPoly and d.dx == lau("x^2")
+        d = UniDerivation(Q(3), laurent=True)
+        assert type(d.dx) is LaurentUniPoly and d.dx == lau("3")
+        # a polynomial one a Laurent polynomial without negative powers, or a constant
+        d = UniDerivation(lau("x^2 + 1"))
+        assert type(d.dx) is UniPoly and d.dx == uni("x^2 + 1")
+        d = UniDerivation(3)
+        assert type(d.dx) is UniPoly and d.dx == uni("3")
+
+    def test_apply_and_is_zero(self):
+        assert UniDerivation(uni("x^2")).apply(uni("x^3")) == uni("3*x^4")
+        assert UniDerivation(lau("x"), laurent=True).apply(lau("x^-1")) == lau("-1*x^-1")
+        assert UniDerivation(0).is_zero and UniDerivation(0, laurent=True).is_zero
+        assert not UniDerivation(uni("x")).is_zero
 
 
 class TestCofactor:
@@ -106,6 +128,10 @@ def _bipolys(draw, maxdeg=4):
 
 
 class TestNilpotency:
+    def test_zero(self):
+        v = locally_nilpotent_bounded(Derivation(BiPoly.zero(), BiPoly.zero()))
+        assert (v.status, v.order) == ("nilpotent", 1)
+
     def test_triangular(self):
         v = locally_nilpotent_bounded(Derivation(bi("1"), bi("x")))
         assert v.status == "nilpotent"

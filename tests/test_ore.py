@@ -12,6 +12,7 @@ from orediamond import (
     OreContext,
     OrePoly,
     Q,
+    UniDerivation,
     a_theta_pow_right,
     act,
     essential_witness,
@@ -21,7 +22,7 @@ from orediamond import (
     theta_pow_left,
 )
 from orediamond import linalg
-from util import bi, random_bipoly
+from util import bi, random_bipoly, uni
 
 
 def ctx_dx():
@@ -247,6 +248,38 @@ class TestEssentialWitness:
         # delta(x^2) = 2x is neither a unit nor is x^2 irreducible
         with pytest.raises(DomainError):
             essential_witness(ctx, OrePoly.theta(), bi("x^2"))
+
+    @pytest.mark.parametrize(
+        "ctx, x_elt, message",
+        [
+            # a unit divides every coefficient, the leading one of f first
+            (ctx_dx(), "3", "the element divides the leading coefficient of f"),
+            # square-free of degree 6 without a linear or quadratic factor
+            (ctx_dx(), "x^6 + 2", "irreducibility could not be certified"),
+            (OreContext("poly2", Derivation(bi("1"), bi("x"))), "x^2 + y",
+             "bivariate irreducibility is only certified in degree 1"),
+            (OreContext("poly1", Derivation(bi("x"), BiPoly.zero())), "x", "the element divides its own image"),
+        ],
+    )
+    def test_hypothesis_failure_messages(self, ctx, x_elt, message):
+        with pytest.raises(DomainError) as exc:
+            essential_witness(ctx, OrePoly.theta(), bi(x_elt))
+        assert str(exc.value) == f"hypothesis failed: {message}"
+
+
+@pytest.mark.parametrize(
+    "ring, deriv, message",
+    [
+        ("laurent1", Derivation(bi("1"), BiPoly.zero()), "ring must be poly1 or poly2"),
+        ("poly1", UniDerivation(uni("1")), "a Derivation is required"),
+        ("poly1", Derivation(bi("1"), bi("x")), "univariate context cannot move y"),
+        ("poly1", Derivation(bi("y"), BiPoly.zero()), "univariate context requires dx in Q[x]"),
+    ],
+)
+def test_context_rejects(ring, deriv, message):
+    with pytest.raises(DomainError) as exc:
+        OreContext(ring, deriv)
+    assert str(exc.value) == message
 
 
 # -- products and witnesses at the benchmark's operator shape -----------

@@ -109,6 +109,7 @@ ERRORS = [
     (parse_derivation, "dx=1", "poly2", "dy required for the bivariate ring", 4),
     (parse_derivation, "dx=1; dy=0", "poly1", "dy is not allowed for a univariate ring", 6),
     (parse_derivation, "dx=1; dy = x + 2*t", "poly2", "'t' is only allowed in operator operands", 17),
+    (parse_derivation, "dx=x^^2", "poly1", "expected digits, found '^'", 5),
     (parse_ore, "t", "laurent1", "operator operands live over poly1 or poly2", 0),
     (parse_ore, "t^2 + x*y*t", "poly1", "variable 'y' is not in this ring", 8),
     (parse_ore, "t + x^-1*t", "poly2", "negative exponent in polynomial ring", 4),
@@ -139,6 +140,9 @@ class TestParseDerivation:
     def test_extra_dy_rejected(self):
         with pytest.raises(ParseError):
             parse_derivation("dx=1; dy=x", "poly1")
+
+    def test_empty_component_skipped(self):
+        assert parse_derivation("dx=1; ; dy=x", "poly2") == parse_derivation("dx=1; dy=x", "poly2")
 
 
 class TestParseOre:
