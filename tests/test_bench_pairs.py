@@ -12,7 +12,10 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "pass_s", "better": "lower"}, {"name": "success_ratio", "better": "higher"}]
+END_TO_END = [
+    {"name": "pass_s", "better": "lower", "bound": 0.25},
+    {"name": "success_ratio", "better": "higher", "bound": 0.01},
+]
 
 
 def _entry(workload, seed, side, pass_s, success=1.0, digest="d", digests=None):
@@ -58,6 +61,30 @@ def test_beyond_parent_iqr():
     # ten pairs that all win by less than the IQR: wins alone, not a claim
     step = summary([1.0 + k / 8 for k in range(10)], [0.9375 + k / 8 for k in range(10)])
     assert step["change_wins_losses"] == [10, 0] and step["beyond_parent_iqr"] is False
+
+
+def test_no_regression_half():
+    def summary(parent, change, better="lower"):
+        runs = [_entry("w", k, "parent", v) for k, v in enumerate(parent)]
+        runs += [_entry("w", k, "change", v) for k, v in enumerate(change)]
+        metric = {"name": "pass_s", "better": better, "bound": 0.25}
+        return bench_pairs.summarize(runs, [metric])["w"]["pass_s"]
+
+    narrow = [1.9, 1.95, 2.0, 2.05, 2.1]  # median 2.0, IQR 0.1; the bound's share is 0.5
+    # worse by exactly the share is within the bound
+    assert summary(narrow, [2.5] * 5)["worse_beyond_bound"] is False
+    assert summary(narrow, [2.6] * 5)["worse_beyond_bound"] is True
+    assert summary(narrow, [1.0] * 5)["worse_beyond_bound"] is False
+    # higher is better: the same drop is a regression
+    assert summary(narrow, [1.4] * 5, better="higher")["worse_beyond_bound"] is True
+    assert summary(narrow, [2.6] * 5, better="higher")["worse_beyond_bound"] is False
+    assert summary(narrow, [2.0] * 5)["unresolved"] is False
+    wide = [1.0, 1.5, 2.0, 2.5, 3.0]  # median 2.0, IQR 1.0, wider than the share
+    assert summary(wide, [2.0] * 5)["unresolved"] is True
+    # unless every change run beats every parent run
+    assert summary(wide, [0.9] * 5)["unresolved"] is False
+    assert summary(wide, [0.9, 0.9, 0.9, 0.9, 1.0])["unresolved"] is True
+    assert summary(wide, [3.1] * 5, better="higher")["unresolved"] is False
 
 
 def test_digests_and_incomplete_pairs():
@@ -122,8 +149,9 @@ def test_src_lines_per_side():
 
 
 def test_reproduces_a_recorded_summary():
-    """BENCH_12.json predates beyond_parent_iqr: every other field is
-    reproduced, and the new one is computed from the recorded quartiles."""
+    """BENCH_12.json predates beyond_parent_iqr, worse_beyond_bound and
+    unresolved: every other field is reproduced, and the new ones are
+    computed from the recorded quartiles and runs."""
     recorded = json.loads((ROOT / "BENCH_12.json").read_text())
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = bench_pairs.summarize(recorded["runs"], end_to_end)
@@ -131,6 +159,17 @@ def test_reproduces_a_recorded_summary():
         for metric in end_to_end:
             row = rows[metric["name"]]
             old = recorded["summary"][workload][metric["name"]]
-            gap = abs(old["change"]["median"] - old["parent"]["median"])
-            assert row.pop("beyond_parent_iqr") is (gap > old["parent"]["q3"] - old["parent"]["q1"])
+            spread = old["parent"]["q3"] - old["parent"]["q1"]
+            gap = old["change"]["median"] - old["parent"]["median"]
+            assert row.pop("beyond_parent_iqr") is (abs(gap) > spread)
+            sign = 1 if metric["better"] == "higher" else -1
+            share = metric["bound"] * abs(old["parent"]["median"])
+            assert row.pop("worse_beyond_bound") is (sign * gap < -share)
+            signed = {
+                side: [sign * r["result"]["metrics"][metric["name"]]["value"] for r in recorded["runs"]
+                       if r["workload"] == workload and r["side"] == side]
+                for side in ("parent", "change")
+            }
+            beats_all = min(signed["change"]) > max(signed["parent"])
+            assert row.pop("unresolved") is (spread > share and not beats_all)
     assert summary == recorded["summary"]

@@ -54,9 +54,13 @@ def summarize(runs, end_to_end):
     end-to-end metric each side's median and quartiles, the change's
     [wins, losses] over the pairs (ties count for neither), and
     beyond_parent_iqr, whether the medians differ by more than the
-    parent's q3 - q1: the two halves of a claim.  runs are
-    untraced run entries; end_to_end is BENCHMARK.json's list of {"name",
-    "better"}."""
+    parent's q3 - q1: the two halves of a claim.  The no-regression half
+    takes the metric's bound as a share of the parent's median:
+    worse_beyond_bound, whether the change's median is worse than the
+    parent's by more than that share, and unresolved, whether the
+    parent's q3 - q1 is wider than that share while some change run does
+    not beat every parent run.  runs are untraced run entries; end_to_end
+    is BENCHMARK.json's list of {"name", "better", "bound"}."""
     summary = {}
     for workload, complete in _complete_pairs(runs).items():
         mismatches = set()
@@ -83,7 +87,12 @@ def summarize(runs, end_to_end):
                 q1, median, q3 = _quartiles(values[side])
                 out[name][side] = {"median": median, "q1": q1, "q3": q3}
             parent, change = out[name]["parent"], out[name]["change"]
-            out[name]["beyond_parent_iqr"] = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+            spread = parent["q3"] - parent["q1"]
+            out[name]["beyond_parent_iqr"] = abs(change["median"] - parent["median"]) > spread
+            share = metric["bound"] * abs(parent["median"])
+            out[name]["worse_beyond_bound"] = sign * (change["median"] - parent["median"]) < -share
+            beats_all = all(sign * (c - a) > 0 for a in values["parent"] for c in values["change"])
+            out[name]["unresolved"] = spread > share and not beats_all
     return summary
 
 
@@ -160,6 +169,9 @@ def main(argv=None):
                 "per workload and metric: median, q1, q3 (inclusive quartiles) of each side, and "
                 "[change wins, change losses] over the pairs (ties count for neither), and beyond_parent_iqr, "
                 "whether |change median - parent median| > parent q3 - q1; "
+                "worse_beyond_bound, whether the change median is worse than the parent median by more "
+                "than the metric's BENCHMARK.json bound times the parent median, and unresolved, whether "
+                "parent q3 - q1 exceeds that share while some change run does not beat every parent run; "
                 "digests_identical_in_every_pair compares the answer digests of the two sides of each pair, "
                 "and digest_mismatches, present only when they differ, lists the labels of the queries "
                 "whose digests differ in some pair"
