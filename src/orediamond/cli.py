@@ -77,8 +77,8 @@ def _cmd_darboux(args, deriv, inputs):
 
 
 def _cmd_primitive(args, deriv, inputs):
-    cert = classify_primitivity(deriv, args.bound)
-    return cert.to_json(), [], [cert.describe()], 2 if cert.status == "primitive_evidence" else 0
+    step = classify_primitivity(deriv, args.bound)
+    return step.to_json(), [], [step.describe()], 2 if step.status == "primitive_evidence" else 0
 
 
 def _cmd_simple(args, deriv, inputs):

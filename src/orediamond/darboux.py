@@ -47,6 +47,7 @@ from .poly import (
     uni_gcd,
 )
 from .multipoly import MPoly, mpoly_resultant
+from .derivation import Derivation
 from .unifactor import factor_univariate
 from . import linalg
 from .groebner import _eliminate, has_common_zero_with
@@ -677,12 +678,25 @@ def _assemble_report(deriv, found, bound, complete, searched):
     return DarbouxReport(kept, pencil_certs, bound, complete, searched)
 
 
+def coprime_part(deriv, g):
+    """delta/g, for g a common factor of delta(x) and delta(y), such as
+    their gcd.  p/q is a rational first integral of delta exactly when it
+    is one of delta/g, since delta(p/q) = g*(delta/g)(p/q): the two fields
+    have the same pencils, with cofactors that differ by the factor g."""
+    return Derivation(exact_divide(deriv.dx, g), exact_divide(deriv.dy, g))
+
+
 def first_integral_search(deriv, bound):
-    """A rational first integral p/q of degree <= bound, or None."""
-    report = darboux_search(deriv, bound)
-    if report.pencils:
-        return report.pencils[0]
-    return None
+    """A rational first integral p/q of degree <= bound, or None: the
+    first pencil darboux_search finds for delta/g, g = gcd(delta(x),
+    delta(y)), returned as a PencilCert of delta with the cofactor times g.
+    delta = 0 reaches darboux_search, which rejects it."""
+    g = BiPoly.one() if deriv.is_zero else gcd(deriv.dx, deriv.dy)
+    report = darboux_search(coprime_part(deriv, g), bound)
+    if not report.pencils:
+        return None
+    pencil = report.pencils[0]
+    return PencilCert(deriv, pencil.p, pencil.q, g * pencil.cofactor)
 
 
 def pencil_members_through(pencil, gens):

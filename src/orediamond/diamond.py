@@ -7,10 +7,9 @@ locally nilpotent cases are always (*), Shamsuddin derivations never
 are, and for the remaining planar derivations the verdict follows the
 primitivity / maximal-invariant-ideal analysis driven by Darboux data.
 
-A Verdict's trace lists the steps of that argument.  Each step is a
-Step record (kind, text, fields), built where decide takes the step,
-except the singular-locus audit and the primitivity classification,
-which are SingularLocusAudit and PrimitivityCert.
+A Verdict's trace lists the steps of that argument.  Each step, the
+singular-locus audit and the primitivity classification among them, is
+a Step record (kind, text, fields), its text built where the step is.
 """
 
 from .rational import Q, QZERO
@@ -23,6 +22,7 @@ from .derivation import (
 )
 from .darboux import (
     INFINITY,
+    coprime_part,
     darboux_search,
     first_integral_search,
     pencil_members_through,
@@ -45,7 +45,7 @@ class Step:
     its JSON carries, which read as attributes (step.p, step.pencil).
     to_json() gives the kind and every field that is not None, an answer
     object by its to_json(), a polynomial by its render(), a rational as
-    its str, anything else as it is."""
+    its str, a list item by item, anything else as it is."""
 
     def __init__(self, kind, text, **fields):
         self.kind = kind
@@ -58,50 +58,20 @@ class Step:
 
     def to_json(self):
         out = {"kind": self.kind}
-        for name, value in self.fields.items():
-            if value is None:
-                continue
-            if hasattr(value, "to_json"):
-                value = value.to_json()
-            elif hasattr(value, "render"):
-                value = value.render()
-            elif isinstance(value, Q):
-                value = str(value)
-            out[name] = value
+        out.update((name, _json_value(v)) for name, v in self.fields.items() if v is not None)
         return out
 
 
-class PrimitivityCert:
-    """Primitivity of the operator ring, by status: "not_primitive" with
-    the pencil of a rational first integral, "primitive_certified" with
-    the Shamsuddin analysis as reason, "primitive_evidence" with the
-    degree bound searched in vain."""
-
-    kind = "primitivity"
-
-    def __init__(self, status, pencil=None, bound=None, reason=None):
-        self.status = status
-        self.pencil = pencil
-        self.bound = bound
-        self.reason = reason
-
-    def describe(self):
-        if self.status == "not_primitive":
-            return (
-                f"rational first integral {self.pencil.p.render()} / {self.pencil.q.render()} "
-                f"(shared cofactor {self.pencil.cofactor.render()}): the operator ring is not primitive"
-            )
-        if self.status == "primitive_certified":
-            return "primitivity certified via the Shamsuddin unique-solution analysis"
-        return f"no rational first integral up to degree {self.bound}: evidence that the operator ring is primitive"
-
-    def to_json(self):
-        out = {"kind": self.kind, "status": self.status}
-        if self.status == "not_primitive":
-            out["pencil"] = self.pencil.to_json()
-        elif self.status == "primitive_evidence":
-            out["bound"] = self.bound
-        return out
+def _json_value(value):
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if hasattr(value, "render"):
+        return value.render()
+    if isinstance(value, Q):
+        return str(value)
+    return value
 
 
 class Incidence:
@@ -130,44 +100,6 @@ class Incidence:
         if self.parameter is not None:
             out["t"] = "inf" if self.parameter == INFINITY else str(self.parameter)
         return out
-
-
-class SingularLocusAudit:
-    """The Darboux members checked against the singular locus; an empty
-    locus has locus_proper False and no incidences."""
-
-    kind = "singular_locus_audit"
-
-    def __init__(self, locus_proper, incidences, residual_nonrational):
-        self.locus_proper = locus_proper
-        self.incidences = list(incidences)
-        self.residual_nonrational = residual_nonrational
-
-    @property
-    def violations(self):
-        return [i for i in self.incidences if i.violation]
-
-    def describe(self):
-        rows = []
-        for i in self.incidences:
-            tag = "" if i.parameter is None else (
-                " (t=inf)" if i.parameter == INFINITY else f" (t={i.parameter})"
-            )
-            status = "violates" if i.violation else (
-                "passes" if i.meets_locus else "misses locus"
-            )
-            rows.append(f"{i.poly.render()}{tag}: {status}")
-        if self.residual_nonrational:
-            rows.append("pencil members at irrational t: meet the locus, not checked")
-        return "singular-locus audit of Darboux members: " + "; ".join(rows) if rows else "singular-locus audit: no Darboux members to check"
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "locus_proper": self.locus_proper,
-            "incidences": [i.to_json() for i in self.incidences],
-            "residual_nonrational": self.residual_nonrational,
-        }
 
 
 class Verdict:
@@ -207,25 +139,39 @@ def _shamsuddin_shape(deriv):
     return a_u, b_u
 
 
+def _primitivity_step(pencil, bound):
+    """The primitivity step: not primitive with the pencil of a rational
+    first integral; with no pencil, evidence of primitivity from the
+    search up to bound, or certified when no search ran (bound None)."""
+    if pencil is not None:
+        status, bound = "not_primitive", None
+        text = (
+            f"rational first integral {pencil.p.render()} / {pencil.q.render()} "
+            f"(shared cofactor {pencil.cofactor.render()}): the operator ring is not primitive"
+        )
+    elif bound is None:
+        status, text = "primitive_certified", "primitivity certified via the Shamsuddin unique-solution analysis"
+    else:
+        status = "primitive_evidence"
+        text = f"no rational first integral up to degree {bound}: evidence that the operator ring is primitive"
+    return Step("primitivity", text, status=status, pencil=pencil, bound=bound)
+
+
 def classify_primitivity(deriv, bound):
-    """The PrimitivityCert of the operator ring: certified for a
+    """The primitivity Step of the operator ring: certified for a
     Shamsuddin derivation, not primitive when a rational first integral
     of degree at most bound exists, else evidence of primitivity."""
     if deriv.is_zero:
         raise DomainError("primitivity classification requires delta != 0")
-    shape = _shamsuddin_shape(deriv)
-    if shape is not None:
-        return PrimitivityCert("primitive_certified", reason=shamsuddin_analyze(*shape))
-    pencil = first_integral_search(deriv, bound)
-    if pencil is not None:
-        return PrimitivityCert("not_primitive", pencil=pencil)
-    return PrimitivityCert("primitive_evidence", bound=bound)
+    if _shamsuddin_shape(deriv) is not None:
+        return _primitivity_step(None, None)
+    return _primitivity_step(first_integral_search(deriv, bound), bound)
 
 
 def singular_darboux_audit(deriv, report):
-    """The SingularLocusAudit of report's Darboux members: check
+    """The singular_locus_audit Step of report's Darboux members: check
     delta(R) <= Rp for every member p through the singular locus
-    V(delta(x), delta(y)).
+    V(delta(x), delta(y)), one Incidence per member.
 
     basis, the reduced graded lex basis G of the nonzero ones among
     delta(x), delta(y), is computed once, and every incidence test and
@@ -235,8 +181,8 @@ def singular_darboux_audit(deriv, report):
     (delta(x), delta(y), p + t*q) one lex eliminant.  An empty locus,
     G = [1], is reported as locus_proper False with no incidences."""
     basis = buchberger([g for g in (deriv.dx, deriv.dy) if not g.is_zero])
-    if any(g.is_constant for g in basis):
-        return SingularLocusAudit(False, [], False)
+    locus_proper = not any(g.is_constant for g in basis)
+    certs, pencils = (report.certs, report.pencils) if locus_proper else ((), ())
     incidences = []
     residual = False
 
@@ -251,9 +197,9 @@ def singular_darboux_audit(deriv, report):
             )
         )
 
-    for cert in report.certs:
+    for cert in certs:
         audit(cert.p, None, has_common_zero_with(basis, cert.p))
-    for pencil in report.pencils:
+    for pencil in pencils:
         through = pencil_members_through(pencil, basis)
         residual = residual or through.residual_nonrational
         if through.kind == "all":
@@ -270,7 +216,25 @@ def singular_darboux_audit(deriv, report):
         else:
             for t, member in through.members:
                 audit(member, t, True)
-    return SingularLocusAudit(True, incidences, residual)
+    rows = []
+    for i in incidences:
+        tag = "" if i.parameter is None else (" (t=inf)" if i.parameter == INFINITY else f" (t={i.parameter})")
+        status = "violates" if i.violation else ("passes" if i.meets_locus else "misses locus")
+        rows.append(f"{i.poly.render()}{tag}: {status}")
+    if residual:
+        rows.append("pencil members at irrational t: meet the locus, not checked")
+    text = (
+        "singular-locus audit of Darboux members: " + "; ".join(rows)
+        if rows
+        else "singular-locus audit: no Darboux members to check"
+    )
+    return Step(
+        "singular_locus_audit",
+        text,
+        locus_proper=locus_proper,
+        incidences=incidences,
+        residual_nonrational=residual,
+    )
 
 
 def _delta_simple(spec, dx):
@@ -355,14 +319,12 @@ def _decide_poly_bi(deriv, darboux_bound):
             )
         step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
         return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
-    g = gcd(deriv.dx, deriv.dy)  # monic, so 1 when constant
-    reduced = Derivation(exact_divide(deriv.dx, g), exact_divide(deriv.dy, g))
-    report = darboux_search(reduced, darboux_bound)
+    report = darboux_search(coprime_part(deriv, gcd(deriv.dx, deriv.dy)), darboux_bound)
     audit = singular_darboux_audit(deriv, report)
     trace = []
     if audit.locus_proper:
         trace.append(audit)
-        violations = audit.violations
+        violations = [i for i in audit.incidences if i.violation]
         if violations:
             worst = violations[0]
             which = "dy" if worst.divides_dx else "dx"
@@ -375,11 +337,10 @@ def _decide_poly_bi(deriv, darboux_bound):
             return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
         if audit.residual_nonrational:
             return Verdict(UNKNOWN, False, darboux_bound, trace)
-    if not report.pencils:
-        trace.append(PrimitivityCert("primitive_evidence", bound=darboux_bound))
+    pencil = report.pencils[0] if report.pencils else None
+    trace.append(_primitivity_step(pencil, darboux_bound))
+    if pencil is None:
         return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
-    pencil = report.pencils[0]
-    trace.append(PrimitivityCert("not_primitive", pencil=pencil))
     if not audit.locus_proper:
         text = (
             "delta(x), delta(y) generate the unit ideal (no maximal invariant ideal) and a rational "

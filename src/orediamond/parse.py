@@ -11,8 +11,9 @@ Every input goes through one accumulator, _terms: it parses the text,
 checks each term and sums the terms into one {(i, j, k): coefficient}
 dict, i, j and k being the exponents of x, y and t.  The caps hold while
 a term is read: MAX_DIGITS per number, MAX_EXPONENT per variable and
-term.  The ring checks follow per term: 't' (theta) only in Ore
-operands, 'y' only in poly2, negative exponents only on x in laurent1.
+term, MAX_TERMS per text.  The ring checks follow per term: 't' (theta)
+only in Ore operands, 'y' only in poly2, negative exponents only on x in
+laurent1.
 parse_polynomial builds its ring's type from that dict in one call, and
 parse_ore groups it by the power of t.
 """
@@ -29,6 +30,8 @@ from .diamond import LAURENT_UNI, POLY_BI, POLY_UNI
 MAX_EXPONENT = 1000
 # Longest number, CPython's default limit on str-to-int conversion.
 MAX_DIGITS = 4300
+# Most terms in one polynomial text, before like terms combine.
+MAX_TERMS = 10000
 
 # each ring's polynomial type and its number of variables
 _RING_TYPES = {POLY_UNI: (UniPoly, 1), LAURENT_UNI: (LaurentUniPoly, 1), POLY_BI: (BiPoly, 2)}
@@ -113,17 +116,19 @@ class _Parser:
     def parse_poly(self):
         """List of (coefficient, {var: exponent}, {var: position}) raw
         terms, the position being that of the variable's first occurrence
-        in its term."""
+        in its term.  At most MAX_TERMS terms, counted as they are read:
+        the next one is an error at the sign that opens it."""
         terms = [self.parse_term(1)]
         while True:
             tok = self.peek()
             if tok is None:
                 break
-            if tok[0] in ("+", "-"):
-                self.next()
-                terms.append(self.parse_term(-1 if tok[0] == "-" else 1))
-            else:
+            if tok[0] not in ("+", "-"):
                 raise ParseError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+            if len(terms) == MAX_TERMS:
+                raise ParseError(f"more than {MAX_TERMS} terms", tok[2])
+            self.next()
+            terms.append(self.parse_term(-1 if tok[0] == "-" else 1))
         return terms
 
     def parse_term(self, sign):

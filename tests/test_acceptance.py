@@ -87,7 +87,7 @@ def test_criterion_1_verdict_matrix(capsys):
         v = decide("poly2", Derivation(f, -bi("y^2") * f))
         assert v.status == "Diamond"
         audit = next(c for c in v.trace if c.kind == "singular_locus_audit")
-        assert not audit.violations
+        assert not any(i.violation for i in audit.incidences)
         members = {(i.parameter, i.poly) for i in audit.incidences}
         assert (Q(0), bi("y")) in members and (Q(1), bi("x*y + y - 1")) in members
         pencils = [c.pencil for c in v.trace if c.kind == "primitivity"]

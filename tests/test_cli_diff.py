@@ -1,0 +1,52 @@
+"""tools/cli_diff.py: the comparison on canned outcomes, and its fixed
+corpus; no worker is started."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("cli_diff", ROOT / "tools" / "cli_diff.py")
+cli_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_diff)
+
+SAME = {"out": "status: Diamond\n", "err": "", "code": 0}
+
+
+def test_identical_outcomes_report_nothing():
+    argvs = [["decide"], ["darboux"]]
+    assert cli_diff.differences(argvs, [SAME, dict(SAME)], [dict(SAME), SAME]) == []
+
+
+def test_each_part_of_an_outcome_is_compared():
+    changed = [
+        {**SAME, "out": "status: Unknown\n"},
+        {**SAME, "err": "error: bound must be at least 1\n"},
+        {**SAME, "code": 2},
+        {**SAME, "code": "timeout"},
+    ]
+    argvs = [[f"q{k}"] for k in range(len(changed) + 1)]
+    found = cli_diff.differences(argvs, [SAME] * len(argvs), changed + [SAME])
+    assert found == [{"argv": a, "parent": SAME, "change": c} for a, c in zip(argvs, changed)]
+
+
+def test_survey_leaves_out_the_hangs():
+    fields = {label: (dx, dy) for label, dx, dy in cli_diff.survey()}
+    assert len(fields) == 147
+    assert not set(cli_diff.HANGS) & set(fields)
+    assert fields["r142"] == ("3*x*y + 3*y", "2*y^2")
+
+
+def test_corpus_runs_each_query_once_and_every_pin():
+    corpus = cli_diff.corpus()
+    keys = [tuple(argv) for argv in corpus]
+    assert len(keys) == len(set(keys))
+    for name in cli_diff.PIN_FILES:
+        for pin in json.loads((ROOT / "tests" / name).read_text()):
+            assert tuple(pin["argv"]) in keys
+    r142 = ["primitive", "--ring", "poly2", "--deriv", "dx=3*x*y + 3*y; dy=2*y^2", "--bound", "6"]
+    assert r142 in corpus and r142 + ["--json"] in corpus
+    # r114, one of the hangs, is in no query
+    assert not any("dx=5*x^2; dy=3*y^2 - 4*y - 5" in argv for argv in corpus)
+    named = [argv for argv in corpus if argv[4] == "dx=x; dy=y" and argv[0] == "darboux"]
+    assert {argv[6] for argv in named} == {"6", "8", "12"}

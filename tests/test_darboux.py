@@ -641,6 +641,20 @@ class TestFirstIntegral:
     def test_unique_darboux_excludes_pencil(self):
         assert first_integral_search(Derivation(bi("1"), bi("y")), 4) is None
 
+    def test_searches_the_field_divided_by_its_gcd(self):
+        # delta = y*(3x + 3, 2y): the search of delta itself stays
+        # incomplete at 6 and finds no pencil; delta/y has (x + 1)^2 / y^3
+        deriv = Derivation(bi("3*x*y + 3*y"), bi("2*y^2"))
+        assert not darboux_search(deriv, 6).pencils
+        pencil = first_integral_search(deriv, 6)
+        assert (pencil.p, pencil.q, pencil.cofactor) == (bi("x^2 + 2*x + 1"), bi("y^3"), bi("6*y"))
+        assert pencil.verify(deriv)
+
+    def test_zero_field_keeps_the_search_message(self):
+        with pytest.raises(DomainError) as exc:
+            first_integral_search(Derivation(BiPoly.zero(), BiPoly.zero()), 3)
+        assert str(exc.value) == "every polynomial is Darboux for the zero derivation"
+
 
 class TestScalingEquivariance:
     def test_scaled_derivation(self):

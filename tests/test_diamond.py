@@ -121,7 +121,7 @@ class TestDecideBivariate:
         members = {(i.parameter, i.poly) for i in audit.incidences}
         assert (Q(0), bi("y")) in members
         assert (Q(1), bi("x*y + y - 1")) in members
-        assert not audit.violations
+        assert not any(i.violation for i in audit.incidences)
         pencils = [c.pencil for c in v.trace if c.kind == "primitivity"]
         assert (pencils[0].p, pencils[0].q, pencils[0].cofactor) == (
             bi("y"),
@@ -155,7 +155,7 @@ class TestDecideBivariate:
         assert (v.status, v.certified) == (NOT_DIAMOND, False)
         audit, primitivity = v.trace
         assert [(i.poly, i.meets_locus) for i in audit.incidences] == [(bi("x"), False)]
-        assert not audit.violations and not audit.residual_nonrational
+        assert not any(i.violation for i in audit.incidences) and not audit.residual_nonrational
         assert primitivity.to_json() == {"kind": "primitivity", "status": "primitive_evidence", "bound": 6}
 
     def test_zero_derivation(self):
@@ -182,8 +182,6 @@ class TestPrimitivity:
     def test_shamsuddin_primitive(self):
         verdict = classify_primitivity(Derivation(bi("1"), bi("y")), 4)
         assert verdict.status == "primitive_certified"
-        assert verdict.reason.status == "unique_darboux"
-        assert verdict.reason.solution.is_zero
 
     def test_quadratic_not_primitive(self):
         verdict = classify_primitivity(Derivation(bi("1"), bi("x*y^2")), 3)
@@ -213,7 +211,7 @@ class TestSingularAudit:
         d = final_example_derivation()
         reduced = Derivation(bi("1"), bi("-1*y^2"))
         audit = singular_darboux_audit(d, darboux_search(reduced, 6))
-        assert audit.incidences and not audit.violations
+        assert audit.incidences and not any(i.violation for i in audit.incidences)
         polys = {i.poly for i in audit.incidences}
         assert polys == {bi("y"), bi("x*y + y - 1")}
 
@@ -224,7 +222,7 @@ class TestSingularAudit:
         assert report.pencils
         audit = singular_darboux_audit(d, report)
         assert audit.locus_proper is False
-        assert audit.incidences == [] and not audit.violations and not audit.residual_nonrational
+        assert audit.incidences == [] and not any(i.violation for i in audit.incidences) and not audit.residual_nonrational
 
     def test_locus_basis_computed_once(self, monkeypatch):
         """One decide computes the reduced basis of (dx, dy) once: the

@@ -13,6 +13,7 @@ from orediamond import (
     BiPoly,
     Derivation,
     LaurentUniPoly,
+    OrePoly,
     ParseError,
     Q,
     UniPoly,
@@ -22,6 +23,7 @@ from orediamond import (
     render_derivation,
 )
 from orediamond.cli import main
+from orediamond.parse import MAX_TERMS
 from orediamond.poly import MPoly
 from util import bi, lau
 
@@ -79,6 +81,24 @@ class TestParsePolynomial:
                 parse_polynomial(text, "poly2")
             assert exc.value.position == position
         assert parse_polynomial("7" * 4300, "poly2") == int("7" * 4300)
+
+    @pytest.mark.parametrize(
+        "parser, prefix, term, parsed",
+        [
+            (parse_polynomial, "", "x", BiPoly.monomial(1, 0) * MAX_TERMS),
+            (parse_derivation, "dx=1; dy=", "y", Derivation(BiPoly.one(), BiPoly.monomial(0, 1) * MAX_TERMS)),
+            (parse_ore, "", "x*t", OrePoly([BiPoly.zero(), BiPoly.monomial(1, 0) * MAX_TERMS])),
+        ],
+    )
+    def test_term_cap(self, parser, prefix, term, parsed):
+        # terms are counted as read, before x + x combine into 2*x
+        joiner = " + "
+        assert parser(prefix + joiner.join([term] * MAX_TERMS), "poly2") == parsed
+        with pytest.raises(ParseError) as exc:
+            parser(prefix + joiner.join([term] * (MAX_TERMS + 1)), "poly2")
+        # the sign opening term MAX_TERMS + 1, counting from 1
+        position = len(prefix) + MAX_TERMS * len(term) + (MAX_TERMS - 1) * len(joiner) + 1
+        assert str(exc.value) == f"more than {MAX_TERMS} terms (at position {position})"
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError):

@@ -1,0 +1,163 @@
+"""Byte-identity check of the CLI between two trees of the repository.
+
+    python3 tools/cli_diff.py --parent PARENT_TREE --change CHANGE_TREE --out FILE
+
+Each tree is a checkout of the repository (src, orebench, tests).  One
+fixed corpus of argv lists, built from this script's own tree, runs in
+each tree: one worker subprocess per tree, with that tree's src first on
+sys.path, calls orediamond.cli.main in process for every argv and records
+its stdout, stderr and exit code.  A query that runs past TIMEOUT_S is
+recorded as "timeout".  The two trees run at the same time.
+
+The corpus, each query as text and with --json:
+- the named corpus of orebench/workloads.NAMED under decide 6, darboux 6,
+  darboux 8, darboux 12, primitive 6 and first-integral 8;
+- the survey, the first 150 workloads.random_derivation(random.Random(7))
+  fields without the three that hang (HANGS), under decide 6, darboux 6,
+  primitive 6 and first-integral 6;
+- every argv of the CLI pins in tests/*_cli_pins.json.
+
+FILE gets every argv whose outcomes differ, with both sides.  The exit
+code is 1 when some argv differs, 2 when a worker stops early, else 0.
+Standard library only.
+"""
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+TIMEOUT_S = 60
+SURVEY_SIZE = 150
+HANGS = ("r74", "r114", "r131")  # rational_roots runs for minutes on these
+PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
+NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
+SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("primitive", 6), ("first-integral", 6))
+
+# Runs in each tree: argv lists on stdin as one JSON list, one JSON
+# outcome per line on stdout.
+WORKER = r"""
+import contextlib, io, json, signal, sys
+
+sys.path.insert(0, "src")
+from orediamond import cli
+
+class Timeout(BaseException):
+    pass
+
+def alarm(signum, frame):
+    raise Timeout
+
+signal.signal(signal.SIGALRM, alarm)
+out = sys.stdout
+for argv in json.load(sys.stdin):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    signal.alarm(int(sys.argv[1]))
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    except Timeout:
+        code = "timeout"
+    except Exception as exc:
+        code = "exception: " + type(exc).__name__
+        stderr.write(repr(exc))
+    finally:
+        signal.alarm(0)
+    out.write(json.dumps({"out": stdout.getvalue(), "err": stderr.getvalue(), "code": code}) + "\n")
+    out.flush()
+"""
+
+
+def _orebench():
+    """The workloads and oracle modules of this tree's orebench."""
+    if str(ROOT / "orebench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "orebench"))
+    import oracle
+    import workloads
+
+    return workloads, oracle
+
+
+def survey():
+    """[(label, dx, dy)] of the survey fields that do not hang, as text."""
+    workloads, oracle = _orebench()
+    rng = random.Random(7)
+    fields = [workloads.random_derivation(rng) for _ in range(SURVEY_SIZE)]
+    return [
+        (f"r{i}", oracle.render(dx), oracle.render(dy)) for i, (dx, dy) in enumerate(fields) if f"r{i}" not in HANGS
+    ]
+
+
+def _planar(verb, bound, dx, dy):
+    return [verb, "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", str(bound)]
+
+
+def corpus():
+    """The argv lists, each once, in a fixed order."""
+    workloads, _ = _orebench()
+    base = [_planar(verb, bound, dx, dy) for verb, bound in NAMED_QUERIES for _, dx, dy, _, _ in workloads.NAMED]
+    base += [_planar(verb, bound, dx, dy) for verb, bound in SURVEY_QUERIES for _, dx, dy in survey()]
+    out = [argv for plain in base for argv in (plain, plain + ["--json"])]
+    for name in PIN_FILES:
+        out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
+
+
+def differences(argvs, parent, change):
+    """[{"argv", "parent", "change"}] for each argv whose outcomes (out,
+    err, code) differ between the two sides."""
+    return [
+        {"argv": argv, "parent": p, "change": c} for argv, p, c in zip(argvs, parent, change) if p != c
+    ]
+
+
+def _start(tree, argvs):
+    """The worker of one tree, its outcomes going to a temporary file so
+    that neither worker waits on a full pipe."""
+    sink = tempfile.TemporaryFile("w+")
+    worker = subprocess.Popen(
+        [sys.executable, "-c", WORKER, str(TIMEOUT_S)], cwd=tree, stdin=subprocess.PIPE, stdout=sink, text=True
+    )
+    worker.stdin.write(json.dumps(argvs))
+    worker.stdin.close()
+    return worker, sink
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="tree of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="tree of the change")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file for the differences")
+    args = ap.parse_args(argv)
+    argvs = corpus()
+    workers = {side: _start(getattr(args, side), argvs) for side in SIDES}
+    outcomes = {}
+    for side, (worker, sink) in workers.items():
+        worker.wait()
+        with sink:
+            sink.seek(0)
+            outcomes[side] = [json.loads(line) for line in sink]
+    for side, (worker, _) in workers.items():
+        if worker.returncode != 0 or len(outcomes[side]) != len(argvs):
+            print(f"cli_diff: the {side} worker stopped after {len(outcomes[side])} of {len(argvs)} queries", file=sys.stderr)
+            return 2
+    diffs = differences(argvs, outcomes["parent"], outcomes["change"])
+    timeouts = {side: sum(o["code"] == "timeout" for o in outcomes[side]) for side in SIDES}
+    report = {"queries": len(argvs), "timeouts": timeouts, "differences": diffs}
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"{len(argvs)} queries, {len(diffs)} differ; timeouts {timeouts}")
+    for d in diffs:
+        print("  " + " ".join(d["argv"]))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
