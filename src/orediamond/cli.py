@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Verbs: decide, darboux, primitive, simple, ore-mul, witness,
-first-integral.  Every verb takes --ring and --deriv; argparse limits
-each verb to the rings it supports, and run_command parses the
-derivation once for all of them.  Output is a human-readable trace by
-default or a stable JSON document with --json.  Exit codes: 0
-decided/complete, 2 unknown/absent/incomplete, 1 errors.
+first-integral.  Every verb takes --ring and --deriv, and the four that
+run the Darboux search (decide, darboux, primitive, first-integral) take
+--bound; argparse limits each verb to the rings it supports, and
+run_command parses the derivation once for all of them.  Output is a
+human-readable trace by default or a stable JSON document with --json.
+Exit codes: 0 decided/complete, 2 unknown/absent/incomplete, 1 errors.
 """
 
 import argparse
@@ -140,12 +141,13 @@ def build_parser():
     def common(p, ring_default=POLY_BI, rings=(POLY_UNI, LAURENT_UNI, POLY_BI)):
         p.add_argument("--ring", choices=rings, default=ring_default)
         p.add_argument("--deriv", required=True, help="dx=<poly> or dx=<poly>; dy=<poly>")
-        p.add_argument("--bound", type=int, default=6, help="Darboux degree bound")
         p.add_argument("--json", action="store_true")
 
-    common(sub.add_parser("decide"))
-    common(sub.add_parser("darboux"), rings=(POLY_BI,))
-    common(sub.add_parser("primitive"), rings=(POLY_BI,))
+    searching = argparse.ArgumentParser(add_help=False)  # the verbs that run the Darboux search
+    searching.add_argument("--bound", type=int, default=6, help="Darboux degree bound")
+    common(sub.add_parser("decide", parents=[searching]))
+    common(sub.add_parser("darboux", parents=[searching]), rings=(POLY_BI,))
+    common(sub.add_parser("primitive", parents=[searching]), rings=(POLY_BI,))
     common(sub.add_parser("simple"), ring_default=POLY_UNI, rings=(POLY_UNI, LAURENT_UNI))
     p = sub.add_parser("ore-mul")
     common(p, ring_default=POLY_UNI, rings=(POLY_UNI, POLY_BI))
@@ -155,7 +157,7 @@ def build_parser():
     common(p, ring_default=POLY_UNI, rings=(POLY_UNI, POLY_BI))
     p.add_argument("--f", required=True)
     p.add_argument("--x", required=True, help="the ring element of the witness")
-    common(sub.add_parser("first-integral"), rings=(POLY_BI,))
+    common(sub.add_parser("first-integral", parents=[searching]), rings=(POLY_BI,))
     return parser
 
 

@@ -28,10 +28,10 @@ the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
 the same linear solve.
 
 The report leaves out pencils and certificates that are composites
-F(b, u) of a smaller reported pencil b/u (_composite_of).  When gcd(dx,
-dy) = 1, the degree loop stops at the degree D(m, c) that the first
-pencil found, of degree m and cofactor c, bounds (Jouanolou; Stein;
-Vistoli): darboux_search gives the proof.
+F(b, u) of a smaller reported pencil b/u (_composite_of).  The loop on
+delta/gcd(dx, dy) stops at the degree D(m, c) that the first pencil
+found, of degree m and cofactor c, bounds (Jouanolou; Stein; Vistoli):
+darboux_search gives the proof.
 """
 
 from .rational import Q, QZERO, q
@@ -118,7 +118,7 @@ class PencilCert:
 
 class DarbouxReport:
     """All irreducible Darboux data up to a degree bound; searched_degree
-    is the last degree searched (see darboux_search for the stop)."""
+    is the last degree searched (see darboux_search)."""
 
     __slots__ = ("certs", "pencils", "degree_bound", "complete_up_to_bound", "searched_degree")
 
@@ -423,20 +423,21 @@ def _cascade_answers(p_all, c_all, constraints):
     in (x, y, p_0, ..., p_{P-1}) and the parameter constraints: solutions
     are (p, c) pairs.  An affine family base + span(directions) enters as
     its base and each direction, all with cofactor c: base and base +
-    direction are in ker(delta - c), so their difference is too."""
+    direction are in ker(delta - c), so their difference is too.  No
+    parameter is left in c, which would then take infinitely many values:
+    the Darboux polynomials of one degree have finitely many cofactors, as
+    a nonzero derivation has finitely many invariant curves or, by
+    Jouanolou, all but finitely many are fibers of a minimal first
+    integral, sharing its cofactor.  to_bipoly raises should that fail."""
     sols, complete = _solve_constraints(constraints)
     solutions = []
     for values in sols:
-        pm, cm = p_all.substitute(values), c_all.substitute(values)
-        if any(v > 1 for v in cm.variables()):
-            complete = False
-            continue
-        c_val = cm.to_bipoly()
+        pm, c_val = p_all.substitute(values), c_all.substitute(values).to_bipoly()
         free = [v for v in pm.variables() if v > 1]
         # pm is affine in the free parameters, so no direction involves
-        # one.  Substituting values is a ring map, and the parts of cm
+        # one.  Substituting values is a ring map, and the parts of c
         # have distinct (x, y)-degrees, so each substituted cofactor part
-        # is free of parameters with cm.  Each product in a level's right
+        # is free of parameters with c.  Each product in a level's right
         # side has as one factor a cofactor part or a parameter-free
         # a/b part, the other a part of p or its gradient, and the level
         # is affine in its right side and new parameters: by induction
@@ -525,32 +526,56 @@ def darboux_search(deriv, bound):
     """All monic Q-irreducible Darboux polynomials of total degree at
     most bound, with a pencil for every two found that share a cofactor
     (the constant 1 among them), leaving out composites F(b, u) of a
-    smaller pencil b/u other than its members.  What each degree yields
-    goes into one list of (p, cofactor) pairs.
+    smaller pencil b/u other than its members.
 
-    The degree loop stops early (Jouanolou, LNM 708).  Let gcd(dx, dy) =
-    1, let m be the first degree where the polynomials found include a
-    pencil b/u, with cofactor c, and let the search be complete through m.
-    Then no degree above D = max(m, S*(m - 1)) has anything to report,
-    S bounding the number of reducible fibers b - lambda*u of a
-    non-composite b/u: m - 1 when c = 0 (Stein, Israel J. Math. 1989),
-    m^2 - 1 otherwise (Vistoli, Invent. Math. 1993).  Proof: completeness
-    through m makes b/u minimal, hence non-composite, and with finitely
-    many singular points every irreducible invariant curve lies in a
-    fiber.  The complex factors of a Q-irreducible Darboux polynomial f of
-    degree > m are conjugate, so either they are whole reduced fibers and
-    f = F(b, u) is a composite, which the report drops, or they are
-    proper components of k <= S reducible fibers and deg f <= S*(m - 1).
-    Conjugate non-reduced irreducible fibers C^e, C'^e do not occur: b/u
-    would be a Moebius image of (C/C')^e, a composite.  A constant field
-    is covered: the gcd of two constants, not both zero, is 1, and it has
-    no singular points.
-    complete_up_to_bound stays the AND over the degrees searched.
+    With g = gcd(dx, dy), the degree loop runs on delta/g to the bound,
+    with the stop below, and, when g is not constant, on delta through
+    deg g, without it; the cofactors of delta/g enter times g.  This is
+    exact: an irreducible p that does not divide g and divides delta(p) =
+    g*(delta/g)(p) divides (delta/g)(p), so the irreducible Darboux
+    polynomials of delta are those of delta/g and the factors of g, and
+    p/q is a first integral of delta exactly when it is one of delta/g.
+    complete_up_to_bound is the AND of the two runs, searched_degree the
+    larger of their last degrees.
+
+    The stop (Jouanolou, LNM 708).  Let m be the first degree where the
+    polynomials found for delta/g include a pencil b/u, with cofactor c,
+    and let the search be complete through m.  Then no degree above D =
+    max(m, S*(m - 1)) has anything to report, S bounding the number of
+    reducible fibers b - lambda*u of a non-composite b/u: m - 1 when c = 0
+    (Stein, Israel J. Math. 1989), m^2 - 1 otherwise (Vistoli, Invent.
+    Math. 1993).  Proof: completeness through m makes b/u minimal, hence
+    non-composite, and delta/g, being coprime, has finitely many singular
+    points, so every irreducible invariant curve lies in a fiber.  The
+    complex factors of a Q-irreducible Darboux polynomial f of degree > m
+    are conjugate, so either they are whole reduced fibers and f = F(b, u)
+    is a composite, which the report drops, or they are proper components
+    of k <= S reducible fibers and deg f <= S*(m - 1).  Conjugate
+    non-reduced irreducible fibers C^e, C'^e do not occur: b/u would be a
+    Moebius image of (C/C')^e, a composite.  A constant field is covered:
+    the gcd of two constants, not both zero, is 1, and it has no singular
+    points.
     """
     if deriv.is_zero:
         raise DomainError("every polynomial is Darboux for the zero derivation")
     if bound < 1:
         raise DomainError("degree bound must be at least 1")
+    g = gcd(deriv.dx, deriv.dy)
+    if g.is_constant:
+        found, complete, searched = _degree_loop(deriv, bound, True)
+    else:
+        # delta's pairs first: ties in the report keep a search of delta's order
+        found, complete, searched = _degree_loop(deriv, min(bound, int(g.total_degree())), False)
+        reduced, complete2, searched2 = _degree_loop(coprime_part(deriv, g), bound, True)
+        found += [(p, g * c) for p, c in reduced]
+        complete, searched = complete and complete2, max(searched, searched2)
+    return _assemble_report(deriv, found, bound, complete, searched)
+
+
+def _degree_loop(deriv, bound, stops):
+    """darboux_search's degree loop on deriv through bound, or through
+    the stop at the first pencil when stops: (found, complete, the last
+    degree searched), found being the (p, cofactor) pairs."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
@@ -567,9 +592,6 @@ def darboux_search(deriv, bound):
     else:
         complete = False
         atoms = [BiPoly.var_x(), BiPoly.var_y()]
-    # the stop is fixed at the first pencil, and stays at bound when
-    # there are infinitely many singular points
-    stop_fixed = not gcd(a_pol, b_pol).is_constant
     found = []  # (p, cofactor)
     stop, n = bound, 0
     while n < stop:
@@ -589,11 +611,11 @@ def darboux_search(deriv, bound):
                 sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
                 complete = complete and comp
                 found += sols
-        if not stop_fixed and (c := _pencil_cofactor(found)) is not None:
-            stop_fixed = True
+        if stops and (c := _pencil_cofactor(found)) is not None:
+            stops = False
             if complete:
                 stop = min(bound, _stop_degree(n, c))
-    return _assemble_report(deriv, found, bound, complete, n)
+    return found, complete, n
 
 
 def _pencil_cofactor(found):
@@ -622,81 +644,54 @@ def _assemble_report(deriv, found, bound, complete, searched):
         {p.monic(): c for p, c in found}.items(),
         key=lambda pc: (int(pc[0].total_degree()), _degree_lex(pc[0].leading_exp())),
     )
-    pencil_map = {}
+    pencil_map = {}  # span: (degree, graded-lex key, p, q, cofactor)
     for i, (p, c) in enumerate(entries):
         for q_, c2 in entries[i + 1:]:
             if c == c2:
                 a, b = _order_pair(p, q_)
-                pencil_map.setdefault(_span_key(a, b), (a, b, c))
-    cert_list = [(p, c) for p, c in entries if not p.is_constant]
-    pencils = []
-    for (p, q_, c) in pencil_map.values():
-        if not p.is_constant and not q_.is_constant and not gcd(p, q_).is_constant:
-            continue
-        pencils.append((p, q_, c))
-    pencils.sort(
-        key=lambda t: (
-            int(max(t[0].total_degree(), t[1].total_degree())),
-            _degree_lex(t[0].leading_exp()),
-        )
-    )
-    # a pencil that is a function of a smaller pencil carries no new
-    # information: drop it
-    primitive_pencils = []
-    for (p, q_, c) in pencils:
-        deg = int(max(p.total_degree(), q_.total_degree()))
-        redundant = any(
-            int(max(b.total_degree(), u.total_degree())) < deg
-            and _composite_of(b, u, (p, q_))
-            for (b, u, _c) in primitive_pencils
-        )
-        if not redundant:
-            primitive_pencils.append((p, q_, c))
-    pencils = primitive_pencils
-    kept = []
-    for p, c in cert_list:
-        # pure filters, cheapest first: most certs that are not square-free
-        # are multiples of a kept one
-        if any(exact_divide(p, kp.p) is not None for kp in kept if kp.p.total_degree() < p.total_degree()):
+                pencil_map.setdefault(_span_key(a, b), (int(q_.total_degree()), _degree_lex(a.leading_exp()), a, b, c))
+    # a pencil with a common factor, or a function of a smaller pencil,
+    # carries no new information
+    pencils = []  # (degree, p, q, cofactor); q is the constant one, if any (_order_pair)
+    for deg, _, p, q_, c in sorted(pencil_map.values(), key=lambda t: t[:2]):
+        if (q_.is_constant or gcd(p, q_).is_constant) and not any(
+            m < deg and _composite_of(b, u, (p, q_)) for m, b, u, _ in pencils
+        ):
+            pencils.append((deg, p, q_, c))
+    factors, certs = [], []  # the irreducible ones, and those in no pencil
+    for p, c in entries:
+        deg = p.total_degree()
+        # pure filters, cheapest first: most found polynomials that are
+        # not square-free are multiples of an irreducible one
+        if p.is_constant or any(exact_divide(p, f) is not None for f in factors if f.total_degree() < deg):
             continue
         if squarefree_part(p) != p:
             continue
-        if any(
-            max(b.total_degree(), u.total_degree()) <= p.total_degree()
-            and _composite_of(b, u, (p,))
-            and not _in_span(p, b, u)
-            for (b, u, _c) in pencils
-        ):
+        members = [_in_span(p, b, u) for _, b, u, _ in pencils]
+        if any(not inside and m <= deg and _composite_of(b, u, (p,)) for inside, (m, b, u, _) in zip(members, pencils)):
             continue
-        kept.append(DarbouxCert(deriv, p, c))
-    pencil_certs = [PencilCert(deriv, p, q_, c) for (p, q_, c) in pencils]
-    kept = [
-        cert
-        for cert in kept
-        if not any(_in_span(cert.p, pc.p, pc.q) for pc in pencil_certs)
-    ]
-    return DarbouxReport(kept, pencil_certs, bound, complete, searched)
+        factors.append(p)
+        if not any(members):
+            certs.append(DarbouxCert(deriv, p, c))
+    pencil_certs = [PencilCert(deriv, p, q_, c) for _, p, q_, c in pencils]
+    return DarbouxReport(certs, pencil_certs, bound, complete, searched)
 
 
 def coprime_part(deriv, g):
     """delta/g, for g a common factor of delta(x) and delta(y), such as
     their gcd.  p/q is a rational first integral of delta exactly when it
     is one of delta/g, since delta(p/q) = g*(delta/g)(p/q): the two fields
-    have the same pencils, with cofactors that differ by the factor g."""
+    have the same pencils, with cofactors that differ by the factor g.
+    darboux_search divides by the gcd; decide divides before it searches,
+    as its audit reads the Darboux polynomials of delta/g alone."""
     return Derivation(exact_divide(deriv.dx, g), exact_divide(deriv.dy, g))
 
 
 def first_integral_search(deriv, bound):
     """A rational first integral p/q of degree <= bound, or None: the
-    first pencil darboux_search finds for delta/g, g = gcd(delta(x),
-    delta(y)), returned as a PencilCert of delta with the cofactor times g.
-    delta = 0 reaches darboux_search, which rejects it."""
-    g = BiPoly.one() if deriv.is_zero else gcd(deriv.dx, deriv.dy)
-    report = darboux_search(coprime_part(deriv, g), bound)
-    if not report.pencils:
-        return None
-    pencil = report.pencils[0]
-    return PencilCert(deriv, pencil.p, pencil.q, g * pencil.cofactor)
+    first pencil darboux_search finds, a PencilCert of delta."""
+    pencils = darboux_search(deriv, bound).pencils
+    return pencils[0] if pencils else None
 
 
 def pencil_members_through(pencil, gens):

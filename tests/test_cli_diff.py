@@ -50,3 +50,9 @@ def test_corpus_runs_each_query_once_and_every_pin():
     assert not any("dx=5*x^2; dy=3*y^2 - 4*y - 5" in argv for argv in corpus)
     named = [argv for argv in corpus if argv[4] == "dx=x; dy=y" and argv[0] == "darboux"]
     assert {argv[6] for argv in named} == {"6", "8", "12"}
+    # the survey runs darboux at 6 and 8, r142 among its fields
+    for bound in ("6", "8"):
+        r142 = ["darboux", "--ring", "poly2", "--deriv", "dx=3*x*y + 3*y; dy=2*y^2", "--bound", bound]
+        assert r142 in corpus and r142 + ["--json"] in corpus
+    survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
+    assert len(survey) == 147 + 10

@@ -181,10 +181,13 @@ def test_search_stops_at_the_pencil_bound(name):
 
 @pytest.mark.parametrize("name", ["final-example", "euler-top-d2", "one-xy2", "lotka-volterra"])
 def test_search_runs_to_the_bound(name):
-    # gcd(dx, dy) != 1; incomplete when the pencil appears; D(3, x*y) =
-    # 16 > 8; no pencil
+    # incomplete when the pencil appears; D(3, x*y) = 16 > 8; no pencil.
+    # final-example has gcd(dx, dy) = y*(x*y + y - 1): the search of
+    # delta/gcd = (1, -y^2) stops at D(2, -y) = 3, that of delta itself
+    # at the degree 3 of the gcd
     (dx, dy), _ = PINNED_REPORTS[name]
-    assert darboux_search(Derivation(bi(dx), bi(dy)), 8).searched_degree == 8
+    searched = 3 if name == "final-example" else 8
+    assert darboux_search(Derivation(bi(dx), bi(dy)), 8).searched_degree == searched
 
 
 def test_stop_degree():
@@ -625,6 +628,41 @@ class TestReportFilters:
         assert str(exc.value) == "degree bound must be at least 1"
 
 
+class TestCommonFactor:
+    """darboux_search on delta = g*delta' with g = gcd(dx, dy) not
+    constant: delta' is searched to the bound, delta through deg g."""
+
+    def test_factor_of_the_gcd_is_reported(self):
+        # g = x is not Darboux for delta/g = (1, y); the search of delta
+        # itself through deg g = 1 finds it
+        report = darboux_search(Derivation(bi("x"), bi("x*y")), 4)
+        assert [(c.p, c.cofactor) for c in report.certs] == [(bi("y"), bi("x")), (bi("x"), bi("1"))]
+        assert report.pencils == [] and report.complete_up_to_bound and report.searched_degree == 4
+
+    def test_bound_below_the_degree_of_the_gcd(self):
+        # final-example, g = y*(x*y + y - 1) of degree 3: at bound 2 both
+        # runs end at 2, and the pencil of delta/g = (1, -y^2) carries the
+        # cofactor -y times g
+        g = bi("x*y^2 + y^2 - y")
+        deriv = Derivation(g, bi("-1*y^2") * g)
+        report = darboux_search(deriv, 2)
+        assert report.searched_degree == 2 and report.complete_up_to_bound and report.certs == []
+        assert pencil_triples(report) == {(bi("y"), bi("x*y - 1"), bi("-1*y") * g)}
+
+    def test_answers_verify_against_the_field_itself(self):
+        rng = random.Random(2401)
+        reports = 0
+        for _ in range(12):
+            g = random_bipoly(rng, maxdeg=2, nterms=2, maxcoef=3)
+            deriv = Derivation(*(g * random_bipoly(rng, maxdeg=1, nterms=3, maxcoef=3) for _ in range(2)))
+            if deriv.is_zero or g.is_constant:
+                continue
+            report = darboux_search(deriv, 3)
+            assert all(c.verify(deriv) for c in report.certs + report.pencils)
+            reports += 1
+        assert reports >= 10
+
+
 class TestFirstIntegral:
     def test_polynomial_integral(self):
         pencil = first_integral_search(Derivation(bi("1"), bi("1")), 1)
@@ -642,10 +680,13 @@ class TestFirstIntegral:
         assert first_integral_search(Derivation(bi("1"), bi("y")), 4) is None
 
     def test_searches_the_field_divided_by_its_gcd(self):
-        # delta = y*(3x + 3, 2y): the search of delta itself stays
-        # incomplete at 6 and finds no pencil; delta/y has (x + 1)^2 / y^3
+        # delta = y*(3x + 3, 2y): delta/y has the pencil (x + 1)^2 / y^3,
+        # the first-integral verb's answer, and its search is complete
         deriv = Derivation(bi("3*x*y + 3*y"), bi("2*y^2"))
-        assert not darboux_search(deriv, 6).pencils
+        report = darboux_search(deriv, 6)
+        assert report.complete_up_to_bound
+        assert [(c.p, c.cofactor) for c in report.certs] == [(bi("y"), bi("2*y")), (bi("x + 1"), bi("3*y"))]
+        assert pencil_triples(report) == {(bi("x^2 + 2*x + 1"), bi("y^3"), bi("6*y"))}
         pencil = first_integral_search(deriv, 6)
         assert (pencil.p, pencil.q, pencil.cofactor) == (bi("x^2 + 2*x + 1"), bi("y^3"), bi("6*y"))
         assert pencil.verify(deriv)

@@ -298,6 +298,22 @@ class TestCli:
         assert code == 0
         assert "yes" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simple", "--deriv", "dx=1"],
+            ["ore-mul", "--deriv", "dx=1", "--f", "t", "--g", "x"],
+            ["witness", "--deriv", "dx=1", "--f", "t^2", "--x", "x"],
+        ],
+    )
+    def test_bound_only_for_searching_verbs(self, argv, capsys):
+        # only decide, darboux, primitive and first-integral search
+        assert run(argv, capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bound", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+
     def test_input_echo_reparses(self, capsys):
         code, out, _ = run(
             ["decide", "--ring", "poly2", "--deriv", "dx=1; dy=x*y^2", "--json"], capsys

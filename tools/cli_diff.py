@@ -14,7 +14,7 @@ The corpus, each query as text and with --json:
   darboux 8, darboux 12, primitive 6 and first-integral 8;
 - the survey, the first 150 workloads.random_derivation(random.Random(7))
   fields without the three that hang (HANGS), under decide 6, darboux 6,
-  primitive 6 and first-integral 6;
+  darboux 8, primitive 6 and first-integral 6;
 - every argv of the CLI pins in tests/*_cli_pins.json.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
@@ -37,7 +37,7 @@ SURVEY_SIZE = 150
 HANGS = ("r74", "r114", "r131")  # rational_roots runs for minutes on these
 PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
 NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
-SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("primitive", 6), ("first-integral", 6))
+SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
 # outcome per line on stdout.
