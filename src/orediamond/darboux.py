@@ -28,7 +28,9 @@ the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
 the same linear solve.
 
 The report leaves out pencils and certificates that are composites
-F(b, u) of a smaller reported pencil b/u (_composite_of).  The loop on
+F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span
+it compares (pencil keys, span tests, composites) and every kernel basis
+is read off the echelon rows of one routine, _span.  The loop on
 delta/gcd(dx, dy) stops at the degree D(m, c) that the first pencil
 found, of degree m and cofactor c, bounds (Jouanolou; Stein; Vistoli):
 darboux_search gives the proof.
@@ -449,30 +451,23 @@ def _cascade_answers(p_all, c_all, constraints):
 
 
 def _kernel_echelon(deriv, c0, n):
-    """Echelon basis of {p : deg p <= n, delta(p) = c0*p}."""
-    mons = []
-    for deg in range(n, -1, -1):
-        mons.extend(_monomials(deg))
-    mons.sort(key=_degree_lex, reverse=True)
-    exprs = [
-        deriv.apply(BiPoly.monomial(i, j)) - c0 * BiPoly.monomial(i, j)
-        for (i, j) in mons
-    ]
-    views = [ex.rational_terms() for ex in exprs]
+    """The reduced echelon basis of {p : deg p <= n, delta(p) = c0*p},
+    the _span of its kernel; each p is monic, its pivot leading."""
+    mons = [e for deg in range(n, -1, -1) for e in _monomials(deg)]
+    views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).rational_terms() for e in mons]
     eq_set = sorted(set().union(*views), key=_degree_lex)
     rows = [[v.get(e, QZERO) for v in views] for e in eq_set]
-    kernel = linalg.nullspace(rows, len(mons))
-    # the kernel vectors are independent, so no echelon row is zero
-    echelon, _, _ = linalg.rref(kernel, len(mons))
-    return [BiPoly({mons[k]: v for k, v in enumerate(vec) if v}).monic() for vec in echelon]
+    kernel = [BiPoly(dict(zip(mons, vec))) for vec in linalg.nullspace(rows, len(mons))]
+    return [BiPoly(dict(row)) for row in _span(*kernel)]
 
 
-def _span_key(p, q_):
-    """Canonical key for the 2-dimensional span of two polynomials.  A
-    span does not change when a polynomial is scaled, so the rows hold
-    the int numerators."""
-    mons = sorted(set(p.terms) | set(q_.terms), key=_degree_lex, reverse=True)
-    rows = [[f.terms.get(e, 0) for e in mons] for f in (p, q_)]
+def _span(*polys):
+    """The reduced echelon rows of polys over their monomials, in
+    descending graded-lex order, as (monomial, coefficient) tuples: a
+    canonical key of their span.  A span does not change when a
+    polynomial is scaled, so the rows hold the int numerators."""
+    mons = sorted(set().union(*(f.terms for f in polys)), key=_degree_lex, reverse=True)
+    rows = [[f.terms.get(e, 0) for e in mons] for f in polys]
     ech, _, _ = linalg.rref(rows, len(mons))
     return tuple(
         tuple((mons[k], v) for k, v in enumerate(row) if v) for row in ech if any(row)
@@ -494,12 +489,8 @@ def _order_pair(p, q_):
 
 
 def _in_span(p, *gens):
-    """True when p is a rational linear combination of gens, read off the
-    int numerators, as scaling a polynomial does not change a span."""
-    mons = sorted(set(p.terms).union(*(g.terms for g in gens)), key=_degree_lex)
-    rows = [[g.terms.get(e, 0) for g in gens] for e in mons]
-    sol, _ = linalg.solve(rows, [p.terms.get(e, 0) for e in mons])
-    return sol is not None
+    """True when p is a rational linear combination of gens."""
+    return _span(p, *gens) == _span(*gens)
 
 
 def _composite_of(b, u, polys):
@@ -517,7 +508,8 @@ def _composite_of(b, u, polys):
     gens = [BiPoly.one()]  # b^i * u^(k-i) for i = 0..k
     for k in range(1, top + 1):
         gens = [g * u for g in gens] + [gens[-1] * b]
-        if all(_in_span(p, *gens) for p in polys):
+        span = _span(*gens)
+        if all(_span(p, *gens) == span for p in polys):
             return True
     return False
 
@@ -649,7 +641,7 @@ def _assemble_report(deriv, found, bound, complete, searched):
         for q_, c2 in entries[i + 1:]:
             if c == c2:
                 a, b = _order_pair(p, q_)
-                pencil_map.setdefault(_span_key(a, b), (int(q_.total_degree()), _degree_lex(a.leading_exp()), a, b, c))
+                pencil_map.setdefault(_span(a, b), (int(q_.total_degree()), _degree_lex(a.leading_exp()), a, b, c))
     # a pencil with a common factor, or a function of a smaller pencil,
     # carries no new information
     pencils = []  # (degree, p, q, cofactor); q is the constant one, if any (_order_pair)

@@ -6,9 +6,7 @@ test and the analysis of Shamsuddin-type derivations d/dx + (a(x)y +
 b(x)) d/dy.
 """
 
-from .rational import QZERO, q
 from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide
-from . import linalg
 
 
 class Derivation:
@@ -168,33 +166,22 @@ def shamsuddin_analyze(a, b):
 
     The derivation sends y - c to a*(y - c) exactly when c' = a*c + b;
     solvability of that linear ODE in Q[x] separates the unique-Darboux
-    case from the d-simple case.
+    case from the d-simple case.  It is solved from the top down: c_k*x^k
+    adds -lc(a)*c_k*x^(k + deg a) and lower terms to c' - a*c - b, so the
+    coefficient of x^(k + deg a) fixes c_k once the higher ones are known;
+    a remainder left below x^(deg a) means no solution.  A solution is
+    unique: deg(a*c) > deg c' for c != 0, so c' = a*c has none.
     """
     if a.is_zero:
         raise DomainError("a must be nonzero for the Shamsuddin form")
     if b.is_zero:
         return ShamsuddinResult("unique_darboux", UniPoly.zero())
-    da, db = a.degree(), b.degree()
-    if db < da:
-        return ShamsuddinResult("d_simple")
-    m = db - da
-    # rows indexed by x-degree of c' - a*c - b, columns by coefficients of c
-    nrows = max(db, m + da) + 1
-    rows = [[QZERO] * (m + 1) for _ in range(nrows)]
-    rhs = [QZERO] * nrows
-    for k in range(m + 1):
-        if k:
-            rows[k - 1][k] += q(k)  # from c'
-        for j, aj in enumerate(a.coeffs):
-            rows[j + k][k] -= aj  # from -a*c
-    for i, bi in enumerate(b.coeffs):
-        rhs[i] = bi
-    sol, kernel = linalg.solve(rows, rhs)
-    if sol is None:
-        return ShamsuddinResult("d_simple")
-    c = UniPoly(sol)
-    # a nonzero forces uniqueness; a kernel vector would be a nonzero
-    # solution of c' = a*c, impossible by degree count
-    if kernel:
-        raise DomainError("unexpected solution family in Shamsuddin solve")
-    return ShamsuddinResult("unique_darboux", c)
+    da, lc = a.degree(), a.lc()
+    c, rest = UniPoly.zero(), -b  # rest = c' - a*c - b
+    for k in range(b.degree() - da, -1, -1):
+        term = UniPoly.monomial(k, rest.coeff(k + da) / lc)
+        c += term
+        rest += term.derivative() - a * term
+    if rest.is_zero:
+        return ShamsuddinResult("unique_darboux", c)
+    return ShamsuddinResult("d_simple")

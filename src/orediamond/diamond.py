@@ -22,6 +22,7 @@ from .derivation import (
 )
 from .darboux import (
     INFINITY,
+    PencilCert,
     coprime_part,
     darboux_search,
     first_integral_search,
@@ -319,7 +320,8 @@ def _decide_poly_bi(deriv, darboux_bound):
             )
         step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
         return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
-    report = darboux_search(coprime_part(deriv, gcd(deriv.dx, deriv.dy)), darboux_bound)
+    g = gcd(deriv.dx, deriv.dy)
+    report = darboux_search(coprime_part(deriv, g), darboux_bound)
     audit = singular_darboux_audit(deriv, report)
     trace = []
     if audit.locus_proper:
@@ -337,7 +339,10 @@ def _decide_poly_bi(deriv, darboux_bound):
             return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
         if audit.residual_nonrational:
             return Verdict(UNKNOWN, False, darboux_bound, trace)
+    # a pencil of delta/g is one of delta, its cofactor times g
     pencil = report.pencils[0] if report.pencils else None
+    if pencil is not None:
+        pencil = PencilCert(deriv, pencil.p, pencil.q, g * pencil.cofactor)
     trace.append(_primitivity_step(pencil, darboux_bound))
     if pencil is None:
         return Verdict(NOT_DIAMOND, False, darboux_bound, trace)

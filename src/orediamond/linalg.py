@@ -10,6 +10,9 @@ matrices are such rows for an integer derivation.  An elimination step
 changes a row only where the pivot row is nonzero, besides scaling it.
 The rationals it returns, and the row operations replay needs, are read
 off those ints.
+
+The library itself calls rref, replay and nullspace; solve is kept as
+public API.
 """
 
 from math import gcd, lcm

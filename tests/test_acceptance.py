@@ -84,7 +84,8 @@ def test_criterion_1_verdict_matrix(capsys):
         ) == (bi("y"), bi("x^2*y + 2"), bi("x*y"))
 
         f = bi("x*y + y - 1") * bi("y")
-        v = decide("poly2", Derivation(f, -bi("y^2") * f))
+        final = Derivation(f, -bi("y^2") * f)
+        v = decide("poly2", final)
         assert v.status == "Diamond"
         audit = next(c for c in v.trace if c.kind == "singular_locus_audit")
         assert not any(i.violation for i in audit.incidences)
@@ -94,8 +95,9 @@ def test_criterion_1_verdict_matrix(capsys):
         assert (pencils[0].p, pencils[0].q, pencils[0].cofactor) == (
             bi("y"),
             bi("x*y - 1"),
-            bi("-1*y"),
+            bi("-1*x*y^3 - y^3 + y^2"),
         )
+        assert pencils[0].verify(final)
 
     report(capsys, "criterion 1: worked-example verdict matrix", run)
 

@@ -5,6 +5,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+from orediamond.derivation import shamsuddin_analyze
+from orediamond.diamond import _shamsuddin_shape
+from orediamond.parse import parse_derivation
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("cli_diff", ROOT / "tools" / "cli_diff.py")
 cli_diff = importlib.util.module_from_spec(_spec)
@@ -56,3 +60,18 @@ def test_corpus_runs_each_query_once_and_every_pin():
         assert r142 in corpus and r142 + ["--json"] in corpus
     survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
     assert len(survey) == 147 + 10
+
+
+def test_corpus_runs_the_shamsuddin_fields_under_decide():
+    corpus = cli_diff.corpus()
+    fields = cli_diff.shamsuddin_fields()
+    assert len(fields) == cli_diff.SHAMSUDDIN_SIZE == 30
+    statuses = []
+    for _, dx, dy in fields:
+        argv = ["decide", "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", "6"]
+        assert argv in corpus and argv + ["--json"] in corpus
+        # each field reaches shamsuddin_analyze, with deg a, deg b <= 3
+        a, b = _shamsuddin_shape(parse_derivation(f"dx={dx}; dy={dy}", "poly2"))
+        assert a.degree() <= 3 and b.degree() <= 3
+        statuses.append(shamsuddin_analyze(a, b).status)
+    assert statuses.count("d_simple") >= 5 and statuses.count("unique_darboux") >= 5

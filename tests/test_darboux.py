@@ -1,6 +1,6 @@
 """Darboux polynomial search: pinned pencils, verification invariants,
-scaling equivariance, pencil-member selection, and the independent
-degree-1 brute-force oracle."""
+scaling equivariance, affine coordinate changes, pencil-member
+selection, and the independent degree-1 brute-force oracle."""
 
 import random
 
@@ -29,6 +29,7 @@ from orediamond.darboux import (
     _in_span,
     _level_matrix,
     _pencil_cofactor,
+    _span,
     _stop_degree,
     _top_atoms,
     _top_candidates,
@@ -719,6 +720,58 @@ class TestScalingEquivariance:
                 assert {(p.p, p.q, alpha * p.cofactor) for p in base.pencils} == {
                     (p.p, p.q, p.cofactor) for p in scaled.pencils
                 }
+
+
+def _compose(p, fx, fy):
+    """p(fx, fy)."""
+    out = BiPoly.zero()
+    for (i, j), c in p.rational_terms().items():
+        out = out + BiPoly.const(c) * fx**i * fy**j
+    return out
+
+
+class TestCoordinateChanges:
+    """An affine automorphism sigma of Q[x, y] maps the Darboux data of
+    sigma^-1 * delta * sigma onto that of delta: p with cofactor c to
+    sigma(p) with cofactor sigma(c), a pencil's span to a span.  So two
+    complete reports must agree once mapped; a search that is complete in
+    one coordinate system only is counted, not failed."""
+
+    X, Y = bi("x"), bi("y")
+    # name: ((sigma(x), sigma(y)), (sigma^-1(x), sigma^-1(y)))
+    MAPS = {
+        "swap": ((Y, X), (Y, X)),
+        "shear": ((X - Y, Y), (X + Y, Y)),
+        "shift": ((X + 1, Y - 2), (X - 1, Y + 2)),
+    }
+
+    @staticmethod
+    def _data(report, sigma):
+        certs = {(_compose(c.p, *sigma).monic(), _compose(c.cofactor, *sigma)) for c in report.certs}
+        pencils = {
+            (_span(_compose(p.p, *sigma), _compose(p.q, *sigma)), _compose(p.cofactor, *sigma))
+            for p in report.pencils
+        }
+        return certs, pencils
+
+    def test_complete_reports_agree(self):
+        fields = [Derivation(bi(dx), bi(dy)) for (dx, dy), _ in PINNED_REPORTS.values()]
+        fields += [Derivation(bi("y"), bi("x")), Derivation(bi("y^2 + 2"), bi("-2*x^2"))]
+        rng = random.Random(2526)
+        fields += [_random_degree2(rng, k) for k in range(4)]
+        identity = (self.X, self.Y)
+        compared = flips = 0
+        for d in fields:
+            base = darboux_search(d, 4)
+            for sigma, inverse in self.MAPS.values():
+                moved = Derivation(*(_compose(d.apply(s), *inverse) for s in sigma))
+                report = darboux_search(moved, 4)
+                if base.complete_up_to_bound and report.complete_up_to_bound:
+                    assert self._data(report, sigma) == self._data(base, identity), (d, sigma)
+                    compared += 1
+                else:
+                    flips += base.complete_up_to_bound != report.complete_up_to_bound
+        assert compared >= 36, f"{compared} compared, {flips} completeness flips"
 
 
 class TestPencilMembers:

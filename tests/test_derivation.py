@@ -231,6 +231,44 @@ class TestShamsuddin:
             p = bi("y") - BiPoly.from_uni(c)
             assert d.cofactor(p) == BiPoly.from_uni(a)
 
+    def test_matches_sympy_linsolve(self):
+        """Status and solution against sympy's linsolve of the coefficient
+        equations of c' - a*c - b, c taken of degree deg b + 1 so that the
+        oracle assumes no degree; a third of the fields are solvable by
+        construction, b = c' - a*c."""
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+
+        def to_sympy(p):
+            return sum(sp.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
+
+        rng = random.Random(2525)
+        seen = set()
+        for k in range(60):
+            a = random_unipoly(rng, maxdeg=rng.randrange(4), nonzero=True)
+            if k % 3 == 0:
+                c = random_unipoly(rng, maxdeg=rng.randrange(4))
+                b = c.derivative() - a * c
+            else:
+                b = random_unipoly(rng, maxdeg=rng.randrange(5))
+            r = shamsuddin_analyze(a, b)
+            n = max(b.degree(), 0) + 1
+            cs = sp.symbols(f"c0:{n + 1}")
+            c_expr = sum(ci * x**i for i, ci in enumerate(cs))
+            eqs = sp.Poly(sp.diff(c_expr, x) - to_sympy(a) * c_expr - to_sympy(b), x).all_coeffs()
+            solutions = sp.linsolve(eqs, cs)
+            if solutions == sp.EmptySet:
+                assert r.status == "d_simple", (a, b)
+            else:
+                (sol,) = solutions
+                assert not set().union(*(v.free_symbols for v in sol)), (a, b)
+                assert r.status == "unique_darboux", (a, b)
+                assert to_sympy(r.solution) == sum(v * x**i for i, v in enumerate(sol))
+            seen.add((r.status, a.degree() == 0, b.degree() < a.degree()))
+        # both verdicts, deg a = 0, and deg b < deg a (never solvable) occur
+        assert {("d_simple", False, True), ("d_simple", False, False), ("unique_darboux", True, False)} <= seen
+        assert ("unique_darboux", False, False) in seen
+
 
 class TestClosedDarbouxFamily:
     def test_family_identity(self):

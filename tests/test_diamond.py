@@ -114,7 +114,8 @@ class TestDecideBivariate:
         )
 
     def test_final_example(self):
-        v = decide("poly2", final_example_derivation())
+        d = final_example_derivation()
+        v = decide("poly2", d)
         assert (v.status, v.certified) == (DIAMOND, False)
         audit = v.trace[0]
         assert audit.kind == "singular_locus_audit"
@@ -123,11 +124,14 @@ class TestDecideBivariate:
         assert (Q(1), bi("x*y + y - 1")) in members
         assert not any(i.violation for i in audit.incidences)
         pencils = [c.pencil for c in v.trace if c.kind == "primitivity"]
+        # the search ran on delta/g, g = y*(x*y + y - 1): the cofactor
+        # -y of delta/g enters times g
         assert (pencils[0].p, pencils[0].q, pencils[0].cofactor) == (
             bi("y"),
             bi("x*y - 1"),
-            bi("-1*y"),
+            bi("-1*x*y^3 - y^3 + y^2"),
         )
+        assert pencils[0].verify(d)
 
     def test_irrational_members_through_the_locus_leave_unknown(self):
         # the pencil x^3 + 1/2*y^3 + 3*y + t meets the singular locus

@@ -1,12 +1,15 @@
 """Source hygiene of the package, checked with the standard library
 alone: every imported name is used, no top-level name is defined in two
-modules, every private name is read somewhere in the package, and every
-import is at module level."""
+modules, every private name is read somewhere in the package, every
+import is at module level, and every function the benchmark's tracer
+wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orediamond"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orediamond"
 
 
 def _imports(tree):
@@ -172,3 +175,18 @@ def test_scan_sees_a_function_level_import(tmp_path):
     # module- and class-level imports are not reported, a nested
     # function's only once
     assert function_level_imports(tmp_path) == ["a.py:4: g", "a.py:7: j", "a.py:15: sys"]
+
+
+def test_every_tracer_target_exists():
+    """orebench/tracer.py wraps its TARGETS by name and lists a missing one
+    in absent; a change that drops or renames a traced function fails
+    here, not only in the benchmark's own self-tests."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "orebench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert t.absent == []
+    finally:
+        t.uninstall()

@@ -15,6 +15,8 @@ The corpus, each query as text and with --json:
 - the survey, the first 150 workloads.random_derivation(random.Random(7))
   fields without the three that hang (HANGS), under decide 6, darboux 6,
   darboux 8, primitive 6 and first-integral 6;
+- the Shamsuddin fields, SHAMSUDDIN_SIZE seeded fields dx = k, dy =
+  a(x)*y + b(x) with deg a, deg b <= 3 (shamsuddin_fields), under decide 6;
 - every argv of the CLI pins in tests/*_cli_pins.json.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
@@ -35,6 +37,7 @@ SIDES = ("parent", "change")
 TIMEOUT_S = 60
 SURVEY_SIZE = 150
 HANGS = ("r74", "r114", "r131")  # rational_roots runs for minutes on these
+SHAMSUDDIN_SIZE = 30
 PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
 NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
 SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
@@ -96,6 +99,34 @@ def survey():
     ]
 
 
+def shamsuddin_fields():
+    """[(label, dx, dy)] of the Shamsuddin fields, as text: k nonzero and a
+    nonzero, so that decide reaches shamsuddin_analyze.  Every third has
+    b = k*c' - a*c for some c(x) of degree <= 3 - deg a, so that c' = (a*c +
+    b)/k has a solution; the others mostly have none."""
+    _, oracle = _orebench()
+    rng = random.Random(25)
+
+    def poly_in_x(deg):
+        """Degree deg, its lower coefficients in [-5, 5]."""
+        lower = {(i, 0): oracle.Fraction(rng.randint(-5, 5)) for i in range(deg)}
+        return oracle.add(lower, {(deg, 0): oracle.Fraction(rng.choice((-2, -1, 1, 3)))})
+
+    out = []
+    for n in range(SHAMSUDDIN_SIZE):
+        k = rng.choice((-3, -1, 1, 2, 5))
+        deg_a = rng.randint(0, 3)
+        a = poly_in_x(deg_a)
+        if n % 3 == 0:
+            c = poly_in_x(rng.randint(0, 3 - deg_a))
+            b = oracle.add(oracle.scale(oracle.partial(c, 0), k), oracle.scale(oracle.mul(a, c), -1))
+        else:
+            b = poly_in_x(rng.randint(0, 3))
+        dy = oracle.add(oracle.mul(a, {(0, 1): oracle.Fraction(1)}), b)
+        out.append((f"s{n}", str(k), oracle.render(dy)))
+    return out
+
+
 def _planar(verb, bound, dx, dy):
     return [verb, "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", str(bound)]
 
@@ -105,6 +136,7 @@ def corpus():
     workloads, _ = _orebench()
     base = [_planar(verb, bound, dx, dy) for verb, bound in NAMED_QUERIES for _, dx, dy, _, _ in workloads.NAMED]
     base += [_planar(verb, bound, dx, dy) for verb, bound in SURVEY_QUERIES for _, dx, dy in survey()]
+    base += [_planar("decide", 6, dx, dy) for _, dx, dy in shamsuddin_fields()]
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
         out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
