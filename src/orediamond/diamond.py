@@ -12,8 +12,10 @@ singular-locus audit and the primitivity classification among them, is
 a Step record (kind, text, fields), its text built where the step is.
 """
 
+from math import comb
+
 from .rational import Q, QZERO
-from .poly import DomainError, exact_divide, gcd
+from .poly import DomainError, UniPoly, exact_divide, gcd
 from .derivation import (
     Derivation,
     UniDerivation,
@@ -268,16 +270,25 @@ def _decide_poly_uni(deriv, bound):
     dx = deriv.dx
     if dx.is_zero:
         return _commutative(bound)
-    mono = dx.as_monomial()
-    if mono is None:
-        text = f"delta(x) = {dx.render()} is neither constant nor a monomial: no implemented rule decides this univariate case"
-        return Verdict(UNKNOWN, False, bound, [Step("univariate_out_of_scope", text, dx=dx)])
-    alpha, n = mono
+    alpha = dx.lc()
     if _delta_simple(POLY_UNI, dx):
         text = f"delta(x) = {alpha} is a nonzero constant: Q[x] is delta-simple of Krull dimension 1; property holds"
         return Verdict(DIAMOND, True, bound, [Step("uni_constant", text, alpha=alpha)])
-    text = f"delta(x) = {alpha}*x^{n} with n >= 1: the operator ring fails the property"
-    return Verdict(NOT_DIAMOND, True, bound, [Step("uni_monomial", text, alpha=alpha, n=n)])
+    n = dx.degree()
+    a = -dx.coeff(n - 1) / (n * alpha)
+    # dx = alpha*(x - a)^n when it is alpha*x^n (a = 0) or has the n + 1 nonzero
+    # coefficients alpha*C(n,k)*(-a)^(n-k) of x^k, checked from the top down
+    if len(dx.terms) != (n + 1 if a else 1) or a and any(
+        dx.coeff(k) != alpha * comb(n, k) * (-a) ** (n - k) for k in range(n - 2, -1, -1)
+    ):
+        text = f"delta(x) = {dx.render()} is neither constant nor a monomial: no implemented rule decides this univariate case"
+        return Verdict(UNKNOWN, False, bound, [Step("univariate_out_of_scope", text, dx=dx)])
+    shown = f"{alpha}*x^{n}"
+    if a:
+        u = UniPoly([-a, 1]).render()
+        shown = f"{alpha}*({u})^{n}, that is delta(u) = {alpha}*u^{n} for u = {u},"
+    text = f"delta(x) = {shown} with n >= 1: the operator ring fails the property"
+    return Verdict(NOT_DIAMOND, True, bound, [Step("uni_monomial", text, alpha=alpha, n=n, a=a or None)])
 
 
 def _decide_laurent(deriv, bound):

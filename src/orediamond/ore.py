@@ -189,38 +189,33 @@ def phi(ctx, f):
 
 
 class WitnessCert:
-    """The essential-extension witness x^(n+1) f = h*theta*x + r*x."""
+    """The witness x^(n+1) f = h*theta*x + r*x that essential_witness
+    builds; verify(ctx) re-checks it."""
 
     __slots__ = ("f", "x_elt", "h", "r")
 
-    def __init__(self, ctx, f, x_elt, h, r):
-        if not _witness_identity_holds(ctx, f, x_elt, h, r):
-            raise DomainError("witness identity failed verification")
-        if r.is_zero:
-            raise DomainError("witness requires a nonzero remainder")
+    def __init__(self, f, x_elt, h, r):
         self.f = f
         self.x_elt = x_elt
         self.h = h
         self.r = r
 
     def verify(self, ctx):
-        return (
-            _witness_identity_holds(ctx, self.f, self.x_elt, self.h, self.r)
-            and not self.r.is_zero
-        )
+        """r != 0 and x^(n+1) f == h*theta*x + r*x with n = deg f."""
+        f, x, r = self.f, self.x_elt, self.r
+        theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(x))
+        lhs = f.scale_left(x ** (f.degree() + 1))
+        return not r.is_zero and lhs == mul(ctx, self.h, theta_x) + OrePoly.from_ring(r * x)
 
     def __repr__(self):
         return f"WitnessCert(h={self.h.render()}, r={self.r.render()})"
 
 
-def _witness_identity_holds(ctx, f, x_elt, h, r):
-    """x^(n+1) f == h*theta*x + r*x with n = deg f."""
-    lhs = f.scale_left(x_elt ** (f.degree() + 1))
-    theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(x_elt))
-    return lhs == mul(ctx, h, theta_x) + OrePoly.from_ring(r * x_elt)
-
-
 def _check_witness_preconditions(ctx, f, x_elt):
+    """f != 0, x != 0 in R, x does not divide the leading coefficient of f,
+    and either (a) delta(x) is a nonzero constant or (b) x is prime and does
+    not divide delta(x), which is then nonzero.  R is factorial, so (b) asks
+    for x certified irreducible on poly1 and of total degree 1 on poly2."""
     if f.is_zero:
         raise DomainError("witness requires f != 0")
     if x_elt.is_zero:
@@ -230,8 +225,7 @@ def _check_witness_preconditions(ctx, f, x_elt):
         raise DomainError("hypothesis failed: the element divides the leading coefficient of f")
     dxe = ctx.delta(x_elt)
     if dxe.is_constant and not dxe.is_zero:
-        return  # the image of the element is a unit
-    # otherwise the element must be irreducible and not Darboux-dividing
+        return  # (a)
     if ctx.ring == "poly1":
         # a unit divides the leading coefficient of f, so x has positive degree
         irr, certified = is_irreducible(x_elt.as_unipoly(0))
@@ -239,31 +233,27 @@ def _check_witness_preconditions(ctx, f, x_elt):
             raise DomainError("hypothesis failed: the element is reducible")
         if not certified:
             raise DomainError("hypothesis failed: irreducibility could not be certified")
-    else:
-        if x_elt.total_degree() != 1:
-            raise DomainError(
-                "hypothesis failed: bivariate irreducibility is only certified in degree 1"
-            )
+    elif x_elt.total_degree() != 1:
+        raise DomainError("hypothesis failed: bivariate irreducibility is only certified in degree 1")
     if exact_divide(dxe, x_elt) is not None:
         raise DomainError("hypothesis failed: the element divides its own image")
 
 
 def _witness_recursion(ctx, f, x_elt):
-    """(h, r) with x^(n+1) f = h*theta*x + r*x, n = deg f, by peeling the
-    leading coefficient.
+    """(h, r) with x^(n+1) f = h*theta*x + r*x, n = deg f, and r != 0, by
+    peeling the leading coefficient, under _check_witness_preconditions.
 
     A step on g = sum_{i<=m} a_i theta^i takes h_{m-1} = x^m a_m and
     replaces g by g' = sum_{i<m} (x a_i - C(m,i) a_m delta^{m-i}(x)) theta^i,
     since x^m a_m theta^(m-1) * theta x = x^m a_m sum_i C(m,i)
     delta^{m-i}(x) theta^i and so x^(m+1) g - (x^m a_m theta^(m-1)) theta x
-    = x^m g'.  The theta-degree drops by exactly one at every step under
-    the hypotheses checked by _check_witness_preconditions: the new top
-    coefficient x a_{m-1} - m a_m delta(x) is -m a_m delta(x) modulo x;
-    x does not divide a_m (for f this is checked, and the same argument
-    carries it to every later top); and either delta(x) is a nonzero
-    constant, or x is prime and does not divide delta(x).  So x does not
-    divide the new top either, and after n steps x^(n+1) f =
-    (sum_m h_{m-1} theta^(m-1)) theta x + r x with r = g' of degree 0.
+    = x^m g'.  If x does not divide a_m, it does not divide the new top
+    x a_{m-1} - m a_m delta(x) = -m a_m delta(x) mod x either: in (a)
+    m delta(x) is a nonzero rational, in (b) x is prime and divides neither
+    a_m nor delta(x), and m != 0.  So from a_n on, every top is nonzero,
+    the theta-degree drops by exactly one at each step, and after n steps
+    x^(n+1) f = (sum_m h_{m-1} theta^(m-1)) theta x + r x with r = g', of
+    degree 0, not divisible by x, so nonzero (r = a_n when n = 0).
     """
     n = f.degree()
     xpow, dpow = [BiPoly.one()], [x_elt]  # x^k and delta^k(x)
@@ -276,13 +266,10 @@ def _witness_recursion(ctx, f, x_elt):
         top = a[m]
         h[m - 1] = xpow[m] * top
         a = [x_elt * a[i] - comb(m, i) * (top * dpow[m - i]) for i in range(m)]
-        if a[-1].is_zero:
-            raise DomainError("witness peeling did not lower the theta-degree by one")
     return OrePoly(h), a[0]
 
 
 def essential_witness(ctx, f, x_elt):
     """Constructive witness that S/S*theta*x is an essential extension."""
     _check_witness_preconditions(ctx, f, x_elt)
-    h, r = _witness_recursion(ctx, f, x_elt)
-    return WitnessCert(ctx, f, x_elt, h, r)
+    return WitnessCert(f, x_elt, *_witness_recursion(ctx, f, x_elt))

@@ -113,25 +113,37 @@ def test_digests_and_incomplete_pairs():
 
 
 def test_per_query_medians_and_ratios():
-    def run(seed, side, latency):
-        return {"workload": "w", "seed": seed, "side": side, "record": {"latency_ms": latency}}
+    def run(seed, side, latency, factors=(1.0,)):
+        record = {"latency_ms": latency, "speed_factor_each": list(factors)}
+        return {"workload": "w", "seed": seed, "side": side, "record": record}
 
     runs = [
-        run(1, "parent", {"a": 10.0, "b": 0.0}),
+        # the outlier factor 9.0 moves the mean, not the median 0.5
+        run(1, "parent", {"a": 10.0, "b": 0.0}, [0.5, 0.4, 9.0]),
         run(1, "change", {"a": 8.0, "b": 1.0}),
-        run(2, "change", {"a": 4.0, "b": 1.0, "c": 2.0}),
-        run(2, "parent", {"a": 20.0, "b": 0.0}),
-        run(3, "parent", {"a": 30.0, "b": 0.0}),
-        run(3, "change", {"a": 12.0, "b": 1.0}),
+        run(2, "change", {"a": 4.0, "b": 1.0, "c": 2.0}, [0.5, 0.5]),
+        run(2, "parent", {"a": 20.0, "b": 0.0}, [2.0, 2.0, 0.1]),
+        run(3, "parent", {"a": 30.0, "b": 0.0}, [2.0]),
+        run(3, "change", {"a": 12.0, "b": 1.0}, [0.9, 1.1]),
         run(4, "parent", {"a": 1.0}),  # its change run is missing
     ]
     rows = bench_pairs.per_query(runs)["w"]
     assert list(rows) == ["a", "b", "c"]
-    assert rows["a"] == {"parent": 20.0, "change": 8.0, "change_over_parent": 0.4}
+    # scaled: parent [5, 40, 60], change [8, 2, 12]
+    assert rows["a"] == {
+        "parent": 20.0, "change": 8.0, "change_over_parent": 0.4,
+        "parent_scaled": 40.0, "change_scaled": 8.0, "scaled_change_over_parent": 0.2,
+    }
     # a parent median of 0 gives no ratio
-    assert rows["b"] == {"parent": 0.0, "change": 1.0, "change_over_parent": None}
+    assert rows["b"] == {
+        "parent": 0.0, "change": 1.0, "change_over_parent": None,
+        "parent_scaled": 0.0, "change_scaled": 1.0, "scaled_change_over_parent": None,
+    }
     # a label one side never ran has no median there
-    assert rows["c"] == {"parent": None, "change": 2.0, "change_over_parent": None}
+    assert rows["c"] == {
+        "parent": None, "change": 2.0, "change_over_parent": None,
+        "parent_scaled": None, "change_scaled": 1.0, "scaled_change_over_parent": None,
+    }
 
 
 def test_src_lines_per_side():

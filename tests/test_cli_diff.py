@@ -75,3 +75,17 @@ def test_corpus_runs_the_shamsuddin_fields_under_decide():
         assert a.degree() <= 3 and b.degree() <= 3
         statuses.append(shamsuddin_analyze(a, b).status)
     assert statuses.count("d_simple") >= 5 and statuses.count("unique_darboux") >= 5
+
+
+def test_corpus_runs_the_ore_witness_workload():
+    corpus = cli_diff.corpus()
+    workloads, _ = cli_diff._orebench()
+    queries = [q for seed in cli_diff.ORE_SEEDS for q in workloads.build(workloads.ORE, seed)]
+    assert cli_diff.ORE_SEEDS == (3001, 3002, 3003)
+    assert {q.verb for q in queries} == {"ore-mul", "witness"}
+    for q in queries:
+        assert q.argv in corpus
+        assert len(q.f) == 9  # theta-degree 8
+        if q.verb == "witness":
+            assert "--ring" in q.argv and q.argv[q.argv.index("--ring") + 1] == "poly2"
+            assert max(sum(m) for m in q.x) == 1  # a linear form in x and y

@@ -1,6 +1,8 @@
 """The verdict engine: pinned decisions, primitivity classification,
 the singular-locus audit, and status invariants."""
 
+import random
+
 import pytest
 
 from orediamond import (
@@ -9,6 +11,7 @@ from orediamond import (
     DomainError,
     Q,
     UniDerivation,
+    UniPoly,
     classify_primitivity,
     darboux_search,
     decide,
@@ -41,6 +44,23 @@ class TestDecideUnivariate:
     def test_poly_monomial(self):
         v = decide("poly1", UniDerivation(uni("x^2")))
         assert (v.status, v.certified) == (NOT_DIAMOND, True)
+
+    def test_poly_shifted_monomial(self):
+        """alpha*(x - a)^n is decided as alpha*x^n, with a in the step;
+        moving its constant term off the shift leaves it undecided."""
+        rng = random.Random(26)
+        for n in range(1, 7):
+            alpha = Q(rng.choice([-3, 1, 2]), rng.choice([1, 2, 5]))
+            a = Q(rng.choice([-4, -1, 1, 3]), rng.choice([1, 3]))
+            dx = alpha * UniPoly([-a, 1]) ** n
+            v = decide("poly1", UniDerivation(dx))
+            assert (v.status, v.certified) == (NOT_DIAMOND, True)
+            (step,) = v.trace
+            assert (step.kind, step.alpha, step.n, step.a) == ("uni_monomial", alpha, n, a)
+            plain = decide("poly1", UniDerivation(alpha * UniPoly.monomial(n))).trace[0]
+            assert (plain.kind, plain.alpha, plain.n, plain.a) == ("uni_monomial", alpha, n, None)
+            if n >= 2:
+                assert decide("poly1", UniDerivation(dx + UniPoly.one())).status == UNKNOWN
 
     def test_poly_out_of_scope(self):
         v = decide("poly1", UniDerivation(uni("x^2 + 1")))

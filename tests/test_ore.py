@@ -13,6 +13,7 @@ from orediamond import (
     OrePoly,
     Q,
     UniDerivation,
+    WitnessCert,
     a_theta_pow_right,
     act,
     essential_witness,
@@ -21,7 +22,7 @@ from orediamond import (
     phi,
     theta_pow_left,
 )
-from orediamond import linalg
+from orediamond import linalg, ore
 from util import bi, random_bipoly, uni
 
 
@@ -248,6 +249,54 @@ class TestEssentialWitness:
         # delta(x^2) = 2x is neither a unit nor is x^2 irreducible
         with pytest.raises(DomainError):
             essential_witness(ctx, OrePoly.theta(), bi("x^2"))
+
+    @pytest.mark.parametrize(
+        "ctx, x_elt",
+        [
+            # x prime: x^2 + 1 is irreducible and does not divide its image 2x
+            (ctx_dx(), "x^2 + 1"),
+            # the image is a unit: delta(x + y^2) = 1
+            (OreContext("poly2", Derivation(bi("1"), BiPoly.zero())), "x + y^2"),
+        ],
+        ids=["poly1-irreducible", "poly2-unit-image"],
+    )
+    def test_each_precondition_branch(self, ctx, x_elt):
+        """Each step of the peeling lowers the theta-degree by one and the
+        remainder is nonzero, as _witness_recursion proves.  A linear x that
+        does not divide its image is TestBenchShape.test_witnesses."""
+        rng = random.Random(512)
+        x_elt = bi(x_elt)
+        for n in range(1, 7):
+            f = random_ore(rng, ctx, maxdeg=n)
+            while f.degree() != n or exact_divide(f.coeffs[-1], x_elt) is not None:
+                f = random_ore(rng, ctx, maxdeg=n)
+            cert = essential_witness(ctx, f, x_elt)
+            assert cert.verify(ctx)
+            assert cert.h.degree() == n - 1
+            assert not cert.r.is_zero
+
+    def test_building_runs_no_ore_product(self, monkeypatch):
+        ctx = ctx_euler()
+        f = OrePoly([bi("x"), bi("y^2 - 1"), bi("2*x + 1")])
+        monkeypatch.setattr(ore, "mul", lambda *args: pytest.fail("an Ore product while building"))
+        essential_witness(ctx, f, bi("x + y + 1"))
+
+    def test_verify_rejects_a_tampered_certificate(self):
+        ctx = ctx_euler()
+        cert = essential_witness(ctx, OrePoly([bi("x"), bi("y^2 - 1"), bi("2*x + 1")]), bi("x + y + 1"))
+        assert cert.verify(ctx)
+        h0 = cert.h.coeffs[0]
+        i, j = next(iter(h0.rational_terms()))
+        h = OrePoly([h0 + BiPoly.monomial(i, j), *cert.h.coeffs[1:]])
+        tampered = [
+            WitnessCert(cert.f, cert.x_elt, h, cert.r),
+            WitnessCert(cert.f, cert.x_elt, cert.h, cert.r + bi("y")),
+            WitnessCert(cert.f, cert.x_elt, cert.h, BiPoly.zero()),
+        ]
+        assert [t.verify(ctx) for t in tampered] == [False] * 3
+        # x^2 * theta*x = x^2 * theta*x + 0*x: the identity holds, r = 0 fails
+        theta_x = mul(ctx_dx(), OrePoly.theta(), OrePoly.from_ring(bi("x")))
+        assert not WitnessCert(theta_x, bi("x"), OrePoly.from_ring(bi("x^2")), BiPoly.zero()).verify(ctx_dx())
 
     @pytest.mark.parametrize(
         "ctx, x_elt, message",

@@ -12,7 +12,7 @@ workload's first seed follows, parent first.  Runs are one at a time.
 
 Every run keeps orebench's last two stdout lines: the record and the
 result.  The summary compares the end-to-end metrics of the pairs, and
-per_query each query's latency; about.src_lines gives each side's source
+per_query each query's latency, wall-clock and speed-scaled; about.src_lines gives each side's source
 line count, as its runs' provenance reports it.  The output file is
 rewritten after every run, so an interrupted session keeps what it
 measured.  Standard library only.
@@ -109,13 +109,20 @@ def src_lines(runs):
     return {side: counts.pop() for side, counts in seen.items()}
 
 
+def _ratio(change, parent):
+    return change / parent if parent and change is not None else None
+
+
 def per_query(runs):
     """Per workload and query label: each side's median over the pairs of
     the query's record latency_ms (orebench's median over the passes of
-    one run, in wall-clock ms, not scaled by the speed sampler as the
-    end-to-end metrics are), and change_over_parent, the ratio of the two
-    medians (None when the parent's is 0).  A label missing from a run
-    counts only in the pairs that have it on that side."""
+    one run, in wall-clock ms), and change_over_parent, the ratio of the two
+    medians (None when the parent's is 0).  parent_scaled, change_scaled and
+    scaled_change_over_parent are the same with each run's latency first
+    multiplied by the median of the run's speed_factor_each, the speed
+    sampler's factor per timed pass, so that the host's speed drops out of
+    the ratio as it does from the end-to-end metrics.  A label missing from
+    a run counts only in the pairs that have it on that side."""
     out = {}
     for workload, complete in _complete_pairs(runs).items():
         labels = {label for p in complete for side in SIDES for label in p[side]["record"]["latency_ms"]}
@@ -123,11 +130,13 @@ def per_query(runs):
         for label in sorted(labels):
             row = rows[label] = {}
             for side in SIDES:
-                values = [p[side]["record"]["latency_ms"][label] for p in complete
-                          if label in p[side]["record"]["latency_ms"]]
-                row[side] = statistics.median(values) if values else None
-            parent, change = row["parent"], row["change"]
-            row["change_over_parent"] = change / parent if parent and change is not None else None
+                records = [p[side]["record"] for p in complete if label in p[side]["record"]["latency_ms"]]
+                wall = [r["latency_ms"][label] for r in records]
+                scaled = [r["latency_ms"][label] * statistics.median(r["speed_factor_each"]) for r in records]
+                row[side] = statistics.median(wall) if wall else None
+                row[f"{side}_scaled"] = statistics.median(scaled) if scaled else None
+            row["change_over_parent"] = _ratio(row["change"], row["parent"])
+            row["scaled_change_over_parent"] = _ratio(row["change_scaled"], row["parent_scaled"])
     return out
 
 
@@ -179,7 +188,9 @@ def main(argv=None):
             "per_query_fields": (
                 "per workload and query label: each side's median over the pairs of the run record's "
                 "latency_ms for that query (wall-clock ms, not speed-scaled), and change_over_parent, "
-                "the change's median over the parent's"
+                "the change's median over the parent's; parent_scaled, change_scaled and "
+                "scaled_change_over_parent, the same with each run's latency multiplied by the median "
+                "of that run's speed_factor_each"
             ),
         },
         "per_query": {},

@@ -17,7 +17,10 @@ The corpus, each query as text and with --json:
   darboux 8, primitive 6 and first-integral 6;
 - the Shamsuddin fields, SHAMSUDDIN_SIZE seeded fields dx = k, dy =
   a(x)*y + b(x) with deg a, deg b <= 3 (shamsuddin_fields), under decide 6;
-- every argv of the CLI pins in tests/*_cli_pins.json.
+- every argv of the CLI pins in tests/*_cli_pins.json;
+- the ore-mul and witness queries of the ore-witness workload for the
+  seeds ORE_SEEDS (workloads.build), at the benchmark's shape: theta-degree
+  8, with a bivariate linear witness element.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -38,6 +41,7 @@ TIMEOUT_S = 60
 SURVEY_SIZE = 150
 HANGS = ("r74", "r114", "r131")  # rational_roots runs for minutes on these
 SHAMSUDDIN_SIZE = 30
+ORE_SEEDS = (3001, 3002, 3003)
 PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
 NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
 SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
@@ -140,6 +144,7 @@ def corpus():
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
         out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
+    out += [query.argv for seed in ORE_SEEDS for query in workloads.build(workloads.ORE, seed)]
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 
