@@ -28,9 +28,10 @@ the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
 the same linear solve.
 
 The report leaves out pencils and certificates that are composites
-F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span
-it compares (pencil keys, span tests, composites) and every kernel basis
-is read off the echelon rows of one routine, _span.  The loop on
+F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span it
+compares (pencil keys and membership, composites) is read off the echelon
+rows of _span, each pencil's once; _kernel_echelon's basis is already in
+that form.  The loop on
 delta/gcd(dx, dy) stops at the degree D(m, c) that the first pencil
 found, of degree m and cofactor c, bounds (Jouanolou; Stein; Vistoli):
 darboux_search gives the proof.
@@ -65,10 +66,10 @@ class DarbouxCert:
     def __init__(self, deriv, p, cofactor):
         if p.is_zero or p.is_constant:
             raise DomainError("Darboux certificate requires a nonconstant polynomial")
-        if deriv.apply(p) != cofactor * p:
-            raise DomainError("Darboux certificate failed verification")
         self.p = p.monic()
         self.cofactor = cofactor
+        if not self.verify(deriv):
+            raise DomainError("Darboux certificate failed verification")
 
     def verify(self, deriv):
         return deriv.apply(self.p) == self.cofactor * self.p
@@ -87,21 +88,17 @@ class PencilCert:
     __slots__ = ("p", "q", "cofactor")
 
     def __init__(self, deriv, p, q, cofactor):
-        for m in (p, q):
-            if m.is_zero or deriv.apply(m) != cofactor * m:
-                raise DomainError("pencil certificate failed verification")
-        if p.monic() == q.monic():
-            raise DomainError("pencil requires non-proportional members")
         self.p = p
         self.q = q
         self.cofactor = cofactor
+        if p.is_zero or q.is_zero or not self.verify(deriv):
+            raise DomainError("pencil certificate failed verification")
+        if p.monic() == q.monic():
+            raise DomainError("pencil requires non-proportional members")
 
     def verify(self, deriv):
-        return (
-            deriv.apply(self.p) == self.cofactor * self.p
-            and deriv.apply(self.q) == self.cofactor * self.q
-            and self.q * deriv.apply(self.p) == self.p * deriv.apply(self.q)
-        )
+        """delta(p) = c*p and delta(q) = c*q, so q*delta(p) = p*delta(q)."""
+        return all(deriv.apply(m) == self.cofactor * m for m in (self.p, self.q))
 
     def member(self, t):
         if t == INFINITY:
@@ -452,13 +449,15 @@ def _cascade_answers(p_all, c_all, constraints):
 
 def _kernel_echelon(deriv, c0, n):
     """The reduced echelon basis of {p : deg p <= n, delta(p) = c0*p},
-    the _span of its kernel; each p is monic, its pivot leading."""
-    mons = [e for deg in range(n, -1, -1) for e in _monomials(deg)]
+    the _span of its kernel; each p is monic, its pivot leading.  Over the
+    monomials in ascending graded-lex order, the nullspace vector of a free
+    column f is 1 at f, else nonzero only at pivot columns left of f: f
+    leads it, and no other vector has a term at f.  Reversed, the vectors
+    are thus the reduced echelon basis, which is unique."""
+    mons = [e for deg in range(n + 1) for e in reversed(_monomials(deg))]
     views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).rational_terms() for e in mons]
-    eq_set = sorted(set().union(*views), key=_degree_lex)
-    rows = [[v.get(e, QZERO) for v in views] for e in eq_set]
-    kernel = [BiPoly(dict(zip(mons, vec))) for vec in linalg.nullspace(rows, len(mons))]
-    return [BiPoly(dict(row)) for row in _span(*kernel)]
+    rows = [[v.get(e, QZERO) for v in views] for e in set().union(*views)]
+    return [BiPoly(dict(zip(mons, vec))) for vec in reversed(linalg.nullspace(rows, len(mons)))]
 
 
 def _span(*polys):
@@ -486,11 +485,6 @@ def _order_pair(p, q_):
         return (0, int(poly.total_degree()), tuple(-v for v in poly.leading_exp()))
 
     return tuple(sorted((p, q_), key=key))
-
-
-def _in_span(p, *gens):
-    """True when p is a rational linear combination of gens."""
-    return _span(p, *gens) == _span(*gens)
 
 
 def _composite_of(b, u, polys):
@@ -644,12 +638,12 @@ def _assemble_report(deriv, found, bound, complete, searched):
                 pencil_map.setdefault(_span(a, b), (int(q_.total_degree()), _degree_lex(a.leading_exp()), a, b, c))
     # a pencil with a common factor, or a function of a smaller pencil,
     # carries no new information
-    pencils = []  # (degree, p, q, cofactor); q is the constant one, if any (_order_pair)
-    for deg, _, p, q_, c in sorted(pencil_map.values(), key=lambda t: t[:2]):
+    pencils = []  # (degree, p, q, cofactor, span); q is the constant one, if any (_order_pair)
+    for span, (deg, _, p, q_, c) in sorted(pencil_map.items(), key=lambda kv: kv[1][:2]):
         if (q_.is_constant or gcd(p, q_).is_constant) and not any(
-            m < deg and _composite_of(b, u, (p, q_)) for m, b, u, _ in pencils
+            m < deg and _composite_of(b, u, (p, q_)) for m, b, u, _, _ in pencils
         ):
-            pencils.append((deg, p, q_, c))
+            pencils.append((deg, p, q_, c, span))
     factors, certs = [], []  # the irreducible ones, and those in no pencil
     for p, c in entries:
         deg = p.total_degree()
@@ -659,13 +653,13 @@ def _assemble_report(deriv, found, bound, complete, searched):
             continue
         if squarefree_part(p) != p:
             continue
-        members = [_in_span(p, b, u) for _, b, u, _ in pencils]
-        if any(not inside and m <= deg and _composite_of(b, u, (p,)) for inside, (m, b, u, _) in zip(members, pencils)):
+        members = [_span(p, b, u) == span for _, b, u, _, span in pencils]
+        if any(not inside and m <= deg and _composite_of(b, u, (p,)) for inside, (m, b, u, _, _) in zip(members, pencils)):
             continue
         factors.append(p)
         if not any(members):
             certs.append(DarbouxCert(deriv, p, c))
-    pencil_certs = [PencilCert(deriv, p, q_, c) for _, p, q_, c in pencils]
+    pencil_certs = [PencilCert(deriv, p, q_, c) for _, p, q_, c, _ in pencils]
     return DarbouxReport(certs, pencil_certs, bound, complete, searched)
 
 

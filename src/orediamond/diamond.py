@@ -15,7 +15,7 @@ a Step record (kind, text, fields), its text built where the step is.
 from math import comb
 
 from .rational import Q, QZERO
-from .poly import DomainError, UniPoly, exact_divide, gcd
+from .poly import DomainError, LaurentUniPoly, UniPoly, exact_divide, gcd
 from .derivation import (
     Derivation,
     UniDerivation,
@@ -242,9 +242,10 @@ def singular_darboux_audit(deriv, report):
 
 def _delta_simple(spec, dx):
     """Q[x] is delta-simple exactly when delta(x) is a nonzero constant,
-    Q[x, 1/x] when delta(x) = alpha*x^n with n >= 0."""
+    Q[x, 1/x] when delta(x) = alpha*x^n, any n: a proper nonzero ideal is
+    (p), p in Q[x] of degree >= 1, and delta(p) = alpha*p'*x^n is not in it."""
     mono = dx.as_monomial()
-    return mono is not None and (mono[1] == 0 if spec == POLY_UNI else mono[1] >= 0)
+    return mono is not None and (spec != POLY_UNI or mono[1] == 0)
 
 
 def delta_simple_dim1_check(spec, deriv):
@@ -296,17 +297,20 @@ def _decide_laurent(deriv, bound):
     if dx.is_zero:
         return _commutative(bound)
     mono = dx.as_monomial()
+    alpha, n = mono or (None, None)
+    shown = f"{alpha}*x^{n}" if mono else dx.render()
+    inverted = None
     if _delta_simple(LAURENT_UNI, dx):
         status, finding = DIAMOND, ": the ring is delta-simple of Krull dimension 1; property holds"
-    elif mono is not None:
-        status, finding = UNKNOWN, ", a monomial of negative degree: no implemented rule decides this Laurent case"
-    elif dx.min_degree() >= 0:
+    elif dx.min_degree() >= 0 or dx.max_degree() <= 2:
+        if dx.min_degree() < 0:
+            # x -> 1/x maps delta(x) = f to -x^2*f(1/x), which has no negative power
+            inverted = sum((LaurentUniPoly.monomial(2 - k, -dx.coeff(k)) for (k,) in dx.terms), LaurentUniPoly.zero())
+            shown += f", that is delta(x) = {inverted.render()} after x -> 1/x,"
         status, finding = NOT_DIAMOND, " not a monomial: a proper nonzero delta-ideal exists; property fails"
     else:
         status, finding = UNKNOWN, " not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
-    alpha, n = mono or (None, None)
-    shown = f"{alpha}*x^{n}" if mono else dx.render()
-    step = Step("laurent_rule", f"Laurent ring with delta(x) = {shown}{finding}", dx=dx, alpha=alpha, n=n)
+    step = Step("laurent_rule", f"Laurent ring with delta(x) = {shown}{finding}", dx=dx, alpha=alpha, n=n, inverted=inverted)
     return Verdict(status, status != UNKNOWN, bound, [step])
 
 

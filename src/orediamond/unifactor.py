@@ -66,13 +66,14 @@ def _quadratic_factor(f):
 
 
 def _factor_squarefree(f):
-    """Atoms of a monic square-free f; returns (atoms, certified)."""
+    """Atoms of a monic square-free f; returns (atoms, certified).  Without
+    rational roots a cubic has no quadratic factor, its cofactor linear."""
     atoms = []
     for r in rational_roots(f):
         lin = UniPoly([-r, 1])
         atoms.append(lin)
         f = exact_divide(f, lin)
-    while f.degree() >= 3 and (quad := _quadratic_factor(f)) is not None:
+    while f.degree() >= 4 and (quad := _quadratic_factor(f)) is not None:
         atoms.append(quad)
         f = exact_divide(f, quad)
     # f has no factor of degree 1 or 2 now, so below degree 6 it is irreducible

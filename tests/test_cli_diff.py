@@ -89,3 +89,17 @@ def test_corpus_runs_the_ore_witness_workload():
         if q.verb == "witness":
             assert "--ring" in q.argv and q.argv[q.argv.index("--ring") + 1] == "poly2"
             assert max(sum(m) for m in q.x) == 1  # a linear form in x and y
+
+
+def test_corpus_runs_the_laurent_fields():
+    corpus = cli_diff.corpus()
+    fields = cli_diff.laurent_fields()
+    assert len(fields) == cli_diff.LAURENT_SIZE == 40
+    for dx in fields:
+        for verb in ("decide", "simple"):
+            argv = [verb, "--ring", "laurent1", "--deriv", f"dx={dx}"]
+            assert argv in corpus and argv + ["--json"] in corpus
+    # one to three terms of exponent -3..3, some with a negative power
+    derivs = [parse_derivation(f"dx={dx}", "laurent1").dx for dx in fields]
+    assert all(1 <= len(d.terms) <= 3 and -3 <= d.min_degree() <= d.max_degree() <= 3 for d in derivs)
+    assert sum(d.min_degree() < 0 for d in derivs) >= 15

@@ -2,6 +2,7 @@
 scaling equivariance, affine coordinate changes, pencil-member
 selection, and the independent degree-1 brute-force oracle."""
 
+import copy
 import random
 
 import pytest
@@ -22,11 +23,13 @@ from orediamond import (
     rational_roots,
 )
 from orediamond.darboux import (
+    DarbouxCert,
+    PencilCert,
     _assemble_report,
     _cascade,
     _cascade_level,
     _composite_of,
-    _in_span,
+    _kernel_echelon,
     _level_matrix,
     _pencil_cofactor,
     _span,
@@ -76,6 +79,25 @@ class TestSearchExamples:
                 assert f.verify(d)
                 f.cofactor = f.cofactor + bi("x")  # a tampered cofactor fails
                 assert not f.verify(d)
+
+    def test_verify_rejects_tampered_records(self):
+        """verify checks both cofactor identities of a pencil, so a wrong
+        cofactor or a q off the pencil fails, as a wrong cofactor of a
+        certificate does."""
+        cert = DarbouxCert(Derivation(bi("1"), bi("y")), bi("y"), bi("1"))
+        reduced = Derivation(bi("1"), bi("-1*y^2"))
+        pencil = PencilCert(reduced, bi("y"), bi("x*y - 1"), bi("-1*y"))
+        assert cert.verify(Derivation(bi("1"), bi("y"))) and pencil.verify(reduced)
+        tampered = []
+        for field, value in (("cofactor", bi("1/2")), ("cofactor", bi("0"))):
+            t = copy.copy(cert)
+            setattr(t, field, value)
+            tampered.append((t, Derivation(bi("1"), bi("y"))))
+        for field, value in (("cofactor", bi("y")), ("q", bi("x*y")), ("q", bi("x*y + x - 1")), ("p", bi("x"))):
+            t = copy.copy(pencil)
+            setattr(t, field, value)
+            tampered.append((t, reduced))
+        assert [t.verify(d) for t, d in tampered] == [False] * 6
 
 
 # Reports at bound 6 on named planar systems, taken from the release
@@ -139,6 +161,44 @@ def test_constant_field_report(dx, dy, line):
     # (dy*x - dx*y)/1 appears at degree 1 and D(1, 0) = 1 stops the loop
     assert _report_strings(dx, dy, 6) == ([], [(line, "1", "0")], True)
     assert darboux_search(Derivation(bi(dx), bi(dy)), 6).searched_degree == 1
+
+
+def _two_pass_kernel(deriv, c0, n):
+    """The reduced echelon kernel basis by two eliminations: a nullspace
+    over the monomials in descending graded-lex order, then its _span."""
+    mons = [(i, deg - i) for deg in range(n, -1, -1) for i in range(deg, -1, -1)]
+    views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).rational_terms() for e in mons]
+    eq_set = sorted(set().union(*views))
+    rows = [[v.get(e, Q(0)) for v in views] for e in eq_set]
+    kernel = [BiPoly(dict(zip(mons, vec))) for vec in linalg.nullspace(rows, len(mons))]
+    return [BiPoly(dict(row)) for row in _span(*kernel)]
+
+
+def test_kernel_echelon_is_the_span_of_the_kernel():
+    """_kernel_echelon's one elimination gives the _span of the kernel,
+    on seeded constant fields and Euler-type fields (h*x + a, h*y + b),
+    degrees 1 to 6, at the cofactors the degree loop uses and others."""
+    rng = random.Random(2801)
+
+    def rational():
+        return Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+
+    fields = []
+    for _ in range(4):
+        a, b = rational(), rational() or Q(1)
+        fields.append((Derivation(BiPoly.const(a), BiPoly.const(b)), Q(0)))
+        h = rational() or Q(-2)
+        fields.append((Derivation(h * bi("x") + BiPoly.const(a), h * bi("y") + BiPoly.const(b)), h))
+    cases = nonempty = 0
+    for deriv, h in fields:
+        for n in range(1, 7):
+            for c0 in {n * h, (n // 2) * h, h + 1, Q(1, 2)}:
+                c0 = BiPoly.const(c0)
+                basis = _kernel_echelon(deriv, c0, n)
+                assert basis == _two_pass_kernel(deriv, c0, n), (deriv, c0, n)
+                cases += 1
+                nonempty += bool(basis)
+    assert cases >= 150 and nonempty >= 60
 
 
 def test_pencil_members_are_monic():
@@ -594,7 +654,7 @@ class TestCompositePencils:
         # u^2 + 8b^2 is Q-irreducible: no member at a rational t divides it
         b, u = bi("x"), bi("y + 1")
         p = u**2 + 8 * b**2
-        assert _composite_of(b, u, (p,)) and not _in_span(p, b, u)
+        assert _composite_of(b, u, (p,)) and _span(p, b, u) != _span(b, u)
         assert _composite_of(b, u, (p, b * u))
 
     def test_factor_outside_the_pencil(self):

@@ -9,6 +9,7 @@ from orediamond import (
     BiPoly,
     Derivation,
     DomainError,
+    LaurentUniPoly,
     Q,
     UniDerivation,
     UniPoly,
@@ -36,6 +37,42 @@ class TestDecideUnivariate:
     def test_laurent_binomial(self):
         v = decide("laurent1", UniDerivation(lau("x^2 + x"), laurent=True))
         assert (v.status, v.certified) == (NOT_DIAMOND, True)
+
+    def test_laurent_negative_monomials(self):
+        """alpha*x^n makes Q[x, 1/x] delta-simple for n < 0 too."""
+        for text in ("x^-1", "3*x^-2", "-3/2*x^-1", "x^-7"):
+            v = decide("laurent1", UniDerivation(lau(text), laurent=True))
+            assert (v.status, v.certified) == (DIAMOND, True), text
+            assert v.trace[0].inverted is None
+
+    def test_laurent_inverted(self):
+        """A non-monomial with a negative power and degree <= 2 is decided
+        as -x^2*f(1/x), recorded in the step; one of higher degree is not."""
+        v = decide("laurent1", UniDerivation(lau("x^-1 + 1"), laurent=True))
+        assert (v.status, v.certified) == (NOT_DIAMOND, True)
+        assert v.trace[0].inverted == lau("-1*x^3 - x^2")
+        assert v.trace[0].to_json()["inverted"] == "-1*x^3 - x^2"
+        assert decide("laurent1", UniDerivation(lau("x^2 + x"), laurent=True)).trace[0].inverted is None
+        v = decide("laurent1", UniDerivation(lau("2*x^-3 - x^4 + 7"), laurent=True))
+        assert (v.status, v.certified, v.trace[0].inverted) == (UNKNOWN, False, None)
+
+    def test_laurent_answers_survive_inversion(self):
+        """x -> 1/x is an automorphism of Q[x, 1/x] taking delta(x) = f to
+        -x^2*f(1/x): the two fields get the same status, certified flag
+        and delta-simplicity."""
+        rng = random.Random(28)
+        statuses = set()
+        for _ in range(120):
+            terms = {rng.randint(-3, 3): Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(rng.randint(1, 3))}
+            f = sum((LaurentUniPoly.monomial(n, c) for n, c in terms.items()), LaurentUniPoly.zero())
+            g = sum((LaurentUniPoly.monomial(2 - n, -c) for n, c in terms.items()), LaurentUniPoly.zero())
+            vf, vg = (decide("laurent1", UniDerivation(h, laurent=True)) for h in (f, g))
+            assert (vf.status, vf.certified) == (vg.status, vg.certified), (f.render(), g.render())
+            assert delta_simple_dim1_check("laurent1", UniDerivation(f, laurent=True)) == delta_simple_dim1_check(
+                "laurent1", UniDerivation(g, laurent=True)
+            )
+            statuses.add(vf.status)
+        assert statuses == {DIAMOND, NOT_DIAMOND, UNKNOWN}
 
     def test_poly_constant(self):
         v = decide("poly1", UniDerivation(uni("5")))
@@ -277,6 +314,9 @@ class TestSingularAudit:
 class TestDeltaSimpleDim1:
     def test_laurent_monomial(self):
         assert delta_simple_dim1_check("laurent1", UniDerivation(lau("x^3"), laurent=True))
+
+    def test_laurent_negative_monomial(self):
+        assert delta_simple_dim1_check("laurent1", UniDerivation(lau("x^-2"), laurent=True))
 
     def test_laurent_binomial(self):
         assert not delta_simple_dim1_check(

@@ -17,6 +17,8 @@ The corpus, each query as text and with --json:
   darboux 8, primitive 6 and first-integral 6;
 - the Shamsuddin fields, SHAMSUDDIN_SIZE seeded fields dx = k, dy =
   a(x)*y + b(x) with deg a, deg b <= 3 (shamsuddin_fields), under decide 6;
+- the Laurent fields, LAURENT_SIZE seeded dx on laurent1 with one to
+  three terms of exponent -3..3 (laurent_fields), under decide and simple;
 - every argv of the CLI pins in tests/*_cli_pins.json;
 - the ore-mul and witness queries of the ore-witness workload for the
   seeds ORE_SEEDS (workloads.build), at the benchmark's shape: theta-degree
@@ -41,6 +43,7 @@ TIMEOUT_S = 60
 SURVEY_SIZE = 150
 HANGS = ("r74", "r114", "r131")  # rational_roots runs for minutes on these
 SHAMSUDDIN_SIZE = 30
+LAURENT_SIZE = 40
 ORE_SEEDS = (3001, 3002, 3003)
 PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
 NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
@@ -131,6 +134,19 @@ def shamsuddin_fields():
     return out
 
 
+def laurent_fields():
+    """[dx] of the Laurent fields, as text: one to three terms c*x^n with
+    distinct n in -3..3 and c nonzero, in a seeded order."""
+    rng = random.Random(28)
+    out = []
+    for _ in range(LAURENT_SIZE):
+        exps = rng.sample(range(-3, 4), rng.randint(1, 3))
+        terms = [(n, rng.choice(("-3", "-1", "1", "2", "1/2", "-3/2"))) for n in exps]
+        text = " + ".join(c if n == 0 else f"{c}*x^{n}" for n, c in terms)
+        out.append(text.replace("+ -", "- "))
+    return out
+
+
 def _planar(verb, bound, dx, dy):
     return [verb, "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", str(bound)]
 
@@ -141,6 +157,7 @@ def corpus():
     base = [_planar(verb, bound, dx, dy) for verb, bound in NAMED_QUERIES for _, dx, dy, _, _ in workloads.NAMED]
     base += [_planar(verb, bound, dx, dy) for verb, bound in SURVEY_QUERIES for _, dx, dy in survey()]
     base += [_planar("decide", 6, dx, dy) for _, dx, dy in shamsuddin_fields()]
+    base += [[verb, "--ring", "laurent1", "--deriv", f"dx={dx}"] for verb in ("decide", "simple") for dx in laurent_fields()]
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
         out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
