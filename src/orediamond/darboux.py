@@ -508,11 +508,17 @@ def _composite_of(b, u, polys):
     return False
 
 
-def darboux_search(deriv, bound):
+def darboux_search(deriv, bound, *, settled=None):
     """All monic Q-irreducible Darboux polynomials of total degree at
     most bound, with a pencil for every two found that share a cofactor
     (the constant 1 among them), leaving out composites F(b, u) of a
     smaller pencil b/u other than its members.
+
+    settled, for a field with coprime dx and dy such as decide's delta/g,
+    lets a caller end the search once degree 1 answers its question.  When
+    the search goes on past degree 1, it is called once with the report
+    through degree 1, the one darboux_search(deriv, 1) returns, and a true
+    return ends the search with that report.
 
     With g = gcd(dx, dy), the degree loop runs on delta/g to the bound,
     with the stop below, and, when g is not constant, on delta through
@@ -547,21 +553,38 @@ def darboux_search(deriv, bound):
     if bound < 1:
         raise DomainError("degree bound must be at least 1")
     g = gcd(deriv.dx, deriv.dy)
-    if g.is_constant:
-        found, complete, searched = _degree_loop(deriv, bound, True)
-    else:
+    if not g.is_constant:
+        if settled is not None:
+            raise DomainError("settled needs coprime dx and dy")
         # delta's pairs first: ties in the report keep a search of delta's order
-        found, complete, searched = _degree_loop(deriv, min(bound, int(g.total_degree())), False)
-        reduced, complete2, searched2 = _degree_loop(coprime_part(deriv, g), bound, True)
+        found, complete, searched = _run(_degree_loop(deriv, min(bound, int(g.total_degree())), False))
+        reduced, complete2, searched2 = _run(_degree_loop(coprime_part(deriv, g), bound, True))
         found += [(p, g * c) for p, c in reduced]
-        complete, searched = complete and complete2, max(searched, searched2)
+        return _assemble_report(deriv, found, bound, complete and complete2, max(searched, searched2))
+    loop = _degree_loop(deriv, bound, True)
+    found, complete, searched, last = next(loop)
+    if settled is not None and not last:
+        report = _assemble_report(deriv, found, 1, complete, 1)
+        if settled(report):
+            return report
+    found, complete, searched = _run(loop, (found, complete, searched))
     return _assemble_report(deriv, found, bound, complete, searched)
+
+
+def _run(loop, state=None):
+    """(found, complete, n) after the last degree of a _degree_loop, or
+    state when the loop has no degree left."""
+    for found, complete, n, _ in loop:
+        state = found, complete, n
+    return state
 
 
 def _degree_loop(deriv, bound, stops):
     """darboux_search's degree loop on deriv through bound, or through
-    the stop at the first pencil when stops: (found, complete, the last
-    degree searched), found being the (p, cofactor) pairs."""
+    the stop at the first pencil when stops.  A generator, so that a
+    search can pause between degrees: after each degree n it yields
+    (found, complete, n, last), found being the (p, cofactor) pairs so
+    far, one list extended in place, and last whether n ends the loop."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
@@ -601,7 +624,7 @@ def _degree_loop(deriv, bound, stops):
             stops = False
             if complete:
                 stop = min(bound, _stop_degree(n, c))
-    return found, complete, n
+        yield found, complete, n, n >= stop
 
 
 def _pencil_cofactor(found):

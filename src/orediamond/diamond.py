@@ -171,20 +171,26 @@ def classify_primitivity(deriv, bound):
     return _primitivity_step(first_integral_search(deriv, bound), bound)
 
 
-def singular_darboux_audit(deriv, report):
+def _locus_basis(deriv):
+    """The reduced graded lex basis G of the nonzero ones among delta(x),
+    delta(y), and whether their common zeros are a proper locus (G != [1])."""
+    basis = buchberger([g for g in (deriv.dx, deriv.dy) if not g.is_zero])
+    return basis, not any(g.is_constant for g in basis)
+
+
+def singular_darboux_audit(deriv, report, locus=None):
     """The singular_locus_audit Step of report's Darboux members: check
     delta(R) <= Rp for every member p through the singular locus
     V(delta(x), delta(y)), one Incidence per member.
 
-    basis, the reduced graded lex basis G of the nonzero ones among
-    delta(x), delta(y), is computed once, and every incidence test and
-    pencil_members_through start from G instead of the generators.  The
-    answers are the same, a reduced basis being unique: (G, p) and
-    (delta(x), delta(y), p) have one graded lex basis, (G, p + t*q) and
-    (delta(x), delta(y), p + t*q) one lex eliminant.  An empty locus,
-    G = [1], is reported as locus_proper False with no incidences."""
-    basis = buchberger([g for g in (deriv.dx, deriv.dy) if not g.is_zero])
-    locus_proper = not any(g.is_constant for g in basis)
+    locus is _locus_basis(deriv), computed here when not given: every
+    incidence test and pencil_members_through start from its basis G
+    instead of the generators.  The answers are the same, a reduced basis
+    being unique: (G, p) and (delta(x), delta(y), p) have one graded lex
+    basis, (G, p + t*q) and (delta(x), delta(y), p + t*q) one lex
+    eliminant.  An empty locus, G = [1], is reported as locus_proper False
+    with no incidences."""
+    basis, locus_proper = locus or _locus_basis(deriv)
     certs, pencils = (report.certs, report.pencils) if locus_proper else ((), ())
     incidences = []
     residual = False
@@ -315,6 +321,26 @@ def _decide_laurent(deriv, bound):
 
 
 def _decide_poly_bi(deriv, darboux_bound):
+    """The planar verdict.  Past the locally nilpotent and Shamsuddin
+    rules, the Darboux search runs on delta/g, g = gcd(delta(x),
+    delta(y)), and the singular-locus audit reads its report.
+
+    A violation by a degree-1 polynomial is a proof at every bound: a
+    line is irreducible, and the certain rule below (degree 1, or a
+    complete search) certifies it whatever the bound.  So when the locus
+    is proper, the search stops after degree 1 if the audit of the report
+    through degree 1 finds one (darboux_search's settled): the verdict is
+    NotDiamond, certified, and the singular_violation step carries
+    searched_degree 1.  The search to the bound finds the same line at
+    degree 1 and audits it again, as a certificate or as a pencil member
+    at its t, so it answers NotDiamond too; a pencil whose every member
+    meets the locus is audited through p, q and one generic member alone.
+    The first violation it names can differ (a line absorbed into a
+    larger pencil is audited after the certificates), and it is certified
+    unless that first one has degree above 1 in an incomplete search.
+    On the named corpus and the survey status and certified agree
+    (tests/test_diamond.py).  evidence_bound stays darboux_bound, as on
+    every other path."""
     if deriv.is_zero:
         return _commutative(darboux_bound)
     nil = locally_nilpotent_bounded(deriv)
@@ -336,8 +362,17 @@ def _decide_poly_bi(deriv, darboux_bound):
         step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
         return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
     g = gcd(deriv.dx, deriv.dy)
-    report = darboux_search(coprime_part(deriv, g), darboux_bound)
-    audit = singular_darboux_audit(deriv, report)
+    locus = _locus_basis(deriv)  # (basis, proper), for both audits
+    early = []  # the audit of the report through degree 1, if it settles
+
+    def settled(report):
+        audit = singular_darboux_audit(deriv, report, locus)
+        if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
+            early.append(audit)
+        return bool(early)
+
+    report = darboux_search(coprime_part(deriv, g), darboux_bound, settled=settled if locus[1] else None)
+    audit = early[0] if early else singular_darboux_audit(deriv, report, locus)
     trace = []
     if audit.locus_proper:
         trace.append(audit)
@@ -349,7 +384,10 @@ def _decide_poly_bi(deriv, darboux_bound):
                 f"Darboux polynomial {worst.poly.render()} passes through the singular locus but does not divide "
                 f"{which}; property fails"
             )
-            trace.append(Step("singular_violation", text, p=worst.poly, fails=which))
+            if early:
+                text += " (the Darboux search stopped at degree 1: a line is a proof at any bound)"
+            step = Step("singular_violation", text, p=worst.poly, fails=which, searched_degree=1 if early else None)
+            trace.append(step)
             certain = worst.poly.total_degree() == 1 or report.complete_up_to_bound
             return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
         if audit.residual_nonrational:

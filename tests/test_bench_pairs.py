@@ -146,6 +146,28 @@ def test_per_query_medians_and_ratios():
     }
 
 
+def test_setup_wall_quartiles_and_run_factor():
+    def run(seed, side, wall, scaled, workload="w"):
+        record = {"wall": {"setup_s": wall}}
+        return {"workload": workload, "seed": seed, "side": side, "record": record,
+                "result": {"metrics": {"setup_s": {"value": scaled}}}}
+
+    runs = [
+        run(1, "parent", 0.020, 0.024), run(1, "change", 0.020, 0.030),
+        run(2, "change", 0.010, 0.015), run(2, "parent", 0.040, 0.040),
+        run(3, "parent", 0.030, 0.033), run(3, "change", 0.030, 0.036),
+        run(4, "parent", 0.050, 0.050),  # its change run is missing
+        run(1, "parent", 0.020, 0.020, workload="v"),  # a workload with no complete pair
+    ]
+    rows = bench_pairs.setup_wall(runs)
+    assert list(rows) == ["w"]
+    assert rows["w"]["parent"]["wall_setup_s"] == {"q1": 0.025, "median": 0.030, "q3": 0.035}
+    assert rows["w"]["change"]["wall_setup_s"] == {"q1": 0.015, "median": 0.020, "q3": 0.025}
+    # run factors: parent 1.2, 1.0, 1.1; change 1.5, 1.5, 1.2
+    assert rows["w"]["parent"]["run_factor"] == pytest.approx({"q1": 1.05, "median": 1.1, "q3": 1.15})
+    assert rows["w"]["change"]["run_factor"] == pytest.approx({"q1": 1.35, "median": 1.5, "q3": 1.5})
+
+
 def test_src_lines_per_side():
     def run(side, lines):
         return {"side": side, "record": {"provenance": {"src_lines": lines}}}

@@ -21,6 +21,7 @@ from orediamond import (
     linalg,
     pencil_members_through,
     rational_roots,
+    singular_darboux_audit,
 )
 from orediamond.darboux import (
     DarbouxCert,
@@ -834,6 +835,28 @@ class TestCoordinateChanges:
         assert compared >= 36, f"{compared} compared, {flips} completeness flips"
 
 
+def test_settled_ends_the_search_after_degree_1():
+    """settled sees the report through degree 1, the one a search to
+    bound 1 gives; a true return ends the search with it, a false one
+    lets the search run on to the answer it gives without the hook."""
+    d = Derivation(bi("x - x*y"), bi("x*y - y"))
+    seen = []
+    report = darboux_search(d, 6, settled=lambda r: seen.append(r) or True)
+    assert seen == [report] and report.searched_degree == 1
+    assert report.to_json() == darboux_search(d, 1).to_json()
+    full = darboux_search(d, 6, settled=lambda r: False)
+    assert full.to_json() == darboux_search(d, 6).to_json() and full.searched_degree == 6
+
+
+def test_settled_is_not_called_when_degree_1_ends_the_search():
+    """The Euler field's pencil y/x at degree 1 stops the search there,
+    and a bound of 1 ends it too: no degree is left, so no hook."""
+    calls = []
+    for d, bound in ((Derivation(bi("x"), bi("y")), 6), (Derivation(bi("x - x*y"), bi("x*y - y")), 1)):
+        darboux_search(d, bound, settled=calls.append)
+    assert calls == []
+
+
 class TestPencilMembers:
     def test_final_example_members(self):
         f = bi("x*y + y - 1") * bi("y")
@@ -855,15 +878,18 @@ class TestPencilMembers:
 
     def test_member_through_a_line_of_zeros(self):
         """V(4x^2, -xy) is the line x = 0; the member x*y^4 of the pencil
-        (x*y^4, 1) contains it, and no resultant of the generators sees it."""
+        (x*y^4, 1) contains it, and no resultant of the generators sees it.
+        The audit reads the search to the bound: decide stops at the
+        violation y after degree 1, before the pencil is found."""
         dx, dy = bi("4*x^2"), -bi("x*y")
-        pencil = darboux_search(Derivation(bi("4*x"), -bi("y")), 6).pencils[0]
+        report = darboux_search(Derivation(bi("4*x"), -bi("y")), 6)
+        pencil = report.pencils[0]
         assert (pencil.p, pencil.q) == (bi("x*y^4"), bi("1"))
         through = pencil_members_through(pencil, [dx, dy])
         assert through.kind == "finite"
         assert through.members == [(Q(0), bi("x*y^4"))]
         assert not through.residual_nonrational
-        audit = next(c for c in decide("poly2", Derivation(dx, dy)).trace if c.kind == "singular_locus_audit")
+        audit = singular_darboux_audit(Derivation(dx, dy), report)
         assert not audit.residual_nonrational
         assert (Q(0), bi("x*y^4")) in [(i.parameter, i.poly) for i in audit.incidences]
 

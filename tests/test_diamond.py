@@ -1,7 +1,11 @@
 """The verdict engine: pinned decisions, primitivity classification,
 the singular-locus audit, and status invariants."""
 
+import importlib.util
 import random
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +18,23 @@ from orediamond import (
     UniDerivation,
     UniPoly,
     classify_primitivity,
+    darboux,
     darboux_search,
     decide,
     delta_simple_dim1_check,
+    gcd,
     groebner,
     singular_darboux_audit,
 )
+from orediamond.darboux import coprime_part
 from orediamond.diamond import DIAMOND, NOT_DIAMOND, UNKNOWN
+from orediamond.parse import parse_derivation
 from util import bi, lau, uni
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("cli_diff", ROOT / "tools" / "cli_diff.py")
+cli_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_diff)
 
 
 def final_example_derivation():
@@ -309,6 +322,90 @@ class TestSingularAudit:
                 gens for gens, key in calls if key is groebner._degree_lex and groebner.buchberger(gens) == locus
             ]
             assert len(locus_bases) == 1, (dx, dy)
+
+
+def _field(dx, dy):
+    return parse_derivation(f"dx={dx}; dy={dy}", "poly2")
+
+
+def _full_search_verdict(deriv, bound):
+    """(status, certified, evidence_bound) of the Darboux path with the
+    search run to the bound and the whole report audited."""
+    report = darboux_search(coprime_part(deriv, gcd(deriv.dx, deriv.dy)), bound)
+    audit = singular_darboux_audit(deriv, report)
+    violations = [i for i in audit.incidences if i.violation]
+    if violations:
+        return NOT_DIAMOND, violations[0].poly.total_degree() == 1 or report.complete_up_to_bound, bound
+    if audit.residual_nonrational:
+        return UNKNOWN, False, bound
+    return (DIAMOND if report.pencils else NOT_DIAMOND), False, bound
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once seconds of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestDegreeOneStop:
+    """decide ends the Darboux search after degree 1 when the audit of
+    the report through degree 1 finds a violation by a line."""
+
+    def test_verdicts_match_the_search_to_the_bound(self):
+        workloads, _ = cli_diff._orebench()
+        fields = [(name, dx, dy) for name, dx, dy, _, _ in workloads.NAMED] + cli_diff.survey()[:60]
+        searched = 0
+        for label, dx, dy in fields:
+            verdict = decide("poly2", _field(dx, dy), 6)
+            kinds = [step.kind for step in verdict.trace]
+            if "singular_locus_audit" not in kinds and "primitivity" not in kinds:
+                continue  # decided before any search
+            searched += 1
+            got = (verdict.status, verdict.certified, verdict.evidence_bound)
+            assert got == _full_search_verdict(_field(dx, dy), 6), label
+        assert searched >= 60
+
+    def test_former_hangs_answer_with_a_line(self):
+        """r74 and r114 of the survey and the known hang (5x^2, 3y^2 - 5)
+        ran for minutes in rational_roots when searched to the bound."""
+        workloads, oracle = cli_diff._orebench()
+        rng = random.Random(7)
+        survey = [workloads.random_derivation(rng) for _ in range(cli_diff.SURVEY_SIZE)]
+        cases = [
+            (*map(oracle.render, survey[74]), "y"),
+            (*map(oracle.render, survey[114]), "x"),
+            ("5*x^2", "3*y^2 - 5", "x"),
+        ]
+        for dx, dy, line in cases:
+            with _deadline(5):
+                verdict = decide("poly2", _field(dx, dy), 6)
+            step = verdict.trace[-1]
+            assert (verdict.status, verdict.certified, verdict.evidence_bound) == (NOT_DIAMOND, True, 6), (dx, dy)
+            assert (step.kind, step.p, step.searched_degree) == ("singular_violation", bi(line), 1), (dx, dy)
+
+    def test_lotka_volterra_searches_degree_1_only(self, monkeypatch):
+        degrees = []
+
+        def counting(a_pol, b_pol, d, n, p_top, c_top, _cascade=darboux._cascade):
+            degrees.append(n)
+            return _cascade(a_pol, b_pol, d, n, p_top, c_top)
+
+        monkeypatch.setattr(darboux, "_cascade", counting)
+        verdict = decide("poly2", _field("x - x*y", "x*y - y"), 6)
+        assert degrees and set(degrees) == {1}
+        step = verdict.trace[-1]
+        assert step.kind == "singular_violation" and step.searched_degree == 1
+        assert step.to_json()["searched_degree"] == 1 and "stopped at degree 1" in step.text
 
 
 class TestDeltaSimpleDim1:

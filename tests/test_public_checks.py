@@ -14,6 +14,7 @@ from orediamond import (
     UniDerivation,
     UniPoly,
     a_theta_pow_right,
+    darboux_search,
     decide,
     delta_simple_dim1_check,
     essential_witness,
@@ -58,6 +59,11 @@ CHECKS = [
         "PencilCert proportional",
         lambda: PencilCert(EULER, bi("x"), bi("2*x"), bi("1")),
         "pencil requires non-proportional members",
+    ),
+    (
+        "darboux_search settled",
+        lambda: darboux_search(Derivation(bi("x^2"), bi("x*y")), 2, settled=bool),
+        "settled needs coprime dx and dy",
     ),
     # resultants
     (

@@ -11,11 +11,12 @@ the seed is odd and the change first otherwise.  One traced run of each
 workload's first seed follows, parent first.  Runs are one at a time.
 
 Every run keeps orebench's last two stdout lines: the record and the
-result.  The summary compares the end-to-end metrics of the pairs, and
-per_query each query's latency, wall-clock and speed-scaled; about.src_lines gives each side's source
-line count, as its runs' provenance reports it.  The output file is
-rewritten after every run, so an interrupted session keeps what it
-measured.  Standard library only.
+result.  The summary compares the end-to-end metrics of the pairs,
+per_query each query's latency, wall-clock and speed-scaled, and
+setup_wall the set-up time before scaling, with the factor that scaled
+it; about.src_lines gives each side's source line count, as its runs'
+provenance reports it.  The output file is rewritten after every run,
+so an interrupted session keeps what it measured.  Standard library only.
 """
 
 import argparse
@@ -140,6 +141,27 @@ def per_query(runs):
     return out
 
 
+def setup_wall(runs):
+    """Per workload and side: the median and quartiles over the pairs of
+    the run record's wall.setup_s, the set-up time before scaling, and of
+    run_factor, setup_s over wall.setup_s, the speed factor that scaled
+    it.  A factor that moves while the raw time does not is the host or
+    the timed queries, not the set-up."""
+    out = {}
+    for workload, complete in _complete_pairs(runs).items():
+        if not complete:
+            continue
+        rows = out[workload] = {}
+        for side in SIDES:
+            wall = [p[side]["record"]["wall"]["setup_s"] for p in complete]
+            factor = [p[side]["result"]["metrics"]["setup_s"]["value"] / w for p, w in zip(complete, wall)]
+            rows[side] = {
+                name: dict(zip(("q1", "median", "q3"), _quartiles(values)))
+                for name, values in (("wall_setup_s", wall), ("run_factor", factor))
+            }
+    return out
+
+
 def _run(tree, command, workload, seed, seconds, trace):
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
@@ -192,9 +214,14 @@ def main(argv=None):
                 "scaled_change_over_parent, the same with each run's latency multiplied by the median "
                 "of that run's speed_factor_each"
             ),
+            "setup_wall_fields": (
+                "per workload and side: median, q1, q3 over the pairs of the run record's wall.setup_s "
+                "(the set-up time before scaling) and of run_factor, setup_s over wall.setup_s"
+            ),
         },
         "per_query": {},
         "runs": [],
+        "setup_wall": {},
         "summary": {},
         "traced": [],
     }
@@ -212,6 +239,7 @@ def main(argv=None):
         doc["about"]["src_lines"] = src_lines(doc["runs"] + doc["traced"])
         doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
         doc["per_query"] = per_query(doc["runs"])
+        doc["setup_wall"] = setup_wall(doc["runs"])
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True))
         metrics = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
         print(f"{workload} {seed} {side} trace={trace}: {metrics}", file=sys.stderr, flush=True)
