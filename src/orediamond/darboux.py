@@ -34,7 +34,8 @@ rows of _span, each pencil's once; _kernel_echelon's basis is already in
 that form.  The loop on
 delta/gcd(dx, dy) stops at the degree D(m, c) that the first pencil
 found, of degree m and cofactor c, bounds (Jouanolou; Stein; Vistoli):
-darboux_search gives the proof.
+darboux_search gives the proof.  A caller that reads only the first
+pencil stops at m itself (first_integral_search gives the proof).
 """
 
 from .rational import Q, QZERO, q
@@ -508,7 +509,7 @@ def _composite_of(b, u, polys):
     return False
 
 
-def darboux_search(deriv, bound, *, settled=None):
+def darboux_search(deriv, bound, *, settled=None, first_pencil=False):
     """All monic Q-irreducible Darboux polynomials of total degree at
     most bound, with a pencil for every two found that share a cofactor
     (the constant 1 among them), leaving out composites F(b, u) of a
@@ -518,7 +519,10 @@ def darboux_search(deriv, bound, *, settled=None):
     lets a caller end the search once degree 1 answers its question.  When
     the search goes on past degree 1, it is called once with the report
     through degree 1, the one darboux_search(deriv, 1) returns, and a true
-    return ends the search with that report.
+    return ends the search with that report.  first_pencil, for a caller
+    that reads pencils[0] alone, ends the loop on delta/g after the first
+    degree n >= deg g whose report holds a pencil, with that report, its
+    degree_bound n (the proof is in first_integral_search).
 
     With g = gcd(dx, dy), the degree loop runs on delta/g to the bound,
     with the stop below, and, when g is not constant, on delta through
@@ -553,30 +557,27 @@ def darboux_search(deriv, bound, *, settled=None):
     if bound < 1:
         raise DomainError("degree bound must be at least 1")
     g = gcd(deriv.dx, deriv.dy)
+    head, whole, searched, reduced = [], True, 0, deriv  # delta's own run, when g is not constant
     if not g.is_constant:
         if settled is not None:
             raise DomainError("settled needs coprime dx and dy")
         # delta's pairs first: ties in the report keep a search of delta's order
-        found, complete, searched = _run(_degree_loop(deriv, min(bound, int(g.total_degree())), False))
-        reduced, complete2, searched2 = _run(_degree_loop(coprime_part(deriv, g), bound, True))
-        found += [(p, g * c) for p, c in reduced]
-        return _assemble_report(deriv, found, bound, complete and complete2, max(searched, searched2))
-    loop = _degree_loop(deriv, bound, True)
-    found, complete, searched, last = next(loop)
-    if settled is not None and not last:
-        report = _assemble_report(deriv, found, 1, complete, 1)
-        if settled(report):
-            return report
-    found, complete, searched = _run(loop, (found, complete, searched))
-    return _assemble_report(deriv, found, bound, complete, searched)
+        *_, (head, whole, searched, _) = _degree_loop(deriv, min(bound, int(g.total_degree())), False)
+        reduced = coprime_part(deriv, g)
 
+    def pairs(found):
+        return found if reduced is deriv else head + [(p, g * c) for p, c in found]
 
-def _run(loop, state=None):
-    """(found, complete, n) after the last degree of a _degree_loop, or
-    state when the loop has no degree left."""
-    for found, complete, n, _ in loop:
-        state = found, complete, n
-    return state
+    for found, complete, n, last in _degree_loop(reduced, bound, True):
+        if settled is not None and n == 1 and not last:
+            report = _assemble_report(deriv, found, 1, complete, 1)
+            if settled(report):
+                return report
+        if first_pencil and not last and n >= searched and _pencil_cofactor(every := pairs(found)) is not None:
+            report = _assemble_report(deriv, every, n, whole and complete, n)
+            if report.pencils:
+                return report
+    return _assemble_report(deriv, pairs(found), bound, whole and complete, max(searched, n))
 
 
 def _degree_loop(deriv, bound, stops):
@@ -698,8 +699,20 @@ def coprime_part(deriv, g):
 
 def first_integral_search(deriv, bound):
     """A rational first integral p/q of degree <= bound, or None: the
-    first pencil darboux_search finds, a PencilCert of delta."""
-    pencils = darboux_search(deriv, bound).pencils
+    first pencil darboux_search finds, a PencilCert of delta.
+
+    The search stops at the first degree n >= deg g whose report holds a
+    pencil (first_pencil), whose pencils[0] is that of the report at the
+    bound.  Every pair found has degree <= n, delta's own run ending at
+    deg g, and a pencil's degree, that of its larger member, is the first
+    sort key of _assemble_report.  Degree n' > n adds only pairs of degree
+    n' (the kernel of a constant field also returns lower ones, with the
+    same cofactor 0, which the report's dict keeps once, where they were),
+    so later pencils have degree above n and spans of their own.  The gcd
+    filter reads a pencil alone, the composite filter only smaller kept
+    pencils: neither drops the first one later.  Completeness is not needed.
+    """
+    pencils = darboux_search(deriv, bound, first_pencil=True).pencils
     return pencils[0] if pencils else None
 
 

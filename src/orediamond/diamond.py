@@ -178,7 +178,7 @@ def _locus_basis(deriv):
     return basis, not any(g.is_constant for g in basis)
 
 
-def singular_darboux_audit(deriv, report, locus=None):
+def singular_darboux_audit(deriv, report, locus=None, seen=None):
     """The singular_locus_audit Step of report's Darboux members: check
     delta(R) <= Rp for every member p through the singular locus
     V(delta(x), delta(y)), one Incidence per member.
@@ -188,14 +188,20 @@ def singular_darboux_audit(deriv, report, locus=None):
     instead of the generators.  The answers are the same, a reduced basis
     being unique: (G, p) and (delta(x), delta(y), p) have one graded lex
     basis, (G, p + t*q) and (delta(x), delta(y), p + t*q) one lex
-    eliminant.  An empty locus, G = [1], is reported as locus_proper False
-    with no incidences."""
+    eliminant.  seen maps each polynomial tested to whether it meets the
+    locus, and may come from an earlier audit.  An empty locus, G = [1],
+    is reported as locus_proper False with no incidences."""
     basis, locus_proper = locus or _locus_basis(deriv)
     certs, pencils = (report.certs, report.pencils) if locus_proper else ((), ())
+    seen = {} if seen is None else seen
     incidences = []
     residual = False
 
-    def audit(poly, parameter, meets):
+    def audit(poly, parameter, meets=None):
+        if meets is None:
+            if poly not in seen:
+                seen[poly] = has_common_zero_with(basis, poly)
+            meets = seen[poly]
         incidences.append(
             Incidence(
                 poly,
@@ -207,7 +213,7 @@ def singular_darboux_audit(deriv, report, locus=None):
         )
 
     for cert in certs:
-        audit(cert.p, None, has_common_zero_with(basis, cert.p))
+        audit(cert.p, None)
     for pencil in pencils:
         through = pencil_members_through(pencil, basis)
         residual = residual or through.residual_nonrational
@@ -216,12 +222,12 @@ def singular_darboux_audit(deriv, report, locus=None):
             # audited here is checked against the locus on its own
             for t, member in ((QZERO, pencil.p), (INFINITY, pencil.q)):
                 if not member.is_constant:
-                    audit(member, t, has_common_zero_with(basis, member))
+                    audit(member, t)
             generic = pencil.p + pencil.q  # a representative generic member
             if not generic.is_constant and not any(
                 generic.monic() == i.poly.monic() for i in incidences
             ):
-                audit(generic, "generic", has_common_zero_with(basis, generic))
+                audit(generic, "generic")
         else:
             for t, member in through.members:
                 audit(member, t, True)
@@ -339,8 +345,12 @@ def _decide_poly_bi(deriv, darboux_bound):
     larger pencil is audited after the certificates), and it is certified
     unless that first one has degree above 1 in an incomplete search.
     On the named corpus and the survey status and certified agree
-    (tests/test_diamond.py).  evidence_bound stays darboux_bound, as on
-    every other path."""
+    (tests/test_diamond.py).  The degree-1 audit is built only when a
+    line that does not divide both delta(x) and delta(y) meets the locus,
+    or a pencil is found; the final audit reuses its incidence tests.  An
+    empty locus (G = [1]) has no maximal delta-ideal, so the verdict reads
+    only the first pencil (first_integral_search) and runs no audit.
+    evidence_bound stays darboux_bound, as on every other path."""
     if deriv.is_zero:
         return _commutative(darboux_bound)
     nil = locally_nilpotent_bounded(deriv)
@@ -362,19 +372,26 @@ def _decide_poly_bi(deriv, darboux_bound):
         step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
         return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
     g = gcd(deriv.dx, deriv.dy)
+    reduced = coprime_part(deriv, g)
     locus = _locus_basis(deriv)  # (basis, proper), for both audits
-    early = []  # the audit of the report through degree 1, if it settles
-
-    def settled(report):
-        audit = singular_darboux_audit(deriv, report, locus)
-        if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
-            early.append(audit)
-        return bool(early)
-
-    report = darboux_search(coprime_part(deriv, g), darboux_bound, settled=settled if locus[1] else None)
-    audit = early[0] if early else singular_darboux_audit(deriv, report, locus)
     trace = []
-    if audit.locus_proper:
+    if not locus[1]:
+        pencil = first_integral_search(reduced, darboux_bound)
+    else:
+        seen, early = {}, []  # both audits' incidence tests; the degree-1 audit, if it settles
+
+        def settled(report):
+            for p in (c.p for c in report.certs):  # a line dividing dx and dy cannot violate
+                if exact_divide(deriv.dx, p) is None or exact_divide(deriv.dy, p) is None:
+                    seen[p] = has_common_zero_with(locus[0], p)
+            if report.pencils or any(seen.values()):
+                audit = singular_darboux_audit(deriv, report, locus, seen)
+                if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
+                    early.append(audit)
+            return bool(early)
+
+        report = darboux_search(reduced, darboux_bound, settled=settled)
+        audit = early[0] if early else singular_darboux_audit(deriv, report, locus, seen)
         trace.append(audit)
         violations = [i for i in audit.incidences if i.violation]
         if violations:
@@ -392,14 +409,14 @@ def _decide_poly_bi(deriv, darboux_bound):
             return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
         if audit.residual_nonrational:
             return Verdict(UNKNOWN, False, darboux_bound, trace)
+        pencil = report.pencils[0] if report.pencils else None
     # a pencil of delta/g is one of delta, its cofactor times g
-    pencil = report.pencils[0] if report.pencils else None
     if pencil is not None:
         pencil = PencilCert(deriv, pencil.p, pencil.q, g * pencil.cofactor)
     trace.append(_primitivity_step(pencil, darboux_bound))
     if pencil is None:
         return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
-    if not audit.locus_proper:
+    if not locus[1]:
         text = (
             "delta(x), delta(y) generate the unit ideal (no maximal invariant ideal) and a rational "
             f"first integral {pencil.p.render()} / {pencil.q.render()} rules out primitivity; property holds"

@@ -3,7 +3,9 @@ scaling equivariance, affine coordinate changes, pencil-member
 selection, and the independent degree-1 brute-force oracle."""
 
 import copy
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,10 @@ from orediamond.darboux import (
 )
 from orediamond.multipoly import MPoly
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
+
+_spec = importlib.util.spec_from_file_location("cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
+cli_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_diff)
 
 
 def pencil_triples(report):
@@ -974,3 +980,51 @@ class TestDegreeOneOracle:
             else:
                 # an infinite family must surface as a pencil
                 assert report.pencils or not solutions
+
+
+class TestFirstPencilStop:
+    """first_integral_search stops the search at the first degree whose
+    report holds a pencil, and answers as the search to the bound."""
+
+    @staticmethod
+    def _first_pencils(deriv, bound):
+        """(p, q, cofactor) of first_integral_search and of the first
+        pencil of the search to the bound, each None when there is none."""
+        full = darboux_search(deriv, bound).pencils
+        firsts = (first_integral_search(deriv, bound), full[0] if full else None)
+        return [None if pc is None else (pc.p, pc.q, pc.cofactor) for pc in firsts]
+
+    def test_named_corpus_at_bounds_1_to_8(self):
+        workloads, _ = cli_diff._orebench()
+        for name, dx, dy, _, _ in workloads.NAMED:
+            for bound in range(1, 9):
+                early, full = self._first_pencils(Derivation(bi(dx), bi(dy)), bound)
+                assert early == full, (name, bound)
+
+    def test_survey_at_bound_6(self):
+        fields = cli_diff.survey()
+        assert len(fields) == 147  # the hangs left out
+        pencils = 0
+        for label, dx, dy in fields:
+            early, full = self._first_pencils(Derivation(bi(dx), bi(dy)), 6)
+            assert early == full, label
+            pencils += early is not None
+        assert pencils >= 30
+
+    def test_field_with_a_gcd(self):
+        # delta = y*(3x + 3, 2y): delta itself runs through deg g = 1
+        deriv = Derivation(bi("3*x*y + 3*y"), bi("2*y^2"))
+        for bound in (1, 2, 3, 6):
+            early, full = self._first_pencils(deriv, bound)
+            assert early == full, bound
+        assert darboux_search(deriv, 6, first_pencil=True).searched_degree == 3
+
+    @pytest.mark.parametrize(
+        "dx, dy, bound, searched",
+        [("1", "x*y^2", 6, 3), ("1", "x*y^2", 12, 3), ("x^2 + y", "x*y - x", 12, 2)],
+        ids=["one-xy2-6", "one-xy2-12", "euler-top-d2-12"],
+    )
+    def test_searched_degree(self, dx, dy, bound, searched):
+        report = darboux_search(Derivation(bi(dx), bi(dy)), bound, first_pencil=True)
+        assert report.pencils
+        assert report.searched_degree == report.degree_bound == searched

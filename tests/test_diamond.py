@@ -2,6 +2,7 @@
 the singular-locus audit, and status invariants."""
 
 import importlib.util
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -22,10 +23,12 @@ from orediamond import (
     darboux_search,
     decide,
     delta_simple_dim1_check,
+    diamond,
     gcd,
     groebner,
     singular_darboux_audit,
 )
+from orediamond.cli import main
 from orediamond.darboux import coprime_part
 from orediamond.diamond import DIAMOND, NOT_DIAMOND, UNKNOWN
 from orediamond.parse import parse_derivation
@@ -406,6 +409,74 @@ class TestDegreeOneStop:
         step = verdict.trace[-1]
         assert step.kind == "singular_violation" and step.searched_degree == 1
         assert step.to_json()["searched_degree"] == 1 and "stopped at degree 1" in step.text
+
+
+class TestFirstPencilStop:
+    """On an empty locus decide reads only the first pencil: the search
+    stops at it and no audit runs."""
+
+    def test_one_xy2_searches_through_degree_3_without_an_audit(self, monkeypatch, capsys):
+        argv = ["decide", "--ring", "poly2", "--deriv", "dx=1; dy=x*y^2", "--bound", "6", "--json"]
+        (pin,) = [p for p in json.loads((ROOT / "tests" / "planar_cli_pins.json").read_text()) if p["argv"] == argv]
+        degrees, audits = [], []
+
+        def counting(a_pol, b_pol, d, n, p_top, c_top, _cascade=darboux._cascade):
+            degrees.append(n)
+            return _cascade(a_pol, b_pol, d, n, p_top, c_top)
+
+        monkeypatch.setattr(darboux, "_cascade", counting)
+        monkeypatch.setattr(diamond, "singular_darboux_audit", lambda *args: audits.append(args))
+        assert main(argv) == pin["code"]
+        assert capsys.readouterr().out == pin["out"]
+        assert degrees and max(degrees) == 3 and audits == []
+
+
+class TestIncidenceTests:
+    """Each decide tests a polynomial against the locus at most once, and
+    the degree-1 hook tests no line that divides delta(x) and delta(y)."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        for module in (diamond, darboux):
+
+            def counting(basis, poly, _test=module.has_common_zero_with):
+                calls.append(poly)
+                return _test(basis, poly)
+
+            monkeypatch.setattr(module, "has_common_zero_with", counting)
+        return calls
+
+    def test_hook_tests_no_line_through_both_components(self, monkeypatch):
+        # final-example: delta/g = (1, -y^2) has one line, y, which divides dx and dy
+        calls = self._counting(monkeypatch)
+        in_hook = []
+
+        def search(deriv, bound, *, settled=None, _search=darboux_search):
+            def hook(report):
+                before = len(calls)
+                answer = settled(report)
+                in_hook.append(len(calls) - before)
+                return answer
+
+            return _search(deriv, bound, settled=hook)
+
+        monkeypatch.setattr(diamond, "darboux_search", search)
+        verdict = decide("poly2", final_example_derivation(), 6)
+        assert in_hook == [0] and calls
+        assert (verdict.status, verdict.certified) == (DIAMOND, False)
+
+    def test_no_polynomial_is_tested_twice(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        workloads, _ = cli_diff._orebench()
+        fields = [(name, dx, dy) for name, dx, dy, _, _ in workloads.NAMED] + cli_diff.survey()
+        total = 0
+        for label, dx, dy in fields:
+            calls.clear()
+            decide("poly2", _field(dx, dy), 6)
+            assert len(calls) == len(set(calls)), label
+            total += len(calls)
+        assert total >= 100
 
 
 class TestDeltaSimpleDim1:

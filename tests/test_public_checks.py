@@ -18,6 +18,7 @@ from orediamond import (
     decide,
     delta_simple_dim1_check,
     essential_witness,
+    first_integral_search,
     gcd,
     linalg,
     rational_roots,
@@ -65,6 +66,12 @@ CHECKS = [
         lambda: darboux_search(Derivation(bi("x^2"), bi("x*y")), 2, settled=bool),
         "settled needs coprime dx and dy",
     ),
+    (
+        "first_integral_search zero field",
+        lambda: first_integral_search(Derivation(BiPoly.zero(), BiPoly.zero()), 3),
+        "every polynomial is Darboux for the zero derivation",
+    ),
+    ("first_integral_search bound", lambda: first_integral_search(EULER, 0), "degree bound must be at least 1"),
     # resultants
     (
         "mpoly_exact_divide",

@@ -11,7 +11,8 @@ recorded as "timeout".  The two trees run at the same time.
 
 The corpus, each query as text and with --json:
 - the named corpus of orebench/workloads.NAMED under decide 6, darboux 6,
-  darboux 8, darboux 12, primitive 6 and first-integral 8;
+  darboux 8, darboux 12, primitive 6 and 12, and first-integral 8 and 12
+  (at 12 the first-pencil stop skips the most degrees);
 - the survey, the first 150 workloads.random_derivation(random.Random(7))
   fields without the three that hang (HANGS), under decide 6, darboux 6,
   darboux 8, primitive 6 and first-integral 6;
@@ -46,7 +47,16 @@ SHAMSUDDIN_SIZE = 30
 LAURENT_SIZE = 40
 ORE_SEEDS = (3001, 3002, 3003)
 PIN_FILES = ("planar_cli_pins.json", "univariate_cli_pins.json", "ore_cli_pins.json")
-NAMED_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("darboux", 12), ("primitive", 6), ("first-integral", 8))
+NAMED_QUERIES = (
+    ("decide", 6),
+    ("darboux", 6),
+    ("darboux", 8),
+    ("darboux", 12),
+    ("primitive", 6),
+    ("primitive", 12),
+    ("first-integral", 8),
+    ("first-integral", 12),
+)
 SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
