@@ -27,6 +27,12 @@ forced, and for d = 1 the whole system is linear; for d = 0 (M is then
 the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
 the same linear solve.
 
+Two exits skip what a proof already answers.  A delta-simple field of
+Shamsuddin shape has no Darboux polynomial, so darboux_search runs no
+cascade on it; and a cascade with no free column, whose solution is
+unique, takes the product of two pairs found at lower degrees when their
+leading forms multiply to the one it is given (_cascade gives the proof).
+
 The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span it
 compares (pencil keys and membership, composites) is read off the echelon
@@ -51,7 +57,7 @@ from .poly import (
     uni_gcd,
 )
 from .multipoly import MPoly, mpoly_resultant
-from .derivation import Derivation
+from .derivation import Derivation, _shamsuddin_shape, shamsuddin_analyze
 from .unifactor import factor_univariate
 from . import linalg
 from .groebner import _eliminate, has_common_zero_with
@@ -314,7 +320,7 @@ def _cascade_level(ad, bd, d, n, p_top, c_top, s):
     return mons_p, mons_c, eq_mons, m, pivots, ops
 
 
-def _cascade(a_pol, b_pol, d, n, p_top, c_top):
+def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     """Solve delta(p) = c*p level by level below a fixed leading form.
 
     Every part of p and of the cofactor is held as a map {(i, j):
@@ -345,6 +351,19 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     parameters are those of that product; the parts are joined into one
     MPoly only for _cascade_answers.
 
+    With no free column (P = 0), known, the found pairs indexed by their
+    monic leading form (_degree_loop; None runs every level), may give
+    the answer instead: when the leading forms of two found pairs (f,
+    c_f), (g, c_g) multiply to p_top up to a scalar lam, the cascade
+    returns [(lam*f*g, c_f + c_g)] with no right side built.  Proof: with
+    no free column every level's matrix has full column rank, so its
+    unknowns are fixed by the levels above, and at most one (p, c) has
+    p's top part p_top.  lam*f*g is Darboux with cofactor c_f + c_g and
+    top part p_top, and the part of degree d - 1 of any cofactor of such
+    a p is the forced c_top (D(p_top) = c_top*p_top, D the top part of
+    delta); so (lam*f*g, c_f + c_g) is that one solution, the one the
+    levels would give.
+
     Returns (solutions, complete) as _cascade_answers does; ([], True) as
     soon as a level leaves a nonzero constant row.
     """
@@ -361,6 +380,8 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
         return [], True
     levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, n + d)]
     nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
+    if nv == 2 and known and (product := _known_product(p_top, known)) is not None:
+        return [product], True
     params = iter(range(2, nv))
     parts_p = {n: _constant_coeffs(p_top, nv)}
     parts_c = {d - 1: _constant_coeffs(c_top, nv)}
@@ -411,6 +432,26 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top):
     p_all = MPoly.from_xy_coeffs([t for part in parts_p.values() for t in part.items()], nv)
     c_all = MPoly.from_xy_coeffs([t for part in parts_c.values() for t in part.items()], nv)
     return _cascade_answers(p_all, c_all, constraints)
+
+
+def _leading_form(p):
+    """The monic top-degree part of p, the key of _degree_loop's index."""
+    return p.homogeneous_part(int(p.total_degree())).monic()
+
+
+def _known_product(p_top, known):
+    """(lam*f*g, c_f + c_g) for two pairs (f, c_f), (g, c_g) of known
+    whose leading forms multiply to lam^-1*p_top, else None; known maps a
+    monic leading form to a found pair that has it."""
+    top = p_top.leading_exp()
+    for form, (f, c_f) in known.items():
+        if all(a <= b for a, b in zip(form.leading_exp(), top)):
+            rest = exact_divide(p_top, form)
+            if rest is not None and (pair := known.get(rest.monic())) is not None:
+                g, c_g = pair
+                fg = f * g
+                return p_top.lc() / fg.lc() * fg, c_f + c_g
+    return None
 
 
 def _constant_coeffs(p, nv):
@@ -524,6 +565,14 @@ def darboux_search(deriv, bound, *, settled=None, first_pencil=False):
     degree n >= deg g whose report holds a pencil, with that report, its
     degree_bound n (the proof is in first_integral_search).
 
+    A delta-simple field needs no search.  When delta has the Shamsuddin
+    shape c*(d/dx + (a*y + b)*d/dy) and shamsuddin_analyze finds no
+    polynomial c' = a*c + b (status d_simple), Q[x, y] has no proper
+    nonzero delta-ideal (Shamsuddin 1977).  A nonconstant Darboux p would
+    generate one, delta(p) = c*p lying in (p), so no degree has anything
+    to report: the report is empty and complete, with searched_degree the
+    bound, as if every degree through it had been searched.
+
     With g = gcd(dx, dy), the degree loop runs on delta/g to the bound,
     with the stop below, and, when g is not constant, on delta through
     deg g, without it; the cofactors of delta/g enter times g.  This is
@@ -556,6 +605,9 @@ def darboux_search(deriv, bound, *, settled=None, first_pencil=False):
         raise DomainError("every polynomial is Darboux for the zero derivation")
     if bound < 1:
         raise DomainError("degree bound must be at least 1")
+    shape = _shamsuddin_shape(deriv)
+    if shape is not None and shamsuddin_analyze(*shape).status == "d_simple":
+        return DarbouxReport([], [], bound, True, bound)
     g = gcd(deriv.dx, deriv.dy)
     head, whole, searched, reduced = [], True, 0, deriv  # delta's own run, when g is not constant
     if not g.is_constant:
@@ -585,7 +637,10 @@ def _degree_loop(deriv, bound, stops):
     the stop at the first pencil when stops.  A generator, so that a
     search can pause between degrees: after each degree n it yields
     (found, complete, n, last), found being the (p, cofactor) pairs so
-    far, one list extended in place, and last whether n ends the loop."""
+    far, one list extended in place, and last whether n ends the loop.
+    Before the leading forms of degree n it indexes the pairs found so
+    far, all of lower degree, by their monic leading form (known), which
+    _cascade reads when a cascade has no free column."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
@@ -603,6 +658,7 @@ def _degree_loop(deriv, bound, stops):
         complete = False
         atoms = [BiPoly.var_x(), BiPoly.var_y()]
     found = []  # (p, cofactor)
+    known, indexed = {}, 0  # monic leading form: a found pair that has it; pairs read
     stop, n = bound, 0
     while n < stop:
         n += 1
@@ -610,6 +666,8 @@ def _degree_loop(deriv, bound, stops):
             c0 = BiPoly.const(n * hval)
             found += [(p, c0) for p in _kernel_echelon(deriv, c0, n)]
         else:
+            known.update((_leading_form(p), (p, c)) for p, c in found[indexed:])
+            indexed = len(found)
             for p_top in _top_candidates(atoms, n):
                 # p_top divides its image.  For h homogeneous of degree
                 # k, Euler's identity gives x*D(h) = k*ad*h + h_y*M and
@@ -618,7 +676,7 @@ def _degree_loop(deriv, bound, stops):
                 # y*D(h), hence D(h), as gcd(x, y) = 1
                 dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
                 c_top = exact_divide(dp, p_top)
-                sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top)
+                sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
                 complete = complete and comp
                 found += sols
         if stops and (c := _pencil_cofactor(found)) is not None:

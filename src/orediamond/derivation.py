@@ -2,8 +2,8 @@
 
 A derivation is determined by its values on the generators; apply()
 extends by the Leibniz rule.  Also here: the exact local-nilpotency
-test and the analysis of Shamsuddin-type derivations d/dx + (a(x)y +
-b(x)) d/dy.
+test, and the shape and analysis of Shamsuddin-type derivations d/dx +
+(a(x)y + b(x)) d/dy.
 """
 
 from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide
@@ -159,6 +159,22 @@ class ShamsuddinResult:
 
     def __repr__(self):
         return f"ShamsuddinResult({self.status}, solution={self.solution})"
+
+
+def _shamsuddin_shape(deriv):
+    """(a, b) with delta = c*(dx + (a*y + b)*dy), c nonzero rational, a != 0;
+    None when delta is not of that shape."""
+    dx, dy = deriv.dx, deriv.dy
+    if not dx.is_constant or dx.is_zero:
+        return None
+    c = dx.constant_value()
+    if dy.deg_y() != 1:
+        return None
+    b_part, a_part = dy.coeffs_in(1)
+    inv = 1 / c
+    a_u = (inv * a_part).as_unipoly(0)
+    b_u = (inv * b_part).as_unipoly(0)
+    return a_u, b_u
 
 
 def shamsuddin_analyze(a, b):

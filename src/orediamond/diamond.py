@@ -19,6 +19,7 @@ from .poly import DomainError, LaurentUniPoly, UniPoly, exact_divide, gcd
 from .derivation import (
     Derivation,
     UniDerivation,
+    _shamsuddin_shape,
     locally_nilpotent_bounded,
     shamsuddin_analyze,
 )
@@ -126,22 +127,6 @@ class Verdict:
         return f"Verdict({self.status}, certified={self.certified})"
 
 
-def _shamsuddin_shape(deriv):
-    """(a, b) with delta = c*(dx + (a*y + b)*dy), c nonzero rational, a != 0;
-    None when delta is not of that shape."""
-    dx, dy = deriv.dx, deriv.dy
-    if not dx.is_constant or dx.is_zero:
-        return None
-    c = dx.constant_value()
-    if dy.deg_y() != 1:
-        return None
-    b_part, a_part = dy.coeffs_in(1)
-    inv = 1 / c
-    a_u = (inv * a_part).as_unipoly(0)
-    b_u = (inv * b_part).as_unipoly(0)
-    return a_u, b_u
-
-
 def _primitivity_step(pencil, bound):
     """The primitivity step: not primitive with the pencil of a rational
     first integral; with no pencil, evidence of primitivity from the
@@ -178,7 +163,12 @@ def _locus_basis(deriv):
     return basis, not any(g.is_constant for g in basis)
 
 
-def singular_darboux_audit(deriv, report, locus=None, seen=None):
+def _divides_both(deriv, poly):
+    """(poly divides delta(x), poly divides delta(y))."""
+    return exact_divide(deriv.dx, poly) is not None, exact_divide(deriv.dy, poly) is not None
+
+
+def singular_darboux_audit(deriv, report, locus=None, seen=None, divides=None):
     """The singular_locus_audit Step of report's Darboux members: check
     delta(R) <= Rp for every member p through the singular locus
     V(delta(x), delta(y)), one Incidence per member.
@@ -189,11 +179,14 @@ def singular_darboux_audit(deriv, report, locus=None, seen=None):
     being unique: (G, p) and (delta(x), delta(y), p) have one graded lex
     basis, (G, p + t*q) and (delta(x), delta(y), p + t*q) one lex
     eliminant.  seen maps each polynomial tested to whether it meets the
-    locus, and may come from an earlier audit.  An empty locus, G = [1],
-    is reported as locus_proper False with no incidences."""
+    locus, divides each polynomial audited to whether it divides delta(x)
+    and delta(y) (_divides_both); either may come from an earlier audit
+    or test.  An empty locus, G = [1], is reported as locus_proper False
+    with no incidences."""
     basis, locus_proper = locus or _locus_basis(deriv)
     certs, pencils = (report.certs, report.pencils) if locus_proper else ((), ())
     seen = {} if seen is None else seen
+    divides = {} if divides is None else divides
     incidences = []
     residual = False
 
@@ -202,15 +195,9 @@ def singular_darboux_audit(deriv, report, locus=None, seen=None):
             if poly not in seen:
                 seen[poly] = has_common_zero_with(basis, poly)
             meets = seen[poly]
-        incidences.append(
-            Incidence(
-                poly,
-                parameter,
-                meets,
-                exact_divide(deriv.dx, poly) is not None,
-                exact_divide(deriv.dy, poly) is not None,
-            )
-        )
+        if poly not in divides:
+            divides[poly] = _divides_both(deriv, poly)
+        incidences.append(Incidence(poly, parameter, meets, *divides[poly]))
 
     for cert in certs:
         audit(cert.p, None)
@@ -347,9 +334,10 @@ def _decide_poly_bi(deriv, darboux_bound):
     On the named corpus and the survey status and certified agree
     (tests/test_diamond.py).  The degree-1 audit is built only when a
     line that does not divide both delta(x) and delta(y) meets the locus,
-    or a pencil is found; the final audit reuses its incidence tests.  An
-    empty locus (G = [1]) has no maximal delta-ideal, so the verdict reads
-    only the first pencil (first_integral_search) and runs no audit.
+    or a pencil is found; the final audit reuses its incidence and
+    divisibility tests.  An empty locus (G = [1]) has no maximal
+    delta-ideal, so the verdict reads only the first pencil
+    (first_integral_search) and runs no audit.
     evidence_bound stays darboux_bound, as on every other path."""
     if deriv.is_zero:
         return _commutative(darboux_bound)
@@ -378,20 +366,22 @@ def _decide_poly_bi(deriv, darboux_bound):
     if not locus[1]:
         pencil = first_integral_search(reduced, darboux_bound)
     else:
-        seen, early = {}, []  # both audits' incidence tests; the degree-1 audit, if it settles
+        # both audits' incidence and divisibility tests; the degree-1 audit, if it settles
+        seen, divides, early = {}, {}, []
 
         def settled(report):
             for p in (c.p for c in report.certs):  # a line dividing dx and dy cannot violate
-                if exact_divide(deriv.dx, p) is None or exact_divide(deriv.dy, p) is None:
+                divides[p] = _divides_both(deriv, p)
+                if not all(divides[p]):
                     seen[p] = has_common_zero_with(locus[0], p)
             if report.pencils or any(seen.values()):
-                audit = singular_darboux_audit(deriv, report, locus, seen)
+                audit = singular_darboux_audit(deriv, report, locus, seen, divides)
                 if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
                     early.append(audit)
             return bool(early)
 
         report = darboux_search(reduced, darboux_bound, settled=settled)
-        audit = early[0] if early else singular_darboux_audit(deriv, report, locus, seen)
+        audit = early[0] if early else singular_darboux_audit(deriv, report, locus, seen, divides)
         trace.append(audit)
         violations = [i for i in audit.incidences if i.violation]
         if violations:

@@ -8,8 +8,9 @@ previous pivot.  A row whose entries are all ints is taken as it is, over
 scale 1, with no pass over denominators; the Darboux cascade's level
 matrices are such rows for an integer derivation.  An elimination step
 changes a row only where the pivot row is nonzero, besides scaling it.
-The rationals it returns, and the row operations replay needs, are read
-off those ints.
+The rows it returns, and the row operations replay needs, are read off
+those ints: a row of scale 1 is returned as its ints, with no Fraction
+built, any other as Fractions.
 
 The library itself calls rref, replay and nullspace; solve is kept as
 public API.
@@ -32,8 +33,10 @@ def rref(rows, ncols):
 
     The first ncols columns are eliminated on ints: row i stands for
     nums[i] / scales[i], so the pivot order and the rationals of the
-    Fraction elimination come out unchanged.  The input rows are left
-    unchanged."""
+    Fraction elimination come out unchanged.  In a returned row those
+    columns hold ints when all of them are integers (the row's scale is
+    1, its numerators and scale being coprime), else Fractions; the two
+    compare and hash alike.  The input rows are left unchanged."""
     nums, scales = [], []
     for row in rows:
         left = row[:ncols]
@@ -92,7 +95,7 @@ def rref(rows, ncols):
         r += 1
         if r == n:
             break
-    m = [[Q(v, s) if v else QZERO for v in row] for row, s in zip(nums, scales)]
+    m = [row if s == 1 else [Q(v, s) if v else QZERO for v in row] for row, s in zip(nums, scales)]
     width = len(rows[0]) if rows else 0
     for j in range(ncols, width):
         for row, v in zip(m, replay(ops, [row[j] for row in rows])):
@@ -133,7 +136,8 @@ def solve(a_rows, rhs):
     """Solve A x = rhs over Q.
 
     Returns (particular, kernel_basis) or (None, kernel_basis) when the
-    system is inconsistent.  Vectors are lists of rationals.
+    system is inconsistent.  Vectors are lists of rationals, each an int
+    or a Fraction, as rref returns them.
     """
     if not a_rows:
         return [], []

@@ -756,12 +756,11 @@ def _content_x(p):
 
 
 def _primitive_part_x(p):
-    if p.is_zero:
-        return p
+    """(_content_x(p), p divided by it), p nonzero."""
     cont = _content_x(p)
     if cont.degree() == 0:
-        return p
-    return exact_divide(p, _lift_y(cont))
+        return cont, p
+    return cont, exact_divide(p, _lift_y(cont))
 
 
 def _lc_x(p):
@@ -789,14 +788,14 @@ def gcd(p, q_):
         return q_.monic()
     if q_.is_zero:
         return p.monic()
-    cont = uni_gcd(_content_x(p), _content_x(q_))
-    a, b = _primitive_part_x(p), _primitive_part_x(q_)
+    (cont_p, a), (cont_q, b) = _primitive_part_x(p), _primitive_part_x(q_)
+    cont = uni_gcd(cont_p, cont_q)
     if a.degree_in(0) < b.degree_in(0):
         a, b = b, a
     while not b.is_zero and b.degree_in(0) > 0:
         r = _prem_x(a, b)
-        a, b = b, _primitive_part_x(r)
-    g = _primitive_part_x(a) if b.is_zero else BiPoly.one()
+        a, b = b, r if r.is_zero else _primitive_part_x(r)[1]
+    g = a if b.is_zero else BiPoly.one()  # a is a primitive part already
     return (g * _lift_y(cont)).monic()
 
 

@@ -5,8 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from orediamond.derivation import shamsuddin_analyze
-from orediamond.diamond import _shamsuddin_shape
+from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
 from orediamond.parse import parse_derivation
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,17 +58,19 @@ def test_corpus_runs_each_query_once_and_every_pin():
         r142 = ["darboux", "--ring", "poly2", "--deriv", "dx=3*x*y + 3*y; dy=2*y^2", "--bound", bound]
         assert r142 in corpus and r142 + ["--json"] in corpus
     survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
-    assert len(survey) == 147 + 10
+    # the survey, the named corpus and the Shamsuddin fields
+    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE
 
 
-def test_corpus_runs_the_shamsuddin_fields_under_decide():
+def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():
     corpus = cli_diff.corpus()
     fields = cli_diff.shamsuddin_fields()
     assert len(fields) == cli_diff.SHAMSUDDIN_SIZE == 30
     statuses = []
     for _, dx, dy in fields:
-        argv = ["decide", "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", "6"]
-        assert argv in corpus and argv + ["--json"] in corpus
+        for verb, bound in (("decide", "6"), ("darboux", "6"), ("darboux", "8"), ("first-integral", "6")):
+            argv = [verb, "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", bound]
+            assert argv in corpus and argv + ["--json"] in corpus
         # each field reaches shamsuddin_analyze, with deg a, deg b <= 3
         a, b = _shamsuddin_shape(parse_derivation(f"dx={dx}; dy={dy}", "poly2"))
         assert a.degree() <= 3 and b.degree() <= 3

@@ -23,6 +23,7 @@ from orediamond import (
     linalg,
     pencil_members_through,
     rational_roots,
+    shamsuddin_analyze,
     singular_darboux_audit,
 )
 from orediamond.darboux import (
@@ -40,6 +41,7 @@ from orediamond.darboux import (
     _top_atoms,
     _top_candidates,
 )
+from orediamond.derivation import _shamsuddin_shape
 from orediamond.multipoly import MPoly
 from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
@@ -613,6 +615,110 @@ def test_level_one_refutes_before_reducing_the_rest(monkeypatch):
     calls.clear()
     assert _cascade(a_pol, b_pol, *inputs[bi("x^3")]) == ([(bi("x^3"), bi("-3*y + 3"))], True)
     assert len(calls) == 4
+
+
+def _unreachable(*args):
+    raise AssertionError("a step the proof skips was run")
+
+
+class TestProofExits:
+    """The two exits of the search that a proof answers: a delta-simple
+    field of Shamsuddin shape, and a cascade with no free column whose
+    leading form is a product of found ones (darboux_search, _cascade)."""
+
+    def test_delta_simple_field_needs_no_search(self, monkeypatch):
+        """On every d_simple field among the seeded Shamsuddin fields and
+        the named one, no cascade runs, and the report is the full
+        search's at bound 6 apart from completeness, which the full
+        search misses on s2 alone."""
+        workloads, _ = cli_diff._orebench()
+        named = [(name, dx, dy) for name, dx, dy, _, _ in workloads.NAMED if name == "shamsuddin"]
+        simple, gained = [], []
+        for label, dx, dy in cli_diff.shamsuddin_fields() + named:
+            deriv = Derivation(bi(dx), bi(dy))
+            if shamsuddin_analyze(*_shamsuddin_shape(deriv)).status != "d_simple":
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(darboux, "_cascade", _unreachable)
+                fast = darboux_search(deriv, 6)
+            with monkeypatch.context() as m:
+                m.setattr(darboux, "_shamsuddin_shape", lambda deriv: None)
+                full = darboux_search(deriv, 6)
+            assert fast.complete_up_to_bound
+            key = [{**r.to_json(), "complete_up_to_bound": None, "searched": r.searched_degree} for r in (fast, full)]
+            assert key[0] == key[1] == {
+                "certs": [], "pencils": [], "degree_bound": 6, "complete_up_to_bound": None, "searched": 6
+            }, label
+            simple.append(label)
+            if not full.complete_up_to_bound:
+                gained.append(label)
+        assert len(simple) >= 10 and "shamsuddin" in simple
+        assert gained == ["s2"]
+
+    def test_unique_darboux_field_is_searched(self):
+        # x - y is Darboux for d/dx + (y - x + 1) d/dy: c = x solves c' = c - x + 1
+        report = darboux_search(Derivation(bi("1"), bi("y - x + 1")), 3)
+        assert [(c.p, c.cofactor) for c in report.certs] == [(bi("x - y"), bi("1"))]
+
+    @staticmethod
+    def _checked_cascades(monkeypatch):
+        """Make every cascade that takes a known product check it against
+        the full cascade of that leading form; returns the leading forms
+        checked, a list that grows as searches run."""
+        hits, taken = [], []
+        known_product, cascade = darboux._known_product, darboux._cascade
+
+        def recorded(p_top, known):
+            hits.append(known_product(p_top, known))
+            return hits[-1]
+
+        def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
+            before = len(hits)
+            out = cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+            if len(hits) > before and hits[-1] is not None:
+                assert out == cascade(a_pol, b_pol, d, n, p_top, c_top), p_top
+                taken.append(p_top)
+            return out
+
+        monkeypatch.setattr(darboux, "_known_product", recorded)
+        monkeypatch.setattr(darboux, "_cascade", checked)
+        return taken
+
+    def test_product_is_the_full_cascade_answer_on_the_named_corpus(self, monkeypatch):
+        """At bound 8, 97 of the 105 cascades with no free column that find
+        an answer take the product; the other 8 have an irreducible
+        leading form: the lines at degree 1 and x^2 + x*y + y^2 of the
+        Hamiltonian field."""
+        taken = self._checked_cascades(monkeypatch)
+        workloads, _ = cli_diff._orebench()
+        counts = {}
+        for name, dx, dy, _, _ in workloads.NAMED:
+            before = len(taken)
+            darboux_search(Derivation(bi(dx), bi(dy)), 8)
+            counts[name] = len(taken) - before
+        assert {name: k for name, k in counts.items() if k} == {
+            "lotka-volterra": 42, "xy2-plus-x": 42, "euler-top-d2": 7, "hamiltonian": 4, "x2-y2": 2
+        }
+
+    def test_product_is_the_full_cascade_answer_on_the_survey(self, monkeypatch):
+        taken = self._checked_cascades(monkeypatch)
+        for _, dx, dy in cli_diff.survey()[:40]:
+            darboux_search(Derivation(bi(dx), bi(dy)), 6)
+        assert len(taken) >= 50
+
+    def test_product_is_scaled_to_the_leading_form(self, monkeypatch):
+        """On Lotka-Volterra at n = 3, below 3*x^3, the answer is 3 times
+        x * x^2, with the cofactors of x and x^2 added."""
+        a_pol, b_pol = bi("x - x*y"), bi("x*y - y")
+        for found, *_ in darboux._degree_loop(Derivation(a_pol, b_pol), 2, False):
+            pass
+        known = {darboux._leading_form(p): (p, c) for p, c in found}
+        (d, n, p_top, c_top), = [args for args in _cascade_inputs(a_pol, b_pol, 3) if args[2] == bi("x^3")]
+        args = (a_pol, b_pol, d, n, 3 * p_top, c_top)
+        with monkeypatch.context() as m:
+            m.setattr(darboux, "_cascade_answers", _unreachable)
+            ours = _cascade(*args, known)
+        assert ours == _cascade(*args) == ([(bi("3*x^3"), bi("-3*y + 3"))], True)
 
 
 class TestCompositePencils:

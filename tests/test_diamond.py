@@ -399,9 +399,9 @@ class TestDegreeOneStop:
     def test_lotka_volterra_searches_degree_1_only(self, monkeypatch):
         degrees = []
 
-        def counting(a_pol, b_pol, d, n, p_top, c_top, _cascade=darboux._cascade):
+        def counting(a_pol, b_pol, d, n, p_top, c_top, known, _cascade=darboux._cascade):
             degrees.append(n)
-            return _cascade(a_pol, b_pol, d, n, p_top, c_top)
+            return _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
 
         monkeypatch.setattr(darboux, "_cascade", counting)
         verdict = decide("poly2", _field("x - x*y", "x*y - y"), 6)
@@ -420,9 +420,9 @@ class TestFirstPencilStop:
         (pin,) = [p for p in json.loads((ROOT / "tests" / "planar_cli_pins.json").read_text()) if p["argv"] == argv]
         degrees, audits = [], []
 
-        def counting(a_pol, b_pol, d, n, p_top, c_top, _cascade=darboux._cascade):
+        def counting(a_pol, b_pol, d, n, p_top, c_top, known, _cascade=darboux._cascade):
             degrees.append(n)
-            return _cascade(a_pol, b_pol, d, n, p_top, c_top)
+            return _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
 
         monkeypatch.setattr(darboux, "_cascade", counting)
         monkeypatch.setattr(diamond, "singular_darboux_audit", lambda *args: audits.append(args))

@@ -852,7 +852,7 @@ def test_rref_matches_textbook_gauss_jordan():
     operations of Fraction Gauss-Jordan, and replay its extra columns,
     on int, Fraction and mixed matrices."""
     rng = random.Random(909)
-    seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0}
+    seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0, "int row": 0, "rational row": 0}
     for trial in range(240):
         kind = ("int", "fraction", "mixed")[trial % 3]
         nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 7)
@@ -862,7 +862,12 @@ def test_rref_matches_textbook_gauss_jordan():
         m, pivots, ops = linalg.rref(rows, ncols)
         ref_m, ref_pivots, ref_ops = gauss_jordan(rows, ncols)
         assert (m, pivots, ops) == (ref_m, ref_pivots, ref_ops)
-        assert all(type(v) is Q for row in m for v in row)
+        # a row whose entries are all integers, its scale 1, comes back
+        # as ints, any other as Fractions; the extra columns are replay's
+        for row in m:
+            kind = int if all(v.denominator == 1 for v in row[:ncols]) else Q
+            assert all(type(v) is kind for v in row[:ncols]) and all(type(v) is Q for v in row[ncols:])
+            seen["int row" if kind is int else "rational row"] += any(row[:ncols])
         for j in range(ncols, ncols + extra):
             assert linalg.replay(ops, [row[j] for row in rows]) == [row[j] for row in ref_m]
         # inv is 1 / pivot, so a negative inv marks a negative pivot

@@ -17,7 +17,9 @@ The corpus, each query as text and with --json:
   fields without the three that hang (HANGS), under decide 6, darboux 6,
   darboux 8, primitive 6 and first-integral 6;
 - the Shamsuddin fields, SHAMSUDDIN_SIZE seeded fields dx = k, dy =
-  a(x)*y + b(x) with deg a, deg b <= 3 (shamsuddin_fields), under decide 6;
+  a(x)*y + b(x) with deg a, deg b <= 3 (shamsuddin_fields), under decide
+  6, darboux 6, darboux 8 and first-integral 6 (the search's delta-simple
+  exit answers most of them);
 - the Laurent fields, LAURENT_SIZE seeded dx on laurent1 with one to
   three terms of exponent -3..3 (laurent_fields), under decide and simple;
 - every argv of the CLI pins in tests/*_cli_pins.json;
@@ -58,6 +60,7 @@ NAMED_QUERIES = (
     ("first-integral", 12),
 )
 SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
+SHAMSUDDIN_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("first-integral", 6))
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
 # outcome per line on stdout.
@@ -166,7 +169,7 @@ def corpus():
     workloads, _ = _orebench()
     base = [_planar(verb, bound, dx, dy) for verb, bound in NAMED_QUERIES for _, dx, dy, _, _ in workloads.NAMED]
     base += [_planar(verb, bound, dx, dy) for verb, bound in SURVEY_QUERIES for _, dx, dy in survey()]
-    base += [_planar("decide", 6, dx, dy) for _, dx, dy in shamsuddin_fields()]
+    base += [_planar(verb, bound, dx, dy) for verb, bound in SHAMSUDDIN_QUERIES for _, dx, dy in shamsuddin_fields()]
     base += [[verb, "--ring", "laurent1", "--deriv", f"dx={dx}"] for verb in ("decide", "simple") for dx in laurent_fields()]
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
