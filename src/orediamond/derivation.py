@@ -6,7 +6,9 @@ test, and the shape and analysis of Shamsuddin-type derivations d/dx +
 (a(x)y + b(x)) d/dy.
 """
 
-from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide
+from math import lcm
+
+from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide, kdelta, kpack, kunpack
 
 
 class Derivation:
@@ -19,7 +21,28 @@ class Derivation:
         self.dy = dy if isinstance(dy, BiPoly) else BiPoly.const(dy)
 
     def apply(self, p):
-        return self.dx * p.deriv_x() + self.dy * p.deriv_y()
+        """delta(p), in one pass of the packed delta step: every monomial
+        it forms has total degree at most deg p + rise()."""
+        if not p.terms:
+            return p
+        s = (p.total_degree() + self.rise()).bit_length()
+        den, ox, oy = self.packed(s)
+        return p._lowest(p.nvars, p.den * den, kunpack(kdelta({}, kpack(p.terms, s), s, ox, oy), s))
+
+    def rise(self):
+        """max(d - 1, 0), d the larger total degree of dx and dy: delta
+        raises no total degree by more."""
+        return max(self.dx.total_degree() - 1, self.dy.total_degree() - 1, 0)
+
+    def packed(self, s):
+        """(L, ox, oy) for poly.kdelta at shift s: L the lcm of the
+        denominators of dx and dy, and ox and oy the terms of L*dx/x and
+        L*dy/y as (key offset, int) pairs."""
+        dx, dy = self.dx, self.dy
+        den = lcm(dx.den, dy.den)
+        ox = [(((a - 1) << s) + b, c * (den // dx.den)) for (a, b), c in dx.terms.items()]
+        oy = [((a << s) + b - 1, c * (den // dy.den)) for (a, b), c in dy.terms.items()]
+        return den, ox, oy
 
     @property
     def is_zero(self):

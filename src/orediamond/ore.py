@@ -6,11 +6,19 @@ y).  Multiplication builds the rows theta^i g one from the next by
 theta (c theta^t) = delta(c) theta^t + c theta^(t+1) and adds a_i times
 row i, so each coefficient a_i of f meets each coefficient of its row
 once.
+
+The product and the witness recursion each run in one packed working
+set from start to finish: every polynomial they form is a dict from the
+int key (i << s) + j of x^i*y^j to an int numerator over a denominator
+kept beside it (poly.kpack), delta is one pass of poly.kdelta, and every
+product one poly.kmac loop.  No BiPoly is built between steps; each
+coefficient of the answer is unpacked once.  The shift s comes from a
+degree bound that each function proves in its docstring.
 """
 
-from math import comb
+from math import comb, lcm
 
-from .poly import BiPoly, DomainError, NEG_INF, _power, exact_divide
+from .poly import BiPoly, DomainError, NEG_INF, _power, _scaled, exact_divide, kmac, kpack, kunpack, kdelta
 from .derivation import Derivation
 from .unifactor import is_irreducible
 
@@ -154,22 +162,70 @@ def a_theta_pow_right(ctx, a, n):
     return total
 
 
+def _packed(f, s):
+    """(D, [packed numerator of each theta-coefficient of f]) over the
+    lcm D of their denominators."""
+    den = lcm(*(c.den for c in f.coeffs))
+    return den, [dict(kpack(_scaled(c.terms, den // c.den), s)) for c in f.coeffs]
+
+
+def _unpacked(packed, s, den):
+    return BiPoly._lowest(2, den, kunpack(packed, s))
+
+
+def _nonzero(acc):
+    return {k: v for k, v in acc.items() if v}
+
+
+def _maxdeg(f):
+    return max(c.total_degree() for c in f.coeffs if c.terms)
+
+
 def mul(ctx, f, g):
-    """Product in S, left-normal form: f*g = sum a_i (theta^i g)."""
+    """Product in S, left-normal form: f*g = sum a_i (theta^i g), in one
+    packed working set (poly.kpack) from start to finish.
+
+    f = sum a_i theta^i is held as numerators A_i over one denominator F,
+    g as numerators over G, and delta as L*delta on ints (poly.kdelta).
+    Row i, the coefficients of theta^i g, is then R_i / (G L^i) with R_0
+    the numerators of g and R_i[t] = L*delta(R_{i-1}[t]) + L*R_{i-1}[t-1],
+    since theta (c theta^t) = delta(c) theta^t + c theta^(t+1).  Each
+    a_i row_i[t] = A_i L^(n-i) R_i[t] / (F G L^n), n = deg f, is added
+    into out[t] as it is formed, and each coefficient is unpacked once,
+    over F G L^n.
+
+    The shift: let maxdeg be the largest total degree of a coefficient,
+    d the larger total degree of dx and dy, and r = max(d - 1, 0)
+    (Derivation.rise).  delta(x^i y^j) = i x^(i-1) y^j dx + j x^i
+    y^(j-1) dy has total degree at most i + j + r, and delta of a
+    constant is 0, so delta raises no total degree by more than r, and
+    row i, built from row i-1 by one delta step and one shift in theta,
+    has total degree at most maxdeg g + i r.  Every monomial the product
+    forms is then one of a delta step of rows 0..n-1 (poly.kdelta), of
+    total degree at most maxdeg g + n r, or one of a_i row_i[t], of total
+    degree at most B = maxdeg f + maxdeg g + n r.  Each y-exponent is at
+    most B < 2^s for s = B.bit_length(), so no sum of keys carries into
+    the x field."""
     if f.is_zero or g.is_zero:
         return OrePoly.zero()
-    zero = BiPoly.zero()
-    out = [zero] * (f.degree() + g.degree() + 1)
-    row = list(g.coeffs)  # theta^i g
-    for i, a in enumerate(f.coeffs):
+    n = f.degree()
+    s = (_maxdeg(f) + _maxdeg(g) + n * ctx.deriv.rise()).bit_length()
+    L, ox, oy = ctx.deriv.packed(s)
+    fden, fa = _packed(f, s)
+    gden, row = _packed(g, s)
+    out = [{} for _ in range(n + g.degree() + 1)]
+    for i, a in enumerate(fa):
         if i:
-            row = [ctx.delta(c) + b for c, b in zip(row + [zero], [zero] + row)]
-        if a.is_zero:
-            continue
-        for t, c in enumerate(row):
-            if not c.is_zero:
-                out[t] = out[t] + a * c
-    return OrePoly(out)
+            row = [
+                _nonzero(kdelta({k: L * v for k, v in b.items()}, c.items(), s, ox, oy))
+                for c, b in zip(row + [{}], [{}] + row)
+            ]
+        if a:
+            a = _scaled(a, L ** (n - i)).items()
+            for acc, c in zip(out, row):
+                kmac(acc, a, c.items())
+    den = fden * gden * L**n
+    return OrePoly([_unpacked(c, s, den) for c in out])
 
 
 def act(ctx, f, b):
@@ -254,19 +310,45 @@ def _witness_recursion(ctx, f, x_elt):
     the theta-degree drops by exactly one at each step, and after n steps
     x^(n+1) f = (sum_m h_{m-1} theta^(m-1)) theta x + r x with r = g', of
     degree 0, not divisible by x, so nonzero (r = a_n when n = 0).
+
+    In the packed working set (see mul) x is X/xden, delta^k(x) is
+    Delta_k/(xden L^k) with Delta_{k+1} = L*delta(Delta_k), x^k is
+    X^k/xden^k, and the a_i are numerators over one denominator D, so
+    the step above is a_i' = (X A_i L^m - C(m,i) A_m Delta_{m-i} L^i) /
+    (xden D L^m).  The shift: with e = deg x, M the largest total degree
+    of a coefficient of f and r = Derivation.rise (see mul), a_i at step
+    m (before the step; m = n first) has total degree at most P(m, i) =
+    M + (n - m) e + (n - i) r.  This holds at m = n, and the step keeps
+    it: x a_i has degree at most e + P(m, i) = P(m - 1, i), and a_m
+    delta^(m-i)(x) at most P(m, m) + e + (m - i) r = P(m - 1, i).  So
+    every a_i, r = a_0 (P(0, 0) = M + n (e + r)) and every h_{m-1} = x^m
+    a_m (m e + P(m, m)) stays within B = M + n (e + r), as do x^k (k e)
+    and delta^k(x) (e + k r) for k <= n and a delta step's terms
+    (poly.kdelta), when n >= 1; each y-exponent is then at most B < 2^s
+    for s = B.bit_length().  When n = 0 no product is formed and only f
+    is unpacked.
     """
     n = f.degree()
-    xpow, dpow = [BiPoly.one()], [x_elt]  # x^k and delta^k(x)
+    s = (_maxdeg(f) + n * (x_elt.total_degree() + ctx.deriv.rise())).bit_length()
+    L, ox, oy = ctx.deriv.packed(s)
+    xden, xk = x_elt.den, dict(kpack(x_elt.terms, s))
+    xpow, dpow = [{0: 1}], [xk]  # x^k over xden^k, delta^k(x) over xden L^k
     for _ in range(n):
-        xpow.append(xpow[-1] * x_elt)
-        dpow.append(ctx.delta(dpow[-1]))
-    a = list(f.coeffs)
-    h = [BiPoly.zero()] * n
+        xpow.append(_nonzero(kmac({}, xk.items(), xpow[-1].items())))
+        dpow.append(_nonzero(kdelta({}, dpow[-1].items(), s, ox, oy)))
+    den, a = _packed(f, s)  # a_i over den
+    h = [None] * n
     for m in range(n, 0, -1):
         top = a[m]
-        h[m - 1] = xpow[m] * top
-        a = [x_elt * a[i] - comb(m, i) * (top * dpow[m - i]) for i in range(m)]
-    return OrePoly(h), a[0]
+        h[m - 1] = _unpacked(kmac({}, xpow[m].items(), top.items()), s, xden**m * den)
+        # x a_i - C(m, i) top delta^(m-i)(x), over xden L^m times den
+        x_lm = _scaled(xk, L**m).items()
+        a = [
+            _nonzero(kmac(kmac({}, x_lm, a[i].items()), _scaled(dpow[m - i], -comb(m, i) * L**i).items(), top.items()))
+            for i in range(m)
+        ]
+        den *= xden * L**m
+    return OrePoly(h), _unpacked(a[0], s, den)
 
 
 def essential_witness(ctx, f, x_elt):

@@ -74,12 +74,12 @@ def kmul_int(a, b):
     kernel.
 
     Two-variable operands are multiplied on packed exponents (Monagan &
-    Pearce, CASC 2007): x^i*y^j is keyed as the int (i << s) + j - m,
-    m being its operand's least y-exponent and s the bit length of the
-    largest sum of two such offset y-exponents.  Every such sum is below
-    2^s, so adding two keys never carries into the x field, and each
-    product key decodes to exactly one (i, j), negative i included (>>
-    floors).  The inner loop then adds ints instead of building and
+    Pearce, CASC 2007) by kmac: x^i*y^j is keyed as the int (i << s) + j
+    - m, m being its operand's least y-exponent and s the bit length of
+    the largest sum of two such offset y-exponents.  Every such sum is
+    below 2^s, so adding two keys never carries into the x field, and
+    each product key decodes to exactly one (i, j), negative i included
+    (>> floors).  The inner loop then adds ints instead of building and
     hashing a tuple per pair of terms; terms come out in the order the
     tuple loop, kept for every other arity, gives them."""
     if len(a) > len(b):
@@ -87,9 +87,9 @@ def kmul_int(a, b):
     if len(a) == 1:
         ((ea, ca),) = a.items()
         return {tuple(map(add, e, ea)): c * ca for e, c in b.items()}
-    acc = {}
-    get = acc.get
     if not a or len(next(iter(a))) != 2:
+        acc = {}
+        get = acc.get
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(map(add, ea, eb))
@@ -99,15 +99,60 @@ def kmul_int(a, b):
     jb = [j for _, j in b]
     ma, mb = min(ja), min(jb)
     s = (max(ja) - ma + max(jb) - mb).bit_length()
-    kb = [((i << s) + j - mb, cb) for (i, j), cb in b.items()]
-    for (i, j), ca in a.items():
-        ka = (i << s) + j - ma
-        for e, cb in kb:
+    return kunpack(kmac({}, kpack(a, s, ma), kpack(b, s, mb)), s, ma + mb)
+
+
+# The packed two-variable working set.  x^i*y^j (i, j >= 0) is keyed as
+# the int (i << s) + j (kpack), and a polynomial is a dict of such keys to
+# int numerators over one denominator kept beside it.  Keys add as monomials
+# multiply as long as every y-exponent met stays below 2^s; a caller
+# picks s = B.bit_length() for a bound B on the total degree of every
+# monomial its computation forms, which bounds every y-exponent.  kmac
+# and kdelta keep entries that cancel to zero; kunpack drops them.
+
+
+def kpack(terms, s, low=0):
+    """The ((i << s) + j - low, c) pairs of a two-variable term dict."""
+    return [((i << s) + j - low, c) for (i, j), c in terms.items()]
+
+
+def kunpack(packed, s, low=0):
+    """The term dict of a packed one, low added back to each y-exponent,
+    zeros dropped."""
+    mask = (1 << s) - 1
+    return {(e >> s, (e & mask) + low): c for e, c in packed.items() if c}
+
+
+def kmac(acc, a, b):
+    """acc with ca*cb added at key ka + kb for every (ka, ca) of a and
+    (kb, cb) of b, and returned: the one multiply-accumulate loop of the
+    packed products.  a and b are (int key, int coefficient) pairs, b
+    iterable more than once; the shorter is best passed as a.  Entries of
+    acc may cancel to zero and are kept."""
+    get = acc.get
+    for ka, ca in a:
+        for e, cb in b:
             e += ka
             acc[e] = get(e, 0) + ca * cb
+    return acc
+
+
+def kdelta(acc, p, s, ox, oy):
+    """acc with L*delta(p) added, and returned; p is packed (key, int)
+    pairs, iterable more than once.
+
+    delta(p) = (x d/dx p)*(dx/x) + (y d/dy p)*(dy/y).  x d/dx and y d/dy
+    keep each key and scale its coefficient by i or j, and ox and oy hold
+    the terms of L*dx/x and L*dy/y as (key offset, int) pairs: c*x^a*y^b
+    of dx is ((a - 1) << s) + b, of dy (a << s) + b - 1 (see
+    Derivation.packed).  A term of x d/dx p has i >= 1 and one of y d/dy
+    p has j >= 1, so each sum of a key and an offset is the key of a
+    monomial with nonnegative exponents, of total degree at most deg p +
+    max(deg dx, deg dy) - 1; within the working set's bound it decodes
+    to that monomial."""
     mask = (1 << s) - 1
-    m = ma + mb
-    return {(e >> s, (e & mask) + m): v for e, v in acc.items() if v}
+    kmac(acc, ox, [(k, c * (k >> s)) for k, c in p if k >> s])
+    return kmac(acc, oy, [(k, c * (k & mask)) for k, c in p if k & mask])
 
 
 def _degree_lex(exp):

@@ -1,12 +1,15 @@
 """tools/cli_diff.py: the comparison on canned outcomes, and its fixed
 corpus; no worker is started."""
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
+from orediamond import cli
 from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
-from orediamond.parse import parse_derivation
+from orediamond.parse import parse_derivation, parse_ore
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("cli_diff", ROOT / "tools" / "cli_diff.py")
@@ -90,6 +93,33 @@ def test_corpus_runs_the_ore_witness_workload():
         if q.verb == "witness":
             assert "--ring" in q.argv and q.argv[q.argv.index("--ring") + 1] == "poly2"
             assert max(sum(m) for m in q.x) == 1  # a linear form in x and y
+
+
+def test_corpus_runs_the_ore_block():
+    corpus = cli_diff.corpus()
+    block = cli_diff.ore_block()
+    assert len(block) == len(cli_diff.ORE_BLOCK_FIELDS) * (cli_diff.ORE_BLOCK_PER_FIELD + 2) + 2 == 22
+    # the block is seeded: pin its first product and one witness
+    assert block[0] == ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "-3/7*x^3 - 2*x", "--g", "1/2"]
+    assert block[13] == [
+        "witness", "--ring", "poly2", "--deriv", "dx=1/2*x - 3/7*x*y; dy=2/5*y^2 + 1/3",
+        "--f", "1/2*x^3 + 1/2*x*y^2 + 1*x^3*t - 2*x*y*t - 3/7*t - 3/7*x*y*t^2 + 1*t^2 + 1*y*t^3", "--x", "y + 1",
+    ]
+    for argv in block:
+        assert argv in corpus and argv + ["--json"] in corpus
+    assert block[-2:] == [list(argv) for argv in cli_diff.ORE_NEAR_CAP]
+    assert {argv[2] for argv in block} == {"poly1", "poly2"}
+    fields = {argv[4] for argv in block}
+    assert "dx=1/2*x - 3/7*x*y; dy=2/5*y^2 + 1/3" in fields and "dx=2; dy=-3" in fields
+    ops = [parse_ore(argv[k + 1], argv[2]) for argv in block for k, a in enumerate(argv) if a in ("--f", "--g")]
+    assert {op.degree() for op in ops} == {0, 1, 2, 3, 4}
+    assert any(c.is_zero for op in ops for c in op.coeffs)  # a zero middle coefficient
+    assert any(c.den > 1 for op in ops for c in op.coeffs)
+    assert max(c.degree_in(1) for op in ops for c in op.coeffs) == 1000
+    # every query answers: each witness element meets the hypotheses
+    for argv in block:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
 
 
 def test_corpus_runs_the_laurent_fields():

@@ -19,7 +19,7 @@ from orediamond import (
     locally_nilpotent_bounded,
     shamsuddin_analyze,
 )
-from util import bi, lau, random_bipoly, random_unipoly, uni
+from util import bi, lau, leibniz_delta, random_bipoly, random_unipoly, uni
 
 
 class TestApply:
@@ -42,6 +42,32 @@ class TestApply:
             p = random_bipoly(rng, maxdeg=6, nterms=3)
             q_ = random_bipoly(rng, maxdeg=6, nterms=3)
             assert d.apply(p * q_) == d.apply(p) * q_ + p * d.apply(q_)
+
+    @pytest.mark.parametrize(
+        "dx, dy",
+        [
+            ("x + y^2", "x*y - 3"),
+            ("x - x*y", "x*y - y"),
+            ("1/2*x - 3/7*x*y", "2/5*y^2 + 1/3"),
+            ("-5/6", "1/4*y^3 - x"),
+            ("2", "-3"),
+            ("1/3", "0"),
+            ("0", "x^2*y - 7"),
+            ("y^3 - 2/9*x", "0"),
+            ("0", "0"),
+        ],
+        ids=["int", "lotka-volterra", "rational", "rational-constant-dx", "constant", "constant-dx-only",
+             "zero-dx", "zero-dy", "zero"],
+    )
+    def test_matches_term_by_term_oracle(self, dx, dy):
+        rng = random.Random(302)
+        d = Derivation(bi(dx), bi(dy))
+        inputs = [BiPoly.zero(), bi("7"), bi("x"), bi("y"), bi("x^1000 - 2/3*y^999*x + y")]
+        for _ in range(60):
+            p = random_bipoly(rng, maxdeg=rng.choice((1, 3, 9)), nterms=rng.randrange(1, 8))
+            inputs.append(p * Q(rng.choice((1, 1, -2, 5)), rng.choice((1, 3, 14))))
+        for p in inputs:
+            assert d.apply(p) == leibniz_delta(d, p)
 
 
 class TestUniDerivation:

@@ -1,6 +1,7 @@
 """Operator-ring arithmetic: skew identities, module action, and the
 essential-extension witness."""
 
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from orediamond import (
     theta_pow_left,
 )
 from orediamond import linalg, ore
-from util import bi, random_bipoly, uni
+from util import bi, leibniz_delta, random_bipoly, uni
 
 
 def ctx_dx():
@@ -50,13 +51,13 @@ def random_ore(rng, ctx, maxdeg=3, coeffdeg=2):
 
 def naive_mul(ctx, f, g):
     """Term-by-term oracle: apply theta*a = a*theta + delta(a) once per
-    power of theta."""
+    power of theta, delta by util.leibniz_delta."""
 
     def theta_times(h):
         out = [BiPoly.zero()] * (h.degree() + 2 if not h.is_zero else 1)
         for j, b in enumerate(h.coeffs):
             out[j + 1] = out[j + 1] + b
-            out[j] = out[j] + ctx.delta(b)
+            out[j] = out[j] + leibniz_delta(ctx.deriv, b)
         return OrePoly(out)
 
     total = OrePoly.zero()
@@ -427,3 +428,107 @@ def test_pinned_renders():
         "4*x^5 - 4*x^4*y - x^3*y^2 - 5*x^2*y^3 + 3*x*y^4 - y^5 + 2*x^4 - 6*x^3*y"
         " - 5*x^2*y^2 - 2*x*y^3 + y^4 + 2*x^3 + x^2*y + y^3 + 3*x^2 + 2*x*y + y^2 + x"
     )
+
+
+# -- the packed working set at its edges ---------------------------------
+
+EDGE_CONTEXTS = {
+    # rational coefficients in delta itself, so L > 1 in mul's rows
+    "rational-field": ("poly2", "1/2*x - 3/7*x*y", "2/5*y^2 + 1/3"),
+    # delta lowers every degree: the rows lose degree, rise() is 0
+    "constant-field": ("poly2", "2", "-3"),
+    "rational-constant-dx": ("poly2", "1/3", "0"),
+    "poly1": ("poly1", "1/2*x^2 - 3", "0"),
+    "lotka-volterra": ("poly2", "x - x*y", "x*y - y"),
+}
+
+
+def _edge_coefficient(rng, ctx, degree):
+    p = _shaped_coefficient(rng, degree, nterms=4, rational=True)
+    if ctx.ring == "poly1":
+        p = BiPoly({(i + j, 0): c for (i, j), c in p.rational_terms().items()})
+    return p
+
+
+def _edge_operands(rng, ctx):
+    """(f, g) pairs: theta-degree 0 on either side or both, zero middle
+    (and lowest) coefficients, and a pair of theta-degree 4 and 3."""
+    def op(*degrees):
+        return OrePoly([BiPoly.zero() if d is None else _edge_coefficient(rng, ctx, d) for d in degrees])
+
+    return [
+        (op(2), op(3)),
+        (op(3), op(2, 2, 4)),
+        (op(2, 4, 2), op(3)),
+        (op(2, None, None, 3), op(2, 2)),
+        (op(4, None, 2), op(None, None, 3)),
+        (op(3, 4, 3, 4, 3), op(4, 3, 4, 3)),
+    ]
+
+
+def _edge_witness_element(rng, ctx, f):
+    """A linear form (in x alone on poly1), with rational coefficients,
+    meeting the witness hypotheses for f."""
+    while True:
+        form = BiPoly({(1, 0): Q(_nonzero_int(rng), rng.choice((1, 2, 5))), (0, 0): _nonzero_int(rng)})
+        if ctx.ring == "poly2":
+            form = form + BiPoly.monomial(0, 1, _nonzero_int(rng))
+        try:
+            ore._check_witness_preconditions(ctx, f, form)
+        except DomainError:
+            continue
+        return form
+
+
+class TestPackedEdges:
+    @pytest.mark.parametrize("name", list(EDGE_CONTEXTS))
+    def test_products_and_witnesses(self, name):
+        ring, dx, dy = EDGE_CONTEXTS[name]
+        ctx = OreContext(ring, Derivation(bi(dx), bi(dy)))
+        rng = random.Random(f"edge:{name}")
+        for f, g in _edge_operands(rng, ctx):
+            prod = mul(ctx, f, g)
+            assert prod.degree() == f.degree() + g.degree()
+            assert prod == naive_mul(ctx, f, g)
+            cert = essential_witness(ctx, f, _edge_witness_element(rng, ctx, f))
+            assert cert.verify(ctx)
+            assert cert.h.degree() == f.degree() - 1 if f.degree() else cert.h.is_zero
+            if not f.degree():
+                assert cert.r == f.coeffs[0]
+
+    @pytest.mark.parametrize("n, lead, top", [(15, "y", 31), (16, "1", 32)])
+    def test_y_exponent_at_the_shift_bound(self, n, lead, top):
+        # under (y^2, x^2) delta^n(x^n) holds n!*y^(2n), so lead*theta^n
+        # times x^n reaches y^top with top = B = deg lead + 2n exactly:
+        # 2^5 - 1 fills the 5 bits of s, 2^5 needs a sixth
+        ctx = ctx_hamiltonian()
+        f, g = OrePoly.theta(n, bi(lead)), OrePoly.from_ring(bi(f"x^{n}"))
+        prod = mul(ctx, f, g)
+        assert prod == naive_mul(ctx, f, g)
+        assert prod.coeffs[0].degree_in(1) == top
+        assert prod.coeffs[0].coeff(0, top) == math.factorial(n)
+        cert = essential_witness(ctx, OrePoly([bi(f"x^{n}"), bi("y^2"), bi(lead) + 1]), bi("x + y + 1"))
+        assert cert.verify(ctx)
+
+    def test_witness_y_exponent_past_the_bound_without_rise(self):
+        # delta(y) = y^2 raises degrees by r = 1: the witness reaches y^8,
+        # past M + n*e = 7, which a shift of 3 bits would carry; its bound
+        # M + n*(e + r) = 13 takes 4
+        ctx = OreContext("poly2", Derivation(bi("1"), bi("y^2")))
+        f = OrePoly([bi("y + 1")] * 6 + [bi("y + 2")])
+        cert = essential_witness(ctx, f, bi("y + 3"))
+        assert cert.verify(ctx)
+        assert max(c.degree_in(1) for c in (*cert.h.coeffs, cert.r)) == 8
+
+    def test_y400_under_lotka_volterra(self):
+        ctx = ctx_lotka_volterra()
+        f = OrePoly([bi("x"), BiPoly.zero(), bi("y^400 - 3*x*y")])
+        g = OrePoly([bi("y^111 - x"), BiPoly.zero(), bi("2*x^3*y")])
+        prod = mul(ctx, f, g)
+        # y^400 * y^111 in theta^2: the shift is (400 + 111 + 2).bit_length()
+        assert prod.coeffs[2].degree_in(1) == 511
+        assert prod == naive_mul(ctx, f, g)
+        cert = essential_witness(ctx, OrePoly([bi("y^400"), bi("x"), bi("2 + y^3")]), bi("2*x - y + 3"))
+        assert cert.verify(ctx)
+        # r = x^2 y^400 + (terms of lower y-degree)
+        assert cert.r.degree_in(1) == 402

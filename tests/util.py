@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: concise constructors, random
 polynomial generators, and independent oracles (Macaulay-matrix ideal
-membership, degree-1 Darboux enumeration by direct parametrization)."""
+membership, degree-1 Darboux enumeration by direct parametrization, the
+Leibniz rule term by term)."""
 
 from functools import reduce
 
@@ -45,6 +46,21 @@ def random_unipoly(rng, maxdeg=4, maxcoef=10, nonzero=False, monic=False):
     if (nonzero or monic) and p.is_zero:
         return UniPoly.one()
     return p
+
+
+def leibniz_delta(deriv, p):
+    """delta(p) by the Leibniz rule, term by term over Fractions:
+    delta(c x^i y^j) = c i x^(i-1) y^j dx + c j x^i y^(j-1) dy, with no
+    polynomial arithmetic of the package."""
+    out = {}
+    for (i, j), c in p.rational_terms().items():
+        if i:
+            for (a, b), d in deriv.dx.rational_terms().items():
+                out[i - 1 + a, j + b] = out.get((i - 1 + a, j + b), Q(0)) + c * i * d
+        if j:
+            for (a, b), d in deriv.dy.rational_terms().items():
+                out[i + a, j - 1 + b] = out.get((i + a, j - 1 + b), Q(0)) + c * j * d
+    return BiPoly(out)
 
 
 def monomials_upto(d):

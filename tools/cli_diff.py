@@ -25,7 +25,13 @@ The corpus, each query as text and with --json:
 - every argv of the CLI pins in tests/*_cli_pins.json;
 - the ore-mul and witness queries of the ore-witness workload for the
   seeds ORE_SEEDS (workloads.build), at the benchmark's shape: theta-degree
-  8, with a bivariate linear witness element.
+  8, with a bivariate linear witness element;
+- the Ore block (ore_block), outside that shape: seeded operators of
+  theta-degree 0 to 4 with rational coefficients and zero middle
+  coefficients, under ore-mul and witness, on poly1 and on poly2 with
+  rational coefficients in delta and with a constant field, and one
+  product and one witness under Lotka-Volterra with exponents near the
+  parser's cap of 1000.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -61,6 +67,21 @@ NAMED_QUERIES = (
 )
 SURVEY_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("primitive", 6), ("first-integral", 6))
 SHAMSUDDIN_QUERIES = (("decide", 6), ("darboux", 6), ("darboux", 8), ("first-integral", 6))
+ORE_BLOCK_PER_FIELD = 3  # ore-mul queries per field of the Ore block
+# (ring, derivation, witness elements) of the Ore block: each element
+# meets the witness hypotheses under its field
+ORE_BLOCK_FIELDS = (
+    ("poly1", "dx=1", ("x", "x^2 + 1")),
+    ("poly1", "dx=1/2*x^2 - 3", ("x + 2", "x - 1/3")),
+    ("poly2", "dx=1/2*x - 3/7*x*y; dy=2/5*y^2 + 1/3", ("y + 1", "2*x - y + 3")),
+    ("poly2", "dx=2; dy=-3", ("x + y", "1/2*x - 5*y + 2")),
+)
+ORE_NEAR_CAP = (
+    ["ore-mul", "--ring", "poly2", "--deriv", "dx=x - x*y; dy=x*y - y",
+     "--f", "y^1000*t^2 - 3*x*y*t^2 + x", "--g", "y^999*t - x^1000"],
+    ["witness", "--ring", "poly2", "--deriv", "dx=x - x*y; dy=x*y - y",
+     "--f", "y^1000*t^2 + x*t + y^999", "--x", "2*x - y + 3"],
+)
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
 # outcome per line on stdout.
@@ -160,6 +181,37 @@ def laurent_fields():
     return out
 
 
+def ore_block():
+    """The argv lists of the Ore block, without --json.  Each operator has
+    theta-degree 0 to 4; each coefficient below the leading one is zero
+    with chance 1/4, and every other one has one to four terms of total
+    degree <= 3 (in x alone on poly1), each coefficient drawn from 1, -2,
+    1/2, -3/7 and 5/3."""
+    _, oracle = _orebench()
+    rng = random.Random(32)
+    coeffs = [oracle.Fraction(c) for c in ("1", "-2", "1/2", "-3/7", "5/3")]
+
+    def operator(ring):
+        monomials = [(i, s - i) for s in range(4) for i in range(s + 1) if ring == "poly2" or i == s]
+        out = []
+        for k in range(rng.randint(0, 4) + 1):
+            c = {}
+            if k == 0 or rng.random() >= 0.25:
+                for m in rng.sample(monomials, rng.randint(1, 4)):
+                    oracle.add_term(c, m, rng.choice(coeffs))
+            out.append(c)
+        while not out[-1]:
+            out[-1] = {(0, 0): rng.choice(coeffs)}
+        return oracle.render_ore(out)
+
+    out = []
+    for ring, deriv, elements in ORE_BLOCK_FIELDS:
+        common = ["--ring", ring, "--deriv", deriv]
+        out += [["ore-mul", *common, "--f", operator(ring), "--g", operator(ring)] for _ in range(ORE_BLOCK_PER_FIELD)]
+        out += [["witness", *common, "--f", operator(ring), "--x", x] for x in elements]
+    return out + [list(argv) for argv in ORE_NEAR_CAP]
+
+
 def _planar(verb, bound, dx, dy):
     return [verb, "--ring", "poly2", "--deriv", f"dx={dx}; dy={dy}", "--bound", str(bound)]
 
@@ -171,6 +223,7 @@ def corpus():
     base += [_planar(verb, bound, dx, dy) for verb, bound in SURVEY_QUERIES for _, dx, dy in survey()]
     base += [_planar(verb, bound, dx, dy) for verb, bound in SHAMSUDDIN_QUERIES for _, dx, dy in shamsuddin_fields()]
     base += [[verb, "--ring", "laurent1", "--deriv", f"dx={dx}"] for verb in ("decide", "simple") for dx in laurent_fields()]
+    base += ore_block()
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
         out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
