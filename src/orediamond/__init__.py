@@ -21,15 +21,7 @@ from .poly import (
     squarefree_part,
     uni_gcd,
 )
-from .multipoly import resultant, uni_resultant
-from .groebner import (
-    buchberger,
-    has_common_zero_with,
-    in_ideal,
-    is_unit_ideal,
-    normal_form,
-    s_polynomial,
-)
+from .groebner import buchberger, has_common_zero_with, is_unit_ideal, normal_form
 from .derivation import (
     Derivation,
     NilpotencyVerdict,
@@ -51,12 +43,8 @@ from .ore import (
     OreContext,
     OrePoly,
     WitnessCert,
-    a_theta_pow_right,
-    act,
     essential_witness,
     mul,
-    phi,
-    theta_pow_left,
 )
 from .diamond import (
     DIAMOND,
@@ -89,16 +77,12 @@ __all__ = [
     "DomainError",
     "exact_divide",
     "gcd",
-    "resultant",
     "squarefree_part",
     "squarefree_decomposition",
     "rational_roots",
     "uni_gcd",
-    "uni_resultant",
     "buchberger",
     "normal_form",
-    "s_polynomial",
-    "in_ideal",
     "is_unit_ideal",
     "has_common_zero_with",
     "Derivation",
@@ -117,11 +101,7 @@ __all__ = [
     "OreContext",
     "OrePoly",
     "WitnessCert",
-    "theta_pow_left",
-    "a_theta_pow_right",
     "mul",
-    "act",
-    "phi",
     "essential_witness",
     "POLY_UNI",
     "LAURENT_UNI",

@@ -1,14 +1,15 @@
 """Derivations of Q[x], Q[x, x^-1] and Q[x, y].
 
 A derivation is determined by its values on the generators; apply()
-extends by the Leibniz rule.  Also here: the exact local-nilpotency
-test, and the shape and analysis of Shamsuddin-type derivations d/dx +
-(a(x)y + b(x)) d/dy.
+extends by the Leibniz rule.  p is a Darboux polynomial with cofactor c
+exactly when poly.exact_divide(apply(p), p) is c.  Also here: the exact
+local-nilpotency test, and the shape and analysis of Shamsuddin-type
+derivations d/dx + (a(x)y + b(x)) d/dy.
 """
 
 from math import lcm
 
-from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, exact_divide, kdelta, kpack, kunpack
+from .poly import BiPoly, DomainError, LaurentUniPoly, UniPoly, kdelta, kpack, kunpack
 
 
 class Derivation:
@@ -48,20 +49,6 @@ class Derivation:
     def is_zero(self):
         return self.dx.is_zero and self.dy.is_zero
 
-    def cofactor(self, p):
-        """c with delta(p) = c*p, or None when p is not Darboux."""
-        if p.is_zero or p.is_constant:
-            raise DomainError("a Darboux candidate must be nonconstant")
-        return exact_divide(self.apply(p), p)
-
-    def is_darboux(self, p):
-        return self.cofactor(p) is not None
-
-    def __eq__(self, other):
-        if isinstance(other, Derivation):
-            return self.dx == other.dx and self.dy == other.dy
-        return NotImplemented
-
     def __repr__(self):
         return f"Derivation(dx={self.dx.render()}, dy={self.dy.render()})"
 
@@ -86,11 +73,13 @@ class UniDerivation:
         self.laurent = laurent
 
     def apply(self, p):
+        """delta(p) = dx * p'; library API, as Derivation.apply."""
         # an MPoly product takes the type of its left operand, dx
         return self.dx * p.derivative()
 
     @property
     def is_zero(self):
+        """Library API, as Derivation.is_zero."""
         return self.dx.is_zero
 
     def __repr__(self):

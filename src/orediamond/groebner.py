@@ -5,11 +5,13 @@ Buchberger's algorithm takes the pair of least lcm first, skips pairs by
 the coprime-leading-term and chain criteria, and interreduces (Cox,
 Little & O'Shea, Ideals, Varieties, and Algorithms, 2.10).  Reduction
 and S-polynomials are fraction-free on the int numerators, and each
-result is brought to lowest terms once.  buchberger, normal_form,
-s_polynomial and the ideal predicates use graded lexicographic order;
-_eliminate computes a lexicographic basis, whose elements free of x_0,
-..., x_{k-1} form a Groebner basis of I ∩ Q[x_k, ..., x_{n-1}] by the
-elimination theorem (ibid., 3.1).  Both orders take variable 0 first.
+result is brought to lowest terms once.  buchberger, normal_form and the
+ideal predicates use graded lexicographic order; _eliminate computes a
+lexicographic basis, whose elements free of x_0, ..., x_{k-1} form a
+Groebner basis of I ∩ Q[x_k, ..., x_{n-1}] by the elimination theorem
+(ibid., 3.1).  Both orders take variable 0 first.  The verbs run
+buchberger, has_common_zero_with (and through it is_unit_ideal) and
+_eliminate; ideal membership is normal_form(p, buchberger(gens)).is_zero.
 """
 
 from math import gcd
@@ -35,7 +37,7 @@ def _lead(g, key):
 
 def normal_form(p, basis):
     """Remainder of p on division by basis in graded lex order, every
-    term fully reduced, with p's type."""
+    term fully reduced, with p's type; no verb runs it, a tracer target."""
     return _reduce(p, _degree_lex, [_lead(g, _degree_lex) for g in basis if g])
 
 
@@ -80,10 +82,6 @@ def _s_poly(fl, gl):
     tf = kmul_int(f.terms, {tuple(map(sub, l, fe)): sf})
     tg = kmul_int(g.terms, {tuple(map(sub, l, ge_)): sg})
     return f._lowest(f.nvars, den, ksub(tf, tg))
-
-
-def s_polynomial(f, g):
-    return _s_poly(_lead(f, _degree_lex), _lead(g, _degree_lex))
 
 
 def _basis(gens, key):
@@ -135,11 +133,6 @@ def _eliminate(gens, k):
     x_{k-1}.  Empty when the intersection is 0."""
     # an exponent tuple is its own lexicographic key
     return [g for g in _basis(gens, tuple) if not any(any(e[:k]) for e in g.terms)]
-
-
-def in_ideal(p, gens):
-    """Ideal membership via normal form against a Groebner basis."""
-    return normal_form(p, buchberger(gens)).is_zero
 
 
 def is_unit_ideal(gens):

@@ -12,8 +12,9 @@ The rows it returns, and the row operations replay needs, are read off
 those ints: a row of scale 1 is returned as its ints, with no Fraction
 built, any other as Fractions.
 
-The library itself calls rref, replay and nullspace; solve is kept as
-public API.
+The verbs run rref, replay and nullspace.  linalg is not exported;
+solve stays as a target of orebench's tracer (layer linalg) and as the
+solver of the oracles in tests/util.py.
 """
 
 from math import gcd, lcm
@@ -22,14 +23,13 @@ from .rational import Q, QONE, QZERO, q
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form in the first ncols columns; returns
-    (rows, pivot column list, row operations).
+    """Reduced row echelon form of the first ncols columns of rows;
+    returns (rows, pivot column list, row operations).
 
-    Only those columns are tested for pivots, so further columns may hold
-    anything that supports * and - with rationals (an augmented right-hand
-    side, for instance); they are carried by replay.  The row operations
-    are one (r, pr, inv, [(i, f), ...]) per pivot: swap rows r and pr,
-    scale row r by inv, subtract f times row r from each row i.
+    Further columns are left out; replay carries a right-hand side, or
+    any column whose entries support * and - with rationals.  The row
+    operations are one (r, pr, inv, [(i, f), ...]) per pivot: swap rows
+    r and pr, scale row r by inv, subtract f times row r from each row i.
 
     The first ncols columns are eliminated on ints: row i stands for
     nums[i] / scales[i], so the pivot order and the rationals of the
@@ -96,16 +96,13 @@ def rref(rows, ncols):
         if r == n:
             break
     m = [row if s == 1 else [Q(v, s) if v else QZERO for v in row] for row, s in zip(nums, scales)]
-    width = len(rows[0]) if rows else 0
-    for j in range(ncols, width):
-        for row, v in zip(m, replay(ops, [row[j] for row in rows])):
-            row.append(v)
     return m, pivots, ops
 
 
 def replay(ops, column):
-    """The extra column of rows that rref(rows, ncols), which gave ops,
-    would have produced, by the same arithmetic without reducing again."""
+    """The column after rref's row operations ops: the right-hand side that
+    eliminating the rows augmented by column would give, by the same
+    arithmetic without reducing again."""
     col = list(column)
     for r, pr, inv, elim in ops:
         col[r], col[pr] = col[pr], col[r]
@@ -133,7 +130,7 @@ def _kernel_basis(m, pivots, ncols):
 
 
 def solve(a_rows, rhs):
-    """Solve A x = rhs over Q.
+    """Solve A x = rhs over Q; no verb runs it, a tracer target.
 
     Returns (particular, kernel_basis) or (None, kernel_basis) when the
     system is inconsistent.  Vectors are lists of rationals, each an int
@@ -142,16 +139,16 @@ def solve(a_rows, rhs):
     if not a_rows:
         return [], []
     ncols = len(a_rows[0])
-    aug = [list(r) + [q(v)] for r, v in zip(a_rows, rhs)]
-    m, pivots, _ = rref(aug, ncols)
+    m, pivots, ops = rref(a_rows, ncols)
     kernel = _kernel_basis(m, pivots, ncols)
+    b = replay(ops, map(q, rhs))
     # rows below the pivots are zero in A; a nonzero right side there
     # makes the system inconsistent
-    if any(row[ncols] for row in m[len(pivots):]):
+    if any(b[len(pivots):]):
         return None, kernel
     particular = [QZERO] * ncols
     for i, p in enumerate(pivots):
-        particular[p] = m[i][ncols]
+        particular[p] = b[i]
     return particular, kernel
 
 

@@ -10,50 +10,32 @@ free unknowns of its rational level matrices; its constraints and its
 joined p and cofactor are MPoly in those variables (see
 darboux._cascade).  Pencil elimination works in (x, y, t).
 
-mpoly_resultant eliminates one variable of two MPoly, resultant is its
-BiPoly case and uni_resultant the same for two UniPoly.  The Bareiss
-determinant under them divides with mpoly_exact_divide, which shares
-its body (poly._quotient) with poly.exact_divide; it stays a function of
-its own because orebench's tracer times the determinant divisions as a
-layer apart from the other exact divisions.
+mpoly_resultant eliminates one variable of two MPoly of any arity,
+BiPoly and UniPoly included.  The Bareiss determinant under it divides
+with mpoly_exact_divide, which shares its body (poly._quotient) with
+poly.exact_divide; it stays a function of its own because orebench's
+tracer times the determinant divisions as a layer apart from the other
+exact divisions.
 """
 
-from .rational import QONE, QZERO
 from .poly import DomainError, MPoly, _quotient
 
 
 def mpoly_exact_divide(p, d):
-    """Return h with p = d*h when d divides p exactly, else None."""
+    """Return h with p = d*h when d divides p exactly, else None; a
+    tracer target apart from poly.exact_divide."""
     if d.is_zero:
         raise DomainError("division by the zero polynomial")
     return _quotient(p, d)
 
 
 def mpoly_resultant(p, q_, i):
-    """Sylvester resultant of p and q_ eliminating variable i."""
+    """Sylvester resultant of p and q_ eliminating variable i, with p's
+    type; the package's one resultant, and a tracer target."""
     if p.is_zero or q_.is_zero:
         raise DomainError("resultant of the zero polynomial")
     p._check(q_)
     return _sylvester_resultant(p.coeffs_in(i), q_.coeffs_in(i))
-
-
-def resultant(p, q_, eliminate):
-    """Sylvester resultant of two BiPoly eliminating 'x' or 'y'; a UniPoly
-    in the other variable."""
-    if eliminate not in ("x", "y"):
-        raise DomainError("eliminate must be 'x' or 'y'")
-    i = "xy".index(eliminate)
-    return mpoly_resultant(p, q_, i).as_unipoly(1 - i)
-
-
-def uni_resultant(a, b):
-    """Resultant of two univariate polynomials (a rational number): 0 when
-    one is zero, 1 for two nonzero constants."""
-    if a.is_zero or b.is_zero:
-        return QZERO
-    if a.is_constant and b.is_constant:
-        return QONE
-    return mpoly_resultant(a, b, 0).constant_value()
 
 
 def _sylvester_resultant(cp, cq):

@@ -2,7 +2,9 @@
 
 Elements are stored in left-normal form sum a_i theta^i with a_i in R
 (R is Q[x] or Q[x,y]; univariate coefficients are BiPoly values without
-y).  Multiplication builds the rows theta^i g one from the next by
+y).  The verbs run mul (ore-mul) and essential_witness (witness); the
+OrePoly arithmetic besides them serves WitnessCert.verify and library
+callers.  Multiplication builds the rows theta^i g one from the next by
 theta (c theta^t) = delta(c) theta^t + c theta^(t+1) and adds a_i times
 row i, so each coefficient a_i of f meets each coefficient of its row
 once.
@@ -67,10 +69,12 @@ class OrePoly:
 
     @classmethod
     def from_ring(cls, a):
+        """The ring element a as an operator; WitnessCert.verify runs it."""
         return cls((a,))
 
     @classmethod
     def theta(cls, n=1, coeff=None):
+        """coeff * theta^n; WitnessCert.verify runs it."""
         c = BiPoly.one() if coeff is None else coeff
         return cls((BiPoly.zero(),) * n + (c,))
 
@@ -82,9 +86,11 @@ class OrePoly:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def coeff(self, i):
+        """The coefficient of theta^i, zero past the degree: library API."""
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else BiPoly.zero()
 
     def __add__(self, other):
+        """Sum in S; WitnessCert.verify runs it."""
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -94,24 +100,29 @@ class OrePoly:
         return OrePoly(out)
 
     def __sub__(self, other):
+        """Python protocol: f - g."""
         return self + (-other)
 
     def __neg__(self):
+        """Python protocol: -f."""
         return OrePoly([-c for c in self.coeffs])
 
     def scale_left(self, a):
-        """Left multiplication by the ring element a."""
+        """Left multiplication by a in R; WitnessCert.verify runs it."""
         return OrePoly([a * c for c in self.coeffs])
 
     def __eq__(self, other):
+        """Python protocol; WitnessCert.verify compares with it."""
         if isinstance(other, OrePoly):
             return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
+        """Python protocol: equal operators hash alike."""
         return hash(self.coeffs)
 
     def __bool__(self):
+        """Python protocol: an operator is true when nonzero."""
         return bool(self.coeffs)
 
     def render(self):
@@ -130,36 +141,6 @@ def render_coefficients(rendered):
         if text != "0"
     ]
     return " + ".join(parts) or "(0)"
-
-
-def theta_pow_left(ctx, n, a):
-    """Left-normal form of theta^n * a via the binomial identity."""
-    if n < 0:
-        raise DomainError("negative theta power")
-    ctx.check_element(a)
-    out = [BiPoly.zero()] * (n + 1)
-    powers = [a]
-    for _ in range(n):
-        powers.append(ctx.delta(powers[-1]))
-    for i in range(n + 1):
-        out[i] = comb(n, i) * powers[n - i]
-    return OrePoly(out)
-
-
-def a_theta_pow_right(ctx, a, n):
-    """Left-normal form of the right-side identity
-    a*theta^n = sum (-1)^i C(n,i) theta^{n-i} delta^i(a)."""
-    if n < 0:
-        raise DomainError("negative theta power")
-    ctx.check_element(a)
-    total = OrePoly.zero()
-    val = a
-    for i in range(n + 1):
-        term = theta_pow_left(ctx, n - i, val)
-        sign = -1 if i % 2 else 1
-        total = total + OrePoly([sign * comb(n, i) * c for c in term.coeffs])
-        val = ctx.delta(val)
-    return total
 
 
 def _packed(f, s):
@@ -228,22 +209,6 @@ def mul(ctx, f, g):
     return OrePoly([_unpacked(c, s, den) for c in out])
 
 
-def act(ctx, f, b):
-    """The left S-module action (sum a_i theta^i) . b = sum a_i delta^i(b)."""
-    ctx.check_element(b)
-    total = BiPoly.zero()
-    val = b
-    for a in f.coeffs:
-        total = total + a * val
-        val = ctx.delta(val)
-    return total
-
-
-def phi(ctx, f):
-    """phi(f) = f . 1 = constant theta-coefficient."""
-    return f.coeff(0)
-
-
 class WitnessCert:
     """The witness x^(n+1) f = h*theta*x + r*x that essential_witness
     builds; verify(ctx) re-checks it."""
@@ -257,7 +222,8 @@ class WitnessCert:
         self.r = r
 
     def verify(self, ctx):
-        """r != 0 and x^(n+1) f == h*theta*x + r*x with n = deg f."""
+        """r != 0 and x^(n+1) f == h*theta*x + r*x with n = deg f, by the
+        skew product; no verb runs it, library API in the README."""
         f, x, r = self.f, self.x_elt, self.r
         theta_x = mul(ctx, OrePoly.theta(), OrePoly.from_ring(x))
         lhs = f.scale_left(x ** (f.degree() + 1))

@@ -195,20 +195,6 @@ def _scaled(terms, f):
     return terms if f == 1 else {e: c * f for e, c in terms.items()}
 
 
-def _square_multiply(base, n, one):
-    """base**n (n >= 0) by repeated squaring; one is the unit of base's ring."""
-    if n < 0:
-        raise DomainError("negative power of a polynomial")
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
-
-
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
@@ -308,10 +294,6 @@ class MPoly:
         return cls._term(nvars, (0,) * nvars, c)
 
     @classmethod
-    def one(cls, nvars):
-        return cls._raw(nvars, 1, {(0,) * nvars: 1})
-
-    @classmethod
     def var(cls, nvars, i):
         exp = [0] * nvars
         exp[i] = 1
@@ -328,7 +310,8 @@ class MPoly:
     _term = monomial
 
     def _const(self, c):
-        """The constant c with self's type and variables."""
+        """The constant c with self's type and variables; the Python
+        protocol operators that take a rational, and __pow__, run it."""
         return self._term(self.nvars, (0,) * self.nvars, c)
 
     @classmethod
@@ -446,6 +429,7 @@ class MPoly:
         return self._lowest(self.nvars, den, ksub(ta, tb))
 
     def __rsub__(self, other):
+        """Python protocol: c - p for a rational c."""
         return self._const(other) - self
 
     def __neg__(self):
@@ -465,7 +449,17 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return _square_multiply(self, n, self._const(1))
+        """self**n, n >= 0, by squaring; WitnessCert.verify runs it."""
+        if n < 0:
+            raise DomainError("negative power of a polynomial")
+        out, base = self._const(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -549,12 +543,12 @@ class MPoly:
             terms[(exp[i],)] = c
         return UniPoly._raw(1, self.den, terms)
 
-    def render(self, names=None):
+    def render(self):
         """Canonical text form: descending graded-lex terms, variable k
-        named names[k], by default the class's names or else v<k>.  An
-        integer polynomial is rendered from its int terms, which qstr
-        reads as it reads rationals."""
-        names = names or self._names or [f"v{k}" for k in range(self.nvars)]
+        named by the class's names or else v<k>.  An integer polynomial is
+        rendered from its int terms, which qstr reads as it reads
+        rationals."""
+        names = self._names or [f"v{k}" for k in range(self.nvars)]
         terms = self.terms if self.den == 1 else self.rational_terms()
         # the text of each power that occurs, made once per variable
         powers = [{e: _power(v, e) for e in set(col)} for v, col in zip(names, zip(*terms))]
@@ -567,6 +561,7 @@ class MPoly:
         return f"{type(self).__name__}({self.render()})"
 
     def __str__(self):
+        """Python protocol: str(p) is p.render()."""
         return self.render()
 
 
@@ -651,6 +646,7 @@ class _Univariate(MPoly):
 
     @classmethod
     def const(cls, c):
+        """The constant c; library API, as are the other constructors."""
         return cls._term(1, (0,), c)
 
     @classmethod
@@ -691,10 +687,6 @@ class UniPoly(_Univariate):
     __sub__ = MPoly.__sub__
     __mul__ = __rmul__ = MPoly.__mul__
 
-    @classmethod
-    def _from_ints(cls, den, cs):
-        return cls._lowest(1, den, {(i,): c for i, c in enumerate(cs) if c})
-
     def _ints(self):
         """The int numerators of x^0, ..., x^degree."""
         get = self.terms.get
@@ -715,21 +707,6 @@ class UniPoly(_Univariate):
     def degree(self):
         return self.degree_in(0)
 
-    def divmod(self, other):
-        """(quotient, remainder) in Q[x], from one pseudo-division of the
-        int numerators."""
-        if not other.terms:
-            raise DomainError("division by the zero polynomial")
-        quo, rem, s = _pseudo_divmod(self._ints(), other._ints())
-        den = s * self.den
-        return self._from_ints(den, [c * other.den for c in quo]), self._from_ints(den, rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
 
 class LaurentUniPoly(_Univariate):
     """Laurent polynomial in x over Q, built from its lowest exponent
@@ -738,10 +715,12 @@ class LaurentUniPoly(_Univariate):
     __slots__ = ()
 
     def __init__(self, offset=0, coeffs=()):
+        """Library API: the parser builds Laurent polynomials from terms."""
         super().__init__(1, {(offset + i,): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def from_uni(cls, u):
+        """u as a Laurent polynomial; library API, for UniDerivation."""
         return cls._raw(1, u.den, u.terms)
 
     # bound again in this class's own dict, as in BiPoly
@@ -756,6 +735,7 @@ class LaurentUniPoly(_Univariate):
         return self.degree_in(0)
 
     def as_unipoly(self):
+        """self in Q[x]; library API, for UniDerivation."""
         if any(n < 0 for (n,) in self.terms):
             raise DomainError("negative exponents present")
         return UniPoly._raw(1, self.den, self.terms)
@@ -904,7 +884,9 @@ def uni_gcd(a, b):
         f, g = g, f
     while len(g) > 1:
         f, g = g, _primitive(_pseudo_divmod(f, g)[1])
-    return UniPoly._from_ints(1, f).monic() if not g else UniPoly.one()
+    if g:
+        return UniPoly.one()
+    return UniPoly._lowest(1, 1, {(i,): c for i, c in enumerate(f) if c}).monic()
 
 
 def _int_divisors(n):

@@ -7,7 +7,7 @@ import io
 import json
 from pathlib import Path
 
-from orediamond import cli
+from orediamond import cli, unifactor
 from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
 from orediamond.parse import parse_derivation, parse_ore
 
@@ -134,3 +134,25 @@ def test_corpus_runs_the_laurent_fields():
     derivs = [parse_derivation(f"dx={dx}", "laurent1").dx for dx in fields]
     assert all(1 <= len(d.terms) <= 3 and -3 <= d.min_degree() <= d.max_degree() <= 3 for d in derivs)
     assert sum(d.min_degree() < 0 for d in derivs) >= 15
+
+
+def test_corpus_reaches_the_quadratic_factor_search(monkeypatch):
+    """The reach block's three quartics without a rational root each call
+    unifactor._quadratic_factor once, as text and with --json."""
+    corpus = cli_diff.corpus()
+    quartics = cli_diff.REACH[:3]
+    assert [argv[-1] for argv in quartics] == ["3", "x^4 + 2", "x^4 + 4"]
+    found = []
+    original = unifactor._quadratic_factor
+
+    def counted(*args):
+        found.append(original(*args))
+        return found[-1]
+
+    monkeypatch.setattr(unifactor, "_quadratic_factor", counted)
+    for argv in quartics:
+        assert argv in corpus and argv + ["--json"] in corpus
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    # x^4 + 1 and x^4 + 2 have no quadratic factor; x^4 + 4 has x^2 - 2x + 2
+    assert [None if f is None else f.render() for f in found] == [None, None, "x^2 - 2*x + 2"]

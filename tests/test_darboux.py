@@ -370,7 +370,7 @@ def test_cascade_stops_at_a_constant_row(monkeypatch):
     # for the final example, d = 5, below the leading form x with cofactor
     # top 0 an early level leaves a nonzero constant row: no solution,
     # and the cascade returns before solving any constraint
-    assert darboux._solve_constraints([MPoly.one(3)]) == ([], True)
+    assert darboux._solve_constraints([MPoly.const(3, 1)]) == ([], True)
 
     def unreachable(cons):
         raise AssertionError("constraints solved after a constant row")

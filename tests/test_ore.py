@@ -15,16 +15,12 @@ from orediamond import (
     Q,
     UniDerivation,
     WitnessCert,
-    a_theta_pow_right,
-    act,
     essential_witness,
     exact_divide,
     mul,
-    phi,
-    theta_pow_left,
 )
 from orediamond import linalg, ore
-from util import bi, leibniz_delta, random_bipoly, uni
+from util import a_theta_pow_right, act, bi, leibniz_delta, phi, random_bipoly, theta_pow_left, uni
 
 
 def ctx_dx():
@@ -129,6 +125,12 @@ class TestThetaIdentities:
                 for _ in range(n):
                     expected = mul(ctx, OrePoly.theta(), expected)
                 assert theta_pow_left(ctx, n, a) == expected
+
+    def test_negative_power_rejected(self):
+        for call in (lambda: theta_pow_left(ctx_dx(), -1, bi("x")), lambda: a_theta_pow_right(ctx_dx(), bi("x"), -1)):
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == "negative theta power"
 
     def test_right_round_trip(self):
         rng = random.Random(504)

@@ -28,6 +28,11 @@ from orediamond.poly import MPoly
 from util import bi, lau
 
 
+def _value(parsed):
+    """What a parse is compared by: a Derivation by its (dx, dy)."""
+    return (parsed.dx, parsed.dy) if isinstance(parsed, Derivation) else parsed
+
+
 class TestParsePolynomial:
     def test_bivariate(self):
         p = parse_polynomial("x^2*y - 3/2*y", "poly2")
@@ -93,7 +98,7 @@ class TestParsePolynomial:
     def test_term_cap(self, parser, prefix, term, parsed):
         # terms are counted as read, before x + x combine into 2*x
         joiner = " + "
-        assert parser(prefix + joiner.join([term] * MAX_TERMS), "poly2") == parsed
+        assert _value(parser(prefix + joiner.join([term] * MAX_TERMS), "poly2")) == _value(parsed)
         with pytest.raises(ParseError) as exc:
             parser(prefix + joiner.join([term] * (MAX_TERMS + 1)), "poly2")
         # the sign opening term MAX_TERMS + 1, counting from 1
@@ -147,7 +152,7 @@ def test_error_message_and_position(parser, text, ring, message, position):
 class TestParseDerivation:
     def test_bivariate(self):
         d = parse_derivation("dx=1; dy=x*y^2", "poly2")
-        assert d == Derivation(bi("1"), bi("x*y^2"))
+        assert (d.dx, d.dy) == (bi("1"), bi("x*y^2"))
 
     def test_laurent(self):
         d = parse_derivation("dx=x^3", "laurent1")
@@ -162,7 +167,7 @@ class TestParseDerivation:
             parse_derivation("dx=1; dy=x", "poly1")
 
     def test_empty_component_skipped(self):
-        assert parse_derivation("dx=1; ; dy=x", "poly2") == parse_derivation("dx=1; dy=x", "poly2")
+        assert _value(parse_derivation("dx=1; ; dy=x", "poly2")) == _value(parse_derivation("dx=1; dy=x", "poly2"))
 
 
 class TestParseOre:
@@ -220,8 +225,8 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(bipoly_strategy(), bipoly_strategy())
     def test_derivation_render_reparse(self, dx, dy):
-        d = Derivation(dx, dy)
-        assert parse_derivation(render_derivation(d), "poly2") == d
+        d = parse_derivation(render_derivation(Derivation(dx, dy)), "poly2")
+        assert (d.dx, d.dy) == (dx, dy)
 
 
 def run(argv, capsys):
@@ -320,7 +325,7 @@ class TestCli:
         )
         doc = json.loads(out)
         echoed = parse_derivation(doc["inputs"]["deriv"], "poly2")
-        assert echoed == Derivation(bi("1"), bi("x*y^2"))
+        assert (echoed.dx, echoed.dy) == (bi("1"), bi("x*y^2"))
 
 
 class TestJsonSchema:

@@ -16,15 +16,13 @@ from orediamond import (
     exact_divide,
     gcd,
     rational_roots,
-    resultant,
     squarefree_decomposition,
     squarefree_part,
     uni_gcd,
-    uni_resultant,
 )
 from orediamond import linalg, parse
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
-from orediamond.poly import kmul_int
+from orediamond.poly import _pseudo_divmod, kmul_int
 from util import bi, gauss_jordan, lau, random_bipoly, random_unipoly, uni
 
 
@@ -88,18 +86,20 @@ class TestGcd:
 
 
 class TestResultant:
+    """mpoly_resultant eliminating y (variable 1) of two BiPoly."""
+
     def test_two_linear(self):
-        assert resultant(bi("y + 1"), bi("y - 1"), "y") == UniPoly.const(Q(-2))
+        assert mpoly_resultant(bi("y + 1"), bi("y - 1"), 1) == bi("-2")
 
     def test_parabola(self):
-        assert resultant(bi("y - x^2"), bi("y"), "y") == uni("x^2")
+        assert mpoly_resultant(bi("y - x^2"), bi("y"), 1) == bi("x^2")
 
     def test_pencil_pair(self):
-        assert resultant(bi("y"), bi("x*y - 1"), "y") == UniPoly.const(Q(-1))
+        assert mpoly_resultant(bi("y"), bi("x*y - 1"), 1) == bi("-1")
 
     def test_both_constant_rejected(self):
         with pytest.raises(DomainError):
-            resultant(bi("3"), bi("5"), "y")
+            mpoly_resultant(bi("3"), bi("5"), 1)
 
     def test_zero_iff_common_factor(self):
         rng = random.Random(103)
@@ -114,8 +114,8 @@ class TestResultant:
             if q_.deg_y() < 1:
                 q_ = q_ + bi("y^2")
             # sharing a factor of positive y-degree forces a zero resultant
-            assert resultant(p * common, q_ * common, "y").is_zero
-            r = resultant(p, q_, "y")
+            assert mpoly_resultant(p * common, q_ * common, 1).is_zero
+            r = mpoly_resultant(p, q_, 1)
             assert r.is_zero == (gcd(p, q_).deg_y() > 0)
 
 
@@ -167,14 +167,23 @@ class TestRingAxioms:
             assert p * q_ == q_ * p
             assert p * (q_ + r) == p * q_ + p * r
 
-    def test_unipoly_axioms_and_divmod(self):
+    def test_pseudo_divmod_law(self):
+        """s*a = q*b + r with len(r) < len(b), r free of trailing zeros,
+        and s = |lc b|^m, m = max(len(a) - len(b) + 1, 0), on int lists."""
         rng = random.Random(106)
-        for _ in range(200):
-            a = random_unipoly(rng)
-            b = random_unipoly(rng, nonzero=True)
-            quo, rem = a.divmod(b)
-            assert quo * b + rem == a
-            assert rem.is_zero or rem.degree() < b.degree()
+        for _ in range(300):
+            a = [rng.randrange(-10**rng.choice((1, 6)), 10**rng.choice((1, 6))) for _ in range(rng.randrange(0, 8))]
+            b = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5))] + [rng.choice((-7, -2, -1, 1, 3, 12))]
+            quo, rem, s = _pseudo_divmod(a, b)
+            assert s == abs(b[-1]) ** max(len(a) - len(b) + 1, 0)
+            assert len(rem) < len(b) and (not rem or rem[-1])
+            prod = [0] * max(len(quo) + len(b) - 1, len(a), len(rem), 1)
+            for i, c in enumerate(quo):
+                for j, d in enumerate(b):
+                    prod[i + j] += c * d
+            for i, c in enumerate(rem):
+                prod[i] += c
+            assert prod == [s * c for c in a] + [0] * (len(prod) - len(a))
 
     def test_laurent_axioms(self):
         rng = random.Random(107)
@@ -195,9 +204,9 @@ class TestUnivariateTools:
     def test_uni_gcd(self):
         assert uni_gcd(uni("x^2 - 1"), uni("x^2 - 2*x + 1")) == uni("x - 1")
 
-    def test_uni_resultant_common_root(self):
-        assert uni_resultant(uni("x - 2"), uni("x^2 - 4")) == 0
-        assert uni_resultant(uni("x - 2"), uni("x^2 + 1")) != 0
+    def test_resultant_common_root(self):
+        assert mpoly_resultant(uni("x - 2"), uni("x^2 - 4"), 0).is_zero
+        assert mpoly_resultant(uni("x - 2"), uni("x^2 + 1"), 0) == 5
 
     def test_rational_roots(self):
         p = uni("x^3 - x")  # roots 0, 1, -1
@@ -231,7 +240,7 @@ def test_kernels_do_not_store_zeros():
     "rendered, text",
     [
         (BiPoly({(1, 0): -1, (0, 0): "3/2"}).render(), "-1*x + 3/2"),
-        (UniPoly([0, -1, "2/3"]).render("t"), "2/3*t^2 - t"),
+        (UniPoly([0, -1, "2/3"]).render(), "2/3*x^2 - x"),
         (LaurentUniPoly(-2, [-1, 0, 5]).render(), "5 - x^-2"),
         (BiPoly.zero().render(), "0"),
         (BiPoly.const(-2).render(), "-2"),
@@ -295,9 +304,9 @@ def _from_sympy(vec):
 
 class TestAgainstSympy:
     @pytest.mark.parametrize("eliminate", ["x", "y"])
-    def test_resultant(self, sp, eliminate):
-        x, y = sp.symbols("x y")
-        elim, other = (x, y) if eliminate == "x" else (y, x)
+    def test_resultant_two_variables(self, sp, eliminate):
+        syms = sp.symbols("x y")
+        i = "xy".index(eliminate)
         lift = bi(eliminate)
         # a vanishing pivot forces one row swap in the fraction-free
         # determinant, so the sign bookkeeping is exercised
@@ -308,11 +317,12 @@ class TestAgainstSympy:
             p = random_bipoly(rng, maxdeg=3, nonzero=True) + lift
             pairs.append((p, random_bipoly(rng, maxdeg=3, nonzero=True) * lift - 1))
         for p, q_ in pairs:
-            ours = resultant(p, q_, eliminate)
+            ours = mpoly_resultant(p, q_, i)
+            assert type(ours) is BiPoly and ours.degree_in(i) <= 0
             theirs = _sympy_resultant(
-                sp, _to_sympy(sp, p.rational_terms(), (x, y)), _to_sympy(sp, q_.rational_terms(), (x, y)), elim
+                sp, _to_sympy(sp, p.rational_terms(), syms), _to_sympy(sp, q_.rational_terms(), syms), syms[i]
             )
-            assert sp.expand(_uni_to_sympy(sp, ours, other) - theirs) == 0
+            assert sp.expand(_to_sympy(sp, ours.rational_terms(), syms) - theirs) == 0
 
     def test_mpoly_resultant_three_variables(self, sp):
         syms = sp.symbols("a b c")
@@ -487,7 +497,7 @@ class TestRationalProducts:
         s = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(1)})
         t = MPoly(3, {(1, 0, 0): Q(1, 3), (0, 1, 0): Q(-1, 5), (0, 0, 0): Q(-1)})
         u = MPoly(3, {(2, 0, 0): Q(1, 9), (1, 1, 0): Q(-2, 15), (0, 2, 0): Q(1, 25)})
-        assert (s * t).rational_terms() == (u - MPoly.one(3)).rational_terms()
+        assert (s * t).rational_terms() == (u - MPoly.const(3, 1)).rational_terms()
 
     def test_empty_and_single_term(self):
         rng = random.Random(112)
@@ -793,10 +803,11 @@ def test_bipoly_results_stay_bipoly():
     assert hash(p * q_) == hash(MPoly(2, (p * q_).rational_terms()))
 
 
-def test_replay_matches_augmented_rref():
+def test_replay_matches_augmented_gauss_jordan():
     """Replaying rref's row operations on a column gives the column that
-    rref computes for it as an extra column, on rank-deficient systems
-    with row swaps and zero rows, for rational and MPoly columns."""
+    Gauss-Jordan on the rows augmented by it computes, on rank-deficient
+    systems with row swaps and zero rows, for rational and MPoly
+    columns."""
     rng = random.Random(124)
     swaps = 0
     for trial in range(80):
@@ -816,7 +827,7 @@ def test_replay_matches_augmented_rref():
         m, pivots, ops = linalg.rref(rows, ncols)
         swaps += sum(r != pr for r, pr, _, _ in ops)
         assert len(pivots) < nrows
-        aug, aug_pivots, _ = linalg.rref([row + [v] for row, v in zip(rows, column)], ncols)
+        aug, aug_pivots, _ = gauss_jordan([row + [v] for row, v in zip(rows, column)], ncols)
         assert aug_pivots == pivots
         assert [row[:ncols] for row in aug] == m
         assert linalg.replay(ops, column) == [row[ncols] for row in aug]
@@ -849,8 +860,9 @@ def _elimination_case(rng, kind, nrows, ncols):
 
 def test_rref_matches_textbook_gauss_jordan():
     """rref's integer elimination gives the rows, pivots and row
-    operations of Fraction Gauss-Jordan, and replay its extra columns,
-    on int, Fraction and mixed matrices."""
+    operations of Fraction Gauss-Jordan, and replay the extra columns of
+    Gauss-Jordan on the augmented rows, on int, Fraction and mixed
+    matrices; rref leaves the extra columns out."""
     rng = random.Random(909)
     seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0, "int row": 0, "rational row": 0}
     for trial in range(240):
@@ -861,19 +873,19 @@ def test_rref_matches_textbook_gauss_jordan():
         rows = [row + [_random_entry(rng) for _ in range(extra)] for row in rows]
         m, pivots, ops = linalg.rref(rows, ncols)
         ref_m, ref_pivots, ref_ops = gauss_jordan(rows, ncols)
-        assert (m, pivots, ops) == (ref_m, ref_pivots, ref_ops)
+        assert (m, pivots, ops) == ([row[:ncols] for row in ref_m], ref_pivots, ref_ops)
         # a row whose entries are all integers, its scale 1, comes back
-        # as ints, any other as Fractions; the extra columns are replay's
+        # as ints, any other as Fractions
         for row in m:
-            kind = int if all(v.denominator == 1 for v in row[:ncols]) else Q
-            assert all(type(v) is kind for v in row[:ncols]) and all(type(v) is Q for v in row[ncols:])
-            seen["int row" if kind is int else "rational row"] += any(row[:ncols])
+            kind = int if all(v.denominator == 1 for v in row) else Q
+            assert all(type(v) is kind for v in row)
+            seen["int row" if kind is int else "rational row"] += any(row)
         for j in range(ncols, ncols + extra):
             assert linalg.replay(ops, [row[j] for row in rows]) == [row[j] for row in ref_m]
         # inv is 1 / pivot, so a negative inv marks a negative pivot
         seen["negative pivot"] += sum(inv < 0 for _, _, inv, _ in ops)
         seen["swap"] += sum(r != pr for r, pr, _, _ in ops)
-        seen["zero row"] += not any(m[-1][:ncols])
+        seen["zero row"] += not any(m[-1])
         seen["extra column"] += extra
     assert min(seen.values()) >= 40, seen
 
@@ -901,6 +913,6 @@ def test_rref_small_cases():
     assert linalg.rref([], 3) == ([], [], [])
     assert linalg.rref([[0, 0], [0, 0]], 2) == ([[0, 0], [0, 0]], [], [])
     assert linalg.rref([[-3, 2]], 2) == ([[1, Q(-2, 3)]], [0], [(0, 0, Q(-1, 3), [])])
-    m, pivots, ops = linalg.rref([[0, 2, 4], [3, 1, 1]], 2)
+    m, pivots, ops = linalg.rref([[0, 2, 4], [3, 1, 1]], 3)
     assert m == [[1, 0, Q(-1, 3)], [0, 1, 2]] and pivots == [0, 1]
     assert ops == [(0, 1, Q(1, 3), []), (1, 1, Q(1, 2), [(0, Q(1, 3))])]

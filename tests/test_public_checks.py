@@ -13,7 +13,6 @@ from orediamond import (
     PencilCert,
     UniDerivation,
     UniPoly,
-    a_theta_pow_right,
     darboux_search,
     decide,
     delta_simple_dim1_check,
@@ -22,9 +21,7 @@ from orediamond import (
     gcd,
     linalg,
     rational_roots,
-    resultant,
     squarefree_decomposition,
-    theta_pow_left,
 )
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from orediamond.unifactor import factor_univariate, is_irreducible
@@ -37,8 +34,6 @@ EULER = Derivation(bi("x"), bi("y"))
 CHECKS = [
     # the Ore layer
     ("check_element", lambda: UNI_CTX.check_element(bi("y")), "coefficient involves y in a univariate context"),
-    ("theta_pow_left", lambda: theta_pow_left(UNI_CTX, -1, bi("x")), "negative theta power"),
-    ("a_theta_pow_right", lambda: a_theta_pow_right(UNI_CTX, bi("x"), -1), "negative theta power"),
     (
         "essential_witness",
         lambda: essential_witness(UNI_CTX, OrePoly.theta(), BiPoly.zero()),
@@ -83,7 +78,6 @@ CHECKS = [
         lambda: mpoly_resultant(MPoly.zero(3), MPoly.var(3, 0), 0),
         "resultant of the zero polynomial",
     ),
-    ("resultant", lambda: resultant(bi("x"), bi("y"), "z"), "eliminate must be 'x' or 'y'"),
     # polynomials
     ("pow", lambda: bi("x") ** -1, "negative power of a polynomial"),
     ("to_bipoly", lambda: MPoly.var(3, 2).to_bipoly(), "extra variables present"),
@@ -92,7 +86,6 @@ CHECKS = [
     ("variable count", lambda: MPoly.var(3, 0) + bi("x"), "variable count mismatch"),
     ("as_unipoly", lambda: bi("x*y").as_unipoly(0), "other variables present"),
     ("BiPoly.monomial", lambda: BiPoly.monomial(-1, 0), "negative exponent in polynomial ring"),
-    ("UniPoly.divmod", lambda: uni("x").divmod(UniPoly.zero()), "division by the zero polynomial"),
     ("gcd", lambda: gcd(BiPoly.zero(), BiPoly.zero()), "gcd(0, 0) is undefined"),
     ("rational_roots", lambda: rational_roots(UniPoly.zero()), "roots of the zero polynomial"),
     ("squarefree_decomposition", lambda: squarefree_decomposition(UniPoly.zero()), "square-free decomposition of zero"),

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: concise constructors, random
 polynomial generators, and independent oracles (Macaulay-matrix ideal
 membership, degree-1 Darboux enumeration by direct parametrization, the
-Leibniz rule term by term)."""
+Leibniz rule term by term, the skew binomial identities and the module
+action of R[theta; delta] on R)."""
 
 from functools import reduce
+from math import comb
 
-from orediamond import BiPoly, Q, UniPoly, exact_divide
+from orediamond import BiPoly, DomainError, OrePoly, Q, UniPoly, exact_divide
 from orediamond import linalg
 from orediamond.multipoly import MPoly, mpoly_resultant
 from orediamond.parse import parse_polynomial
@@ -63,17 +65,65 @@ def leibniz_delta(deriv, p):
     return BiPoly(out)
 
 
+def theta_pow_left(ctx, n, a):
+    """Left-normal form of theta^n * a by the binomial identity
+    theta^n a = sum_i C(n, i) delta^(n-i)(a) theta^i, with no Ore
+    product; delta is leibniz_delta here and in a_theta_pow_right and act."""
+    if n < 0:
+        raise DomainError("negative theta power")
+    ctx.check_element(a)
+    powers = [a]
+    for _ in range(n):
+        powers.append(leibniz_delta(ctx.deriv, powers[-1]))
+    return OrePoly([comb(n, i) * powers[n - i] for i in range(n + 1)])
+
+
+def a_theta_pow_right(ctx, a, n):
+    """Left-normal form of the right-side identity
+    a*theta^n = sum (-1)^i C(n,i) theta^{n-i} delta^i(a)."""
+    if n < 0:
+        raise DomainError("negative theta power")
+    ctx.check_element(a)
+    total = OrePoly.zero()
+    val = a
+    for i in range(n + 1):
+        term = theta_pow_left(ctx, n - i, val)
+        sign = -1 if i % 2 else 1
+        total = total + OrePoly([sign * comb(n, i) * c for c in term.coeffs])
+        val = leibniz_delta(ctx.deriv, val)
+    return total
+
+
+def act(ctx, f, b):
+    """The left S-module action (sum a_i theta^i) . b = sum a_i delta^i(b)."""
+    ctx.check_element(b)
+    total = BiPoly.zero()
+    val = b
+    for a in f.coeffs:
+        total = total + a * val
+        val = leibniz_delta(ctx.deriv, val)
+    return total
+
+
+def phi(ctx, f):
+    """phi(f) = f . 1 = constant theta-coefficient."""
+    return f.coeff(0)
+
+
 def monomials_upto(d):
     return [(i, j) for t in range(d + 1) for i in range(t + 1) for j in [t - i]]
 
 
 def gauss_jordan(rows, ncols):
     """Textbook Gauss-Jordan elimination over Fraction on the first ncols
-    columns, every entry converted first and the whole row updated at each
-    step, in linalg.rref's format: (rows, pivot columns, row operations
-    (r, pr, inv, [(i, f), ...])).  The pivot of each column is the first
-    nonzero entry at or below the current row."""
-    m = [[Q(v) for v in row] for row in rows]
+    columns, every entry of those converted first and the whole row
+    updated at each step, in linalg.rref's format: (rows, pivot columns,
+    row operations (r, pr, inv, [(i, f), ...])).  The pivot of each
+    column is the first nonzero entry at or below the current row.
+    Further columns, an augmented right-hand side for instance, are
+    eliminated too; their entries may be anything that supports * and -
+    with rationals."""
+    m = [[Q(v) for v in row[:ncols]] + list(row[ncols:]) for row in rows]
     pivots, ops = [], []
     r = 0
     for c in range(ncols):

@@ -31,7 +31,14 @@ The corpus, each query as text and with --json:
   coefficients, under ore-mul and witness, on poly1 and on poly2 with
   rational coefficients in delta and with a constant field, and one
   product and one witness under Lotka-Volterra with exponents near the
-  parser's cap of 1000.
+  parser's cap of 1000;
+- the reach block (REACH): queries that reach code of the verbs that no
+  other block reaches.  Three call unifactor._quadratic_factor on a
+  quartic with no rational root: darboux on a field whose top part has
+  the factor x^4 + 1, which has no quadratic factor over Q, and witness
+  on poly1 with x = x^4 + 2, which has none either, and x = x^4 + 4,
+  whose factor x^2 - 2x + 2 makes the witness exit 1 as reducible.  One
+  product has a zero operand, and one derivation has a syntax error.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -81,6 +88,13 @@ ORE_NEAR_CAP = (
      "--f", "y^1000*t^2 - 3*x*y*t^2 + x", "--g", "y^999*t - x^1000"],
     ["witness", "--ring", "poly2", "--deriv", "dx=x - x*y; dy=x*y - y",
      "--f", "y^1000*t^2 + x*t + y^999", "--x", "2*x - y + 3"],
+)
+REACH = (
+    ["darboux", "--ring", "poly2", "--deriv", "dx=y^3; dy=-1*x^3", "--bound", "3"],
+    ["witness", "--ring", "poly1", "--deriv", "dx=1", "--f", "t", "--x", "x^4 + 2"],
+    ["witness", "--ring", "poly1", "--deriv", "dx=1", "--f", "t", "--x", "x^4 + 4"],
+    ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "0", "--g", "t"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=x^; dy=1", "--bound", "6"],
 )
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
@@ -224,6 +238,7 @@ def corpus():
     base += [_planar(verb, bound, dx, dy) for verb, bound in SHAMSUDDIN_QUERIES for _, dx, dy in shamsuddin_fields()]
     base += [[verb, "--ring", "laurent1", "--deriv", f"dx={dx}"] for verb in ("decide", "simple") for dx in laurent_fields()]
     base += ore_block()
+    base += [list(argv) for argv in REACH]
     out = [argv for plain in base for argv in (plain, plain + ["--json"])]
     for name in PIN_FILES:
         out += [pin["argv"] for pin in json.loads((ROOT / "tests" / name).read_text())]
