@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orediamond import (
     BiPoly,
+    DarbouxCert,
     Derivation,
     DomainError,
     LaurentUniPoly,
@@ -105,6 +106,17 @@ class TestCofactor:
     def test_not_darboux(self):
         d = Derivation(bi("1"), bi("1"))
         assert exact_divide(d.apply(bi("x")), bi("x")) is None
+
+    def test_constant_rejected(self):
+        """A constant satisfies delta(c) = 0*c, but Darboux polynomials are
+        nonconstant; the zero polynomial has no cofactor at all."""
+        d = Derivation(bi("x"), bi("y"))
+        with pytest.raises(DomainError):
+            DarbouxCert(d, bi("3"), BiPoly.zero())
+        with pytest.raises(DomainError):
+            DarbouxCert(d, BiPoly.zero(), BiPoly.zero())
+        with pytest.raises(DomainError):
+            exact_divide(d.apply(BiPoly.zero()), BiPoly.zero())
 
 
 def _coordinate(maps):

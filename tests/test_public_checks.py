@@ -17,11 +17,15 @@ from orediamond import (
     decide,
     delta_simple_dim1_check,
     essential_witness,
+    exact_divide,
     first_integral_search,
     gcd,
+    has_common_zero_with,
     linalg,
     rational_roots,
+    shamsuddin_analyze,
     squarefree_decomposition,
+    squarefree_part,
 )
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from orediamond.unifactor import factor_univariate, is_irreducible
@@ -39,6 +43,7 @@ CHECKS = [
         lambda: essential_witness(UNI_CTX, OrePoly.theta(), BiPoly.zero()),
         "witness requires a nonzero ring element",
     ),
+    ("essential_witness zero f", lambda: essential_witness(UNI_CTX, OrePoly.zero(), bi("x")), "witness requires f != 0"),
     # certificates
     (
         "DarbouxCert constant",
@@ -78,6 +83,16 @@ CHECKS = [
         lambda: mpoly_resultant(MPoly.zero(3), MPoly.var(3, 0), 0),
         "resultant of the zero polynomial",
     ),
+    (
+        "mpoly_resultant constants",
+        lambda: mpoly_resultant(uni("3"), uni("2"), 0),
+        "both inputs constant in the eliminated variable",
+    ),
+    (
+        "has_common_zero_with",
+        lambda: has_common_zero_with([bi("x")], BiPoly.zero()),
+        "the zero polynomial vanishes everywhere; give a nonzero p",
+    ),
     # polynomials
     ("pow", lambda: bi("x") ** -1, "negative power of a polynomial"),
     ("to_bipoly", lambda: MPoly.var(3, 2).to_bipoly(), "extra variables present"),
@@ -86,9 +101,13 @@ CHECKS = [
     ("variable count", lambda: MPoly.var(3, 0) + bi("x"), "variable count mismatch"),
     ("as_unipoly", lambda: bi("x*y").as_unipoly(0), "other variables present"),
     ("BiPoly.monomial", lambda: BiPoly.monomial(-1, 0), "negative exponent in polynomial ring"),
+    ("exact_divide", lambda: exact_divide(bi("x"), BiPoly.zero()), "division by the zero polynomial"),
     ("gcd", lambda: gcd(BiPoly.zero(), BiPoly.zero()), "gcd(0, 0) is undefined"),
+    ("squarefree_part", lambda: squarefree_part(BiPoly.zero()), "square-free part of the zero polynomial"),
     ("rational_roots", lambda: rational_roots(UniPoly.zero()), "roots of the zero polynomial"),
     ("squarefree_decomposition", lambda: squarefree_decomposition(UniPoly.zero()), "square-free decomposition of zero"),
+    # derivations
+    ("shamsuddin_analyze", lambda: shamsuddin_analyze(UniPoly.zero(), uni("x")), "a must be nonzero for the Shamsuddin form"),
     # factorization
     ("factor_univariate", lambda: factor_univariate(UniPoly.zero()), "factorization of the zero polynomial"),
     ("is_irreducible", lambda: is_irreducible(uni("3")), "irreducibility is for positive-degree polynomials"),

@@ -136,6 +136,17 @@ def test_negative_exponents_stay_out_of_unipoly():
     assert l * p == lau("x^-1 + x^-3")
 
 
+def test_resultant_of_zero_and_constant_inputs():
+    """res(c, p) = c^deg p; a zero input or two constants have no
+    Sylvester matrix and are refused."""
+    p = uni("x^3 - 2*x + 5")
+    assert mpoly_resultant(UniPoly.const(Q(2, 3)), p, 0) == Q(8, 27)
+    assert mpoly_resultant(p, UniPoly.const(-2), 0) == -8
+    for a, b in ((UniPoly.zero(), p), (p, UniPoly.zero()), (UniPoly.const(4), UniPoly.const(Q(1, 9)))):
+        with pytest.raises(DomainError):
+            mpoly_resultant(a, b, 0)
+
+
 # -- differential checks --------------------------------------------------
 
 
