@@ -32,6 +32,10 @@ Shamsuddin shape has no Darboux polynomial, so darboux_search runs no
 cascade on it; and a cascade with no free column, whose solution is
 unique, takes the product of two pairs found at lower degrees when their
 leading forms multiply to the one it is given (_cascade gives the proof).
+To see that it has no free column it need not reduce the levels past 1
+that have no cofactor column, when M != 0 and its atoms are certified:
+such a level has one exactly when the leading form's cofactor is that of
+a product of atoms of the level's degree (_cascade gives this proof too).
 
 The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span it
@@ -247,26 +251,29 @@ def _top_atoms(big_m, d):
     return atoms, rep.certified
 
 
-def _top_candidates(atoms, n):
-    """All monic products of atoms with total degree exactly n."""
+def _top_candidates(atoms, cofactors, n):
+    """All monic products of atoms with total degree exactly n, each with
+    its cofactor, the sum of its atoms' cofactors (D(f*g) = D(f)*g +
+    f*D(g) for the derivation D), as (product, cofactor) pairs."""
     out = []
 
-    def rec(idx, current, remaining):
+    def rec(idx, current, cofactor, remaining):
         if remaining == 0:
-            out.append(current)
+            out.append((current, cofactor))
             return
         if idx >= len(atoms):
             return
         deg = int(atoms[idx].total_degree())
         k = 0
-        power = current
+        power, c = current, cofactor
         while k * deg <= remaining:
-            rec(idx + 1, power, remaining - k * deg)
+            rec(idx + 1, power, c, remaining - k * deg)
             k += 1
             if k * deg <= remaining:
                 power = power * atoms[idx]
+                c = c + cofactors[idx]
 
-    rec(0, BiPoly.one(), n)
+    rec(0, BiPoly.one(), BiPoly.zero(), n)
     return out
 
 
@@ -364,24 +371,58 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     delta); so (lam*f*g, c_f + c_g) is that one solution, the one the
     levels would give.
 
+    known also carries known.cofactors, a table that reads P = 0 off the
+    atoms of M, with the levels s >= max(2, d) left unreduced; None runs
+    them.  For each degree k < n it holds the cofactors of the products
+    of atoms of degree k, {0} at k = 0.  Such a level has no cofactor
+    column, and its matrix is h -> D(h) - c_top*h on the forms h of
+    degree k = n - s (no column at all when s > n): it has a free column
+    exactly when c_top is in cofactors[k].  Proof: a free column is a
+    nonzero form h with D(h) = c_top*h.  Every Q-irreducible factor f of
+    h is Darboux for D: with h = f^e*g and f not dividing g, D(h) =
+    c_top*h gives f | e*D(f)*g, so f | D(f).  f is homogeneous, and
+    Euler's identity x*f_x + y*f_y = deg(f)*f gives x*D(f) = deg(f)*a_d*f
+    + f_y*M and y*D(f) = deg(f)*b_d*f - f_x*M, so f divides f_y*M and
+    f_x*M.  f divides neither f_x nor f_y unless that partial is 0, being
+    of lower degree, and they are not both 0; so f | M when M != 0.  The
+    certified atoms are all the Q-irreducible factors of M, up to scale:
+    those of M(t, 1), and y when deg M(t, 1) < d + 1 (_top_atoms).  So h
+    is a scalar times a product of atoms of degree k, and c_top, the sum
+    of their cofactors, is in cofactors[k]; conversely such a product is
+    a free column.  At k = 0, h is a constant and c_top = 0.  So when
+    level 1 and the levels 2..d-1, which have cofactor columns, have full
+    column rank, and c_top is in no cofactors[n - s], then P = 0 and
+    _known_product is tried before any other level is reduced.
+    Otherwise, or when it finds no product, every level is reduced.  When
+    M = 0, or the factorization of M is not certified, the atoms may miss
+    a Darboux form of D, and cofactors is None.
+
     Returns (solutions, complete) as _cascade_answers does; ([], True) as
     soon as a level leaves a nonzero constant row.
     """
-    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
-    ad, bd = ab_parts[d]
+    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
     first = _cascade_level(ad, bd, d, n, p_top, c_top, 1)
     _, _, eq_mons, _, pivots, ops = first
     # level 1's right side D_{d-1}(p_top), on rationals: a nonzero row
     # it leaves refutes p_top before any other level is reduced
-    a_e, b_e = ab_parts[d - 1]
-    g = a_e * p_top.deriv_x() + b_e * p_top.deriv_y()
+    g = a_pol.homogeneous_part(d - 1) * p_top.deriv_x() + b_pol.homogeneous_part(d - 1) * p_top.deriv_y()
     rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
     if any(rhs[len(pivots):]):
         return [], True
-    levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, n + d)]
-    nv = 2 + sum(len(mons_p) + len(mons_c) - len(pivots) for mons_p, mons_c, _, _, pivots, _ in levels)
-    if nv == 2 and known and (product := _known_product(p_top, known)) is not None:
+    levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, d)]
+    table = known.cofactors if known else None
+    if (
+        table is not None
+        and not any(map(_free_columns, levels))
+        and all(c_top not in table[n - s] for s in range(max(2, d), n + 1))
+        and (product := _known_product(p_top, known)) is not None
+    ):
         return [product], True
+    levels += [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(len(levels) + 1, n + d)]
+    nv = 2 + sum(map(_free_columns, levels))
+    if nv == 2 and known and table is None and (product := _known_product(p_top, known)) is not None:
+        return [product], True
+    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     params = iter(range(2, nv))
     parts_p = {n: _constant_coeffs(p_top, nv)}
     parts_c = {d - 1: _constant_coeffs(c_top, nv)}
@@ -432,6 +473,24 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     p_all = MPoly.from_xy_coeffs([t for part in parts_p.values() for t in part.items()], nv)
     c_all = MPoly.from_xy_coeffs([t for part in parts_c.values() for t in part.items()], nv)
     return _cascade_answers(p_all, c_all, constraints)
+
+
+def _free_columns(level):
+    """The number of free columns of a level _cascade_level returns."""
+    mons_p, mons_c, _, _, pivots, _ = level
+    return len(mons_p) + len(mons_c) - len(pivots)
+
+
+class _Known(dict):
+    """_degree_loop's index of the pairs found so far, by monic leading
+    form, for _known_product; cofactors is the table _cascade reads P = 0
+    from, or None."""
+
+    __slots__ = ("cofactors",)
+
+    def __init__(self, cofactors):
+        super().__init__()
+        self.cofactors = cofactors
 
 
 def _leading_form(p):
@@ -640,7 +699,8 @@ def _degree_loop(deriv, bound, stops):
     far, one list extended in place, and last whether n ends the loop.
     Before the leading forms of degree n it indexes the pairs found so
     far, all of lower degree, by their monic leading form (known), which
-    _cascade reads when a cascade has no free column."""
+    _cascade reads when a cascade has no free column; known.cofactors
+    gets the cofactors of the leading forms of each degree."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
@@ -657,8 +717,19 @@ def _degree_loop(deriv, bound, stops):
     else:
         complete = False
         atoms = [BiPoly.var_x(), BiPoly.var_y()]
+    if atoms is not None:
+        # each atom divides its image, and a product's cofactor is the
+        # sum of its atoms'.  For h homogeneous of degree k, Euler's
+        # identity gives x*D(h) = k*ad*h + h_y*M and y*D(h) = k*bd*h -
+        # h_x*M; an atom h, a factor of M (or x, y when M = 0), divides
+        # h_y*M and h_x*M, so h divides x*D(h) and y*D(h), hence D(h), as
+        # gcd(x, y) = 1
+        cofactors = [exact_divide(ad * a.deriv_x() + bd * a.deriv_y(), a) for a in atoms]
     found = []  # (p, cofactor)
-    known, indexed = {}, 0  # monic leading form: a found pair that has it; pairs read
+    # the found pairs by monic leading form, and while the atoms give
+    # every Darboux form of D, the cofactors of their products by degree
+    known = _Known({0: {BiPoly.zero()}} if complete else None)
+    indexed = 0  # pairs read into known
     stop, n = bound, 0
     while n < stop:
         n += 1
@@ -668,14 +739,10 @@ def _degree_loop(deriv, bound, stops):
         else:
             known.update((_leading_form(p), (p, c)) for p, c in found[indexed:])
             indexed = len(found)
-            for p_top in _top_candidates(atoms, n):
-                # p_top divides its image.  For h homogeneous of degree
-                # k, Euler's identity gives x*D(h) = k*ad*h + h_y*M and
-                # y*D(h) = k*bd*h - h_x*M; a product h of factors of M
-                # divides h_y*M and h_x*M, so h divides x*D(h) and
-                # y*D(h), hence D(h), as gcd(x, y) = 1
-                dp = ad * p_top.deriv_x() + bd * p_top.deriv_y()
-                c_top = exact_divide(dp, p_top)
+            candidates = _top_candidates(atoms, cofactors, n)
+            if known.cofactors is not None:
+                known.cofactors[n] = {c for _, c in candidates}
+            for p_top, c_top in candidates:
                 sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
                 complete = complete and comp
                 found += sols

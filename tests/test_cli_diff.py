@@ -61,8 +61,9 @@ def test_corpus_runs_each_query_once_and_every_pin():
         r142 = ["darboux", "--ring", "poly2", "--deriv", "dx=3*x*y + 3*y; dy=2*y^2", "--bound", bound]
         assert r142 in corpus and r142 + ["--json"] in corpus
     survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
-    # the survey, the named corpus and the Shamsuddin fields
-    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE
+    # the survey, the named corpus, the Shamsuddin fields and the reach
+    # block's field without a certified factorization of M
+    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 1
 
 
 def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():
@@ -156,3 +157,13 @@ def test_corpus_reaches_the_quadratic_factor_search(monkeypatch):
             cli.main(argv)
     # x^4 + 1 and x^4 + 2 have no quadratic factor; x^4 + 4 has x^2 - 2x + 2
     assert [None if f is None else f.render() for f in found] == [None, None, "x^2 - 2*x + 2"]
+
+
+def test_corpus_runs_a_top_part_without_a_certified_factorization():
+    """The reach block runs darboux 6 and 8, as text and with --json, on
+    a field whose M = (x^3 + 2y^3)(x^3 + 3y^3) _top_atoms does not
+    certify, so its cascades read no cofactor table."""
+    corpus = cli_diff.corpus()
+    for bound in ("6", "8"):
+        argv = ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", bound]
+        assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus

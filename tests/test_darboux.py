@@ -447,21 +447,34 @@ def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     return [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
 
 
-def _cascade_inputs(a_pol, b_pol, n):
-    """(d, n, p_top, c_top) for every leading form darboux_search tries
-    at degree n (none when M = 0 and d = 1)."""
+def _top_parts(a_pol, b_pol):
+    """(d, ad, bd, atoms, cofactors, certified) of the field's top part:
+    the atoms of M (x and y when M = 0, certified False), each with
+    its cofactor, as _degree_loop computes them; atoms is None when M = 0
+    and d = 1."""
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
     big_m = bi("x") * bd - bi("y") * ad
     if not big_m.is_zero:
-        atoms, _ = _top_atoms(big_m, d)
+        atoms, certified = _top_atoms(big_m, d)
     elif d == 1:
-        return []
+        return d, ad, bd, None, None, True
     else:
-        atoms = [bi("x"), bi("y")]
+        atoms, certified = [bi("x"), bi("y")], False
+    cofactors = [exact_divide(ad * a.deriv_x() + bd * a.deriv_y(), a) for a in atoms]
+    return d, ad, bd, atoms, cofactors, certified
+
+
+def _cascade_inputs(a_pol, b_pol, n):
+    """(d, n, p_top, c_top) for every leading form darboux_search tries
+    at degree n (none when M = 0 and d = 1); each c_top, the sum of its
+    atoms' cofactors, is checked against D(p_top)/p_top."""
+    d, ad, bd, atoms, cofactors, _ = _top_parts(a_pol, b_pol)
+    if atoms is None:
+        return []
     out = []
-    for p_top in _top_candidates(atoms, n):
-        c_top = exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top)
+    for p_top, c_top in _top_candidates(atoms, cofactors, n):
+        assert c_top == exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top), p_top
         out.append((d, n, p_top, c_top))
     return out
 
@@ -708,17 +721,90 @@ class TestProofExits:
 
     def test_product_is_scaled_to_the_leading_form(self, monkeypatch):
         """On Lotka-Volterra at n = 3, below 3*x^3, the answer is 3 times
-        x * x^2, with the cofactors of x and x^2 added."""
+        x * x^2, with the cofactors of x and x^2 added: with no cofactor
+        table after all four levels are reduced, and with the table after
+        level 1 alone."""
         a_pol, b_pol = bi("x - x*y"), bi("x*y - y")
         for found, *_ in darboux._degree_loop(Derivation(a_pol, b_pol), 2, False):
             pass
-        known = {darboux._leading_form(p): (p, c) for p, c in found}
+        _, _, _, atoms, cofactors, certified = _top_parts(a_pol, b_pol)
+        assert certified
+        table = {k: {c for _, c in _top_candidates(atoms, cofactors, k)} for k in range(1, 3)}
         (d, n, p_top, c_top), = [args for args in _cascade_inputs(a_pol, b_pol, 3) if args[2] == bi("x^3")]
         args = (a_pol, b_pol, d, n, 3 * p_top, c_top)
-        with monkeypatch.context() as m:
-            m.setattr(darboux, "_cascade_answers", _unreachable)
-            ours = _cascade(*args, known)
-        assert ours == _cascade(*args) == ([(bi("3*x^3"), bi("-3*y + 3"))], True)
+        rref, calls = linalg.rref, []
+        for cofactors, reduced in ((None, 4), ({0: {BiPoly.zero()}, **table}, 1)):
+            known = darboux._Known(cofactors)
+            known.update((darboux._leading_form(p), (p, c)) for p, c in found)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(darboux, "_cascade_answers", _unreachable)
+                m.setattr(linalg, "rref", lambda rows, ncols: calls.append(ncols) or rref(rows, ncols))
+                ours = _cascade(*args, known)
+            assert len(calls) == reduced
+            assert ours == _cascade(*args) == ([(bi("3*x^3"), bi("-3*y + 3"))], True)
+
+
+class TestCofactorTable:
+    """The cofactor table of _degree_loop (known.cofactors) reads P = 0
+    off the atoms of M: at each level s >= max(2, d) it sees a free column
+    exactly when _cascade_level leaves one (the proof is in _cascade)."""
+
+    @staticmethod
+    def _checked_tables(monkeypatch):
+        """Make every cascade check its leading form's cofactor against
+        D(p_top)/p_top and, when it gets a table, the table's verdict on
+        every level s >= max(2, d) against the reduced level; returns
+        counts of the cascades and levels checked, which grow as searches
+        run."""
+        counts = {"tables": 0, "no table": 0, "levels": 0, "free": 0}
+        cascade = darboux._cascade
+
+        def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
+            ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+            assert c_top == exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top), p_top
+            table = known.cofactors
+            counts["no table" if table is None else "tables"] += 1
+            for s in range(max(2, d), n + d) if table is not None else ():
+                free = darboux._free_columns(_cascade_level(ad, bd, d, n, p_top, c_top, s)) > 0
+                assert free == (s <= n and c_top in table[n - s]), (p_top, s)
+                counts["levels"] += 1
+                counts["free"] += free
+            return cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+
+        monkeypatch.setattr(darboux, "_cascade", checked)
+        return counts
+
+    def test_table_sees_the_free_columns_on_the_named_corpus(self, monkeypatch):
+        counts = self._checked_tables(monkeypatch)
+        workloads, _ = cli_diff._orebench()
+        for _, dx, dy, _, _ in workloads.NAMED:
+            darboux_search(Derivation(bi(dx), bi(dy)), 8)
+        # euler-top-d2 (M = 0) alone gets no table
+        assert counts == {"tables": 285, "no table": 44, "levels": 1545, "free": 273}
+
+    def test_table_sees_the_free_columns_on_the_survey(self, monkeypatch):
+        counts = self._checked_tables(monkeypatch)
+        for _, dx, dy in cli_diff.survey():
+            darboux_search(Derivation(bi(dx), bi(dy)), 6)
+        assert counts == {"tables": 3904, "no table": 0, "levels": 15699, "free": 3121}
+
+    @pytest.mark.parametrize("dx, dy", [("-6*y^5", "x^5 + 5*x^2*y^3"), ("x^2 + y", "x*y - x")])
+    def test_uncertified_or_zero_m_runs_every_level(self, monkeypatch, dx, dy):
+        """M = (x^3 + 2*y^3)*(x^3 + 3*y^3), whose factorization _top_atoms
+        does not certify, and euler-top-d2, whose M is 0, get no table,
+        and their reports are those of the search with known=None."""
+        a_pol, b_pol = bi(dx), bi(dy)
+        assert not _top_parts(a_pol, b_pol)[-1]
+        cascade = darboux._cascade
+        counts = self._checked_tables(monkeypatch)
+        for bound in (6, 8):
+            ours = darboux_search(Derivation(a_pol, b_pol), bound)
+            with monkeypatch.context() as m:
+                m.setattr(darboux, "_cascade", lambda *args: cascade(*args[:6]))
+                reference = darboux_search(Derivation(a_pol, b_pol), bound)
+            assert repr(ours) == repr(reference)
+        assert counts["tables"] == 0 and counts["no table"] > 0
 
 
 class TestCompositePencils:

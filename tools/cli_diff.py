@@ -37,8 +37,11 @@ The corpus, each query as text and with --json:
   quartic with no rational root: darboux on a field whose top part has
   the factor x^4 + 1, which has no quadratic factor over Q, and witness
   on poly1 with x = x^4 + 2, which has none either, and x = x^4 + 4,
-  whose factor x^2 - 2x + 2 makes the witness exit 1 as reducible.  One
-  product has a zero operand, and one derivation has a syntax error.
+  whose factor x^2 - 2x + 2 makes the witness exit 1 as reducible.
+  darboux 6 and 8 on dx = -6y^5, dy = x^5 + 5x^2y^3, whose top part
+  M = (x^3 + 2y^3)(x^3 + 3y^3) _top_atoms does not factor with a
+  certificate, run the cascade without the cofactor table.  One product
+  has a zero operand, and one derivation has a syntax error.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -93,6 +96,8 @@ REACH = (
     ["darboux", "--ring", "poly2", "--deriv", "dx=y^3; dy=-1*x^3", "--bound", "3"],
     ["witness", "--ring", "poly1", "--deriv", "dx=1", "--f", "t", "--x", "x^4 + 2"],
     ["witness", "--ring", "poly1", "--deriv", "dx=1", "--f", "t", "--x", "x^4 + 4"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", "8"],
     ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "0", "--g", "t"],
     ["decide", "--ring", "poly2", "--deriv", "dx=x^; dy=1", "--bound", "6"],
 )
