@@ -32,10 +32,10 @@ Shamsuddin shape has no Darboux polynomial, so darboux_search runs no
 cascade on it; and a cascade with no free column, whose solution is
 unique, takes the product of two pairs found at lower degrees when their
 leading forms multiply to the one it is given (_cascade gives the proof).
-To see that it has no free column it need not reduce the levels past 1
-that have no cofactor column, when M != 0 and its atoms are certified:
-such a level has one exactly when the leading form's cofactor is that of
-a product of atoms of the level's degree (_cascade gives this proof too).
+It reads "no free column" off one table, not reducing the levels past 1
+that have no cofactor column: such a level has one exactly when the
+leading form's cofactor is that of a product of atoms of the level's
+degree, the atoms of M being certified or M = 0 (_cascade's proof).
 
 The report leaves out pencils and certificates that are composites
 F(b, u) of a smaller reported pencil b/u (_composite_of).  Every span it
@@ -243,11 +243,10 @@ def _top_atoms(big_m, d):
         atoms.append(BiPoly.var_y())
     rep = factor_univariate(u)
     for atom, _mult in rep.factors:
+        # a monic atom's int numerators are primitive: by Gauss's lemma
+        # the level matrices are integral for an integral derivation
         k = atom.degree()
-        form = BiPoly(
-            {(i, k - i): c for i, c in enumerate(atom.coeffs) if c}
-        )
-        atoms.append(form)
+        atoms.append(BiPoly._raw(2, 1, {(i, k - i): c for (i,), c in atom.terms.items()}))
     return atoms, rep.certified
 
 
@@ -371,31 +370,31 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     delta); so (lam*f*g, c_f + c_g) is that one solution, the one the
     levels would give.
 
-    known also carries known.cofactors, a table that reads P = 0 off the
-    atoms of M, with the levels s >= max(2, d) left unreduced; None runs
-    them.  For each degree k < n it holds the cofactors of the products
-    of atoms of degree k, {0} at k = 0.  Such a level has no cofactor
-    column, and its matrix is h -> D(h) - c_top*h on the forms h of
-    degree k = n - s (no column at all when s > n): it has a free column
+    known.cofactors reads P = 0 off the atoms, the levels s >= max(2, d)
+    left unreduced: for each degree k < n it holds the cofactors of the
+    products of atoms of degree k, {0} at k = 0.  Such a level has no
+    cofactor column, and its matrix is h -> D(h) - c_top*h on the forms h
+    of degree k = n - s (no column when s > n): it has a free column
     exactly when c_top is in cofactors[k].  Proof: a free column is a
-    nonzero form h with D(h) = c_top*h.  Every Q-irreducible factor f of
-    h is Darboux for D: with h = f^e*g and f not dividing g, D(h) =
-    c_top*h gives f | e*D(f)*g, so f | D(f).  f is homogeneous, and
-    Euler's identity x*f_x + y*f_y = deg(f)*f gives x*D(f) = deg(f)*a_d*f
-    + f_y*M and y*D(f) = deg(f)*b_d*f - f_x*M, so f divides f_y*M and
-    f_x*M.  f divides neither f_x nor f_y unless that partial is 0, being
-    of lower degree, and they are not both 0; so f | M when M != 0.  The
-    certified atoms are all the Q-irreducible factors of M, up to scale:
-    those of M(t, 1), and y when deg M(t, 1) < d + 1 (_top_atoms).  So h
-    is a scalar times a product of atoms of degree k, and c_top, the sum
-    of their cofactors, is in cofactors[k]; conversely such a product is
-    a free column.  At k = 0, h is a constant and c_top = 0.  So when
-    level 1 and the levels 2..d-1, which have cofactor columns, have full
-    column rank, and c_top is in no cofactors[n - s], then P = 0 and
-    _known_product is tried before any other level is reduced.
-    Otherwise, or when it finds no product, every level is reduced.  When
-    M = 0, or the factorization of M is not certified, the atoms may miss
-    a Darboux form of D, and cofactors is None.
+    form h != 0 with D(h) = c_top*h.  When M = 0, a_d = x*r and b_d =
+    y*r for a form r != 0, so D = r*(x*d/dx + y*d/dy) and Euler's
+    identity gives D(h) = k*r*h: with c_top = n*r the matrix is h -> (k -
+    n)*r*h, injective, and the atoms x, y, each of cofactor r, give
+    cofactors[k] = {k*r}.  When M != 0, every Q-irreducible factor f of h
+    is Darboux for D: with h = f^e*g and f not dividing g, D(h) =
+    c_top*h gives f | e*D(f)*g, so f | D(f).  By Euler's identity x*D(f)
+    = deg(f)*a_d*f + f_y*M and y*D(f) = deg(f)*b_d*f - f_x*M, so f
+    divides f_y*M and f_x*M; f divides neither nonzero partial, of lower
+    degree, and they are not both 0, so f | M.  Certified atoms are all
+    the Q-irreducible factors of M, up to scale: those of M(t, 1), and y
+    when deg M(t, 1) < d + 1 (_top_atoms).  So h is a scalar times a
+    product of atoms of degree k, c_top, the sum of their cofactors, is
+    in cofactors[k], and conversely (at k = 0, h is a constant and c_top
+    = 0).  So when level 1 and the levels 2..d-1, which have cofactor
+    columns, have full column rank, and c_top is in no cofactors[n - s],
+    then P = 0 and _known_product is tried before any other level is
+    reduced; otherwise, or when it finds no product, every level is.
+    known is None when the factorization of M is not certified.
 
     Returns (solutions, complete) as _cascade_answers does; ([], True) as
     soon as a level leaves a nonzero constant row.
@@ -410,18 +409,15 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     if any(rhs[len(pivots):]):
         return [], True
     levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, d)]
-    table = known.cofactors if known else None
     if (
-        table is not None
+        known
         and not any(map(_free_columns, levels))
-        and all(c_top not in table[n - s] for s in range(max(2, d), n + 1))
+        and all(c_top not in known.cofactors[n - s] for s in range(max(2, d), n + 1))
         and (product := _known_product(p_top, known)) is not None
     ):
         return [product], True
     levels += [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(len(levels) + 1, n + d)]
     nv = 2 + sum(map(_free_columns, levels))
-    if nv == 2 and known and table is None and (product := _known_product(p_top, known)) is not None:
-        return [product], True
     ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     params = iter(range(2, nv))
     parts_p = {n: _constant_coeffs(p_top, nv)}
@@ -483,14 +479,14 @@ def _free_columns(level):
 
 class _Known(dict):
     """_degree_loop's index of the pairs found so far, by monic leading
-    form, for _known_product; cofactors is the table _cascade reads P = 0
-    from, or None."""
+    form, for _known_product; cofactors maps each degree k to the
+    cofactors of the products of atoms of degree k (_cascade)."""
 
     __slots__ = ("cofactors",)
 
-    def __init__(self, cofactors):
+    def __init__(self):
         super().__init__()
-        self.cofactors = cofactors
+        self.cofactors = {0: {BiPoly.zero()}}
 
 
 def _leading_form(p):
@@ -700,35 +696,36 @@ def _degree_loop(deriv, bound, stops):
     Before the leading forms of degree n it indexes the pairs found so
     far, all of lower degree, by their monic leading form (known), which
     _cascade reads when a cascade has no free column; known.cofactors
-    gets the cofactors of the leading forms of each degree."""
+    gets the cofactors of the leading forms of each degree.  known is None
+    when the factorization of M is not certified."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
     bd = b_pol.homogeneous_part(d)
     big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
-    complete = True
+    complete = certified = True
     atoms = None
     if d == 0:
         hval = 0  # delta lowers the degree, so every cofactor is 0
     elif not big_m.is_zero:
-        atoms, complete = _top_atoms(big_m, d)
+        atoms, certified = _top_atoms(big_m, d)
+        complete = certified
     elif d == 1:
         hval = exact_divide(ad, BiPoly.var_x()).constant_value()
     else:
+        # every form is Darboux for D = r*E, and only the monomials are
+        # tried as leading forms
         complete = False
         atoms = [BiPoly.var_x(), BiPoly.var_y()]
     if atoms is not None:
-        # each atom divides its image, and a product's cofactor is the
-        # sum of its atoms'.  For h homogeneous of degree k, Euler's
-        # identity gives x*D(h) = k*ad*h + h_y*M and y*D(h) = k*bd*h -
-        # h_x*M; an atom h, a factor of M (or x, y when M = 0), divides
-        # h_y*M and h_x*M, so h divides x*D(h) and y*D(h), hence D(h), as
-        # gcd(x, y) = 1
+        # an atom f | M divides x*D(f) and y*D(f) by Euler's identity
+        # (_cascade), so D(f) as gcd(x, y) = 1; x and y do when M = 0.
+        # A product's cofactor is the sum of its atoms'
         cofactors = [exact_divide(ad * a.deriv_x() + bd * a.deriv_y(), a) for a in atoms]
     found = []  # (p, cofactor)
-    # the found pairs by monic leading form, and while the atoms give
-    # every Darboux form of D, the cofactors of their products by degree
-    known = _Known({0: {BiPoly.zero()}} if complete else None)
+    # the found pairs by monic leading form, and the cofactors of the
+    # products of atoms by degree (_cascade)
+    known = _Known() if certified else None
     indexed = 0  # pairs read into known
     stop, n = bound, 0
     while n < stop:
@@ -737,10 +734,10 @@ def _degree_loop(deriv, bound, stops):
             c0 = BiPoly.const(n * hval)
             found += [(p, c0) for p in _kernel_echelon(deriv, c0, n)]
         else:
-            known.update((_leading_form(p), (p, c)) for p, c in found[indexed:])
-            indexed = len(found)
             candidates = _top_candidates(atoms, cofactors, n)
-            if known.cofactors is not None:
+            if known is not None:
+                known.update((_leading_form(p), (p, c)) for p, c in found[indexed:])
+                indexed = len(found)
                 known.cofactors[n] = {c for _, c in candidates}
             for p_top, c_top in candidates:
                 sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top, known)

@@ -7,7 +7,7 @@ import io
 import json
 from pathlib import Path
 
-from orediamond import cli, unifactor
+from orediamond import BiPoly, cli, unifactor
 from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
 from orediamond.parse import parse_derivation, parse_ore
 
@@ -62,8 +62,9 @@ def test_corpus_runs_each_query_once_and_every_pin():
         assert r142 in corpus and r142 + ["--json"] in corpus
     survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
     # the survey, the named corpus, the Shamsuddin fields and the reach
-    # block's field without a certified factorization of M
-    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 1
+    # block's field without a certified factorization of M and its field
+    # with M = 0
+    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 2
 
 
 def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():
@@ -166,4 +167,18 @@ def test_corpus_runs_a_top_part_without_a_certified_factorization():
     corpus = cli_diff.corpus()
     for bound in ("6", "8"):
         argv = ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", bound]
+        assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
+
+
+def test_corpus_runs_a_zero_m_cascade_past_a_cofactor_level():
+    """The reach block runs darboux 6 and 8, as text and with --json, on
+    a field with M = 0 and d = 3, whose cascades read the cofactor table
+    after reducing level 2, which has cofactor columns."""
+    corpus = cli_diff.corpus()
+    deriv = "dx=-2*x^2*y + x^2 + x + y^2; dy=x^2 - 2*x*y^2 + 2*x*y + y"
+    field = parse_derivation(deriv, "poly2")
+    ad, bd = field.dx.homogeneous_part(3), field.dy.homogeneous_part(3)
+    assert not ad.is_zero and (BiPoly.var_x() * bd - BiPoly.var_y() * ad).is_zero
+    for bound in ("6", "8"):
+        argv = ["darboux", "--ring", "poly2", "--deriv", deriv, "--bound", bound]
         assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus

@@ -449,9 +449,9 @@ def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
 
 def _top_parts(a_pol, b_pol):
     """(d, ad, bd, atoms, cofactors, certified) of the field's top part:
-    the atoms of M (x and y when M = 0, certified False), each with
-    its cofactor, as _degree_loop computes them; atoms is None when M = 0
-    and d = 1."""
+    the atoms of M (x and y when M = 0), each with its cofactor, as
+    _degree_loop computes them, and whether its cascades get a cofactor
+    table (always when M = 0); atoms is None when M = 0 and d = 1."""
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
     big_m = bi("x") * bd - bi("y") * ad
@@ -460,7 +460,7 @@ def _top_parts(a_pol, b_pol):
     elif d == 1:
         return d, ad, bd, None, None, True
     else:
-        atoms, certified = [bi("x"), bi("y")], False
+        atoms, certified = [bi("x"), bi("y")], True
     cofactors = [exact_divide(ad * a.deriv_x() + bd * a.deriv_y(), a) for a in atoms]
     return d, ad, bd, atoms, cofactors, certified
 
@@ -509,6 +509,29 @@ def test_level_matrices_match_products():
     # every level of the named systems, read by _cascade or not, and the
     # rational field's
     assert (levels_seen - rational_seen, rational_seen) == (3138, 1318)
+
+
+def test_level_matrices_are_integral_for_integral_fields(monkeypatch):
+    """_top_atoms builds each form from the int numerators of a monic
+    atom, which are primitive, so by Gauss's lemma every level matrix of
+    an integral field is built from integral polynomials: on the survey
+    at bound 6, and on hang-linear at bound 8, whose monic atom x^2 -
+    5/3*y^2 has a rational coefficient."""
+    dens = []
+    level_matrix = darboux._level_matrix
+
+    def checked(ad, bd, p_top, c_top, *rest):
+        dens.append({p.den for p in (ad, bd, p_top, c_top)})
+        return level_matrix(ad, bd, p_top, c_top, *rest)
+
+    monkeypatch.setattr(darboux, "_level_matrix", checked)
+    workloads, _ = cli_diff._orebench()
+    for _, dx, dy in cli_diff.survey():
+        darboux_search(Derivation(bi(dx), bi(dy)), 6)
+    assert len(dens) == 13157
+    (dx, dy), = [(dx, dy) for name, dx, dy, _ in workloads.DARBOUX_KNOWN_HARD if name == "hang-linear"]
+    darboux_search(Derivation(bi(dx), bi(dy)), 8)
+    assert len(dens) == 13157 + 2 and all(den == {1} for den in dens)
 
 
 def _flat_xy_coeffs(g):
@@ -721,28 +744,29 @@ class TestProofExits:
 
     def test_product_is_scaled_to_the_leading_form(self, monkeypatch):
         """On Lotka-Volterra at n = 3, below 3*x^3, the answer is 3 times
-        x * x^2, with the cofactors of x and x^2 added: with no cofactor
-        table after all four levels are reduced, and with the table after
-        level 1 alone."""
+        x * x^2, with the cofactors of x and x^2 added: with known=None
+        after all four levels are reduced and solved, and with the index
+        and its cofactor table after level 1 alone."""
         a_pol, b_pol = bi("x - x*y"), bi("x*y - y")
         for found, *_ in darboux._degree_loop(Derivation(a_pol, b_pol), 2, False):
             pass
         _, _, _, atoms, cofactors, certified = _top_parts(a_pol, b_pol)
         assert certified
-        table = {k: {c for _, c in _top_candidates(atoms, cofactors, k)} for k in range(1, 3)}
+        known = darboux._Known()
+        known.cofactors.update((k, {c for _, c in _top_candidates(atoms, cofactors, k)}) for k in range(1, 3))
+        known.update((darboux._leading_form(p), (p, c)) for p, c in found)
         (d, n, p_top, c_top), = [args for args in _cascade_inputs(a_pol, b_pol, 3) if args[2] == bi("x^3")]
         args = (a_pol, b_pol, d, n, 3 * p_top, c_top)
         rref, calls = linalg.rref, []
-        for cofactors, reduced in ((None, 4), ({0: {BiPoly.zero()}, **table}, 1)):
-            known = darboux._Known(cofactors)
-            known.update((darboux._leading_form(p), (p, c)) for p, c in found)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rref", lambda rows, ncols: calls.append(ncols) or rref(rows, ncols))
+            full = _cascade(*args)
+            assert len(calls) == 4
             calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(darboux, "_cascade_answers", _unreachable)
-                m.setattr(linalg, "rref", lambda rows, ncols: calls.append(ncols) or rref(rows, ncols))
-                ours = _cascade(*args, known)
-            assert len(calls) == reduced
-            assert ours == _cascade(*args) == ([(bi("3*x^3"), bi("-3*y + 3"))], True)
+            m.setattr(darboux, "_cascade_answers", _unreachable)
+            ours = _cascade(*args, known)
+            assert len(calls) == 1
+        assert ours == full == ([(bi("3*x^3"), bi("-3*y + 3"))], True)
 
 
 class TestCofactorTable:
@@ -763,11 +787,10 @@ class TestCofactorTable:
         def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
             ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
             assert c_top == exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top), p_top
-            table = known.cofactors
-            counts["no table" if table is None else "tables"] += 1
-            for s in range(max(2, d), n + d) if table is not None else ():
+            counts["no table" if known is None else "tables"] += 1
+            for s in range(max(2, d), n + d) if known is not None else ():
                 free = darboux._free_columns(_cascade_level(ad, bd, d, n, p_top, c_top, s)) > 0
-                assert free == (s <= n and c_top in table[n - s]), (p_top, s)
+                assert free == (s <= n and c_top in known.cofactors[n - s]), (p_top, s)
                 counts["levels"] += 1
                 counts["free"] += free
             return cascade(a_pol, b_pol, d, n, p_top, c_top, known)
@@ -780,8 +803,8 @@ class TestCofactorTable:
         workloads, _ = cli_diff._orebench()
         for _, dx, dy, _, _ in workloads.NAMED:
             darboux_search(Derivation(bi(dx), bi(dy)), 8)
-        # euler-top-d2 (M = 0) alone gets no table
-        assert counts == {"tables": 285, "no table": 44, "levels": 1545, "free": 273}
+        # euler-top-d2 (M = 0) among them
+        assert counts == {"tables": 329, "no table": 0, "levels": 1785, "free": 273}
 
     def test_table_sees_the_free_columns_on_the_survey(self, monkeypatch):
         counts = self._checked_tables(monkeypatch)
@@ -789,22 +812,44 @@ class TestCofactorTable:
             darboux_search(Derivation(bi(dx), bi(dy)), 6)
         assert counts == {"tables": 3904, "no table": 0, "levels": 15699, "free": 3121}
 
-    @pytest.mark.parametrize("dx, dy", [("-6*y^5", "x^5 + 5*x^2*y^3"), ("x^2 + y", "x*y - x")])
-    def test_uncertified_or_zero_m_runs_every_level(self, monkeypatch, dx, dy):
-        """M = (x^3 + 2*y^3)*(x^3 + 3*y^3), whose factorization _top_atoms
-        does not certify, and euler-top-d2, whose M is 0, get no table,
-        and their reports are those of the search with known=None."""
-        a_pol, b_pol = bi(dx), bi(dy)
-        assert not _top_parts(a_pol, b_pol)[-1]
-        cascade = darboux._cascade
-        counts = self._checked_tables(monkeypatch)
+    @staticmethod
+    def _reports_as_every_level(monkeypatch, a_pol, b_pol):
+        """The field's reports at bounds 6 and 8 are those of the search
+        with known=None, which reduces every level of every cascade."""
         for bound in (6, 8):
             ours = darboux_search(Derivation(a_pol, b_pol), bound)
             with monkeypatch.context() as m:
-                m.setattr(darboux, "_cascade", lambda *args: cascade(*args[:6]))
+                m.setattr(darboux, "_cascade", lambda *args: _cascade(*args[:6]))
                 reference = darboux_search(Derivation(a_pol, b_pol), bound)
             assert repr(ours) == repr(reference)
+
+    def test_uncertified_field_runs_every_level(self, monkeypatch):
+        """M = (x^3 + 2*y^3)*(x^3 + 3*y^3), whose factorization _top_atoms
+        does not certify: every cascade gets known=None."""
+        a_pol, b_pol = bi("-6*y^5"), bi("x^5 + 5*x^2*y^3")
+        assert not _top_parts(a_pol, b_pol)[-1]
+        counts = self._checked_tables(monkeypatch)
+        self._reports_as_every_level(monkeypatch, a_pol, b_pol)
         assert counts["tables"] == 0 and counts["no table"] > 0
+
+    @pytest.mark.parametrize(
+        "dx, dy",
+        [("x^2 + y", "x*y - x"), ("-2*x^2*y + x^2 + x + y^2", "x^2 - 2*x*y^2 + 2*x*y + y")],
+        ids=["euler-top-d2", "zero-m-d3"],
+    )
+    def test_zero_m_gets_an_exact_table(self, monkeypatch, dx, dy):
+        """M = 0, so the top part is r times the Euler operator: every
+        cascade gets a table, and it sees no free column at any level s >=
+        max(2, d), as the reduced levels do; on the cubic field it starts
+        below level 2, which has cofactor columns."""
+        a_pol, b_pol = bi(dx), bi(dy)
+        _, ad, bd, atoms, _, certified = _top_parts(a_pol, b_pol)
+        assert (bi("x") * bd - bi("y") * ad).is_zero and atoms == [bi("x"), bi("y")] and certified
+        counts = self._checked_tables(monkeypatch)
+        self._reports_as_every_level(monkeypatch, a_pol, b_pol)
+        # the n + 1 monomials of each degree n <= 6, then <= 8, each with
+        # the n levels s = max(2, d)..n + d - 1
+        assert counts == {"tables": 71, "no table": 0, "levels": 352, "free": 0}
 
 
 class TestCompositePencils:

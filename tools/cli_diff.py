@@ -40,8 +40,11 @@ The corpus, each query as text and with --json:
   whose factor x^2 - 2x + 2 makes the witness exit 1 as reducible.
   darboux 6 and 8 on dx = -6y^5, dy = x^5 + 5x^2y^3, whose top part
   M = (x^3 + 2y^3)(x^3 + 3y^3) _top_atoms does not factor with a
-  certificate, run the cascade without the cofactor table.  One product
-  has a zero operand, and one derivation has a syntax error.
+  certificate, run the cascade without the cofactor table.  darboux 6
+  and 8 on dx = -2x^2y + x^2 + x + y^2, dy = x^2 - 2xy^2 + 2xy + y, whose
+  M is 0 with d = 3, read the table past level 2, which has cofactor
+  columns.  One product has a zero operand, and one derivation has a
+  syntax error.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -98,6 +101,8 @@ REACH = (
     ["witness", "--ring", "poly1", "--deriv", "dx=1", "--f", "t", "--x", "x^4 + 4"],
     ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", "6"],
     ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", "8"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=-2*x^2*y + x^2 + x + y^2; dy=x^2 - 2*x*y^2 + 2*x*y + y", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=-2*x^2*y + x^2 + x + y^2; dy=x^2 - 2*x*y^2 + 2*x*y + y", "--bound", "8"],
     ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "0", "--g", "t"],
     ["decide", "--ring", "poly2", "--deriv", "dx=x^; dy=1", "--bound", "6"],
 )
