@@ -12,16 +12,16 @@ parametric solutions carried symbolically.  The level matrices are
 rational, integer for an integer derivation, and do not depend on the
 parameters (linalg.rref eliminates on ints).  The first level's right
 side has no parameters either, the lower cofactor parts entering only
-below it, so it is solved on rationals first, and most leading forms
-fail there.  For a leading form that passes, the other levels are
-reduced, and the number P of free columns of all levels fixes the
-variables (x, y, p_0, ..., p_{P-1}) of the MPoly coefficients the cascade
-computes with, one per (x, y)-monomial of each part; the free unknowns
-become parameters in level-then-column order.  Rows left unsatisfied become
-polynomial constraints on the parameters, solved over Q at the end; a
-nonzero constant among them has no solution, so the cascade stops at
-the first level that leaves one.  An affine family of solutions
-enters as its base and its directions.  When M vanishes identically the
+below it, so it is eliminated as one more column of the first level's
+matrix, and most leading forms fail there.  For a leading form that
+passes, the other levels are reduced, and the number P of free columns
+of all levels fixes the variables (x, y, p_0, ..., p_{P-1}) of the MPoly
+coefficients the cascade computes with, one per (x, y)-monomial of each
+part; the free unknowns become parameters in level-then-column order.
+Rows left unsatisfied become polynomial constraints on the parameters,
+solved over Q at the end; a nonzero constant among them has no
+solution, so the cascade stops at the first level that leaves one.  An
+affine family of solutions enters as its base and its directions.  When M vanishes identically the
 top part is a multiple of the Euler operator, the top cofactor is
 forced, and for d = 1 the whole system is linear; for d = 0 (M is then
 the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
@@ -250,30 +250,29 @@ def _top_atoms(big_m, d):
     return atoms, rep.certified
 
 
-def _top_candidates(atoms, cofactors, n):
-    """All monic products of atoms with total degree exactly n, each with
-    its cofactor, the sum of its atoms' cofactors (D(f*g) = D(f)*g +
-    f*D(g) for the derivation D), as (product, cofactor) pairs."""
-    out = []
+def _top_candidates(atoms, cofactors):
+    """For n = 0, 1, 2, ... in turn, the products of atoms of total
+    degree exactly n, each as (exponents, product, cofactor): the
+    exponent vector e over atoms, in lexicographic order, and the sum of
+    the atoms' cofactors (D(f*g) = D(f)*g + f*D(g) for the derivation D).
 
-    def rec(idx, current, cofactor, remaining):
-        if remaining == 0:
-            out.append((current, cofactor))
-            return
-        if idx >= len(atoms):
-            return
-        deg = int(atoms[idx].total_degree())
-        k = 0
-        power, c = current, cofactor
-        while k * deg <= remaining:
-            rec(idx + 1, power, c, remaining - k * deg)
-            k += 1
-            if k * deg <= remaining:
-                power = power * atoms[idx]
-                c = c + cofactors[idx]
-
-    rec(0, BiPoly.one(), BiPoly.zero(), n)
-    return out
+    Each product is built once, by one product with an atom: e's entry is
+    atom_k times that of e - unit_k, of degree n - deg atom_k, k being the
+    last index where e is nonzero; so degree n's entries are atom_k times
+    the entries of degree n - deg atom_k that are 0 past k."""
+    table = [[((0,) * len(atoms), BiPoly.one(), BiPoly.zero())]]
+    degrees = [int(a.total_degree()) for a in atoms]
+    while True:
+        yield table[-1]
+        n = len(table)
+        entries = []
+        for k, (atom, cofactor, deg) in enumerate(zip(atoms, cofactors, degrees)):
+            if deg <= n:
+                for e, p, c in table[n - deg]:
+                    if not any(e[k + 1:]):
+                        entries.append((e[:k] + (e[k] + 1,) + e[k + 1:], p * atom, c + cofactor))
+        entries.sort(key=lambda entry: entry[0])
+        table.append(entries)
 
 
 def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
@@ -307,7 +306,7 @@ def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     return rows
 
 
-def _cascade_level(ad, bd, d, n, p_top, c_top, s):
+def _cascade_level(ad, bd, d, n, p_top, c_top, s, rhs=None):
     """Level s of the cascade's rational left-hand side, reduced.
 
     Level s solves for the homogeneous parts of degree n - s of p and
@@ -316,12 +315,18 @@ def _cascade_level(ad, bd, d, n, p_top, c_top, s):
     eq_mons; ad and bd are the top parts of the derivation.  Returns
     (mons_p, mons_c, eq_mons, m, pivots, ops), m, pivots and ops being
     what linalg.rref returns for the level's matrix; the free columns are
-    those outside pivots.
+    those outside pivots.  A parameter-free right side rhs, a BiPoly
+    homogeneous of the equation's degree, enters the matrix as one more
+    column, which rref eliminates with it: the last column of m.
     """
     mons_p = _monomials(n - s) if s <= n else []
     mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
     eq_mons = _monomials(n + d - 1 - s)
     rows = _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
+    if rhs is not None:
+        col = rhs.terms if rhs.den == 1 else rhs.rational_terms()
+        for row, e in zip(rows, eq_mons):
+            row.append(col.get(e, 0))
     m, pivots, ops = linalg.rref(rows, len(mons_p) + len(mons_c))
     return mons_p, mons_c, eq_mons, m, pivots, ops
 
@@ -338,12 +343,13 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     Level 1 is reduced and solved alone first.  Its right side is
     D_{d-1}(p_top) = a_{d-1}*dp_top/dx + b_{d-1}*dp_top/dy: the cofactor
     parts below c_top enter only from level 2 on, so it has no
-    parameters and is replayed on rationals before P is known.  A
-    nonzero row it leaves has no solution, and most leading forms are
-    refuted there, with no other level reduced.  P needs the free-column
-    count of every level, so the others are reduced only for a leading
-    form that passes, and level 1's rational right side then enters the
-    MPoly layout as constants.
+    parameters, and rref eliminates it as the last column of the level's
+    matrix, on ints for an integral field, before P is known.  A nonzero
+    row it leaves below the pivots has no solution, and most leading
+    forms are refuted there, with no other level reduced.  P needs the
+    free-column count of every level, so the others are reduced only for
+    a leading form that passes, and level 1's right side, the last
+    column of its pivot rows, then enters the MPoly layout as constants.
 
     From level 2 on, a level's right side is built monomial by monomial:
     every contribution to the coefficient of one monomial is num/den
@@ -400,13 +406,13 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     soon as a level leaves a nonzero constant row.
     """
     ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-    first = _cascade_level(ad, bd, d, n, p_top, c_top, 1)
-    _, _, eq_mons, _, pivots, ops = first
-    # level 1's right side D_{d-1}(p_top), on rationals: a nonzero row
-    # it leaves refutes p_top before any other level is reduced
+    # level 1's right side D_{d-1}(p_top), eliminated as the last column
+    # of its matrix: a nonzero one below the pivots refutes p_top before
+    # any other level is reduced
     g = a_pol.homogeneous_part(d - 1) * p_top.deriv_x() + b_pol.homogeneous_part(d - 1) * p_top.deriv_y()
-    rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
-    if any(rhs[len(pivots):]):
+    first = _cascade_level(ad, bd, d, n, p_top, c_top, 1, g)
+    _, _, _, m, pivots, _ = first
+    if any(row[-1] for row in m[len(pivots):]):
         return [], True
     levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, d)]
     if (
@@ -424,7 +430,7 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     parts_c = {d - 1: _constant_coeffs(c_top, nv)}
     zero = MPoly.zero(nv)
     constraints = []
-    rhs = [MPoly.const(nv, v) for v in rhs]  # level 1's, read below
+    rhs = [MPoly.const(nv, row[-1]) for row in m[: len(pivots)]]  # level 1's, read below
     for s, (mons_p, mons_c, eq_mons, m, pivots, ops) in enumerate(levels, 1):
         if s > 1:
             items = {}  # (x, y)-monomial: its (num, den, parameter monomial, coefficient)
@@ -696,8 +702,9 @@ def _degree_loop(deriv, bound, stops):
     Before the leading forms of degree n it indexes the pairs found so
     far, all of lower degree, by their monic leading form (known), which
     _cascade reads when a cascade has no free column; known.cofactors
-    gets the cofactors of the leading forms of each degree.  known is None
-    when the factorization of M is not certified."""
+    gets the cofactors of the leading forms of each degree, read off the
+    table of products of atoms (_top_candidates) that gives the leading
+    forms.  known is None when the factorization of M is not certified."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
     ad = a_pol.homogeneous_part(d)
@@ -722,6 +729,8 @@ def _degree_loop(deriv, bound, stops):
         # (_cascade), so D(f) as gcd(x, y) = 1; x and y do when M = 0.
         # A product's cofactor is the sum of its atoms'
         cofactors = [exact_divide(ad * a.deriv_x() + bd * a.deriv_y(), a) for a in atoms]
+        table = _top_candidates(atoms, cofactors)
+        next(table)  # degree 0, the empty product
     found = []  # (p, cofactor)
     # the found pairs by monic leading form, and the cofactors of the
     # products of atoms by degree (_cascade)
@@ -734,12 +743,12 @@ def _degree_loop(deriv, bound, stops):
             c0 = BiPoly.const(n * hval)
             found += [(p, c0) for p in _kernel_echelon(deriv, c0, n)]
         else:
-            candidates = _top_candidates(atoms, cofactors, n)
+            candidates = next(table)
             if known is not None:
                 known.update((_leading_form(p), (p, c)) for p, c in found[indexed:])
                 indexed = len(found)
-                known.cofactors[n] = {c for _, c in candidates}
-            for p_top, c_top in candidates:
+                known.cofactors[n] = {c for _, _, c in candidates}
+            for _, p_top, c_top in candidates:
                 sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
                 complete = complete and comp
                 found += sols
@@ -752,10 +761,14 @@ def _degree_loop(deriv, bound, stops):
 
 def _pencil_cofactor(found):
     """The cofactor c of a pencil among the polynomials found (two
-    non-proportional ones, or one with c = 0 and 1), else None."""
+    non-proportional ones, or one with c = 0 and 1), else None.  Only a
+    cofactor seen before needs the monic forms compared."""
     first = {}
     for p, c in found:
-        if c.is_zero or first.setdefault(c, p).monic() != p.monic():
+        if c.is_zero:
+            return c
+        f = first.setdefault(c, p)
+        if f is not p and f.monic() != p.monic():
             return c
     return None
 

@@ -8,9 +8,13 @@ previous pivot.  A row whose entries are all ints is taken as it is, over
 scale 1, with no pass over denominators; the Darboux cascade's level
 matrices are such rows for an integer derivation.  An elimination step
 changes a row only where the pivot row is nonzero, besides scaling it.
-The rows it returns, and the row operations replay needs, are read off
-those ints: a row of scale 1 is returned as its ints, with no Fraction
-built, any other as Fractions.
+rref pivots on the first ncols columns and eliminates every column of a
+row, so a rational right-hand side rides along as one more column, as
+level 1 of the cascade and solve give theirs.  The rows it returns are
+read off those ints: a row of scale 1 is returned as its ints, with no
+Fraction built, any other as Fractions.  Its row operations are ints too,
+and replay, which carries a right side that is no rational column
+through them, builds their rationals only when it runs.
 
 The verbs run rref, replay and nullspace.  linalg is not exported;
 solve stays as a target of orebench's tracer (layer linalg) and as the
@@ -23,29 +27,31 @@ from .rational import Q, QONE, QZERO, q
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form of the first ncols columns of rows;
-    returns (rows, pivot column list, row operations).
+    """Reduced row echelon form of rows, pivoting on the first ncols
+    columns; returns (rows, pivot column list, row operations).
 
-    Further columns are left out; replay carries a right-hand side, or
-    any column whose entries support * and - with rationals.  The row
-    operations are one (r, pr, inv, [(i, f), ...]) per pivot: swap rows
-    r and pr, scale row r by inv, subtract f times row r from each row i.
+    Further columns, which must be rationals, are eliminated with the
+    first ncols: as the pivot choice depends on those alone, an augmented
+    right-hand side comes out as Gauss-Jordan on the augmented rows, or
+    replay, gives it.  replay carries any other column, an MPoly right
+    side for instance, by the row operations, one (r, pr, s, p, [(i, f,
+    s_i), ...]) of ints per pivot: swap rows r and pr, scale row r by
+    s/p, subtract f/s_i times row r from each row i.
 
-    The first ncols columns are eliminated on ints: row i stands for
-    nums[i] / scales[i], so the pivot order and the rationals of the
-    Fraction elimination come out unchanged.  In a returned row those
-    columns hold ints when all of them are integers (the row's scale is
-    1, its numerators and scale being coprime), else Fractions; the two
-    compare and hash alike.  The input rows are left unchanged."""
+    Every column is eliminated on ints: row i stands for nums[i] /
+    scales[i], so the pivot order and the rationals of the Fraction
+    elimination come out unchanged.  A returned row holds ints when all
+    of its entries are integers (the row's scale is 1, its numerators and
+    scale being coprime), else Fractions; the two compare and hash alike.
+    The input rows are left unchanged."""
     nums, scales = [], []
     for row in rows:
-        left = row[:ncols]
-        if all(type(v) is int for v in left):
-            s = 1
+        if all(type(v) is int for v in row):
+            row, s = list(row), 1
         else:
-            s = lcm(*(v.denominator for v in left))
-            left = [v.numerator * (s // v.denominator) for v in left]
-        nums.append(left)
+            s = lcm(*(v.denominator for v in row))
+            row = [v.numerator * (s // v.denominator) for v in row]
+        nums.append(row)
         scales.append(s)
     n = len(nums)
     pivots = []
@@ -63,7 +69,7 @@ def rref(rows, ncols):
         scales[r], scales[pr] = scales[pr], scales[r]
         piv = nums[r]
         p = piv[c]
-        inv = Q(scales[r], p)
+        op = (r, pr, scales[r], p)  # scale by s/p, before p and the scale change
         # the scaled row is piv / p; keep p positive and piv primitive
         g = gcd(*piv) if p > 0 else -gcd(*piv)
         if g != 1:
@@ -89,8 +95,8 @@ def rref(rows, ncols):
                     new = [v // g for v in new]
                     s //= g
                 nums[i], scales[i] = new, s
-                elim.append((i, Q(f, si)))
-        ops.append((r, pr, inv, elim))
+                elim.append((i, f, si))
+        ops.append((*op, elim))
         pivots.append(c)
         r += 1
         if r == n:
@@ -102,15 +108,16 @@ def rref(rows, ncols):
 def replay(ops, column):
     """The column after rref's row operations ops: the right-hand side that
     eliminating the rows augmented by column would give, by the same
-    arithmetic without reducing again."""
+    arithmetic without reducing again.  Each op's rationals are built
+    here, from its ints."""
     col = list(column)
-    for r, pr, inv, elim in ops:
+    for r, pr, s, p, elim in ops:
         col[r], col[pr] = col[pr], col[r]
         b = col[r]
         if b:
-            b = col[r] = b * inv
-            for i, f in elim:
-                col[i] = col[i] - f * b
+            b = col[r] = b * Q(s, p)
+            for i, f, si in elim:
+                col[i] = col[i] - Q(f, si) * b
     return col
 
 
@@ -139,16 +146,16 @@ def solve(a_rows, rhs):
     if not a_rows:
         return [], []
     ncols = len(a_rows[0])
-    m, pivots, ops = rref(a_rows, ncols)
+    # rhs is eliminated as one more column
+    m, pivots, _ = rref([list(row) + [q(v)] for row, v in zip(a_rows, rhs)], ncols)
     kernel = _kernel_basis(m, pivots, ncols)
-    b = replay(ops, map(q, rhs))
     # rows below the pivots are zero in A; a nonzero right side there
     # makes the system inconsistent
-    if any(b[len(pivots):]):
+    if any(row[ncols] for row in m[len(pivots):]):
         return None, kernel
     particular = [QZERO] * ncols
-    for i, p in enumerate(pivots):
-        particular[p] = b[i]
+    for row, p in zip(m, pivots):
+        particular[p] = row[ncols]
     return particular, kernel
 
 

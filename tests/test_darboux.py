@@ -4,6 +4,7 @@ selection, and the independent degree-1 brute-force oracle."""
 
 import copy
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -465,6 +466,11 @@ def _top_parts(a_pol, b_pol):
     return d, ad, bd, atoms, cofactors, certified
 
 
+def _candidates(atoms, cofactors, n):
+    """The (product, cofactor) pairs of _top_candidates' degree n."""
+    return [(p, c) for _, p, c in next(itertools.islice(_top_candidates(atoms, cofactors), n, None))]
+
+
 def _cascade_inputs(a_pol, b_pol, n):
     """(d, n, p_top, c_top) for every leading form darboux_search tries
     at degree n (none when M = 0 and d = 1); each c_top, the sum of its
@@ -473,7 +479,7 @@ def _cascade_inputs(a_pol, b_pol, n):
     if atoms is None:
         return []
     out = []
-    for p_top, c_top in _top_candidates(atoms, cofactors, n):
+    for p_top, c_top in _candidates(atoms, cofactors, n):
         assert c_top == exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top), p_top
         out.append((d, n, p_top, c_top))
     return out
@@ -653,6 +659,102 @@ def test_level_one_refutes_before_reducing_the_rest(monkeypatch):
     assert len(calls) == 4
 
 
+def _brute_candidates(atoms, cofactors, n):
+    """Every exponent vector e with sum e_k*deg(atom_k) = n, in
+    lexicographic order, with the product of atom_k^e_k and the sum of
+    e_k times atom_k's cofactor."""
+    degrees = [int(a.total_degree()) for a in atoms]
+    out = []
+    for e in itertools.product(*(range(n // k + 1) for k in degrees)):
+        if sum(k * v for k, v in zip(degrees, e)) == n:
+            product, cofactor = bi("1"), bi("0")
+            for atom, c, v in zip(atoms, cofactors, e):
+                product, cofactor = product * atom**v, cofactor + v * c
+            out.append((e, product, cofactor))
+    return out
+
+
+def test_candidate_table_is_every_product_of_atoms(monkeypatch):
+    """_top_candidates gives, degree by degree through 12, every product
+    of atoms with its exponent vector and cofactor, in lexicographic order
+    of the vectors, on the atoms of every named field and of the survey
+    fields; and the cofactor table each search keeps is read off it."""
+    workloads, _ = cli_diff._orebench()
+    fields = [(dx, dy) for _, dx, dy, _, _ in workloads.NAMED] + [(dx, dy) for _, dx, dy in cli_diff.survey()]
+    atom_sets = set()
+    for dx, dy in fields:
+        _, _, _, atoms, cofactors, _ = _top_parts(bi(dx), bi(dy))
+        if atoms is not None:
+            atom_sets.add((tuple(atoms), tuple(cofactors)))
+    entries = 0
+    for atoms, cofactors in atom_sets:
+        table = _top_candidates(atoms, cofactors)
+        for n in range(13):
+            ours = next(table)
+            assert ours == _brute_candidates(atoms, cofactors, n), (atoms, n)
+            entries += len(ours)
+    assert (len(atom_sets), entries) == (127, 18791)
+    tables = []
+    cascade = darboux._cascade
+
+    def recorded(a_pol, b_pol, d, n, p_top, c_top, known=None):
+        tables.append((a_pol, b_pol, n, known))
+        return cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+
+    monkeypatch.setattr(darboux, "_cascade", recorded)
+    for dx, dy in fields[: len(workloads.NAMED)]:
+        darboux_search(Derivation(bi(dx), bi(dy)), 8)
+    # one table per degree loop, read when the search is over
+    last = {id(known): (a_pol, b_pol, n, known) for a_pol, b_pol, n, known in tables}
+    for a_pol, b_pol, n, known in last.values():
+        _, _, _, atoms, cofactors, _ = _top_parts(a_pol, b_pol)
+        assert set(known.cofactors) == set(range(n + 1))
+        for k, cofs in known.cofactors.items():
+            assert cofs == {c for _, _, c in _brute_candidates(atoms, cofactors, k)}
+    assert len(last) == 9
+
+
+def test_level_one_column_is_the_replayed_right_side(monkeypatch):
+    """On every level 1 of the named corpus at bound 8, the right side
+    that rref eliminates as the last column of the matrix is replay of
+    the rational right side D_{d-1}(p_top) by the row operations of the
+    matrix alone, which rref reduces as it does without that column; a
+    cascade whose replayed side is nonzero below the pivots is refuted
+    there, with no other level reduced."""
+    cascade_level, cascade = darboux._cascade_level, darboux._cascade
+    reduced, counts = [], {"levels": 0, "refuted": 0}
+
+    def recorded(*args):
+        reduced.append((args[6], cascade_level(*args)))
+        return reduced[-1][1]
+
+    def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
+        reduced.clear()
+        out = cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+        (s, (_, _, eq_mons, m, pivots, _)), *rest = reduced
+        assert s == 1 and all(s > 1 for s, _ in rest)
+        ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+        *_, plain, plain_pivots, ops = cascade_level(ad, bd, d, n, p_top, c_top, 1)
+        g = a_pol.homogeneous_part(d - 1) * p_top.deriv_x() + b_pol.homogeneous_part(d - 1) * p_top.deriv_y()
+        rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
+        assert (pivots, [row[:-1] for row in m]) == (plain_pivots, plain)
+        assert [row[-1] for row in m] == rhs
+        refuted = any(rhs[len(pivots):])
+        assert not (refuted and rest)
+        if refuted:
+            assert out == ([], True)
+        counts["levels"] += 1
+        counts["refuted"] += refuted
+        return out
+
+    monkeypatch.setattr(darboux, "_cascade_level", recorded)
+    monkeypatch.setattr(darboux, "_cascade", checked)
+    workloads, _ = cli_diff._orebench()
+    for _, dx, dy, _, _ in workloads.NAMED:
+        darboux_search(Derivation(bi(dx), bi(dy)), 8)
+    assert counts == {"levels": 329, "refuted": 129}
+
+
 def _unreachable(*args):
     raise AssertionError("a step the proof skips was run")
 
@@ -753,7 +855,7 @@ class TestProofExits:
         _, _, _, atoms, cofactors, certified = _top_parts(a_pol, b_pol)
         assert certified
         known = darboux._Known()
-        known.cofactors.update((k, {c for _, c in _top_candidates(atoms, cofactors, k)}) for k in range(1, 3))
+        known.cofactors.update((k, {c for _, c in _candidates(atoms, cofactors, k)}) for k in range(1, 3))
         known.update((darboux._leading_form(p), (p, c)) for p, c in found)
         (d, n, p_top, c_top), = [args for args in _cascade_inputs(a_pol, b_pol, 3) if args[2] == bi("x^3")]
         args = (a_pol, b_pol, d, n, 3 * p_top, c_top)

@@ -825,7 +825,7 @@ def test_replay_matches_augmented_gauss_jordan():
         else:
             column = [MPoly(3, _rational_terms(rng, 3, rng.randrange(0, 3))) for _ in range(nrows)]
         m, pivots, ops = linalg.rref(rows, ncols)
-        swaps += sum(r != pr for r, pr, _, _ in ops)
+        swaps += sum(r != pr for r, pr, *_ in ops)
         assert len(pivots) < nrows
         aug, aug_pivots, _ = gauss_jordan([row + [v] for row, v in zip(rows, column)], ncols)
         assert aug_pivots == pivots
@@ -858,11 +858,18 @@ def _elimination_case(rng, kind, nrows, ncols):
     return rows
 
 
+def _rational_ops(ops):
+    """rref's int row operations (r, pr, s, p, [(i, f, s_i), ...]) in
+    gauss_jordan's format (r, pr, s/p, [(i, f/s_i), ...])."""
+    return [(r, pr, Q(s, p), [(i, Q(f, si)) for i, f, si in elim]) for r, pr, s, p, elim in ops]
+
+
 def test_rref_matches_textbook_gauss_jordan():
-    """rref's integer elimination gives the rows, pivots and row
-    operations of Fraction Gauss-Jordan, and replay the extra columns of
-    Gauss-Jordan on the augmented rows, on int, Fraction and mixed
-    matrices; rref leaves the extra columns out."""
+    """rref's integer elimination gives the rows, extra columns included,
+    pivots and row operations of Fraction Gauss-Jordan, on int, Fraction
+    and mixed matrices with rational extra columns; its row operations
+    are ints, and replay carries each extra column as rref eliminates
+    it."""
     rng = random.Random(909)
     seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0, "int row": 0, "rational row": 0}
     for trial in range(240):
@@ -873,7 +880,8 @@ def test_rref_matches_textbook_gauss_jordan():
         rows = [row + [_random_entry(rng) for _ in range(extra)] for row in rows]
         m, pivots, ops = linalg.rref(rows, ncols)
         ref_m, ref_pivots, ref_ops = gauss_jordan(rows, ncols)
-        assert (m, pivots, ops) == ([row[:ncols] for row in ref_m], ref_pivots, ref_ops)
+        assert (m, pivots, _rational_ops(ops)) == (ref_m, ref_pivots, ref_ops)
+        assert all(type(v) is int for op in ops for v in op[:4] + tuple(v for e in op[4] for v in e))
         # a row whose entries are all integers, its scale 1, comes back
         # as ints, any other as Fractions
         for row in m:
@@ -881,12 +889,66 @@ def test_rref_matches_textbook_gauss_jordan():
             assert all(type(v) is kind for v in row)
             seen["int row" if kind is int else "rational row"] += any(row)
         for j in range(ncols, ncols + extra):
-            assert linalg.replay(ops, [row[j] for row in rows]) == [row[j] for row in ref_m]
-        # inv is 1 / pivot, so a negative inv marks a negative pivot
-        seen["negative pivot"] += sum(inv < 0 for _, _, inv, _ in ops)
-        seen["swap"] += sum(r != pr for r, pr, _, _ in ops)
-        seen["zero row"] += not any(m[-1])
+            assert linalg.replay(ops, [row[j] for row in rows]) == [row[j] for row in m]
+        # s > 0, so a negative p marks a negative pivot
+        seen["negative pivot"] += sum(p < 0 for _, _, _, p, _ in ops)
+        seen["swap"] += sum(r != pr for r, pr, *_ in ops)
+        seen["zero row"] += not any(m[-1][:ncols])
         seen["extra column"] += extra
+    assert min(seen.values()) >= 40, seen
+
+
+def test_rref_builds_no_fraction_on_ints(monkeypatch):
+    """On int rows with int extra columns rref builds a Fraction only for
+    a returned row that is not integral, one per nonzero entry: none when
+    the reduced rows are integral, as for U*[R | E] with U unimodular, R
+    in reduced row echelon form of full row rank and R, E integral."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Q", counted)
+    rng = random.Random(3607)
+    seen = {"integral": 0, "ops": 0, "rational rows": 0}
+    for trial in range(120):
+        nrows = rng.randrange(1, 6)
+        ncols = nrows + rng.randrange(0, 3)
+        extra = rng.randrange(1, 3)
+        pivots = sorted(rng.sample(range(ncols), nrows))
+        reduced = []
+        for r, c in enumerate(pivots):
+            row = [0] * ncols
+            row[c] = 1
+            for j in range(c + 1, ncols):
+                if j not in pivots:
+                    row[j] = rng.randrange(-4, 5)
+            reduced.append(row + [rng.randrange(-4, 5) for _ in range(extra)])
+        rows = [list(row) for row in reduced]
+        for _ in range(3 * nrows):
+            i, k = rng.sample(range(nrows), 2) if nrows > 1 else (0, 0)
+            if i != k:
+                f = rng.randrange(-3, 4)
+                rows[i] = [a + f * b for a, b in zip(rows[i], rows[k])]
+            if rng.random() < 0.3:
+                rows[i], rows[k] = rows[k], rows[i]
+            if rng.random() < 0.3:
+                rows[i] = [-a for a in rows[i]]
+        made.clear()
+        m, got_pivots, ops = linalg.rref(rows, ncols)
+        assert (m, got_pivots, made) == (reduced, pivots, [])
+        assert all(type(v) is int for row in m for v in row)
+        seen["integral"] += 1
+        seen["ops"] += len(ops)
+        # any int rows: a Fraction for each nonzero entry of a returned
+        # row that is not integral, none for the row operations
+        rows = [[rng.randrange(-5, 6) for _ in range(ncols + extra)] for _ in range(nrows + 1)]
+        made.clear()
+        m, _, _ = linalg.rref(rows, ncols)
+        fractions = [v for row in m if any(type(v) is not int for v in row) for v in row if v]
+        assert len(made) == len(fractions)
+        seen["rational rows"] += bool(fractions)
     assert min(seen.values()) >= 40, seen
 
 
@@ -912,7 +974,9 @@ def test_rref_small_cases():
     # reduces to a non-integral one
     assert linalg.rref([], 3) == ([], [], [])
     assert linalg.rref([[0, 0], [0, 0]], 2) == ([[0, 0], [0, 0]], [], [])
-    assert linalg.rref([[-3, 2]], 2) == ([[1, Q(-2, 3)]], [0], [(0, 0, Q(-1, 3), [])])
+    assert linalg.rref([[-3, 2]], 2) == ([[1, Q(-2, 3)]], [0], [(0, 0, 1, -3, [])])
     m, pivots, ops = linalg.rref([[0, 2, 4], [3, 1, 1]], 3)
     assert m == [[1, 0, Q(-1, 3)], [0, 1, 2]] and pivots == [0, 1]
-    assert ops == [(0, 1, Q(1, 3), []), (1, 1, Q(1, 2), [(0, Q(1, 3))])]
+    assert ops == [(0, 1, 1, 3, []), (1, 1, 1, 2, [(0, 1, 3)])]
+    # the same rows with the last column as an extra one
+    assert linalg.rref([[0, 2, 4], [3, 1, 1]], 2) == (m, pivots, ops)
