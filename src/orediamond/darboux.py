@@ -306,23 +306,25 @@ def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     return rows
 
 
-def _cascade_level(ad, bd, d, n, p_top, c_top, s, rhs=None):
+def _cascade_level(ab_parts, n, p_top, c_top, s, rhs=None):
     """Level s of the cascade's rational left-hand side, reduced.
 
-    Level s solves for the homogeneous parts of degree n - s of p and
-    d - 1 - s of the cofactor (its unknowns: the coefficients on mons_p
-    and mons_c) from the equation's part of degree n + d - 1 - s, on
-    eq_mons; ad and bd are the top parts of the derivation.  Returns
+    ab_parts holds the homogeneous parts (a_e, b_e) of the derivation for
+    e = 0..d, and the level reads the top ones (a_d, b_d).  Level s solves
+    for the homogeneous parts of degree n - s of p and d - 1 - s of the
+    cofactor (its unknowns: the coefficients on mons_p and mons_c) from
+    the equation's part of degree n + d - 1 - s, on eq_mons.  Returns
     (mons_p, mons_c, eq_mons, m, pivots, ops), m, pivots and ops being
     what linalg.rref returns for the level's matrix; the free columns are
     those outside pivots.  A parameter-free right side rhs, a BiPoly
     homogeneous of the equation's degree, enters the matrix as one more
     column, which rref eliminates with it: the last column of m.
     """
+    d = len(ab_parts) - 1
     mons_p = _monomials(n - s) if s <= n else []
     mons_c = _monomials(d - 1 - s) if s <= d - 1 else []
     eq_mons = _monomials(n + d - 1 - s)
-    rows = _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
+    rows = _level_matrix(*ab_parts[d], p_top, c_top, mons_p, mons_c, eq_mons)
     if rhs is not None:
         col = rhs.terms if rhs.den == 1 else rhs.rational_terms()
         for row, e in zip(rows, eq_mons):
@@ -331,14 +333,16 @@ def _cascade_level(ad, bd, d, n, p_top, c_top, s, rhs=None):
     return mons_p, mons_c, eq_mons, m, pivots, ops
 
 
-def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
+def _cascade(ab_parts, n, p_top, c_top, known=None):
     """Solve delta(p) = c*p level by level below a fixed leading form.
 
-    Every part of p and of the cofactor is held as a map {(i, j):
-    coefficient of x^i*y^j}, each coefficient an MPoly in (x, y, p_0,
-    ..., p_{P-1}) free of x and y; P is the number of free columns of the
-    level matrices, and p_k is the k-th of them in level-then-column
-    order.
+    ab_parts holds the homogeneous parts (a_e, b_e) of delta(x) and
+    delta(y) for e = 0..d, d = len(ab_parts) - 1 being the degree of
+    delta; _degree_loop builds it once per search.  Every part of p and
+    of the cofactor is held as a map {(i, j): coefficient of x^i*y^j},
+    each coefficient an MPoly in (x, y, p_0, ..., p_{P-1}) free of x and
+    y; P is the number of free columns of the level matrices, and p_k is
+    the k-th of them in level-then-column order.
 
     Level 1 is reduced and solved alone first.  Its right side is
     D_{d-1}(p_top) = a_{d-1}*dp_top/dx + b_{d-1}*dp_top/dy: the cofactor
@@ -405,16 +409,16 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
     Returns (solutions, complete) as _cascade_answers does; ([], True) as
     soon as a level leaves a nonzero constant row.
     """
-    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+    d = len(ab_parts) - 1
     # level 1's right side D_{d-1}(p_top), eliminated as the last column
     # of its matrix: a nonzero one below the pivots refutes p_top before
     # any other level is reduced
-    g = a_pol.homogeneous_part(d - 1) * p_top.deriv_x() + b_pol.homogeneous_part(d - 1) * p_top.deriv_y()
-    first = _cascade_level(ad, bd, d, n, p_top, c_top, 1, g)
+    a, b = ab_parts[d - 1]
+    first = _cascade_level(ab_parts, n, p_top, c_top, 1, a * p_top.deriv_x() + b * p_top.deriv_y())
     _, _, _, m, pivots, _ = first
     if any(row[-1] for row in m[len(pivots):]):
         return [], True
-    levels = [first] + [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(2, d)]
+    levels = [first] + [_cascade_level(ab_parts, n, p_top, c_top, s) for s in range(2, d)]
     if (
         known
         and not any(map(_free_columns, levels))
@@ -422,9 +426,8 @@ def _cascade(a_pol, b_pol, d, n, p_top, c_top, known=None):
         and (product := _known_product(p_top, known)) is not None
     ):
         return [product], True
-    levels += [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(len(levels) + 1, n + d)]
+    levels += [_cascade_level(ab_parts, n, p_top, c_top, s) for s in range(len(levels) + 1, n + d)]
     nv = 2 + sum(map(_free_columns, levels))
-    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     params = iter(range(2, nv))
     parts_p = {n: _constant_coeffs(p_top, nv)}
     parts_c = {d - 1: _constant_coeffs(c_top, nv)}
@@ -707,8 +710,9 @@ def _degree_loop(deriv, bound, stops):
     forms.  known is None when the factorization of M is not certified."""
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
-    ad = a_pol.homogeneous_part(d)
-    bd = b_pol.homogeneous_part(d)
+    # delta's homogeneous parts (a_e, b_e), e = 0..d, which every cascade reads
+    ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
+    ad, bd = ab_parts[d]
     big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
     complete = certified = True
     atoms = None
@@ -749,7 +753,7 @@ def _degree_loop(deriv, bound, stops):
                 indexed = len(found)
                 known.cofactors[n] = {c for _, _, c in candidates}
             for _, p_top, c_top in candidates:
-                sols, comp = _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+                sols, comp = _cascade(ab_parts, n, p_top, c_top, known)
                 complete = complete and comp
                 found += sols
         if stops and (c := _pencil_cofactor(found)) is not None:

@@ -168,7 +168,7 @@ def _divides_both(deriv, poly):
     return exact_divide(deriv.dx, poly) is not None, exact_divide(deriv.dy, poly) is not None
 
 
-def singular_darboux_audit(deriv, report, locus=None, seen=None, divides=None):
+def singular_darboux_audit(deriv, report, locus=None, memo=None):
     """The singular_locus_audit Step of report's Darboux members: check
     delta(R) <= Rp for every member p through the singular locus
     V(delta(x), delta(y)), one Incidence per member.
@@ -178,26 +178,24 @@ def singular_darboux_audit(deriv, report, locus=None, seen=None, divides=None):
     instead of the generators.  The answers are the same, a reduced basis
     being unique: (G, p) and (delta(x), delta(y), p) have one graded lex
     basis, (G, p + t*q) and (delta(x), delta(y), p + t*q) one lex
-    eliminant.  seen maps each polynomial tested to whether it meets the
-    locus, divides each polynomial audited to whether it divides delta(x)
-    and delta(y) (_divides_both); either may come from an earlier audit
-    or test.  An empty locus, G = [1], is reported as locus_proper False
-    with no incidences."""
+    eliminant.  memo maps each polynomial audited to its (meets_locus,
+    divides_dx, divides_dy), filled here and read first, so an audit that
+    shares it with an earlier one tests each polynomial once; a member
+    that pencil_members_through returns enters with meets_locus True.  An
+    empty locus, G = [1], is reported as locus_proper False with no
+    incidences."""
     basis, locus_proper = locus or _locus_basis(deriv)
     certs, pencils = (report.certs, report.pencils) if locus_proper else ((), ())
-    seen = {} if seen is None else seen
-    divides = {} if divides is None else divides
+    memo = {} if memo is None else memo
     incidences = []
     residual = False
 
     def audit(poly, parameter, meets=None):
-        if meets is None:
-            if poly not in seen:
-                seen[poly] = has_common_zero_with(basis, poly)
-            meets = seen[poly]
-        if poly not in divides:
-            divides[poly] = _divides_both(deriv, poly)
-        incidences.append(Incidence(poly, parameter, meets, *divides[poly]))
+        if poly not in memo:
+            if meets is None:
+                meets = has_common_zero_with(basis, poly)
+            memo[poly] = (meets, *_divides_both(deriv, poly))
+        incidences.append(Incidence(poly, parameter, *memo[poly]))
 
     for cert in certs:
         audit(cert.p, None)
@@ -262,18 +260,17 @@ _COMMUTATIVE = (
 )
 
 
-def _commutative(bound):
-    return Verdict(DIAMOND, True, bound, [Step("commutative", _COMMUTATIVE, detail=_COMMUTATIVE)])
+def _commutative():
+    return DIAMOND, True, [Step("commutative", _COMMUTATIVE, detail=_COMMUTATIVE)]
 
 
-def _decide_poly_uni(deriv, bound):
-    dx = deriv.dx
+def _decide_poly_uni(dx):
     if dx.is_zero:
-        return _commutative(bound)
+        return _commutative()
     alpha = dx.lc()
     if _delta_simple(POLY_UNI, dx):
         text = f"delta(x) = {alpha} is a nonzero constant: Q[x] is delta-simple of Krull dimension 1; property holds"
-        return Verdict(DIAMOND, True, bound, [Step("uni_constant", text, alpha=alpha)])
+        return DIAMOND, True, [Step("uni_constant", text, alpha=alpha)]
     n = dx.degree()
     a = -dx.coeff(n - 1) / (n * alpha)
     # dx = alpha*(x - a)^n when it is alpha*x^n (a = 0) or has the n + 1 nonzero
@@ -282,19 +279,18 @@ def _decide_poly_uni(deriv, bound):
         dx.coeff(k) != alpha * comb(n, k) * (-a) ** (n - k) for k in range(n - 2, -1, -1)
     ):
         text = f"delta(x) = {dx.render()} is neither constant nor a monomial: no implemented rule decides this univariate case"
-        return Verdict(UNKNOWN, False, bound, [Step("univariate_out_of_scope", text, dx=dx)])
+        return UNKNOWN, False, [Step("univariate_out_of_scope", text, dx=dx)]
     shown = f"{alpha}*x^{n}"
     if a:
         u = UniPoly([-a, 1]).render()
         shown = f"{alpha}*({u})^{n}, that is delta(u) = {alpha}*u^{n} for u = {u},"
     text = f"delta(x) = {shown} with n >= 1: the operator ring fails the property"
-    return Verdict(NOT_DIAMOND, True, bound, [Step("uni_monomial", text, alpha=alpha, n=n, a=a or None)])
+    return NOT_DIAMOND, True, [Step("uni_monomial", text, alpha=alpha, n=n, a=a or None)]
 
 
-def _decide_laurent(deriv, bound):
-    dx = deriv.dx
+def _decide_laurent(dx):
     if dx.is_zero:
-        return _commutative(bound)
+        return _commutative()
     mono = dx.as_monomial()
     alpha, n = mono or (None, None)
     shown = f"{alpha}*x^{n}" if mono else dx.render()
@@ -310,13 +306,15 @@ def _decide_laurent(deriv, bound):
     else:
         status, finding = UNKNOWN, " not a monomial, with a negative power of x: no implemented rule decides this Laurent case"
     step = Step("laurent_rule", f"Laurent ring with delta(x) = {shown}{finding}", dx=dx, alpha=alpha, n=n, inverted=inverted)
-    return Verdict(status, status != UNKNOWN, bound, [step])
+    return status, status != UNKNOWN, [step]
 
 
 def _decide_poly_bi(deriv, darboux_bound):
-    """The planar verdict.  Past the locally nilpotent and Shamsuddin
-    rules, the Darboux search runs on delta/g, g = gcd(delta(x),
-    delta(y)), and the singular-locus audit reads its report.
+    """The planar verdict's (status, certified, trace), as every decider
+    returns it; decide stamps darboux_bound as the evidence_bound.  Past
+    the locally nilpotent and Shamsuddin rules, the Darboux search runs on
+    delta/g, g = gcd(delta(x), delta(y)), and the singular-locus audit
+    reads its report.
 
     A violation by a degree-1 polynomial is a proof at every bound: a
     line is irreducible, and the certain rule below (degree 1, or a
@@ -332,19 +330,17 @@ def _decide_poly_bi(deriv, darboux_bound):
     larger pencil is audited after the certificates), and it is certified
     unless that first one has degree above 1 in an incomplete search.
     On the named corpus and the survey status and certified agree
-    (tests/test_diamond.py).  The degree-1 audit is built only when a
-    line that does not divide both delta(x) and delta(y) meets the locus,
-    or a pencil is found; the final audit reuses its incidence and
-    divisibility tests.  An empty locus (G = [1]) has no maximal
-    delta-ideal, so the verdict reads only the first pencil
-    (first_integral_search) and runs no audit.
-    evidence_bound stays darboux_bound, as on every other path."""
+    (tests/test_diamond.py).  The two audits share one memo, so the final
+    one reuses the incidence and divisibility tests of the degree-1 one.
+    An empty locus (G = [1]) has no maximal delta-ideal, so the verdict
+    reads only the first pencil (first_integral_search) and runs no
+    audit."""
     if deriv.is_zero:
-        return _commutative(darboux_bound)
+        return _commutative()
     nil = locally_nilpotent_bounded(deriv)
     if nil.status == "nilpotent":
         text = f"delta is locally nilpotent (order {nil.order} on the generators); property holds"
-        return Verdict(DIAMOND, True, darboux_bound, [Step("locally_nilpotent", text, order=nil.order)])
+        return DIAMOND, True, [Step("locally_nilpotent", text, order=nil.order)]
     shape = _shamsuddin_shape(deriv)
     if shape is not None:
         a, b = shape
@@ -357,8 +353,7 @@ def _decide_poly_bi(deriv, darboux_bound):
                 f": unique Darboux element y - ({result.solution.render()}), "
                 "the ring is delta-primitive, hence primitive; property fails"
             )
-        step = Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)
-        return Verdict(NOT_DIAMOND, True, darboux_bound, [step])
+        return NOT_DIAMOND, True, [Step("shamsuddin", text, a=a, b=b, status=result.status, c=result.solution)]
     g = gcd(deriv.dx, deriv.dy)
     reduced = coprime_part(deriv, g)
     locus = _locus_basis(deriv)  # (basis, proper), for both audits
@@ -366,22 +361,16 @@ def _decide_poly_bi(deriv, darboux_bound):
     if not locus[1]:
         pencil = first_integral_search(reduced, darboux_bound)
     else:
-        # both audits' incidence and divisibility tests; the degree-1 audit, if it settles
-        seen, divides, early = {}, {}, []
+        memo, early = {}, []  # both audits' tests; the degree-1 audit, if it settles
 
         def settled(report):
-            for p in (c.p for c in report.certs):  # a line dividing dx and dy cannot violate
-                divides[p] = _divides_both(deriv, p)
-                if not all(divides[p]):
-                    seen[p] = has_common_zero_with(locus[0], p)
-            if report.pencils or any(seen.values()):
-                audit = singular_darboux_audit(deriv, report, locus, seen, divides)
-                if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
-                    early.append(audit)
+            audit = singular_darboux_audit(deriv, report, locus, memo)
+            if any(i.violation and i.poly.total_degree() == 1 for i in audit.incidences):
+                early.append(audit)
             return bool(early)
 
         report = darboux_search(reduced, darboux_bound, settled=settled)
-        audit = early[0] if early else singular_darboux_audit(deriv, report, locus, seen, divides)
+        audit = early[0] if early else singular_darboux_audit(deriv, report, locus, memo)
         trace.append(audit)
         violations = [i for i in audit.incidences if i.violation]
         if violations:
@@ -395,42 +384,44 @@ def _decide_poly_bi(deriv, darboux_bound):
                 text += " (the Darboux search stopped at degree 1: a line is a proof at any bound)"
             step = Step("singular_violation", text, p=worst.poly, fails=which, searched_degree=1 if early else None)
             trace.append(step)
-            certain = worst.poly.total_degree() == 1 or report.complete_up_to_bound
-            return Verdict(NOT_DIAMOND, certain, darboux_bound, trace)
+            return NOT_DIAMOND, worst.poly.total_degree() == 1 or report.complete_up_to_bound, trace
         if audit.residual_nonrational:
-            return Verdict(UNKNOWN, False, darboux_bound, trace)
+            return UNKNOWN, False, trace
         pencil = report.pencils[0] if report.pencils else None
     # a pencil of delta/g is one of delta, its cofactor times g
     if pencil is not None:
         pencil = PencilCert(deriv, pencil.p, pencil.q, g * pencil.cofactor)
     trace.append(_primitivity_step(pencil, darboux_bound))
     if pencil is None:
-        return Verdict(NOT_DIAMOND, False, darboux_bound, trace)
+        return NOT_DIAMOND, False, trace
     if not locus[1]:
         text = (
             "delta(x), delta(y) generate the unit ideal (no maximal invariant ideal) and a rational "
             f"first integral {pencil.p.render()} / {pencil.q.render()} rules out primitivity; property holds"
         )
         trace.append(Step("no_max_delta_ideal_not_primitive", text, pencil=pencil))
-    return Verdict(DIAMOND, False, darboux_bound, trace)
+    return DIAMOND, False, trace
 
 
 def decide(spec, deriv, darboux_bound=6):
-    """Decide the property for R[theta; delta] over the given ring."""
+    """Decide the property for R[theta; delta] over the given ring; the
+    Verdict's evidence_bound is darboux_bound on every path."""
     if darboux_bound < 1:
         raise DomainError("bound must be at least 1")
     if spec == POLY_BI:
         if not isinstance(deriv, Derivation):
             raise DomainError("bivariate ring needs a Derivation with dx and dy")
-        return _decide_poly_bi(deriv, darboux_bound)
-    if not isinstance(deriv, UniDerivation):
+        status, certified, trace = _decide_poly_bi(deriv, darboux_bound)
+    elif not isinstance(deriv, UniDerivation):
         raise DomainError("univariate rings need a univariate derivation")
-    if spec == POLY_UNI:
+    elif spec == POLY_UNI:
         if deriv.laurent:
             raise DomainError("Laurent derivation supplied for a polynomial ring")
-        return _decide_poly_uni(deriv, darboux_bound)
-    if spec == LAURENT_UNI:
+        status, certified, trace = _decide_poly_uni(deriv.dx)
+    elif spec == LAURENT_UNI:
         if not deriv.laurent:
             deriv = UniDerivation(deriv.dx, laurent=True)
-        return _decide_laurent(deriv, darboux_bound)
-    raise DomainError(f"unknown ring spec {spec!r}")
+        status, certified, trace = _decide_laurent(deriv.dx)
+    else:
+        raise DomainError(f"unknown ring spec {spec!r}")
+    return Verdict(status, certified, darboux_bound, trace)

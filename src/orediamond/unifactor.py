@@ -50,10 +50,8 @@ def _quadratic_factor(f):
     a_var, b_var = MPoly.var(2, 0), MPoly.var(2, 1)
     rem = [MPoly.const(2, c) for c in f.coeffs]
     for k in range(len(rem) - 1, 1, -1):
+        # c_k = f_k - a*c_(k+1) - b*c_(k+2) has a^(n-k) with coefficient (-1)^(n-k) (f monic), so c_k != 0
         c = rem[k]
-        if c.is_zero:
-            continue
-        rem[k] = MPoly.zero(2)
         rem[k - 1] = rem[k - 1] - c * a_var
         rem[k - 2] = rem[k - 2] - c * b_var
     r1, r0 = rem[1], rem[0]

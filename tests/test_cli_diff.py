@@ -7,7 +7,7 @@ import io
 import json
 from pathlib import Path
 
-from orediamond import BiPoly, cli, unifactor
+from orediamond import BiPoly, cli, darboux, unifactor
 from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
 from orediamond.parse import parse_derivation, parse_ore
 
@@ -62,9 +62,9 @@ def test_corpus_runs_each_query_once_and_every_pin():
         assert r142 in corpus and r142 + ["--json"] in corpus
     survey = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "8" and "--json" not in argv]
     # the survey, the named corpus, the Shamsuddin fields and the reach
-    # block's field without a certified factorization of M and its field
-    # with M = 0
-    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 2
+    # block's field without a certified factorization of M, its field
+    # with M = 0 and its field with a rational top part
+    assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3
 
 
 def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():
@@ -182,3 +182,38 @@ def test_corpus_runs_a_zero_m_cascade_past_a_cofactor_level():
     for bound in ("6", "8"):
         argv = ["darboux", "--ring", "poly2", "--deriv", deriv, "--bound", bound]
         assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
+
+
+def test_corpus_builds_rational_level_matrices(monkeypatch):
+    """The reach block runs darboux 6 and 8 and decide 6, as text and with
+    --json, on a field whose top part has the coefficient 1/2: each query
+    gives _level_matrix a polynomial with a denominator."""
+    corpus = cli_diff.corpus()
+    deriv = "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x"
+    dens = []
+    level_matrix = darboux._level_matrix
+
+    def recorded(*args):
+        dens.extend(p.den for p in args[:4])  # ad, bd, p_top, c_top
+        return level_matrix(*args)
+
+    monkeypatch.setattr(darboux, "_level_matrix", recorded)
+    for verb, bound in (("darboux", "6"), ("darboux", "8"), ("decide", "6")):
+        argv = [verb, "--ring", "poly2", "--deriv", deriv, "--bound", bound]
+        assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
+        dens.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+        assert any(den != 1 for den in dens), argv
+
+
+def test_corpus_audits_a_member_at_infinity(capsys):
+    """The reach block runs decide 4, as text and with --json, on delta =
+    (-x*y^2 - 2*y, -y^3), whose audit reaches the member y^2 at t =
+    infinity of the pencil (x*y + 1, y^2) of delta/y."""
+    corpus = cli_diff.corpus()
+    argv = ["decide", "--ring", "poly2", "--deriv", "dx=-1*x*y^2 - 2*y; dy=-1*y^3", "--bound", "4"]
+    assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
+    assert cli.main(argv + ["--json"]) == 0
+    (audit,) = [step for step in json.loads(capsys.readouterr().out)["trace"] if step["kind"] == "singular_locus_audit"]
+    assert [(i["member"], i.get("t")) for i in audit["incidences"]] == [("y", None), ("y^2", "inf")]

@@ -358,7 +358,7 @@ def test_cascade_parameters_follow_the_input():
     # then its directions
     n = 50
     p_top = bi(f"y^{n}")
-    sols, complete = _cascade(bi("y"), BiPoly.zero(), 1, n, p_top, BiPoly.zero())
+    sols, complete = _cascade(_ab_parts(bi("y"), BiPoly.zero()), n, p_top, BiPoly.zero())
     assert complete and len(sols) == n + 1
     (base, _), *directions = sols
     assert base == p_top and all(c.is_zero for _, c in sols)
@@ -378,7 +378,7 @@ def test_cascade_stops_at_a_constant_row(monkeypatch):
 
     monkeypatch.setattr(darboux, "_solve_constraints", unreachable)
     a_pol, b_pol = bi("x*y^2 + y^2 - y"), bi("-1*x*y^4 - y^4 + y^3")
-    assert _cascade(a_pol, b_pol, 5, 1, bi("x"), BiPoly.zero()) == ([], True)
+    assert _cascade(_ab_parts(a_pol, b_pol), 1, bi("x"), BiPoly.zero()) == ([], True)
 
 
 def test_solve_constraints_nests_substitutions_without_a_cap():
@@ -448,6 +448,13 @@ def _product_level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
     return [[col.coeff(i, j) for col in cols] for (i, j) in eq_mons]
 
 
+def _ab_parts(a_pol, b_pol):
+    """The homogeneous parts (a_e, b_e) of the field for e = 0..d, the
+    list _degree_loop builds once per search for _cascade."""
+    d = int(max(a_pol.total_degree(), b_pol.total_degree()))
+    return [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
+
+
 def _top_parts(a_pol, b_pol):
     """(d, ad, bd, atoms, cofactors, certified) of the field's top part:
     the atoms of M (x and y when M = 0), each with its cofactor, as
@@ -488,8 +495,9 @@ def _cascade_inputs(a_pol, b_pol, n):
 def _levels(a_pol, b_pol, d, n, p_top, c_top):
     """Every level of the cascade below p_top, reduced, whether or not
     _cascade reads it."""
-    ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-    return [_cascade_level(ad, bd, d, n, p_top, c_top, s) for s in range(1, n + d)]
+    ab_parts = _ab_parts(a_pol, b_pol)
+    assert len(ab_parts) == d + 1
+    return [_cascade_level(ab_parts, n, p_top, c_top, s) for s in range(1, n + d)]
 
 
 def test_level_matrices_match_products():
@@ -633,7 +641,7 @@ def test_cascade_matches_product_form():
     cases.append((bi(dx), bi(dy), *final[0]))
     found = 0
     for case in cases:
-        ours = _cascade(*case)
+        ours = _cascade(_ab_parts(*case[:2]), *case[3:])
         assert ours == _flat_cascade(*case)
         found += bool(ours[0])
     assert len(cases) > 100 and found > 10
@@ -652,11 +660,39 @@ def test_level_one_refutes_before_reducing_the_rest(monkeypatch):
         return rref(rows, ncols)
 
     monkeypatch.setattr(linalg, "rref", counted)
-    assert _cascade(a_pol, b_pol, *inputs[bi("x^3 + 3*x^2*y + 3*x*y^2 + y^3")]) == ([], True)
+    ab_parts = _ab_parts(a_pol, b_pol)
+    assert _cascade(ab_parts, *inputs[bi("x^3 + 3*x^2*y + 3*x*y^2 + y^3")][1:]) == ([], True)
     assert len(calls) == 1
     calls.clear()
-    assert _cascade(a_pol, b_pol, *inputs[bi("x^3")]) == ([(bi("x^3"), bi("-3*y + 3"))], True)
+    assert _cascade(ab_parts, *inputs[bi("x^3")][1:]) == ([(bi("x^3"), bi("-3*y + 3"))], True)
     assert len(calls) == 4
+
+
+def test_no_cascade_takes_a_homogeneous_part(monkeypatch):
+    """_degree_loop builds delta's homogeneous parts once per search, and
+    every cascade of the named corpus at bound 6 reads them from
+    ab_parts: none calls BiPoly.homogeneous_part."""
+    cascade, part = darboux._cascade, BiPoly.homogeneous_part
+    inside, runs = [], []
+
+    def checked(*args):
+        inside.append(True)
+        runs.append(True)
+        try:
+            return cascade(*args)
+        finally:
+            inside.pop()
+
+    def taken(self, d):
+        assert not inside, "a cascade took a homogeneous part"
+        return part(self, d)
+
+    monkeypatch.setattr(darboux, "_cascade", checked)
+    monkeypatch.setattr(BiPoly, "homogeneous_part", taken)
+    workloads, _ = cli_diff._orebench()
+    for _, dx, dy, _, _ in workloads.NAMED:
+        darboux_search(Derivation(bi(dx), bi(dy)), 6)
+    assert len(runs) > 100
 
 
 def _brute_candidates(atoms, cofactors, n):
@@ -697,17 +733,18 @@ def test_candidate_table_is_every_product_of_atoms(monkeypatch):
     tables = []
     cascade = darboux._cascade
 
-    def recorded(a_pol, b_pol, d, n, p_top, c_top, known=None):
-        tables.append((a_pol, b_pol, n, known))
-        return cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+    def recorded(ab_parts, n, p_top, c_top, known=None):
+        tables.append((ab_parts, n, known))
+        return cascade(ab_parts, n, p_top, c_top, known)
 
     monkeypatch.setattr(darboux, "_cascade", recorded)
     for dx, dy in fields[: len(workloads.NAMED)]:
         darboux_search(Derivation(bi(dx), bi(dy)), 8)
-    # one table per degree loop, read when the search is over
-    last = {id(known): (a_pol, b_pol, n, known) for a_pol, b_pol, n, known in tables}
-    for a_pol, b_pol, n, known in last.values():
-        _, _, _, atoms, cofactors, _ = _top_parts(a_pol, b_pol)
+    # one table per degree loop, read when the search is over; the atoms
+    # are those of the field's top parts
+    last = {id(known): (ab_parts, n, known) for ab_parts, n, known in tables}
+    for ab_parts, n, known in last.values():
+        _, _, _, atoms, cofactors, _ = _top_parts(*ab_parts[-1])
         assert set(known.cofactors) == set(range(n + 1))
         for k, cofs in known.cofactors.items():
             assert cofs == {c for _, _, c in _brute_candidates(atoms, cofactors, k)}
@@ -725,17 +762,17 @@ def test_level_one_column_is_the_replayed_right_side(monkeypatch):
     reduced, counts = [], {"levels": 0, "refuted": 0}
 
     def recorded(*args):
-        reduced.append((args[6], cascade_level(*args)))
+        reduced.append((args[4], cascade_level(*args)))
         return reduced[-1][1]
 
-    def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
+    def checked(ab_parts, n, p_top, c_top, known=None):
         reduced.clear()
-        out = cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+        out = cascade(ab_parts, n, p_top, c_top, known)
         (s, (_, _, eq_mons, m, pivots, _)), *rest = reduced
         assert s == 1 and all(s > 1 for s, _ in rest)
-        ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
-        *_, plain, plain_pivots, ops = cascade_level(ad, bd, d, n, p_top, c_top, 1)
-        g = a_pol.homogeneous_part(d - 1) * p_top.deriv_x() + b_pol.homogeneous_part(d - 1) * p_top.deriv_y()
+        *_, plain, plain_pivots, ops = cascade_level(ab_parts, n, p_top, c_top, 1)
+        a, b = ab_parts[-2]  # the parts of degree d - 1
+        g = a * p_top.deriv_x() + b * p_top.deriv_y()
         rhs = linalg.replay(ops, [g.coeff(*e) for e in eq_mons])
         assert (pivots, [row[:-1] for row in m]) == (plain_pivots, plain)
         assert [row[-1] for row in m] == rhs
@@ -810,11 +847,11 @@ class TestProofExits:
             hits.append(known_product(p_top, known))
             return hits[-1]
 
-        def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
+        def checked(ab_parts, n, p_top, c_top, known=None):
             before = len(hits)
-            out = cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+            out = cascade(ab_parts, n, p_top, c_top, known)
             if len(hits) > before and hits[-1] is not None:
-                assert out == cascade(a_pol, b_pol, d, n, p_top, c_top), p_top
+                assert out == cascade(ab_parts, n, p_top, c_top), p_top
                 taken.append(p_top)
             return out
 
@@ -858,7 +895,7 @@ class TestProofExits:
         known.cofactors.update((k, {c for _, c in _candidates(atoms, cofactors, k)}) for k in range(1, 3))
         known.update((darboux._leading_form(p), (p, c)) for p, c in found)
         (d, n, p_top, c_top), = [args for args in _cascade_inputs(a_pol, b_pol, 3) if args[2] == bi("x^3")]
-        args = (a_pol, b_pol, d, n, 3 * p_top, c_top)
+        args = (_ab_parts(a_pol, b_pol), n, 3 * p_top, c_top)
         rref, calls = linalg.rref, []
         with monkeypatch.context() as m:
             m.setattr(linalg, "rref", lambda rows, ncols: calls.append(ncols) or rref(rows, ncols))
@@ -886,16 +923,16 @@ class TestCofactorTable:
         counts = {"tables": 0, "no table": 0, "levels": 0, "free": 0}
         cascade = darboux._cascade
 
-        def checked(a_pol, b_pol, d, n, p_top, c_top, known=None):
-            ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
+        def checked(ab_parts, n, p_top, c_top, known=None):
+            d, (ad, bd) = len(ab_parts) - 1, ab_parts[-1]
             assert c_top == exact_divide(ad * p_top.deriv_x() + bd * p_top.deriv_y(), p_top), p_top
             counts["no table" if known is None else "tables"] += 1
             for s in range(max(2, d), n + d) if known is not None else ():
-                free = darboux._free_columns(_cascade_level(ad, bd, d, n, p_top, c_top, s)) > 0
+                free = darboux._free_columns(_cascade_level(ab_parts, n, p_top, c_top, s)) > 0
                 assert free == (s <= n and c_top in known.cofactors[n - s]), (p_top, s)
                 counts["levels"] += 1
                 counts["free"] += free
-            return cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+            return cascade(ab_parts, n, p_top, c_top, known)
 
         monkeypatch.setattr(darboux, "_cascade", checked)
         return counts
@@ -921,7 +958,7 @@ class TestCofactorTable:
         for bound in (6, 8):
             ours = darboux_search(Derivation(a_pol, b_pol), bound)
             with monkeypatch.context() as m:
-                m.setattr(darboux, "_cascade", lambda *args: _cascade(*args[:6]))
+                m.setattr(darboux, "_cascade", lambda *args: _cascade(*args[:4]))
                 reference = darboux_search(Derivation(a_pol, b_pol), bound)
             assert repr(ours) == repr(reference)
 

@@ -399,9 +399,9 @@ class TestDegreeOneStop:
     def test_lotka_volterra_searches_degree_1_only(self, monkeypatch):
         degrees = []
 
-        def counting(a_pol, b_pol, d, n, p_top, c_top, known, _cascade=darboux._cascade):
+        def counting(ab_parts, n, p_top, c_top, known, _cascade=darboux._cascade):
             degrees.append(n)
-            return _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+            return _cascade(ab_parts, n, p_top, c_top, known)
 
         monkeypatch.setattr(darboux, "_cascade", counting)
         verdict = decide("poly2", _field("x - x*y", "x*y - y"), 6)
@@ -420,9 +420,9 @@ class TestFirstPencilStop:
         (pin,) = [p for p in json.loads((ROOT / "tests" / "planar_cli_pins.json").read_text()) if p["argv"] == argv]
         degrees, audits = [], []
 
-        def counting(a_pol, b_pol, d, n, p_top, c_top, known, _cascade=darboux._cascade):
+        def counting(ab_parts, n, p_top, c_top, known, _cascade=darboux._cascade):
             degrees.append(n)
-            return _cascade(a_pol, b_pol, d, n, p_top, c_top, known)
+            return _cascade(ab_parts, n, p_top, c_top, known)
 
         monkeypatch.setattr(darboux, "_cascade", counting)
         monkeypatch.setattr(diamond, "singular_darboux_audit", lambda *args: audits.append(args))
@@ -432,8 +432,8 @@ class TestFirstPencilStop:
 
 
 class TestIncidenceTests:
-    """Each decide tests a polynomial against the locus at most once, and
-    the degree-1 hook tests no line that divides delta(x) and delta(y)."""
+    """Each decide tests a polynomial against the locus at most once: the
+    degree-1 hook and the final audit share one memo."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -447,8 +447,10 @@ class TestIncidenceTests:
             monkeypatch.setattr(module, "has_common_zero_with", counting)
         return calls
 
-    def test_hook_tests_no_line_through_both_components(self, monkeypatch):
-        # final-example: delta/g = (1, -y^2) has one line, y, which divides dx and dy
+    def test_hook_and_final_audit_test_each_polynomial_once(self, monkeypatch):
+        # final-example: delta/g = (1, -y^2) has one line, y, which divides
+        # dx and dy: the hook tests it and settles nothing, and the final
+        # audit reads that test from the memo
         calls = self._counting(monkeypatch)
         in_hook = []
 
@@ -456,14 +458,16 @@ class TestIncidenceTests:
             def hook(report):
                 before = len(calls)
                 answer = settled(report)
-                in_hook.append(len(calls) - before)
+                in_hook.append((calls[before:], answer))
                 return answer
 
             return _search(deriv, bound, settled=hook)
 
         monkeypatch.setattr(diamond, "darboux_search", search)
         verdict = decide("poly2", final_example_derivation(), 6)
-        assert in_hook == [0] and calls
+        assert in_hook == [([bi("y")], False)]
+        assert len(calls) > 1 and len(calls) == len(set(calls))
+        assert {i.poly for i in verdict.trace[0].incidences} == {bi("y"), bi("x*y + y - 1")}
         assert (verdict.status, verdict.certified) == (DIAMOND, False)
 
     def test_no_polynomial_is_tested_twice(self, monkeypatch):

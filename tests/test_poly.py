@@ -135,6 +135,11 @@ class TestSquarefree:
         with pytest.raises(DomainError):
             squarefree_part(BiPoly.zero())
 
+    def test_nonzero_constant_has_part_one(self):
+        # a unit has no irreducible factor: the empty product
+        for c in ("1", "-3", "2/7"):
+            assert squarefree_part(bi(c)) == BiPoly.one()
+
     def test_known_factorizations(self):
         rng = random.Random(104)
         for _ in range(20):

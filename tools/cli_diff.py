@@ -43,8 +43,11 @@ The corpus, each query as text and with --json:
   certificate, run the cascade without the cofactor table.  darboux 6
   and 8 on dx = -2x^2y + x^2 + x + y^2, dy = x^2 - 2xy^2 + 2xy + y, whose
   M is 0 with d = 3, read the table past level 2, which has cofactor
-  columns.  One product has a zero operand, and one derivation has a
-  syntax error.
+  columns.  darboux 6 and 8 and decide 6 on dx = 1/2x^2y + y, dy =
+  -xy^2 + x, whose top part has the coefficient 1/2, build rational
+  level matrices.  decide 4 on dx = -xy^2 - 2y, dy = -y^3 audits the
+  member at t = infinity, y^2, of the pencil (xy + 1, y^2) of delta/y.
+  One product has a zero operand, and one derivation has a syntax error.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -103,6 +106,10 @@ REACH = (
     ["darboux", "--ring", "poly2", "--deriv", "dx=-6*y^5; dy=x^5 + 5*x^2*y^3", "--bound", "8"],
     ["darboux", "--ring", "poly2", "--deriv", "dx=-2*x^2*y + x^2 + x + y^2; dy=x^2 - 2*x*y^2 + 2*x*y + y", "--bound", "6"],
     ["darboux", "--ring", "poly2", "--deriv", "dx=-2*x^2*y + x^2 + x + y^2; dy=x^2 - 2*x*y^2 + 2*x*y + y", "--bound", "8"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x", "--bound", "8"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=-1*x*y^2 - 2*y; dy=-1*y^3", "--bound", "4"],
     ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "0", "--g", "t"],
     ["decide", "--ring", "poly2", "--deriv", "dx=x^; dy=1", "--bound", "6"],
 )
