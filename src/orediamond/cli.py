@@ -11,6 +11,7 @@ Exit codes: 0 decided/complete, 2 unknown/absent/incomplete, 1 errors.
 
 import argparse
 import json
+import os
 import sys
 
 from .poly import BiPoly, DomainError
@@ -185,16 +186,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc, lines, code = run_command(args)
+        lines = [json.dumps(doc, indent=2, sort_keys=True)] if args.json else lines
     except (ParseError, DomainError, ValueError) as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "verb": args.verb, "error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
+        error = {"schema_version": SCHEMA_VERSION, "verb": args.verb, "error": str(exc)}
+        lines, code = ([json.dumps(error)] if args.json else []), 1
+    try:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: on devnull the interpreter's last flush succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
     return code
 
 

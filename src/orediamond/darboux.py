@@ -9,23 +9,23 @@ atoms of M.  Fixing a leading form makes the cofactor's top part exact
 and the remaining coefficient system triangular by homogeneous level:
 each level is linear over Q in the new unknowns, with earlier
 parametric solutions carried symbolically.  The level matrices are
-rational, integer for an integer derivation, and do not depend on the
-parameters (linalg.rref eliminates on ints).  The first level's right
-side has no parameters either, the lower cofactor parts entering only
-below it, so it is eliminated as one more column of the first level's
-matrix, and most leading forms fail there.  For a leading form that
-passes, the other levels are reduced, and the number P of free columns
-of all levels fixes the variables (x, y, p_0, ..., p_{P-1}) of the MPoly
-coefficients the cascade computes with, one per (x, y)-monomial of each
-part; the free unknowns become parameters in level-then-column order.
-Rows left unsatisfied become polynomial constraints on the parameters,
-solved over Q at the end; a nonzero constant among them has no
-solution, so the cascade stops at the first level that leaves one.  An
-affine family of solutions enters as its base and its directions.  When M vanishes identically the
-top part is a multiple of the Euler operator, the top cofactor is
-forced, and for d = 1 the whole system is linear; for d = 0 (M is then
-the nonzero x*dy - y*dx) every cofactor is 0, and the degree loop runs
-the same linear solve.
+integer, the search running on L*delta (_degree_loop), and do not depend
+on the parameters.  The first level's right side has no parameters
+either, the lower cofactor parts entering only below it, so it is
+eliminated as one more column of the first level's matrix, and most
+leading forms fail there.  For a leading form that passes, the other
+levels are reduced, and the number P of free columns of all levels
+fixes the variables (x, y, p_0, ..., p_{P-1}) of the MPoly coefficients
+the cascade computes with, one per (x, y)-monomial of each part; the
+free unknowns become parameters in level-then-column order.  Rows left
+unsatisfied become polynomial constraints on the parameters, solved over
+Q at the end; a nonzero constant among them has no solution, so the
+cascade stops at the first level that leaves one.  An affine family of
+solutions enters as its base and its directions.  When M vanishes
+identically the top part is a multiple of the Euler operator, the top
+cofactor is forced, and for d = 1 the whole system is linear; for d = 0
+(M is then the nonzero x*dy - y*dx) every cofactor is 0, and the degree
+loop runs the same linear solve.
 
 Two exits skip what a proof already answers.  A delta-simple field of
 Shamsuddin shape has no Darboux polynomial, so darboux_search runs no
@@ -48,7 +48,9 @@ darboux_search gives the proof.  A caller that reads only the first
 pencil stops at m itself (first_integral_search gives the proof).
 """
 
-from .rational import Q, QZERO, q
+from math import lcm
+
+from .rational import Q, q
 from .poly import (
     BiPoly,
     DomainError,
@@ -244,7 +246,7 @@ def _top_atoms(big_m, d):
     rep = factor_univariate(u)
     for atom, _mult in rep.factors:
         # a monic atom's int numerators are primitive: by Gauss's lemma
-        # the level matrices are integral for an integral derivation
+        # the level matrices are integral, the field being so (_degree_loop)
         k = atom.degree()
         atoms.append(BiPoly._raw(2, 1, {(i, k - i): c for (i,), c in atom.terms.items()}))
     return atoms, rep.certified
@@ -276,19 +278,14 @@ def _top_candidates(atoms, cofactors):
 
 
 def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
-    """One cascade level's rational matrix: in row x^a*y^b, column
-    x^i*y^j of p holds the coefficient of x^a*y^b in (ad*d/dx + bd*d/dy -
+    """One cascade level's int matrix: in row x^a*y^b, column x^i*y^j of
+    p holds the coefficient of x^a*y^b in (ad*d/dx + bd*d/dy -
     c_top)(x^i*y^j), column x^i*y^j of the cofactor that in
     -x^i*y^j*p_top.  Each column is built from the terms of the four
     polynomials, so only its nonzero entries are written; every term
     lands in a row, the polynomials being homogeneous of the degrees the
-    level pairs.  The entries are ints when the four polynomials have
-    integer coefficients, which linalg.rref reduces fastest."""
-    polys = (ad, bd, c_top, p_top)
-    if all(p.den == 1 for p in polys):
-        A, B, C, P = (p.terms for p in polys)
-    else:
-        A, B, C, P = (p.rational_terms() for p in polys)
+    level pairs, and integral (_degree_loop)."""
+    A, B, C, P = (p.terms for p in (ad, bd, c_top, p_top))
     top = eq_mons[0][0]  # row x^a*y^b is row top - a
     rows = [[0] * (len(mons_p) + len(mons_c)) for _ in eq_mons]
     for col, (i, j) in enumerate(mons_p):
@@ -307,7 +304,7 @@ def _level_matrix(ad, bd, p_top, c_top, mons_p, mons_c, eq_mons):
 
 
 def _cascade_level(ab_parts, n, p_top, c_top, s, rhs=None):
-    """Level s of the cascade's rational left-hand side, reduced.
+    """Level s of the cascade's int left-hand side, reduced.
 
     ab_parts holds the homogeneous parts (a_e, b_e) of the derivation for
     e = 0..d, and the level reads the top ones (a_d, b_d).  Level s solves
@@ -326,9 +323,8 @@ def _cascade_level(ab_parts, n, p_top, c_top, s, rhs=None):
     eq_mons = _monomials(n + d - 1 - s)
     rows = _level_matrix(*ab_parts[d], p_top, c_top, mons_p, mons_c, eq_mons)
     if rhs is not None:
-        col = rhs.terms if rhs.den == 1 else rhs.rational_terms()
         for row, e in zip(rows, eq_mons):
-            row.append(col.get(e, 0))
+            row.append(rhs.terms.get(e, 0))
     m, pivots, ops = linalg.rref(rows, len(mons_p) + len(mons_c))
     return mons_p, mons_c, eq_mons, m, pivots, ops
 
@@ -348,9 +344,9 @@ def _cascade(ab_parts, n, p_top, c_top, known=None):
     D_{d-1}(p_top) = a_{d-1}*dp_top/dx + b_{d-1}*dp_top/dy: the cofactor
     parts below c_top enter only from level 2 on, so it has no
     parameters, and rref eliminates it as the last column of the level's
-    matrix, on ints for an integral field, before P is known.  A nonzero
-    row it leaves below the pivots has no solution, and most leading
-    forms are refuted there, with no other level reduced.  P needs the
+    matrix, on ints, before P is known.  A nonzero row it leaves below
+    the pivots has no solution, and most leading forms are refuted there,
+    with no other level reduced.  P needs the
     free-column count of every level, so the others are reduced only for
     a leading form that passes, and level 1's right side, the last
     column of its pivot rows, then enters the MPoly layout as constants.
@@ -429,8 +425,8 @@ def _cascade(ab_parts, n, p_top, c_top, known=None):
     levels += [_cascade_level(ab_parts, n, p_top, c_top, s) for s in range(len(levels) + 1, n + d)]
     nv = 2 + sum(map(_free_columns, levels))
     params = iter(range(2, nv))
-    parts_p = {n: _constant_coeffs(p_top, nv)}
-    parts_c = {d - 1: _constant_coeffs(c_top, nv)}
+    parts_p = {n: {e: MPoly.const(nv, c) for e, c in p_top.terms.items()}}  # p_top and c_top are integral
+    parts_c = {d - 1: {e: MPoly.const(nv, c) for e, c in c_top.terms.items()}}
     zero = MPoly.zero(nv)
     constraints = []
     rhs = [MPoly.const(nv, row[-1]) for row in m[: len(pivots)]]  # level 1's, read below
@@ -518,11 +514,6 @@ def _known_product(p_top, known):
     return None
 
 
-def _constant_coeffs(p, nv):
-    """The BiPoly p as {(i, j): constant MPoly in nv variables}."""
-    return {e: MPoly.const(nv, Q(c, p.den)) for e, c in p.terms.items()}
-
-
 def _cascade_answers(p_all, c_all, constraints):
     """The cascade's (solutions, complete) from the whole p and cofactor
     in (x, y, p_0, ..., p_{P-1}) and the parameter constraints: solutions
@@ -561,8 +552,8 @@ def _kernel_echelon(deriv, c0, n):
     leads it, and no other vector has a term at f.  Reversed, the vectors
     are thus the reduced echelon basis, which is unique."""
     mons = [e for deg in range(n + 1) for e in reversed(_monomials(deg))]
-    views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).rational_terms() for e in mons]
-    rows = [[v.get(e, QZERO) for v in views] for e in set().union(*views)]
+    views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).terms for e in mons]
+    rows = [[v.get(e, 0) for v in views] for e in set().union(*views)]
     return [BiPoly(dict(zip(mons, vec))) for vec in reversed(linalg.nullspace(rows, len(mons)))]
 
 
@@ -701,16 +692,29 @@ def _degree_loop(deriv, bound, stops):
     the stop at the first pencil when stops.  A generator, so that a
     search can pause between degrees: after each degree n it yields
     (found, complete, n, last), found being the (p, cofactor) pairs so
-    far, one list extended in place, and last whether n ends the loop.
+    far and last whether n ends the loop.
     Before the leading forms of degree n it indexes the pairs found so
     far, all of lower degree, by their monic leading form (known), which
     _cascade reads when a cascade has no free column; known.cofactors
     gets the cofactors of the leading forms of each degree, read off the
     table of products of atoms (_top_candidates) that gives the leading
-    forms.  known is None when the factorization of M is not certified."""
+    forms.  known is None when the factorization of M is not certified.
+
+    The loop runs on L*delta, L = lcm(den dx, den dy) > 0, and yields
+    delta's cofactors c/L.  L*delta is integral, as is every polynomial
+    entering a level matrix, level 1's column or a kernel row
+    (_top_atoms).  The reports are delta's: L*delta scales each level's
+    rows by L and its cofactor columns by 1/L, keeping rref's pivot
+    columns and row swaps, so the free columns and the parameter order
+    are delta's; the constraints are delta's up to scaling, and their
+    sorted rational roots delta's, as L > 0.  known.cofactors,
+    _known_product, _pencil_cofactor and _stop_degree only compare
+    cofactors or test them for zero: L*delta's serve."""
+    if (scale := lcm(deriv.dx.den, deriv.dy.den)) != 1:
+        deriv = Derivation(deriv.dx * scale, deriv.dy * scale)
     a_pol, b_pol = deriv.dx, deriv.dy
     d = int(max(a_pol.total_degree(), b_pol.total_degree()))
-    # delta's homogeneous parts (a_e, b_e), e = 0..d, which every cascade reads
+    # L*delta's homogeneous parts (a_e, b_e), e = 0..d, which every cascade reads
     ab_parts = [(a_pol.homogeneous_part(e), b_pol.homogeneous_part(e)) for e in range(d + 1)]
     ad, bd = ab_parts[d]
     big_m = BiPoly.var_x() * bd - BiPoly.var_y() * ad
@@ -760,7 +764,7 @@ def _degree_loop(deriv, bound, stops):
             stops = False
             if complete:
                 stop = min(bound, _stop_degree(n, c))
-        yield found, complete, n, n >= stop
+        yield (found if scale == 1 else [(p, c * Q(1, scale)) for p, c in found]), complete, n, n >= stop
 
 
 def _pencil_cofactor(found):

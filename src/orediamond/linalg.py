@@ -1,20 +1,19 @@
 """Exact linear algebra over Q used by the solvers.
 
-rref eliminates on ints: each row is held as int numerators over one
-positive int scale and updated fraction-free, as in Bareiss, Math. Comp.
-22 (1968).  Gauss-Jordan also clears above the pivot, so a row is divided
-by the gcd of its numerators and scale after each step rather than by the
-previous pivot.  A row whose entries are all ints is taken as it is, over
-scale 1, with no pass over denominators; the Darboux cascade's level
-matrices are such rows for an integer derivation.  An elimination step
-changes a row only where the pivot row is nonzero, besides scaling it.
-rref pivots on the first ncols columns and eliminates every column of a
-row, so a rational right-hand side rides along as one more column, as
-level 1 of the cascade and solve give theirs.  The rows it returns are
-read off those ints: a row of scale 1 is returned as its ints, with no
-Fraction built, any other as Fractions.  Its row operations are ints too,
-and replay, which carries a right side that is no rational column
-through them, builds their rationals only when it runs.
+rref eliminates int rows: each row is held as int numerators over one
+positive int scale, 1 at the start, and updated fraction-free, as in
+Bareiss, Math. Comp. 22 (1968).  Gauss-Jordan also clears above the
+pivot, so a row is divided by the gcd of its numerators and scale after
+each step rather than by the previous pivot.  The Darboux search, run
+on an integral field, builds int rows, and solve clears denominators.
+An elimination step changes a row only where the pivot row is nonzero,
+besides scaling it.  rref pivots on the first ncols columns and
+eliminates every column of a row, so a right-hand side rides along as
+one more column, as level 1 of the cascade and solve give theirs.  The
+rows it returns are read off those ints: a row of scale 1 is returned as
+its ints, with no Fraction built, any other as Fractions.  Its row
+operations are ints too, and replay, which carries a right side that is
+no int column through them, builds their rationals only when it runs.
 
 The verbs run rref, replay and nullspace.  linalg is not exported;
 solve stays as a target of orebench's tracer (layer linalg) and as the
@@ -30,8 +29,8 @@ def rref(rows, ncols):
     """Reduced row echelon form of rows, pivoting on the first ncols
     columns; returns (rows, pivot column list, row operations).
 
-    Further columns, which must be rationals, are eliminated with the
-    first ncols: as the pivot choice depends on those alone, an augmented
+    The rows hold ints.  Further columns are eliminated with the first
+    ncols: as the pivot choice depends on those alone, an augmented
     right-hand side comes out as Gauss-Jordan on the augmented rows, or
     replay, gives it.  replay carries any other column, an MPoly right
     side for instance, by the row operations, one (r, pr, s, p, [(i, f,
@@ -44,15 +43,7 @@ def rref(rows, ncols):
     of its entries are integers (the row's scale is 1, its numerators and
     scale being coprime), else Fractions; the two compare and hash alike.
     The input rows are left unchanged."""
-    nums, scales = [], []
-    for row in rows:
-        if all(type(v) is int for v in row):
-            row, s = list(row), 1
-        else:
-            s = lcm(*(v.denominator for v in row))
-            row = [v.numerator * (s // v.denominator) for v in row]
-        nums.append(row)
-        scales.append(s)
+    nums, scales = [list(row) for row in rows], [1] * len(rows)
     n = len(nums)
     pivots = []
     ops = []
@@ -146,8 +137,10 @@ def solve(a_rows, rhs):
     if not a_rows:
         return [], []
     ncols = len(a_rows[0])
-    # rhs is eliminated as one more column
-    m, pivots, _ = rref([list(row) + [q(v)] for row, v in zip(a_rows, rhs)], ncols)
+    # rhs is eliminated as one more column, each row cleared of its denominators
+    rows = [[*row, q(v)] for row, v in zip(a_rows, rhs)]
+    dens = [lcm(*(v.denominator for v in row)) for row in rows]
+    m, pivots, _ = rref([[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, dens)], ncols)
     kernel = _kernel_basis(m, pivots, ncols)
     # rows below the pivots are zero in A; a nonzero right side there
     # makes the system inconsistent
@@ -160,6 +153,6 @@ def solve(a_rows, rhs):
 
 
 def nullspace(a_rows, ncols):
-    """Kernel basis of A over Q."""
+    """Kernel basis of A over Q, A's rows holding ints."""
     m, pivots, _ = rref(a_rows, ncols)
     return _kernel_basis(m, pivots, ncols)

@@ -7,7 +7,7 @@ import io
 import json
 from pathlib import Path
 
-from orediamond import BiPoly, cli, darboux, unifactor
+from orediamond import BiPoly, cli, darboux, linalg, unifactor
 from orediamond.derivation import _shamsuddin_shape, shamsuddin_analyze
 from orediamond.parse import parse_derivation, parse_ore
 
@@ -65,6 +65,10 @@ def test_corpus_runs_each_query_once_and_every_pin():
     # block's field without a certified factorization of M, its field
     # with M = 0 and its field with a rational top part
     assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3
+    # at bound 6 the reach block adds its three other rational fields
+    at_6 = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "6" and "--json" not in argv]
+    assert len(at_6) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3 + 3
+    assert len(corpus) == 2254
 
 
 def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():
@@ -184,27 +188,48 @@ def test_corpus_runs_a_zero_m_cascade_past_a_cofactor_level():
         assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
 
 
-def test_corpus_builds_rational_level_matrices(monkeypatch):
-    """The reach block runs darboux 6 and 8 and decide 6, as text and with
-    --json, on a field whose top part has the coefficient 1/2: each query
-    gives _level_matrix a polynomial with a denominator."""
+def test_corpus_runs_rational_fields_on_ints(monkeypatch):
+    """The reach block runs the search, as text and with --json, on five
+    fields with rational coefficients: a top part with the coefficient
+    1/2, a constant field (kernel path, d = 0), a field with M = 0 and d
+    = 1 (kernel path), and one whose gcd y is not constant, so delta's
+    own run is scaled too.  The search runs on an integral multiple of
+    each, so _level_matrix gets integral polynomials and rref int rows;
+    every query reaches rref, and each outside the kernel path
+    _level_matrix."""
     corpus = cli_diff.corpus()
-    deriv = "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x"
-    dens = []
-    level_matrix = darboux._level_matrix
+    # field: (whether it takes the kernel path, its queries)
+    queries = {
+        "dx=1/2*x^2*y + y; dy=-1*x*y^2 + x": (False, (("darboux", "6"), ("darboux", "8"), ("decide", "6"))),
+        "dx=1/2; dy=1/3": (True, (("darboux", "6"), ("first-integral", "6"))),
+        "dx=1/2*x + 1; dy=1/2*y - 2/3": (True, (("darboux", "6"), ("decide", "6"))),
+        "dx=1/2*x*y + 1/3*y; dy=2/5*y^2": (False, (("darboux", "6"), ("decide", "6"))),
+    }
+    levels, rows_seen = [], []
+    level_matrix, rref = darboux._level_matrix, linalg.rref
 
-    def recorded(*args):
-        dens.extend(p.den for p in args[:4])  # ad, bd, p_top, c_top
+    def level_recorded(*args):
+        levels.extend(p.den for p in args[:4])  # ad, bd, p_top, c_top
         return level_matrix(*args)
 
-    monkeypatch.setattr(darboux, "_level_matrix", recorded)
-    for verb, bound in (("darboux", "6"), ("darboux", "8"), ("decide", "6")):
-        argv = [verb, "--ring", "poly2", "--deriv", deriv, "--bound", bound]
-        assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
-        dens.clear()
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main(argv)
-        assert any(den != 1 for den in dens), argv
+    def rref_recorded(rows, ncols):
+        rows_seen.extend(type(v) for row in rows for v in row)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(darboux, "_level_matrix", level_recorded)
+    monkeypatch.setattr(linalg, "rref", rref_recorded)
+    for deriv, (kernel, verbs) in queries.items():
+        field = parse_derivation(deriv, "poly2")
+        assert field.dx.den != 1 or field.dy.den != 1
+        for verb, bound in verbs:
+            argv = [verb, "--ring", "poly2", "--deriv", deriv, "--bound", bound]
+            assert argv in cli_diff.REACH and argv in corpus and argv + ["--json"] in corpus
+            levels.clear()
+            rows_seen.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            assert set(levels) <= {1} and set(rows_seen) == {int}, argv
+            assert bool(levels) != kernel, argv
 
 
 def test_corpus_audits_a_member_at_infinity(capsys):

@@ -5,6 +5,7 @@ selection, and the independent degree-1 brute-force oracle."""
 import copy
 import importlib.util
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from orediamond.darboux import (
 )
 from orediamond.derivation import _shamsuddin_shape
 from orediamond.multipoly import MPoly
-from util import bi, degree1_darboux_oracle, in_pencil_span, random_bipoly
+from util import bi, cleared, degree1_darboux_oracle, in_pencil_span, random_bipoly
 
 _spec = importlib.util.spec_from_file_location("cli_diff", Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py")
 cli_diff = importlib.util.module_from_spec(_spec)
@@ -180,14 +181,16 @@ def _two_pass_kernel(deriv, c0, n):
     views = [(deriv.apply(BiPoly.monomial(*e)) - c0 * BiPoly.monomial(*e)).rational_terms() for e in mons]
     eq_set = sorted(set().union(*views))
     rows = [[v.get(e, Q(0)) for v in views] for e in eq_set]
-    kernel = [BiPoly(dict(zip(mons, vec))) for vec in linalg.nullspace(rows, len(mons))]
+    kernel = [BiPoly(dict(zip(mons, vec))) for vec in linalg.nullspace(cleared(rows), len(mons))]
     return [BiPoly(dict(row)) for row in _span(*kernel)]
 
 
 def test_kernel_echelon_is_the_span_of_the_kernel():
     """_kernel_echelon's one elimination gives the _span of the kernel,
     on seeded constant fields and Euler-type fields (h*x + a, h*y + b),
-    degrees 1 to 6, at the cofactors the degree loop uses and others."""
+    degrees 1 to 6, at the cofactors the degree loop uses and others.
+    It runs, as the degree loop does, on L*delta and L*c0, L clearing
+    the denominators of delta and c0, whose kernel is delta's at c0."""
     rng = random.Random(2801)
 
     def rational():
@@ -204,7 +207,8 @@ def test_kernel_echelon_is_the_span_of_the_kernel():
         for n in range(1, 7):
             for c0 in {n * h, (n // 2) * h, h + 1, Q(1, 2)}:
                 c0 = BiPoly.const(c0)
-                basis = _kernel_echelon(deriv, c0, n)
+                scale = math.lcm(deriv.dx.den, deriv.dy.den, c0.den)
+                basis = _kernel_echelon(Derivation(deriv.dx * scale, deriv.dy * scale), c0 * scale, n)
                 assert basis == _two_pass_kernel(deriv, c0, n), (deriv, c0, n)
                 cases += 1
                 nonempty += bool(basis)
@@ -504,48 +508,59 @@ def test_level_matrices_match_products():
     """On the named systems at bound 8, and on a seeded cubic field with a
     coefficient 1/2, every cascade level matrix built from terms equals
     the one built from products, and _cascade_level reduces it as rref
-    does."""
+    does.  Each field runs as L*delta, L clearing its denominators, as in
+    the degree loop."""
     fields = [(bi(dx), bi(dy)) for (dx, dy), _ in PINNED_REPORTS.values()]
     dx, dy = _random_field(random.Random(1702), 3, 0)
     fields.append((dx + BiPoly.monomial(2, 1, Q(1, 2)), dy))
     levels_seen = rational_seen = 0
     for a_pol, b_pol in fields:
+        scale = math.lcm(a_pol.den, b_pol.den)
+        a_pol, b_pol = a_pol * scale, b_pol * scale
         for n in range(1, 9):
             for d, _, p_top, c_top in _cascade_inputs(a_pol, b_pol, n):
                 ad, bd = a_pol.homogeneous_part(d), b_pol.homogeneous_part(d)
                 for mons_p, mons_c, eq_mons, m, pivots, _ in _levels(a_pol, b_pol, d, n, p_top, c_top):
                     args = (ad, bd, p_top, c_top, mons_p, mons_c, eq_mons)
-                    rows = _product_level_matrix(*args)
-                    assert _level_matrix(*args) == rows
+                    rows = _level_matrix(*args)
+                    assert rows == _product_level_matrix(*args)
                     assert linalg.rref(rows, len(mons_p) + len(mons_c))[:2] == (m, pivots)
                     levels_seen += 1
-                    rational_seen += ad.den != 1
+                    rational_seen += scale != 1
     # every level of the named systems, read by _cascade or not, and the
     # rational field's
     assert (levels_seen - rational_seen, rational_seen) == (3138, 1318)
 
 
-def test_level_matrices_are_integral_for_integral_fields(monkeypatch):
-    """_top_atoms builds each form from the int numerators of a monic
-    atom, which are primitive, so by Gauss's lemma every level matrix of
-    an integral field is built from integral polynomials: on the survey
-    at bound 6, and on hang-linear at bound 8, whose monic atom x^2 -
-    5/3*y^2 has a rational coefficient."""
-    dens = []
+def test_level_matrices_are_integral_for_every_field(monkeypatch):
+    """The degree loop runs on L*delta, L clearing the denominators of
+    delta, and _top_atoms builds each form from the int numerators of a
+    monic atom, which are primitive: by Gauss's lemma every level matrix
+    is built from integral polynomials and holds ints.  On the survey at
+    bound 6, its rational variants (dx/2, dy/3) too, and on hang-linear
+    at bound 8, whose monic atom x^2 - 5/3*y^2 has a rational
+    coefficient."""
+    dens, entries = [], set()
     level_matrix = darboux._level_matrix
 
     def checked(ad, bd, p_top, c_top, *rest):
         dens.append({p.den for p in (ad, bd, p_top, c_top)})
-        return level_matrix(ad, bd, p_top, c_top, *rest)
+        rows = level_matrix(ad, bd, p_top, c_top, *rest)
+        entries.update(type(v) for row in rows for v in row)
+        return rows
 
     monkeypatch.setattr(darboux, "_level_matrix", checked)
     workloads, _ = cli_diff._orebench()
     for _, dx, dy in cli_diff.survey():
         darboux_search(Derivation(bi(dx), bi(dy)), 6)
     assert len(dens) == 13157
+    for _, dx, dy in cli_diff.survey():
+        darboux_search(Derivation(bi(dx) * Q(1, 2), bi(dy) * Q(1, 3)), 6)
+    assert len(dens) == 13157 + 12973
     (dx, dy), = [(dx, dy) for name, dx, dy, _ in workloads.DARBOUX_KNOWN_HARD if name == "hang-linear"]
     darboux_search(Derivation(bi(dx), bi(dy)), 8)
-    assert len(dens) == 13157 + 2 and all(den == {1} for den in dens)
+    assert len(dens) == 13157 + 12973 + 2
+    assert all(den == {1} for den in dens) and entries == {int}
 
 
 def _flat_xy_coeffs(g):
@@ -1163,6 +1178,28 @@ class TestScalingEquivariance:
                 assert {(p.p, p.q, alpha * p.cofactor) for p in base.pencils} == {
                     (p.p, p.q, p.cofactor) for p in scaled.pencils
                 }
+
+    def test_search_of_a_multiple_keeps_every_answer(self):
+        """darboux_search(lam*delta, 6) gives delta's certificates and
+        pencils, in delta's order, each cofactor times lam, with delta's
+        completeness and last degree: delta(p) = c*p exactly when
+        (lam*delta)(p) = lam*c*p, and both searches run on an integral
+        multiple of delta.  On the named corpus and the first 30 survey
+        fields, for lam = 1/2, 3, 5/7 and -2."""
+        workloads, _ = cli_diff._orebench()
+        fields = [(dx, dy) for _, dx, dy, _, _ in workloads.NAMED] + [(dx, dy) for _, dx, dy in cli_diff.survey()[:30]]
+        for dx, dy in fields:
+            base = darboux_search(Derivation(bi(dx), bi(dy)), 6)
+            for lam in (Q(1, 2), Q(3), Q(5, 7), Q(-2)):
+                scaled = darboux_search(Derivation(bi(dx) * lam, bi(dy) * lam), 6)
+                assert [(c.p, lam * c.cofactor) for c in base.certs] == [(c.p, c.cofactor) for c in scaled.certs]
+                assert [(p.p, p.q, lam * p.cofactor) for p in base.pencils] == [
+                    (p.p, p.q, p.cofactor) for p in scaled.pencils
+                ]
+                assert (scaled.complete_up_to_bound, scaled.searched_degree) == (
+                    base.complete_up_to_bound,
+                    base.searched_degree,
+                ), (dx, dy, lam)
 
 
 def _compose(p, fx, fy):

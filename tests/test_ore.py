@@ -20,7 +20,7 @@ from orediamond import (
     mul,
 )
 from orediamond import linalg, ore
-from util import a_theta_pow_right, act, bi, leibniz_delta, phi, random_bipoly, theta_pow_left, uni
+from util import a_theta_pow_right, act, bi, cleared, leibniz_delta, phi, random_bipoly, theta_pow_left, uni
 
 
 def ctx_dx():
@@ -193,7 +193,7 @@ class TestRingMeetsSThetaX:
         for d in range(1, max_theta + 1):
             for k in range(0, 10):
                 rows.append([p.coeff(d).coeff(k, 0) for p in products])
-        kernel = linalg.nullspace(rows, len(products))
+        kernel = linalg.nullspace(cleared(rows), len(products))
         for vec in kernel:
             const = BiPoly.zero()
             for c, p in zip(vec, products):

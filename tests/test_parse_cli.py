@@ -2,7 +2,10 @@
 and JSON schema validation."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from importlib import resources
 
 import jsonschema
@@ -135,6 +138,9 @@ ERRORS = [
     (parse_derivation, "dx=1; dy=0", "poly1", "dy is not allowed for a univariate ring", 6),
     (parse_derivation, "dx=1; dy = x + 2*t", "poly2", "'t' is only allowed in operator operands", 17),
     (parse_derivation, "dx=x^^2", "poly1", "expected digits, found '^'", 5),
+    # only ASCII digits are digits: str.isdigit also takes these
+    (parse_derivation, "dx=x^\N{SUPERSCRIPT TWO}; dy=1", "poly2", "unexpected character '\N{SUPERSCRIPT TWO}'", 5),
+    (parse_derivation, "dx=\N{ARABIC-INDIC DIGIT THREE}*x", "poly1", "unexpected character '\N{ARABIC-INDIC DIGIT THREE}'", 3),
     (parse_ore, "t", "laurent1", "operator operands live over poly1 or poly2", 0),
     (parse_ore, "t^2 + x*y*t", "poly1", "variable 'y' is not in this ring", 8),
     (parse_ore, "t + x^-1*t", "poly2", "negative exponent in polynomial ring", 4),
@@ -266,6 +272,31 @@ class TestCli:
         code, _, err = run(["decide", "--ring", "poly2", "--deriv", "dx=?; dy=y"], capsys)
         assert code == 1
         assert "error" in err
+
+    # an ore-mul document of about 120 kB, more than a pipe holds
+    LONG_F = " + ".join(f"{k}*x^{k}*t^20" for k in range(1, 60)) + " + x*t"
+
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            (["decide", "--ring", "poly2", "--deriv", "dx=x; dy=y"], 0),
+            (["ore-mul", "--deriv", "dx=x^2 + 1", "--f", LONG_F, "--g", "x^40*t^20", "--json"], 0),
+            (["ore-mul", "--deriv", "dx=x^2 + 1", "--f", LONG_F, "--g", "x^40*t^20", "--json"], 4096),
+        ],
+    )
+    def test_closed_stdout_exits_quietly(self, argv, read):
+        """A reader that closes stdout, before the first byte or after
+        read bytes, gets an exit code of the CLI and no traceback."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orediamond.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1, 2)
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
     def test_ore_mul(self, capsys):
         code, out, _ = run(

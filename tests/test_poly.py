@@ -23,7 +23,7 @@ from orediamond import (
 from orediamond import linalg, parse
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from orediamond.poly import _pseudo_divmod, kmul_int
-from util import bi, gauss_jordan, lau, random_bipoly, random_unipoly, uni
+from util import bi, cleared, gauss_jordan, lau, random_bipoly, random_unipoly, uni
 
 
 class TestExactDivide:
@@ -432,7 +432,7 @@ class TestAgainstSympy:
             sa = sp.Matrix(nrows, ncols, lambda r, c: sp.Rational(str(a[r][c])))
             sb = sp.Matrix(nrows, 1, lambda r, _: sp.Rational(str(rhs[r])))
             kernel = [_from_sympy(v) for v in sa.nullspace()]
-            assert linalg.nullspace(a, ncols) == kernel
+            assert linalg.nullspace(cleared(a), ncols) == kernel
             particular, basis = linalg.solve(a, rhs)
             assert basis == kernel
             try:
@@ -812,7 +812,7 @@ def test_replay_matches_augmented_gauss_jordan():
     """Replaying rref's row operations on a column gives the column that
     Gauss-Jordan on the rows augmented by it computes, on rank-deficient
     systems with row swaps and zero rows, for rational and MPoly
-    columns."""
+    columns; the rows are cleared of denominators, as rref takes ints."""
     rng = random.Random(124)
     swaps = 0
     for trial in range(80):
@@ -825,6 +825,7 @@ def test_replay_matches_augmented_gauss_jordan():
             combo = [a + f * b for a, b in zip(combo, row)]
         rows.insert(rng.randrange(len(rows) + 1), combo)
         rows.insert(rng.randrange(len(rows) + 1), [Q(0)] * ncols)
+        rows = cleared(rows)
         if trial % 2:
             column = [_random_entry(rng) for _ in range(nrows)]
         else:
@@ -872,9 +873,9 @@ def _rational_ops(ops):
 def test_rref_matches_textbook_gauss_jordan():
     """rref's integer elimination gives the rows, extra columns included,
     pivots and row operations of Fraction Gauss-Jordan, on int, Fraction
-    and mixed matrices with rational extra columns; its row operations
-    are ints, and replay carries each extra column as rref eliminates
-    it."""
+    and mixed matrices with rational extra columns, each row cleared of
+    denominators; its row operations are ints, and replay carries each
+    extra column as rref eliminates it."""
     rng = random.Random(909)
     seen = {"swap": 0, "negative pivot": 0, "zero row": 0, "extra column": 0, "int row": 0, "rational row": 0}
     for trial in range(240):
@@ -882,7 +883,7 @@ def test_rref_matches_textbook_gauss_jordan():
         nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 7)
         rows = _elimination_case(rng, kind, nrows, ncols)
         extra = rng.randrange(0, 3)
-        rows = [row + [_random_entry(rng) for _ in range(extra)] for row in rows]
+        rows = cleared([row + [_random_entry(rng) for _ in range(extra)] for row in rows])
         m, pivots, ops = linalg.rref(rows, ncols)
         ref_m, ref_pivots, ref_ops = gauss_jordan(rows, ncols)
         assert (m, pivots, _rational_ops(ops)) == (ref_m, ref_pivots, ref_ops)
@@ -957,21 +958,23 @@ def test_rref_builds_no_fraction_on_ints(monkeypatch):
     assert min(seen.values()) >= 40, seen
 
 
-def test_rref_keeps_its_input_and_reads_ints_as_fractions():
-    """rref leaves its input rows unchanged, for int, Fraction and mixed
-    rows with extra columns, and an int matrix, which it takes over scale
-    1, gives what the same matrix with Fraction entries gives."""
+def test_rref_keeps_its_input_and_the_pivot_rows_of_scaled_rows():
+    """rref leaves its input rows unchanged, on int, Fraction and mixed
+    matrices with extra columns, each row cleared of denominators, and
+    the cleared rows have the pivots and pivot rows that Gauss-Jordan
+    gives the rational ones: scaling a row changes neither."""
     rng = random.Random(1703)
     for trial in range(120):
         kind = ("int", "fraction", "mixed")[trial % 3]
         nrows, ncols = rng.randrange(2, 8), rng.randrange(1, 7)
         rows = _elimination_case(rng, kind, nrows, ncols)
         rows = [row + [_random_entry(rng) for _ in range(trial % 2)] for row in rows]
-        copy = [list(row) for row in rows]
-        result = linalg.rref(rows, ncols)
-        assert rows == copy and [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in copy]
-        if kind == "int":
-            assert linalg.rref([[Q(v) for v in row] for row in rows], ncols) == result
+        ints = cleared(rows)
+        copy = [list(row) for row in ints]
+        m, pivots, _ = linalg.rref(ints, ncols)
+        assert ints == copy
+        ref_m, ref_pivots, _ = gauss_jordan(rows, ncols)
+        assert (pivots, m[: len(pivots)]) == (ref_pivots, ref_m[: len(pivots)])
 
 
 def test_rref_small_cases():

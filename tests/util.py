@@ -5,7 +5,7 @@ Leibniz rule term by term, the skew binomial identities and the module
 action of R[theta; delta] on R)."""
 
 from functools import reduce
-from math import comb
+from math import comb, lcm
 
 from orediamond import BiPoly, DomainError, OrePoly, Q, UniPoly, exact_divide
 from orediamond import linalg
@@ -112,6 +112,17 @@ def phi(ctx, f):
 
 def monomials_upto(d):
     return [(i, j) for t in range(d + 1) for i in range(t + 1) for j in [t - i]]
+
+
+def cleared(rows):
+    """Each row of rationals times the lcm of its denominators, as ints:
+    linalg.rref's input for a rational matrix.  Scaling a row keeps the
+    pivots, the pivot rows of the reduced form and the kernel."""
+    out = []
+    for row in rows:
+        s = lcm(*(Q(v).denominator for v in row))
+        out.append([int(v * s) for v in row])
+    return out
 
 
 def gauss_jordan(rows, ncols):

@@ -43,11 +43,18 @@ The corpus, each query as text and with --json:
   certificate, run the cascade without the cofactor table.  darboux 6
   and 8 on dx = -2x^2y + x^2 + x + y^2, dy = x^2 - 2xy^2 + 2xy + y, whose
   M is 0 with d = 3, read the table past level 2, which has cofactor
-  columns.  darboux 6 and 8 and decide 6 on dx = 1/2x^2y + y, dy =
-  -xy^2 + x, whose top part has the coefficient 1/2, build rational
-  level matrices.  decide 4 on dx = -xy^2 - 2y, dy = -y^3 audits the
-  member at t = infinity, y^2, of the pencil (xy + 1, y^2) of delta/y.
-  One product has a zero operand, and one derivation has a syntax error.
+  columns.  The search runs on L*delta, L clearing the denominators of delta, and
+  five fields with rational coefficients check that the scaling leaves
+  every answer as it was: darboux 6 and 8 and decide 6 on dx = 1/2x^2y +
+  y, dy = -xy^2 + x, whose top part has the coefficient 1/2; darboux 6
+  and first-integral 6 on the constant field (1/2, 1/3), which takes the
+  kernel path with d = 0; darboux 6 and decide 6 on (x/2 + 1, y/2 -
+  2/3), where M = 0 and d = 1; and darboux 6 and decide 6 on (xy/2 +
+  y/3, 2y^2/5), where g = y, so delta's own run is scaled too.  decide 4
+  on dx = -xy^2 - 2y, dy = -y^3 audits the member at t = infinity, y^2,
+  of the pencil (xy + 1, y^2) of delta/y.  One product has a zero
+  operand, and two derivations have a syntax error: a missing exponent,
+  and the non-ASCII digit in x^².
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -112,6 +119,13 @@ REACH = (
     ["decide", "--ring", "poly2", "--deriv", "dx=-1*x*y^2 - 2*y; dy=-1*y^3", "--bound", "4"],
     ["ore-mul", "--ring", "poly1", "--deriv", "dx=1", "--f", "0", "--g", "t"],
     ["decide", "--ring", "poly2", "--deriv", "dx=x^; dy=1", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=1/2; dy=1/3", "--bound", "6"],
+    ["first-integral", "--ring", "poly2", "--deriv", "dx=1/2; dy=1/3", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=1/2*x + 1; dy=1/2*y - 2/3", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=1/2*x + 1; dy=1/2*y - 2/3", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=1/2*x*y + 1/3*y; dy=2/5*y^2", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=1/2*x*y + 1/3*y; dy=2/5*y^2", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=x^\N{SUPERSCRIPT TWO}; dy=1", "--bound", "6"],
 )
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
