@@ -1,6 +1,6 @@
 """Expression parsing for the CLI input language.
 
-Grammar (whitespace-insensitive):
+Grammar (insensitive to ASCII whitespace, the characters of WHITESPACE):
 
     poly     := term (('+'|'-') term)*
     term     := coeff ('*' monomial)* | monomial ('*' monomial)*
@@ -33,6 +33,9 @@ MAX_DIGITS = 4300
 # Most terms in one polynomial text, before like terms combine.
 MAX_TERMS = 10000
 
+# Whitespace between tokens; str.isspace also takes U+001C and non-ASCII spaces.
+WHITESPACE = " \t\n\r\f\v"
+
 # each ring's polynomial type and its number of variables
 _RING_TYPES = {POLY_UNI: (UniPoly, 1), LAURENT_UNI: (LaurentUniPoly, 1), POLY_BI: (BiPoly, 2)}
 
@@ -56,7 +59,7 @@ def _tokenize(text):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in WHITESPACE:
             i += 1
             continue
         if ch in "0123456789":  # str.isdigit also takes non-ASCII digits
@@ -203,13 +206,13 @@ def parse_derivation(text, ring):
     comps = {}  # name: (where the component starts, its polynomial's text)
     for part in re.finditer(r"[^;]+", text):
         body = part.group()
-        if not body.strip():
+        if not body.strip(WHITESPACE):
             continue
-        at = part.start() + len(body) - len(body.lstrip())
+        at = part.start() + len(body) - len(body.lstrip(WHITESPACE))
         if "=" not in body:
             raise ParseError("derivation component must look like dx=<poly>", at)
         name, expr = body.split("=", 1)
-        name = name.strip()
+        name = name.strip(WHITESPACE)
         if name not in ("dx", "dy"):
             raise ParseError(f"unknown derivation component {name!r}", at)
         if name in comps:

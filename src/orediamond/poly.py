@@ -5,8 +5,9 @@ den: terms maps exponent tuples to nonzero ints and den is a positive
 int, with gcd(den, every numerator) = 1 and den = 1 for the zero
 polynomial, so the form is canonical and == and hash compare (nvars,
 den, terms).  Arithmetic is on ints (von zur Gathen & Gerhard, Modern
-Computer Algebra, 6.2); rational_terms() is the rational view.  BiPoly
-is its 2-variable case in x (variable 0) and y (variable 1), with
+Computer Algebra, 6.2), gcds too: one int pseudo-remainder sequence,
+_int_gcd, serves uni_gcd and gcd; rational_terms() is the rational view.
+BiPoly is its 2-variable case in x (variable 0) and y (variable 1), with
 x/y-named constructors and the bivariate algorithms below (exact
 division, gcd, square-free part).  UniPoly and LaurentUniPoly are its
 1-variable cases in x, keyed (i,); only LaurentUniPoly allows i < 0, and
@@ -764,64 +765,53 @@ def _quotient(p, d):
     return p._lowest(p.nvars, c * p.den, _scaled(h, d.den))
 
 
-def _lift_y(u):
-    return BiPoly.from_uni(u, var="y")
-
-
-def _content_x(p):
-    """Monic gcd in Q[y] of the x-coefficients of p (p nonzero)."""
-    cont = UniPoly.zero()
-    for c in p.coeffs_in(0):
-        if not c.is_zero:
-            c = c.as_unipoly(1)
-            cont = uni_gcd(cont, c) if not cont.is_zero else c.monic()
-        if cont.degree() == 0:
+def _primitive_x(terms):
+    """(content, primitive part), up to sign, of a nonzero int term dict in
+    Z[y][x]: the x-coefficients' primitive gcd in Z[y], an int list lowest
+    degree first, and the dict divided by it and by its integer content."""
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, {})[j] = c
+    cont = []
+    for row in rows.values():
+        cont = _int_gcd(cont, [row.get(j, 0) for j in range(max(row) + 1)])
+        if len(cont) == 1:
             break
-    return cont
-
-
-def _primitive_part_x(p):
-    """(_content_x(p), p divided by it), p nonzero."""
-    cont = _content_x(p)
-    if cont.degree() == 0:
-        return cont, p
-    return cont, exact_divide(p, _lift_y(cont))
-
-
-def _lc_x(p):
-    """The coefficient in Q[y] of the highest power of x in p."""
-    d = p.degree_in(0)
-    return p._lowest(2, p.den, {(0, j): c for (i, j), c in p.terms.items() if i == d})
-
-
-def _prem_x(a, b):
-    """Pseudo-remainder of a by b with respect to x (deg_x b >= 1)."""
-    db = b.degree_in(0)
-    blc = _lc_x(b)
-    r = a
-    while not r.is_zero and r.degree_in(0) >= db:
-        r = blc * r - BiPoly.monomial(r.degree_in(0) - db, 0) * _lc_x(r) * b
-    return r
+    if len(cont) > 1:
+        terms = kdivide(terms, {(0, j): c for j, c in enumerate(cont) if c})[0]
+    n = gcd_int(*terms.values())
+    return cont, terms if n == 1 else {e: c // n for e, c in terms.items()}
 
 
 def gcd(p, q_):
-    """Monic gcd in Q[x,y] via content/primitive-part recursion with a
-    primitive pseudo-remainder sequence in x."""
+    """Monic gcd in Q[x,y]: the content in Z[y] times a primitive
+    pseudo-remainder sequence (PRS) in x, run on the int numerators (von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+
+    p.den and q_.den are units.  By Gauss's lemma over the UFD Z[y], the
+    gcd is gcd(contents)*gcd(primitive parts) up to sign.  A PRS step goes
+    from a, b to b, pp(r), r = lc_x(b)^m*a - Q*b, deg_x r < deg_x b: a
+    common divisor of a and b divides r, and a primitive one of b and r
+    divides lc_x(b)^m*a, hence a.  So the last nonzero remainder of
+    positive x-degree is the primitive gcd up to a scalar (1 if one lies
+    in Z[y]), and monic() removes every scalar."""
     if p.is_zero and q_.is_zero:
         raise DomainError("gcd(0, 0) is undefined")
-    if p.is_zero:
-        return q_.monic()
-    if q_.is_zero:
-        return p.monic()
-    (cont_p, a), (cont_q, b) = _primitive_part_x(p), _primitive_part_x(q_)
-    cont = uni_gcd(cont_p, cont_q)
-    if a.degree_in(0) < b.degree_in(0):
+    if p.is_zero or q_.is_zero:
+        return (q_ if p.is_zero else p).monic()
+    (cont_p, a), (cont_q, b) = _primitive_x(p.terms), _primitive_x(q_.terms)
+    if max(a)[0] < max(b)[0]:
         a, b = b, a
-    while not b.is_zero and b.degree_in(0) > 0:
-        r = _prem_x(a, b)
-        a, b = b, r if r.is_zero else _primitive_part_x(r)[1]
-    g = a if b.is_zero else BiPoly.one()  # a is a primitive part already
-    return (g * _lift_y(cont)).monic()
+    while b and (db := max(b)[0]) > 0:
+        # the pseudo-remainder r of a by b with respect to x
+        blc = {(0, j): c for (i, j), c in b.items() if i == db}
+        r = a
+        while r and (dr := max(r)[0]) >= db:
+            top = {(dr - db, j): c for (i, j), c in r.items() if i == dr}
+            r = ksub(kmul_int(blc, r), kmul_int(top, b))
+        a, b = b, r and _primitive_x(r)[1]
+    cont = {(0, j): c for j, c in enumerate(_int_gcd(cont_p, cont_q)) if c}
+    return BiPoly._lowest(2, 1, kmul_int(cont, {(0, 0): 1} if b else a)).monic()
 
 
 def squarefree_part(p):
@@ -873,18 +863,24 @@ def _primitive(cs):
     return [c // g for c in cs] if g > 1 else cs
 
 
-def uni_gcd(a, b):
-    """Monic gcd in Q[x]: the primitive pseudo-remainder sequence on the
-    int numerators (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 6)."""
-    if a.is_zero and b.is_zero:
-        raise DomainError("gcd(0, 0) is undefined")
-    f, g = _primitive(a._ints()), _primitive(b._ints())
+def _int_gcd(f, g):
+    """The primitive gcd in Z[x], up to sign, of two int lists lowest
+    degree first, each empty or ending nonzero, not both empty: the
+    primitive pseudo-remainder sequence (von zur Gathen & Gerhard, ch. 6)."""
+    f, g = _primitive(f), _primitive(g)
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
         f, g = g, _primitive(_pseudo_divmod(f, g)[1])
-    if g:
+    return g or f
+
+
+def uni_gcd(a, b):
+    """Monic gcd in Q[x]: _int_gcd of the int numerators, made monic."""
+    if a.is_zero and b.is_zero:
+        raise DomainError("gcd(0, 0) is undefined")
+    f = _int_gcd(a._ints(), b._ints())
+    if len(f) == 1:
         return UniPoly.one()
     return UniPoly._lowest(1, 1, {(i,): c for i, c in enumerate(f) if c}).monic()
 

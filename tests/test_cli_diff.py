@@ -65,10 +65,11 @@ def test_corpus_runs_each_query_once_and_every_pin():
     # block's field without a certified factorization of M, its field
     # with M = 0 and its field with a rational top part
     assert len(survey) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3
-    # at bound 6 the reach block adds its three other rational fields
+    # at bound 6 the reach block adds its three other rational fields and
+    # its field whose gcd has a content in y
     at_6 = [argv for argv in corpus if argv[0] == "darboux" and argv[6] == "6" and "--json" not in argv]
-    assert len(at_6) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3 + 3
-    assert len(corpus) == 2254
+    assert len(at_6) == 147 + 10 + cli_diff.SHAMSUDDIN_SIZE + 3 + 3 + 1
+    assert len(corpus) == 2260
 
 
 def test_corpus_runs_the_shamsuddin_fields_under_decide_and_the_search():

@@ -141,6 +141,10 @@ ERRORS = [
     # only ASCII digits are digits: str.isdigit also takes these
     (parse_derivation, "dx=x^\N{SUPERSCRIPT TWO}; dy=1", "poly2", "unexpected character '\N{SUPERSCRIPT TWO}'", 5),
     (parse_derivation, "dx=\N{ARABIC-INDIC DIGIT THREE}*x", "poly1", "unexpected character '\N{ARABIC-INDIC DIGIT THREE}'", 3),
+    # only ASCII whitespace is skipped: str.isspace also takes these
+    (parse_derivation, "dx=x\N{IDEOGRAPHIC SPACE}+ 1", "poly1", "unexpected character '\\u3000'", 4),
+    (parse_polynomial, "x\x1c+1", "poly1", "unexpected character '\\x1c'", 1),
+    (parse_derivation, "\N{NO-BREAK SPACE}dx=1", "poly1", "unknown derivation component '\\xa0dx'", 0),
     (parse_ore, "t", "laurent1", "operator operands live over poly1 or poly2", 0),
     (parse_ore, "t^2 + x*y*t", "poly1", "variable 'y' is not in this ring", 8),
     (parse_ore, "t + x^-1*t", "poly2", "negative exponent in polynomial ring", 4),

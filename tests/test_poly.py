@@ -20,7 +20,7 @@ from orediamond import (
     squarefree_part,
     uni_gcd,
 )
-from orediamond import linalg, parse
+from orediamond import linalg, parse, poly
 from orediamond.multipoly import MPoly, mpoly_exact_divide, mpoly_resultant
 from orediamond.poly import _pseudo_divmod, kmul_int
 from util import bi, cleared, gauss_jordan, lau, random_bipoly, random_unipoly, uni
@@ -68,6 +68,27 @@ class TestGcd:
         f = (bi("x*y + y - 1")) * bi("y")
         g = -bi("y^3") * bi("x*y + y - 1")
         assert gcd(f, g) == (bi("y") * bi("x*y + y - 1")).monic()
+
+    def test_runs_on_int_numerators(self, monkeypatch):
+        """The contents and the pseudo-remainder sequence run on int term
+        dicts: gcd answers on pairs with a content in y with uni_gcd,
+        exact_divide and as_unipoly unavailable."""
+        g = bi("y^2 + 1") * bi("x + y")
+        cases = [
+            (g * bi("x - 1"), g * bi("y + 2"), g),
+            (bi("2*x*y^2 + 2*y"), bi("6*x*y^2 + 18*y^2"), bi("y")),
+            (bi("x*y^2 - 2*x*y + x"), bi("y - 1") * bi("x^2 + y"), bi("y - 1")),
+            (bi("1/3*x*y^2 + 1/3*x"), bi("4*y^2 + 4"), bi("y^2 + 1")),
+        ]
+
+        def refuse(*args):
+            raise AssertionError("gcd left the int numerators")
+
+        monkeypatch.setattr(poly, "uni_gcd", refuse)
+        monkeypatch.setattr(poly, "exact_divide", refuse)
+        monkeypatch.setattr(MPoly, "as_unipoly", refuse)
+        for p, q_, want in cases:
+            assert gcd(p, q_) == want
 
     def test_both_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -299,6 +320,11 @@ def _random_mpoly(rng, nvars, maxdeg=2, nterms=4):
     return MPoly(nvars, terms)
 
 
+def _dense_bipoly(rng, deg):
+    """Every monomial of total degree <= deg, its coefficient in [-9, 9]."""
+    return BiPoly({(i, j): rng.randint(-9, 9) for i in range(deg + 1) for j in range(deg + 1 - i)})
+
+
 def _random_entry(rng):
     return Q(rng.randrange(-4, 5), rng.randrange(1, 3)) if rng.random() < 0.6 else Q(0)
 
@@ -380,26 +406,39 @@ class TestAgainstSympy:
             assert all(ours.degree_in(i) <= 0 for i in chosen)
 
     def test_bivariate_gcd(self, sp):
-        """gcd against the monic sympy.gcd on seeded rational inputs: pairs
+        """gcd against the monic sympy.gcd on seeded inputs: rational pairs
         with a common factor (in x and y, or in y alone), pairs free of x,
-        and pairs with no common factor."""
+        pairs free of y, and pairs with no common factor; dense integral
+        pairs of degree <= 5 with a planted common factor of degree 0 to 3.
+        Each pair is also taken times (6, 2/3), so that it has an integer
+        content."""
         x, y = sp.symbols("x y")
         rng = random.Random(114)
-        for trial in range(80):
-            kind = trial % 4
-            if kind == 2:  # free of x
-                p, q_, common = (BiPoly.from_uni(random_unipoly(rng, maxdeg=2, nonzero=True), "y") for _ in range(3))
+        pairs = []
+        for trial in range(100):
+            kind = trial % 5
+            if kind in (2, 3):  # free of x, free of y
+                p, q_, common = (
+                    BiPoly.from_uni(random_unipoly(rng, maxdeg=2, nonzero=True), "yx"[kind - 2]) for _ in range(3)
+                )
             else:
                 p, q_, common = (BiPoly(_random_mpoly(rng, 2, nterms=3).rational_terms()) for _ in range(3))
             if kind == 1:  # a common factor in y alone
                 common = BiPoly.from_uni(random_unipoly(rng, maxdeg=2, nonzero=True), "y")
-            if kind < 3:
+            if kind < 4:
                 p, q_ = p * common, q_ * common
+            pairs.append((p, q_))
+        for trial in range(24):
+            k = trial % 4  # the degree of the planted factor
+            common = _dense_bipoly(rng, k)
+            pairs.append(tuple(_dense_bipoly(rng, rng.randint(0, 5 - k)) * common for _ in range(2)))
+        for p, q_ in pairs:
             if p.is_zero or q_.is_zero:
                 continue
             theirs = sp.gcd(_to_sympy(sp, p.rational_terms(), (x, y)), _to_sympy(sp, q_.rational_terms(), (x, y)))
             want = BiPoly({e: Q(int(c.p), int(c.q)) for e, c in sp.Poly(theirs, x, y).terms()}).monic()
             assert gcd(p, q_) == want
+            assert gcd(p * 6, q_ * Q(2, 3)) == want
 
     def test_rational_roots(self, sp):
         """Seeded products of rational linear factors (repeats and the

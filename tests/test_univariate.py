@@ -204,13 +204,17 @@ def test_pseudo_divmod_against_sympy(sp):
 
 
 def test_uni_gcd_against_sympy(sp):
+    """Seeded rational pairs, 40% with a common factor, and every 5th
+    pair integral with an integer content (6, -4 or 10 times 9 or 15)."""
     x = sp.Symbol("x")
     rng = random.Random(302)
-    for _ in range(150):
+    for trial in range(180):
         a, b = _random_uni(rng), _random_uni(rng)
         if rng.random() < 0.4:
             common = _random_uni(rng, 2)
             a, b = a * common, b * common
+        if trial % 5 == 4:
+            a, b = (p * p.den * rng.choice(k) for p, k in ((a, (6, -4, 10)), (b, (9, 15))))
         if a.is_zero and b.is_zero:
             continue
         theirs = _monic_sympy(sp.gcd(_to_sympy(sp, a, x), _to_sympy(sp, b, x)))

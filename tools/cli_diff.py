@@ -52,9 +52,12 @@ The corpus, each query as text and with --json:
   2/3), where M = 0 and d = 1; and darboux 6 and decide 6 on (xy/2 +
   y/3, 2y^2/5), where g = y, so delta's own run is scaled too.  decide 4
   on dx = -xy^2 - 2y, dy = -y^3 audits the member at t = infinity, y^2,
-  of the pencil (xy + 1, y^2) of delta/y.  One product has a zero
-  operand, and two derivations have a syntax error: a missing exponent,
-  and the non-ASCII digit in x^².
+  of the pencil (xy + 1, y^2) of delta/y.  darboux 6 and decide 6 on dx
+  = xy^2 + y^3 + x + y, dy = x^2y^2 + xy^3 + x^2 + xy, whose gcd (y^2 +
+  1)(x + y) has a content of degree 2 in y and a factor in x.  One
+  product has a zero operand, and three derivations have a syntax error:
+  a missing exponent, the non-ASCII digit in x^², and the non-ASCII
+  space U+3000 between two terms.
 
 FILE gets every argv whose outcomes differ, with both sides.  The exit
 code is 1 when some argv differs, 2 when a worker stops early, else 0.
@@ -126,6 +129,9 @@ REACH = (
     ["darboux", "--ring", "poly2", "--deriv", "dx=1/2*x*y + 1/3*y; dy=2/5*y^2", "--bound", "6"],
     ["decide", "--ring", "poly2", "--deriv", "dx=1/2*x*y + 1/3*y; dy=2/5*y^2", "--bound", "6"],
     ["decide", "--ring", "poly2", "--deriv", "dx=x^\N{SUPERSCRIPT TWO}; dy=1", "--bound", "6"],
+    ["darboux", "--ring", "poly2", "--deriv", "dx=x*y^2 + y^3 + x + y; dy=x^2*y^2 + x*y^3 + x^2 + x*y", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=x*y^2 + y^3 + x + y; dy=x^2*y^2 + x*y^3 + x^2 + x*y", "--bound", "6"],
+    ["decide", "--ring", "poly2", "--deriv", "dx=x\N{IDEOGRAPHIC SPACE}+ y; dy=1", "--bound", "6"],
 )
 
 # Runs in each tree: argv lists on stdin as one JSON list, one JSON
